@@ -3,9 +3,8 @@
 from .estimator import (GplusDEstimator, GradientEstimator,
                         MonotonicityReport, check_monotonicity)
 from .filters import ChannelMode, FirstOrderFilterBank
-from .plants import (Controller, PlantModel, Scenario, circuit_example,
-                     circuit_scenario, make_scenario, ph_example, ph_scenario,
-                     power_balance_residual)
+from .plants import (Controller, PlantModel, Scenario, circuit_scenario,
+                     make_scenario, ph_scenario, power_balance_residual)
 from .regressor import (NlpreData, ParamMap, PbepGenerator, RegressorSample,
                         StdLreData, StdLreGenerator)
 from .sim import (ControllerKind, EstimatorKind, ExcitationRecord,
@@ -20,8 +19,8 @@ __all__ = [
     "NonFiniteStateError", "ParamMap", "PbepGenerator", "PlantModel",
     "RegressorSample", "RunReport", "Scenario", "SimConfig", "StdLreData",
     "StdLreGenerator", "World", "adjugate", "check_monotonicity",
-    "circuit_example", "circuit_scenario", "determinant", "excitation_report",
-    "make_scenario", "min_eig_symmetric", "ph_example", "ph_scenario",
+    "circuit_scenario", "determinant", "excitation_report", "make_scenario",
+    "min_eig_symmetric", "ph_scenario",
     "power_balance_residual", "run", "step", "symmetric_eigen",
 ]
 

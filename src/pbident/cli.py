@@ -231,8 +231,6 @@ def parse_config(text: str) -> ScenarioConfig:
             scen = build_scenario(cfg)
         except (ValueError, ConfigError) as err:
             keys = _SCENARIO_KEYS[scenario]
-            line = min((entries.get(k, (None, 10**9))[1] for k in keys),
-                       default=0)
             raise ConfigError(str(err),
                               min((lines.get(k, 10**9) for k in keys
                                    if k in lines), default=0)) from None
@@ -317,8 +315,7 @@ def sim_config(cfg: ScenarioConfig) -> SimConfig:
         theta_g0=None if cfg.theta_g0 is None else np.asarray(cfg.theta_g0),
         overparam_hat0=(None if cfg.overparam_hat0 is None
                         else np.asarray(cfg.overparam_hat0)),
-        decimation=cfg.decimation, substeps=cfg.substeps, c_c=cfg.c_c,
-        seed=cfg.seed)
+        decimation=cfg.decimation, substeps=cfg.substeps, c_c=cfg.c_c)
 
 
 class CsvTraceWriter:

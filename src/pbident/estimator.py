@@ -18,15 +18,16 @@ the key identity Ycal = Delta * G(theta).
 GradientEstimator is the plain gradient flow Theta_dot =
 gamma * Omega * (Y - Omega' Theta_hat) on either regression kind.
 
-Time stepping: `rates` returns the literal right-hand sides for callers
-that integrate directly.  The simulator instead advances the linear flows
-with `propagate`, an exact frozen-regressor exponential update applied on
-each half of the step, because gamma * |Omega|^2 * h routinely reaches
-thousands at realistic gains and no explicit fixed-step rule survives
-that.  The update applies one shared rank-deficient contraction map to the
-pre-estimator error and the extension matrix, so the mixing identity and
-the determinant product rule hold exactly in discrete time; det(Phi)
-matches exp(-gamma_g * trapezoid integral of |Omega|^2) by construction.
+Time stepping: the linear flows are not integrated from their literal
+right-hand sides.  `propagate` advances them by an exact frozen-regressor
+exponential update applied on each half of the step, because gamma *
+|Omega|^2 * h routinely reaches thousands at realistic gains and no
+explicit fixed-step rule survives that.  The update applies one shared
+rank-deficient contraction map to the pre-estimator error and the
+extension matrix, so the mixing identity and the determinant product rule
+hold exactly in discrete time; det(Phi) matches exp(-gamma_g * trapezoid
+integral of |Omega|^2) by construction.  The simulator integrates the
+correction flow itself, from the mixing pair returned by `mix`.
 """
 
 from __future__ import annotations
@@ -80,20 +81,6 @@ class GplusDEstimator:
         delta = determinant(a)
         ycal = adjugate(a) @ (self.theta_g - self.Phi @ self.theta_g0)
         return delta, ycal
-
-    def theta_rate(self, delta: float, ycal: np.ndarray, theta) -> np.ndarray:
-        """Correction-flow rate at `theta` for a given frozen mixing pair."""
-        return self.gamma * (self._PT @ (delta * (ycal - delta * self.param_map.G(theta))))
-
-    def rates(self, sample: RegressorSample):
-        """Literal ODE right-hand sides (dtheta_g, dPhi, dtheta)."""
-        _check_sample(sample, self.param_map.p, scalar=True)
-        om = sample.Omega
-        e = float(sample.Y) - float(om @ self.theta_g)
-        dtheta_g = self.gamma_g * om * e
-        dphi = -self.gamma_g * np.outer(om, om @ self.Phi)
-        delta, ycal = self.mix()
-        return dtheta_g, dphi, self.theta_rate(delta, ycal, self.theta)
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega

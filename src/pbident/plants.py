@@ -1,32 +1,42 @@
-"""Dissipative plant models and their known-parameter stabilizing controllers.
+"""Dissipative plant scenarios and their known-parameter stabilizing controllers.
 
-A PlantModel bundles the input-affine dynamics xdot = f(x, theta) +
-g(x, theta) u_p with port output y_p = h + j u_p, the energy bookkeeping
-(storage S, internal dissipation d, supply rate s satisfying the power
-balance Sdot = -d + s), and the regression data used by the generators.
+A scenario describes its plant once, at the true parameters:
+
+* fast_rate(x, u, t) -- the input-affine dynamics xdot = f + g u_p with
+  the port input u_p = col(u, E(t)) stacking the control and the external
+  source;
+* ports(x, u, t) -- the port pair (u_p, y_p);
+* energy(x, u) -- the storage S and the net flow s - d of the power
+  balance Sdot = -d + s;
+* controller.beta(x, theta, t) -- the known-parameter stabilizer;
+* the regression data the generators filter: the separable power-balance
+  data (NlpreData), its parameter map (ParamMap) and, where the scenario
+  has one, the state-equation data (StdLreData).
+
+The closed loop fast_rate(x, beta(x, theta, t), t) and the extraction of
+the physical parameters from a stacked-map estimate are derived from these
+when the Scenario is built.  The tests check each description against an
+independent one: the regression data against fast_rate and energy, and
+energy against the trajectories of fast_rate.
 
 Two scenarios ship:
 
-* ph_example -- a lossless LTI system with skew drift, a parameter-scaled
+* ph_scenario -- a lossless LTI system with skew drift, a parameter-scaled
   input vector (theta, theta^2) and storage |x|^2 / 2.  The stabilizer is
   the static feedback beta = -x1/theta - x2.
 
-* circuit_example -- a source/inductor/transformer/capacitor/resistor
+* circuit_scenario -- a source/inductor/transformer/capacitor/resistor
   circuit in explicit form (the diagonal mass matrix diag(theta1,
   theta1^alpha) is inverted analytically).  Storage is the stored magnetic
   plus electric energy; the supply is the source power E*x1 and the
   dissipation theta2*x2^2.  The voltage regulator beta holds x2 at the
   setpoint kappa and only uses theta2, so certainty-equivalent control
   substitutes the theta2 estimate there.
-
-Scenario objects add the artifact plumbing the simulator and the CLI need
-on top of the two contract types: defaults, estimate extraction for
-overparameterized estimators, regulation metrics, and integration hints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,46 +46,18 @@ from .regressor import NlpreData, ParamMap, StdLreData
 
 @dataclass
 class PlantModel:
-    """Input-affine dissipative plant with regression data attached."""
+    """Dimensions, true parameters and regression data of a plant."""
 
     n: int
     m: int
     n_p: int
-    f: Callable          # (x, theta) -> (n,)
-    g: Callable          # (x, theta) -> (n, n_p)
-    h: Callable          # (x, theta) -> (n_p,)
-    j: Callable          # (x, theta) -> (n_p, n_p)
-    E: Callable          # (t,) -> (n_p - m,) external source signal
-    S: Callable          # (x, theta) -> float
-    d: Callable          # (x, theta) -> float
-    s: Callable          # (u_p, y_p, theta) -> float
+    theta_true: np.ndarray
     nlpre: NlpreData
     param_map: ParamMap
-    theta_true: np.ndarray
     std: Optional[StdLreData] = None
 
     def __post_init__(self):
         self.theta_true = np.asarray(self.theta_true, dtype=float)
-
-    def port_input(self, u, t: float) -> np.ndarray:
-        """Stack control and external source into u_p = col(u, E(t))."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        e = np.asarray(self.E(t), dtype=float).reshape(self.n_p - self.m)
-        return np.concatenate([u, e])
-
-    def port_output(self, x, u_p) -> np.ndarray:
-        th = self.theta_true
-        y = np.asarray(self.h(x, th), dtype=float).reshape(self.n_p)
-        jm = self.j(x, th)
-        if jm is not None:
-            y = y + np.asarray(jm, dtype=float).reshape(self.n_p, self.n_p) @ u_p
-        return y
-
-    def rate(self, x, u_p) -> np.ndarray:
-        th = self.theta_true
-        fx = np.asarray(self.f(x, th), dtype=float).reshape(self.n)
-        gx = np.asarray(self.g(x, th), dtype=float).reshape(self.n, self.n_p)
-        return fx + gx @ np.asarray(u_p, dtype=float)
 
 
 @dataclass
@@ -96,43 +78,46 @@ class Scenario:
     x0_default: np.ndarray
     theta_hat0_default: np.ndarray
     substeps: int                      # plant sub-integration per outer step
-    x_star: Optional[np.ndarray]
     regulation_error: Callable         # (x, x0) -> float, relative metric
-    # extraction of the q physical parameters from a stacked-map estimate
-    theta_from_overparam: Callable
-    # hot-path closures, verified against the PlantModel maps in tests:
-    # fast_rate(x, u, t) = f + g [u; E(t)]; closed_rate(x, theta, t) is the
-    # same with u = beta(x, theta, t) folded in; energy(x, u) = (S, s - d);
-    # ports(x, u, t) = (u_p, y_p)
-    fast_rate: Callable
-    closed_rate: Callable
-    energy: Callable
-    ports: Callable
-    # structural signal counts backing the complexity comparison
-    pbep_signal_count: int
-    std_signal_count: int
+    fast_rate: Callable                # (x, u, t) -> f + g [u; E(t)]
+    energy: Callable                   # (x, u) -> (S, s - d)
+    ports: Callable                    # (x, u, t) -> (u_p, y_p)
     energy_uses_u: bool = True
+    # derived: the closed loop under beta, and the q physical parameters
+    # T @ Theta of a stacked-map estimate Theta
+    closed_rate: Callable = field(init=False, repr=False)
+    theta_from_overparam: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        fast_rate = self.fast_rate
+        beta = self.controller.beta
+        selector = self.plant.param_map.T
+
+        def closed_rate(x, theta, t):
+            return fast_rate(x, beta(x, theta, t), t)
+
+        self.closed_rate = closed_rate
+        self.theta_from_overparam = \
+            lambda Th: selector @ np.asarray(Th, dtype=float)
 
     @property
     def theta_true(self) -> np.ndarray:
         return self.plant.theta_true
 
 
-def power_balance_residual(plant: PlantModel, t, xs, ups, yps) -> float:
+def power_balance_residual(scenario: Scenario, t, xs, us) -> float:
     """Worst power-balance violation |dS/dt + d - s| along a sampled trajectory.
 
-    dS/dt is estimated by centered differences on the samples, with
-    second-order one-sided differences at the endpoints, so the result
-    carries an O(h^2) truncation floor on top of any genuine model
-    inconsistency.
+    S and s - d come from scenario.energy at each (x, u) sample.  dS/dt is
+    estimated by centered differences on the samples, with second-order
+    one-sided differences at the endpoints, so the result carries an O(h^2)
+    truncation floor on top of any genuine model inconsistency.
     """
     t = np.asarray(t, dtype=float)
     if t.size < 3:
         raise ValueError("need at least three samples")
-    th = plant.theta_true
-    svals = np.array([plant.S(x, th) for x in xs])
-    flow = np.array([plant.s(up, yp, th) - plant.d(x, th)
-                     for x, up, yp in zip(xs, ups, yps)])
+    svals, flow = np.array([scenario.energy(x, u) for x, u in zip(xs, us)],
+                           dtype=float).T
     dsdt = np.empty_like(svals)
     dsdt[1:-1] = (svals[2:] - svals[:-2]) / (t[2:] - t[:-2])
     h0 = t[1] - t[0]
@@ -142,21 +127,27 @@ def power_balance_residual(plant: PlantModel, t, xs, ups, yps) -> float:
     return float(np.max(np.abs(dsdt - flow)))
 
 
-def ph_example(a: float, theta: float) -> tuple[PlantModel, Controller]:
+def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     """Lossless LTI scenario: skew drift, input vector (theta, theta^2)."""
     if theta == 0.0:
         raise ValueError("theta must be nonzero (controller divides by it)")
     a = float(a)
-    th_true = np.array([float(theta)])
+    th = float(theta)
+    th2 = th * th
 
-    def f(x, th):
-        return np.array([-a * x[1], a * x[0]])
+    def reg_err(x, x0):
+        n0 = float(np.linalg.norm(x0))
+        return float(np.linalg.norm(x)) / n0 if n0 > 0 else float(np.linalg.norm(x))
 
-    def g(x, th):
-        return np.array([[th[0]], [th[0] ** 2]])
+    def fast_rate(x, u, t):
+        return np.array([-a * x[1] + th * u, a * x[0] + th2 * u])
 
-    def h(x, th):
-        return np.array([th[0] * x[0] + th[0] ** 2 * x[1]])
+    def energy(x, u):
+        return (0.5 * (x[0] ** 2 + x[1] ** 2),
+                u * (th * x[0] + th2 * x[1]))
+
+    def ports(x, u, t):
+        return np.array([u]), np.array([th * x[0] + th2 * x[1]])
 
     nlpre = NlpreData(
         p_s=2, p_S=0, p_d=0,
@@ -180,25 +171,25 @@ def ph_example(a: float, theta: float) -> tuple[PlantModel, Controller]:
                [lambda x: np.array([0.0, 1.0])]],
         theta_from_C=lambda Th: np.array([Th[0]]),
     )
-    plant = PlantModel(
-        n=2, m=1, n_p=1,
-        f=f, g=g, h=h,
-        j=lambda x, th: None,
-        E=lambda t: np.zeros(0),
-        S=lambda x, th: 0.5 * (x[0] ** 2 + x[1] ** 2),
-        d=lambda x, th: 0.0,
-        s=lambda u_p, y_p, th: float(u_p[0] * y_p[0]),
-        nlpre=nlpre, param_map=param_map, theta_true=th_true, std=std,
+    return Scenario(
+        name="ph",
+        plant=PlantModel(n=2, m=1, n_p=1, theta_true=np.array([th]),
+                         nlpre=nlpre, param_map=param_map, std=std),
+        controller=Controller(beta=lambda x, th, t: -x[0] / th[0] - x[1],
+                              target={"kind": "origin"}),
+        x0_default=np.array([1.0, 1.0]),
+        theta_hat0_default=np.array([0.5]),
+        substeps=1,
+        regulation_error=reg_err,
+        fast_rate=fast_rate,
+        energy=energy,
+        ports=ports,
     )
-    controller = Controller(
-        beta=lambda x, th, t: -x[0] / th[0] - x[1],
-        target={"kind": "origin"},
-    )
-    return plant, controller
 
 
-def circuit_example(theta1: float, theta2: float, alpha: float, E: float,
-                    kp: float, kappa: float) -> tuple[PlantModel, Controller]:
+def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
+                     alpha: float = 2.0, E: float = 15.0, kp: float = 10.0,
+                     kappa: float = 15.0) -> Scenario:
     """Source/transformer circuit scenario regulating the capacitor voltage."""
     if theta1 <= 0 or theta2 <= 0 or E <= 0:
         raise ValueError("theta1, theta2 and E must be positive")
@@ -206,23 +197,35 @@ def circuit_example(theta1: float, theta2: float, alpha: float, E: float,
         raise ValueError("kappa must be nonzero (equilibrium input divides by it)")
     if kp <= 0:
         raise ValueError("kp must be positive")
-    th_true = np.array([float(theta1), float(theta2)])
+    th1 = float(theta1)
+    th2 = float(theta2)
     alpha = float(alpha)
+    m2 = th1 ** alpha
     E = float(E)
     kp = float(kp)
     kappa = float(kappa)
 
-    def f(x, th):
-        return np.array([0.0, -th[1] * x[1] / th[0] ** alpha])
+    def reg_err(x, x0):
+        return abs(float(x[1]) - kappa) / abs(kappa)
 
-    def g(x, th):
-        return np.array([[-x[1] / th[0], 1.0 / th[0]],
-                         [x[0] / th[0] ** alpha, 0.0]])
+    def fast_rate(x, u, t):
+        return np.array([(-x[1] * u + E) / th1,
+                         (-th2 * x[1] + x[0] * u) / m2])
 
-    def h(x, th):
-        # control port is power-neutral through the ideal transformer; the
-        # source port sees the inductor current
-        return np.array([0.0, x[0]])
+    def energy(x, u):
+        return (0.5 * (th1 * x[0] ** 2 + m2 * x[1] ** 2),
+                E * x[0] - th2 * x[1] ** 2)
+
+    def ports(x, u, t):
+        # the control port is power-neutral through the ideal transformer;
+        # the source port sees the inductor current
+        return np.array([u, E]), np.array([0.0, x[0]])
+
+    kap2_E = kappa * kappa / E
+    u_star = E / kappa
+
+    def beta(x, th, t):
+        return -kp * (th[1] * kap2_E * x[1] - kappa * x[0]) + u_star
 
     nlpre = NlpreData(
         p_s=0, p_S=2, p_d=1,
@@ -246,8 +249,8 @@ def circuit_example(theta1: float, theta2: float, alpha: float, E: float,
     def theta_from_c(Th):
         # Theta = (1/theta1, 1/theta1^alpha, theta2/theta1^alpha); invert
         # through the reciprocal of the first entry, guarded away from zero
-        th1 = 1.0 / max(float(Th[0]), 1e-2)
-        return np.array([th1, float(Th[2]) * th1 ** alpha])
+        t1 = 1.0 / max(float(Th[0]), 1e-2)
+        return np.array([t1, float(Th[2]) * t1 ** alpha])
 
     std = StdLreData(
         n=2, n_p=2, n_w=3,
@@ -260,120 +263,22 @@ def circuit_example(theta1: float, theta2: float, alpha: float, E: float,
                 None]],
         theta_from_C=theta_from_c,
     )
-    plant = PlantModel(
-        n=2, m=1, n_p=2,
-        f=f, g=g, h=h,
-        j=lambda x, th: None,
-        E=lambda t: np.array([E]),
-        S=lambda x, th: 0.5 * (th[0] * x[0] ** 2 + th[0] ** alpha * x[1] ** 2),
-        d=lambda x, th: th[1] * x[1] ** 2,
-        s=lambda u_p, y_p, th: float(u_p @ y_p),
-        nlpre=nlpre, param_map=param_map, theta_true=th_true, std=std,
-    )
-    controller = Controller(
-        beta=lambda x, th, t: -kp * (th[1] * kappa ** 2 / E * x[1] - kappa * x[0])
-        + E / kappa,
-        target={"kind": "setpoint", "x2_star": kappa,
-                "x_star": (theta2 * kappa ** 2 / E, kappa)},
-    )
-    return plant, controller
-
-
-def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
-    plant, controller = ph_example(a, theta)
-    a = float(a)
-    th = float(theta)
-    th2 = th * th
-
-    def reg_err(x, x0):
-        n0 = float(np.linalg.norm(x0))
-        return float(np.linalg.norm(x)) / n0 if n0 > 0 else float(np.linalg.norm(x))
-
-    def fast_rate(x, u, t):
-        return np.array([-a * x[1] + th * u, a * x[0] + th2 * u])
-
-    def closed_rate(x, thv, t):
-        u = -x[0] / thv[0] - x[1]
-        return np.array([-a * x[1] + th * u, a * x[0] + th2 * u])
-
-    def energy(x, u):
-        return (0.5 * (x[0] ** 2 + x[1] ** 2),
-                u * (th * x[0] + th2 * x[1]))
-
-    def ports(x, u, t):
-        return np.array([u]), np.array([th * x[0] + th2 * x[1]])
-
     return Scenario(
-        name="ph", plant=plant, controller=controller,
-        x0_default=np.array([1.0, 1.0]),
-        theta_hat0_default=np.array([0.5]),
-        substeps=1,
-        x_star=np.zeros(2),
-        regulation_error=reg_err,
-        theta_from_overparam=lambda Th: plant.param_map.T @ np.asarray(Th, dtype=float),
-        fast_rate=fast_rate,
-        closed_rate=closed_rate,
-        energy=energy,
-        ports=ports,
-        # distinct filter input signals: x1*u, x2*u (regressor), |x|^2/2 (Y)
-        pbep_signal_count=3,
-        # nonzero channel signals: x1, x2 (derivative block), the two drift
-        # offsets, and the two input-matrix products u*1
-        std_signal_count=6,
-    )
-
-
-def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
-                     alpha: float = 2.0, E: float = 15.0, kp: float = 10.0,
-                     kappa: float = 15.0) -> Scenario:
-    plant, controller = circuit_example(theta1, theta2, alpha, E, kp, kappa)
-    kappa = float(kappa)
-    th1 = float(theta1)
-    th2 = float(theta2)
-    m2 = float(theta1) ** float(alpha)
-    E = float(E)
-
-    def reg_err(x, x0):
-        return abs(float(x[1]) - kappa) / abs(kappa)
-
-    def fast_rate(x, u, t):
-        return np.array([(-x[1] * u + E) / th1,
-                         (-th2 * x[1] + x[0] * u) / m2])
-
-    kap2_E = kappa * kappa / E
-    u_star = E / kappa
-
-    def closed_rate(x, thv, t):
-        u = -kp * (thv[1] * kap2_E * x[1] - kappa * x[0]) + u_star
-        return np.array([(-x[1] * u + E) / th1,
-                         (-th2 * x[1] + x[0] * u) / m2])
-
-    def energy(x, u):
-        return (0.5 * (th1 * x[0] ** 2 + m2 * x[1] ** 2),
-                E * x[0] - th2 * x[1] ** 2)
-
-    def ports(x, u, t):
-        return np.array([u, E]), np.array([0.0, x[0]])
-
-    return Scenario(
-        name="circuit", plant=plant, controller=controller,
+        name="circuit",
+        plant=PlantModel(n=2, m=1, n_p=2, theta_true=np.array([th1, th2]),
+                         nlpre=nlpre, param_map=param_map, std=std),
+        controller=Controller(
+            beta=beta,
+            target={"kind": "setpoint", "x2_star": kappa,
+                    "x_star": (th2 * kappa ** 2 / E, kappa)}),
         x0_default=np.zeros(2),
         theta_hat0_default=np.zeros(2),
         substeps=4,
-        x_star=np.array([theta2 * kappa ** 2 / E, kappa]),
         regulation_error=reg_err,
-        theta_from_overparam=lambda Th: plant.param_map.T @ np.asarray(Th, dtype=float),
         fast_rate=fast_rate,
-        closed_rate=closed_rate,
         energy=energy,
         ports=ports,
         energy_uses_u=False,
-        # distinct filter input signals: E*x1 (Y), x1^2, x2^2 (the x2^2
-        # signal feeds both the storage and dissipation blocks)
-        pbep_signal_count=3,
-        # nonzero channel signals: x1, x2 (derivative block), -x2*u, E, x1*u
-        # (input-matrix products) and -x2 (drift entry)
-        std_signal_count=6,
     )
 
 

@@ -24,8 +24,9 @@ skip the corresponding filter channels entirely and substitute exact zeros
 in the assembled outputs.
 
 Samples are produced at every integrator step and consumed synchronously
-by the estimators; the generators expose `state`/`state_rate` so the
-simulator owns all time stepping.
+by the estimators.  The generators expose their filter `state`, the channel
+`inputs` at a plant sample and `sample_from` those inputs; the simulator
+owns all time stepping.
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ class RegressorSample:
     Y: float | np.ndarray
     Omega: np.ndarray
 
-    def predicted(self, params) -> float | np.ndarray:
-        return self.Omega.T @ np.asarray(params, dtype=float) \
-            if self.Omega.ndim == 2 else float(self.Omega @ np.asarray(params, dtype=float))
-
-    def residual(self, params) -> float:
-        r = self.Y - self.predicted(params)
-        return abs(r) if np.isscalar(r) else float(np.max(np.abs(r)))
-
 
 class PbepGenerator:
     """Causal generator of the power-balance regression (Y, Omega).
@@ -242,9 +235,6 @@ class PbepGenerator:
             out[k:] = d.phi_d(x)
         return out
 
-    def state_rate(self, x, u_p, y_p) -> np.ndarray:
-        return self.bank.rate(self.inputs(x, u_p, y_p))
-
     def sample_from(self, t: float, inputs: np.ndarray) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
@@ -262,9 +252,6 @@ class PbepGenerator:
         omega[d.p_s:d.p_s + d.p_S] = out[k + d.p_s:k + d.p_s + d.p_S]
         omega[d.p_s + d.p_S:] = out[k + d.p_s + d.p_S:]
         return RegressorSample(t=t, Y=float(y), Omega=omega)
-
-    def sample(self, t: float, x, u_p, y_p) -> RegressorSample:
-        return self.sample_from(t, self.inputs(x, u_p, y_p))
 
 
 class StdLreGenerator:
@@ -339,9 +326,6 @@ class StdLreGenerator:
         out[k:] = self._w_matrix(x, u_p).ravel()
         return out
 
-    def state_rate(self, x, u_p) -> np.ndarray:
-        return self.bank.rate(self.inputs(x, u_p))
-
     def sample_from(self, t: float, inputs: np.ndarray) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
@@ -353,6 +337,3 @@ class StdLreGenerator:
             k += n
         omega = out[k:].reshape(n, self.n_w).T
         return RegressorSample(t=t, Y=y, Omega=omega)
-
-    def sample(self, t: float, x, u_p) -> RegressorSample:
-        return self.sample_from(t, self.inputs(x, u_p))

@@ -84,7 +84,6 @@ class SimConfig:
     decimation: int = 10
     substeps: Optional[int] = None             # scenario default when None
     c_c: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if self.h <= 0:

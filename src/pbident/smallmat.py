@@ -6,19 +6,13 @@ must hold even when M is singular -- the mixing step of the interlaced
 estimator evaluates it at det = 0 every run (the extension matrix starts at
 the identity).  Inverse-based shortcuts break exactly there.
 
-The symmetric eigensolver is a cyclic Jacobi sweep: deterministic, no
-external dependencies, and plenty accurate at these dimensions.  It runs
-on plain Python floats; at dimension <= 8 that is considerably faster
-than vectorized rotations.
+The symmetric eigenproblems are solved by numpy's eigh / eigvalsh on the
+symmetrized matrix (M + M')/2.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-_JACOBI_SWEEPS = 30
 
 
 def _as_square(m) -> np.ndarray:
@@ -84,54 +78,12 @@ def adjugate(m) -> np.ndarray:
 
 
 def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a (symmetrized) matrix by cyclic Jacobi.
+    """Eigenvalues and eigenvectors of the symmetrized matrix (M + M')/2.
 
     Returns (w, V) with m ~ V @ diag(w) @ V.T, eigenvalues ascending.
     """
-    src = _as_square(m)
-    n = src.shape[0]
-    a = [[0.5 * (src[i, j] + src[j, i]) for j in range(n)] for i in range(n)]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    if n > 1:
-        for _ in range(_JACOBI_SWEEPS):
-            off = 0.0
-            for p in range(n - 1):
-                ap = a[p]
-                for q in range(p + 1, n):
-                    apq = ap[q]
-                    absapq = abs(apq)
-                    if absapq > off:
-                        off = absapq
-                    if apq == 0.0:
-                        continue
-                    aq = a[q]
-                    tau = (aq[q] - ap[p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.hypot(1.0, tau))
-                    else:
-                        t = -1.0 / (-tau + math.hypot(1.0, tau))
-                    c = 1.0 / math.hypot(1.0, t)
-                    s = t * c
-                    for k in range(n):
-                        akp, akq = a[k][p], a[k][q]
-                        a[k][p] = c * akp - s * akq
-                        a[k][q] = s * akp + c * akq
-                    for k in range(n):
-                        akp, akq = ap[k], aq[k]
-                        ap[k] = c * akp - s * akq
-                        aq[k] = s * akp + c * akq
-                    ap[q] = aq[p] = 0.0
-                    for row in v:
-                        vkp, vkq = row[p], row[q]
-                        row[p] = c * vkp - s * vkq
-                        row[q] = s * vkp + c * vkq
-            scale = max(1.0, max(abs(a[i][i]) for i in range(n)))
-            if off <= 1e-15 * scale:
-                break
-    w = np.array([a[i][i] for i in range(n)])
-    vec = np.array(v)
-    order = np.argsort(w)
-    return w[order], vec[:, order]
+    a = _as_square(m)
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def min_eig_symmetric(m) -> float:
@@ -139,5 +91,4 @@ def min_eig_symmetric(m) -> float:
     a = _as_square(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    w, _ = symmetric_eigen(a)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])

@@ -22,6 +22,49 @@ def rk4(rate, y0, t0, t1, n):
     return np.array(out)
 
 
+# -- test-side views of the library's stepping pieces ----------------------
+#
+# The simulator drives generators through `inputs`/`sample_from` and the
+# interlaced estimator through `mix`/`propagate`; the helpers below rebuild
+# the remaining textbook forms for the oracle checks.
+
+def state_rate(gen, *signals):
+    """Filter-bank state rate of a regression generator at one plant sample."""
+    return gen.bank.rate(gen.inputs(*signals))
+
+
+def sample(gen, t, *signals):
+    """Regression sample of a generator at one plant sample."""
+    return gen.sample_from(t, gen.inputs(*signals))
+
+
+def predicted(s, params):
+    """Omega' params: a scalar for the power balance, an n-vector otherwise."""
+    params = np.asarray(params, dtype=float)
+    return s.Omega.T @ params if s.Omega.ndim == 2 else float(s.Omega @ params)
+
+
+def residual(s, params):
+    """Largest absolute entry of Y - Omega' params."""
+    return float(np.max(np.abs(s.Y - predicted(s, params))))
+
+
+def theta_rate(est, delta, ycal, theta):
+    """Correction-flow rate of a GplusDEstimator for a frozen mixing pair."""
+    pm = est.param_map
+    return est.gamma * (pm.P @ pm.T @ (delta * (ycal - delta * pm.G(theta))))
+
+
+def rates(est, s):
+    """Literal right-hand sides (dtheta_g, dPhi, dtheta) of a GplusDEstimator."""
+    om = s.Omega
+    e = float(s.Y) - float(om @ est.theta_g)
+    delta, ycal = est.mix()
+    return (est.gamma_g * om * e,
+            -est.gamma_g * np.outer(om, om @ est.Phi),
+            theta_rate(est, delta, ycal, est.theta))
+
+
 @pytest.fixture(scope="session")
 def circuit():
     return circuit_scenario()

@@ -6,6 +6,7 @@ from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
 from pbident.smallmat import determinant
+from conftest import rates, theta_rate
 
 
 def scalar_map():
@@ -32,18 +33,21 @@ def const_sample(t, y, om):
 
 def test_rates_zero_regressor():
     est = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=1.0)
-    dgr, dphi, dth = est.rates(const_sample(0.0, 0.0, [0.0]))
+    dgr, dphi, dth = rates(est, const_sample(0.0, 0.0, [0.0]))
     assert np.array_equal(dgr, [0.0])
     assert np.array_equal(dphi, [[0.0]])
     assert np.array_equal(dth, [0.0])
 
 
 def test_rates_rejects_bad_sample():
-    est = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        est.rates(const_sample(0.0, 0.0, [1.0, 2.0]))
-    with pytest.raises(ValueError):
-        est.rates(const_sample(0.0, np.nan, [1.0]))
+    # propagate validates the sample shape and finiteness on its first call
+    good = const_sample(0.0, 0.0, [1.0])
+    for bad in (const_sample(0.0, 0.0, [1.0, 2.0]),
+                const_sample(0.0, np.nan, [1.0])):
+        for pair in ((bad, good), (good, bad)):
+            est = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=1.0)
+            with pytest.raises(ValueError):
+                est.propagate(*pair, 1e-3)
 
 
 def test_gains_must_be_positive():
@@ -96,7 +100,7 @@ def test_scalar_flow_against_ivp_oracle():
         e.theta_g = state[:1].copy()
         e.Phi = state[1:2].reshape(1, 1).copy()
         e.theta = state[2:].copy()
-        dg, dp, dt_ = e.rates(s)
+        dg, dp, dt_ = rates(e, s)
         return np.concatenate([dg, dp.ravel(), dt_])
 
     y = np.array([0.0, 1.0, 0.0])
@@ -116,7 +120,7 @@ def test_scalar_flow_against_ivp_oracle():
         th = est.theta
 
         def rate(thv):
-            return est.theta_rate(delta, ycal, thv)
+            return theta_rate(est, delta, ycal, thv)
         a1 = rate(th)
         a2 = rate(th + h / 2 * a1)
         a3 = rate(th + h / 2 * a2)
@@ -196,7 +200,7 @@ def test_monotone_contraction_of_correction_flow():
         th = est.theta
 
         def rate(thv):
-            return est.theta_rate(delta, ycal, thv)
+            return theta_rate(est, delta, ycal, thv)
         a1 = rate(th)
         a2 = rate(th + h / 2 * a1)
         a3 = rate(th + h / 2 * a2)

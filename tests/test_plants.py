@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
 
-from pbident import (circuit_example, ph_example, power_balance_residual)
+from pbident import (Controller, EstimatorKind, NlpreData, ParamMap,
+                     PlantModel, Scenario, SimConfig, circuit_scenario,
+                     ph_scenario, power_balance_residual, run)
 from conftest import rk4
 
 
 # -- construction and rejections ----------------------------------------------
 
 def test_ph_example_values():
-    plant, controller = ph_example(a=1.0, theta=1.0)
-    assert np.array_equal(plant.rate(np.array([1.0, 0.0]), np.array([0.0])),
+    scen = ph_scenario(a=1.0, theta=1.0)
+    assert np.array_equal(scen.fast_rate(np.array([1.0, 0.0]), 0.0, 0.0),
                           [0.0, 1.0])
-    _, ctrl2 = ph_example(a=1.0, theta=2.0)
+    ctrl2 = ph_scenario(a=1.0, theta=2.0).controller
     assert ctrl2.beta(np.array([1.0, 1.0]), np.array([2.0]), 0.0) \
         == pytest.approx(-1.5)
 
 
 def test_ph_rejects_zero_theta():
     with pytest.raises(ValueError):
-        ph_example(a=1.0, theta=0.0)
+        ph_scenario(a=1.0, theta=0.0)
 
 
 def test_ph_known_loop_is_hurwitz():
@@ -49,109 +51,111 @@ def test_circuit_rejections():
                     kappa=15.0)
         full.update(kwargs)
         with pytest.raises(ValueError):
-            circuit_example(**full)
+            circuit_scenario(**full)
 
 
-# -- algebraic consistency of the attached data --------------------------------
+# -- algebraic consistency of the single description ---------------------------
 
 def test_port_output_consistency(circuit, ph):
+    # u_p stacks the control over the source, and the port power u_p' y_p is
+    # the supply rate of the separable regression data, b_s + phi_s' G_s
     rng = np.random.default_rng(0)
     for scen in (circuit, ph):
         plant = scen.plant
+        d = plant.nlpre
+        gs = plant.param_map.G(plant.theta_true)[:d.p_s]
         for _ in range(20):
             x = rng.uniform(-3, 3, plant.n)
             u = float(rng.uniform(-2, 2))
-            up = plant.port_input(u, 0.0)
-            yp = plant.port_output(x, up)
-            href = np.asarray(plant.h(x, plant.theta_true)).reshape(plant.n_p)
-            assert np.array_equal(yp, href)  # j = 0 in both scenarios
+            up, yp = scen.ports(x, u, 0.0)
+            assert up.shape == yp.shape == (plant.n_p,)
+            assert up[0] == u
+            supply = d.b_s(x, up, yp) if d.b_s else 0.0
+            if d.p_s:
+                supply += float(np.asarray(d.phi_s(x, up, yp)) @ gs)
+            assert supply == pytest.approx(float(up @ yp), abs=1e-12)
 
 
 def test_nlpre_data_reproduces_energy_maps(circuit, ph):
-    # s, S, d recomputed from the separable regression forms equal the
-    # direct maps (algebraic identity at the true parameters)
+    # the storage b_S + phi_S' G_S and the net flow
+    # (b_s + phi_s' G_s) - (b_d + phi_d' G_d) recomputed from the separable
+    # regression forms equal the scenario's energy map at the true parameters
     rng = np.random.default_rng(1)
     for scen in (circuit, ph):
         plant = scen.plant
         d = plant.nlpre
-        th = plant.theta_true
-        g = plant.param_map
-        gs = g.G(th)
+        gs = plant.param_map.G(plant.theta_true)
         for _ in range(30):
             x = rng.uniform(-3, 3, plant.n)
             u = float(rng.uniform(-2, 2))
-            up = plant.port_input(u, 0.0)
-            yp = plant.port_output(x, up)
-            s_direct = plant.s(up, yp, th)
-            s_param = (d.b_s(x, up, yp) if d.b_s else 0.0)
+            up, yp = scen.ports(x, u, 0.0)
+            s_cap, flow = scen.energy(x, u)
+            supply = (d.b_s(x, up, yp) if d.b_s else 0.0)
             if d.p_s:
-                s_param += float(np.asarray(d.phi_s(x, up, yp)) @ gs[:d.p_s])
-            assert s_param == pytest.approx(s_direct, abs=1e-12)
-            s_cap = plant.S(x, th)
+                supply += float(np.asarray(d.phi_s(x, up, yp)) @ gs[:d.p_s])
             cap_param = (d.b_S(x) if d.b_S else 0.0)
             if d.p_S:
                 cap_param += float(np.asarray(d.phi_S(x))
                                    @ gs[d.p_s:d.p_s + d.p_S])
             assert cap_param == pytest.approx(s_cap, abs=1e-12)
-            d_direct = plant.d(x, th)
-            d_param = (d.b_d(x) if d.b_d else 0.0)
+            diss = (d.b_d(x) if d.b_d else 0.0)
             if d.p_d:
-                d_param += float(np.asarray(d.phi_d(x)) @ gs[d.p_s + d.p_S:])
-            assert d_param == pytest.approx(d_direct, abs=1e-12)
+                diss += float(np.asarray(d.phi_d(x)) @ gs[d.p_s + d.p_S:])
+            assert supply - diss == pytest.approx(flow, abs=1e-12)
 
 
 def test_std_data_reproduces_dynamics(circuit, ph):
-    # w_f Theta + b_f must equal f, and the per-entry input-matrix data must
-    # rebuild g, at the true parameters
+    # (w_f + sum_j u_p[j] phi_g[i][j]) C(theta) + b_f + b_g u_p, rebuilt from
+    # the state-equation data, equals fast_rate at the true parameters
     rng = np.random.default_rng(2)
     for scen in (circuit, ph):
         plant = scen.plant
         std = plant.std
-        th = plant.theta_true
-        theta_big = std.C(th)
-        for _ in range(30):
-            x = rng.uniform(-3, 3, plant.n)
-            f_param = np.zeros(plant.n)
-            if std.w_f is not None:
-                f_param += np.asarray(std.w_f(x)) @ theta_big
-            if std.b_f is not None:
-                f_param += np.asarray(std.b_f(x))
-            assert np.allclose(f_param, plant.f(x, th), atol=1e-12)
-            g_direct = np.asarray(plant.g(x, th))
-            for i in range(plant.n):
-                for j in range(plant.n_p):
-                    entry = 0.0
-                    if std.phi_g is not None and std.phi_g[i][j] is not None:
-                        entry += float(np.asarray(std.phi_g[i][j](x)) @ theta_big)
-                    if std.b_g is not None and std.b_g[i][j] is not None:
-                        entry += float(std.b_g[i][j](x))
-                    assert entry == pytest.approx(g_direct[i, j], abs=1e-12)
-
-
-def test_hot_path_closures_match_contract_maps(circuit, ph):
-    rng = np.random.default_rng(3)
-    for scen in (circuit, ph):
-        plant = scen.plant
-        th = plant.theta_true
+        theta_big = std.C(plant.theta_true)
         for _ in range(30):
             x = rng.uniform(-3, 3, plant.n)
             u = float(rng.uniform(-2, 2))
-            up = plant.port_input(u, 0.0)
-            assert np.allclose(scen.fast_rate(x, u, 0.0), plant.rate(x, up),
-                               atol=1e-12)
+            up, _ = scen.ports(x, u, 0.0)
+            w = np.zeros((plant.n, std.n_w))
+            if std.w_f is not None:
+                w += np.asarray(std.w_f(x))
+            rate = np.zeros(plant.n)
+            if std.b_f is not None:
+                rate += np.asarray(std.b_f(x))
+            for i in range(plant.n):
+                for j in range(plant.n_p):
+                    if std.phi_g is not None and std.phi_g[i][j] is not None:
+                        w[i] += up[j] * np.asarray(std.phi_g[i][j](x))
+                    if std.b_g is not None and std.b_g[i][j] is not None:
+                        rate[i] += up[j] * float(std.b_g[i][j](x))
+            rate += w @ theta_big
+            assert np.allclose(rate, scen.fast_rate(x, u, 0.0), atol=1e-12)
+
+
+def test_hot_path_closures_match_contract_maps(circuit, ph):
+    # the derived closures follow their definitions exactly, and the storage
+    # changes along fast_rate at the net flow of the energy map
+    rng = np.random.default_rng(3)
+    eps = 1e-6
+    for scen in (circuit, ph):
+        plant = scen.plant
+        selector = plant.param_map.T
+        for _ in range(30):
+            x = rng.uniform(-3, 3, plant.n)
+            u = float(rng.uniform(-2, 2))
             th_probe = rng.uniform(0.2, 3.0, plant.param_map.q)
             u_beta = scen.controller.beta(x, th_probe, 0.0)
-            assert np.allclose(scen.closed_rate(x, th_probe, 0.0),
-                               plant.rate(x, plant.port_input(u_beta, 0.0)),
-                               atol=1e-12)
-            s_val, flow = scen.energy(x, u)
-            yp = plant.port_output(x, up)
-            assert s_val == pytest.approx(plant.S(x, th), abs=1e-12)
-            assert flow == pytest.approx(plant.s(up, yp, th) - plant.d(x, th),
-                                         abs=1e-12)
-            up2, yp2 = scen.ports(x, u, 0.0)
-            assert np.array_equal(up2, up)
-            assert np.array_equal(yp2, yp)
+            assert np.array_equal(scen.closed_rate(x, th_probe, 0.0),
+                                  scen.fast_rate(x, u_beta, 0.0))
+            big = rng.uniform(-3, 3, plant.param_map.p)
+            assert np.array_equal(scen.theta_from_overparam(big),
+                                  selector @ big)
+            r = scen.fast_rate(x, u, 0.0)
+            s_plus, _ = scen.energy(x + eps * r, u)
+            s_minus, _ = scen.energy(x - eps * r, u)
+            _, flow = scen.energy(x, u)
+            assert (s_plus - s_minus) / (2 * eps) == pytest.approx(
+                flow, rel=1e-6, abs=1e-6)
 
 
 def test_circuit_overparam_inverse(circuit):
@@ -165,38 +169,29 @@ def test_circuit_overparam_inverse(circuit):
 
 # -- power balance -------------------------------------------------------------
 
-def test_power_balance_residual_zero_trajectory():
-    plant, _ = circuit_example(1.0, 1.5, 2.0, 15.0, 10.0, 15.0)
-    # zero state with a zero-source variant: supply = dissipation = 0
+def test_power_balance_residual_zero_trajectory(circuit):
+    # zero state and zero control: storage, supply and dissipation all vanish
     t = np.arange(5) * 1e-3
-    xs = [np.zeros(2)] * 5
-    ups = [np.zeros(2)] * 5
-    yps = [np.zeros(2)] * 5
-    assert power_balance_residual(plant, t, xs, ups, yps) == 0.0
+    assert power_balance_residual(circuit, t, [np.zeros(2)] * 5,
+                                  [0.0] * 5) == 0.0
 
 
-def test_power_balance_residual_needs_three_samples():
-    plant, _ = circuit_example(1.0, 1.5, 2.0, 15.0, 10.0, 15.0)
+def test_power_balance_residual_needs_three_samples(circuit):
     with pytest.raises(ValueError):
-        power_balance_residual(plant, [0.0, 1.0], [np.zeros(2)] * 2,
-                               [np.zeros(2)] * 2, [np.zeros(2)] * 2)
+        power_balance_residual(circuit, [0.0, 1.0], [np.zeros(2)] * 2,
+                               [0.0] * 2)
 
 
 def test_power_balance_residual_circuit_equilibrium(circuit):
-    plant = circuit.plant
     x_star = np.asarray(circuit.controller.target["x_star"])
-    u_star = 1.0
     t = np.arange(10) * 1e-3
-    ups = [plant.port_input(u_star, tk) for tk in t]
-    yps = [plant.port_output(x_star, up) for up in ups]
-    res = power_balance_residual(plant, t, [x_star] * 10, ups, yps)
+    res = power_balance_residual(circuit, t, [x_star] * 10, [1.0] * 10)
     assert res <= 1e-9   # S constant, supply balances dissipation
 
 
 def test_power_balance_residual_ph_closed_loop(ph):
     # lossless balance Sdot = u * y_p along the known-parameter loop
-    plant = ph.plant
-    th = plant.theta_true
+    th = ph.theta_true
 
     def rate(t, x):
         return ph.closed_rate(x, th, t)
@@ -204,13 +199,8 @@ def test_power_balance_residual_ph_closed_loop(ph):
     h = 1e-3
     xs = rk4(rate, [1.0, 1.0], 0.0, 3.0, 3000)
     t = np.arange(3001) * h
-    ups, yps = [], []
-    for x in xs:
-        u = ph.controller.beta(x, th, 0.0)
-        up = plant.port_input(u, 0.0)
-        ups.append(up)
-        yps.append(plant.port_output(x, up))
-    assert power_balance_residual(plant, t, xs, ups, yps) <= 1e-4
+    us = [ph.controller.beta(x, th, 0.0) for x in xs]
+    assert power_balance_residual(ph, t, xs, us) <= 1e-4
 
 
 def test_circuit_lyapunov_decrease_known_loop(circuit):
@@ -220,7 +210,6 @@ def test_circuit_lyapunov_decrease_known_loop(circuit):
     # single-rate integration needs h = 1e-4 to stay in the RK4 stability
     # region (the simulator handles the same loop at h = 1e-3 by
     # substepping).
-    plant = circuit.plant
     th1, th2 = circuit.theta_true
     alpha, E, kp, kappa = 2.0, 15.0, 10.0, 15.0
     x_star = np.asarray(circuit.controller.target["x_star"])
@@ -244,3 +233,57 @@ def test_circuit_lyapunov_decrease_known_loop(circuit):
 
 def test_ph_known_loop_contracts(ph_known_run):
     assert np.linalg.norm(ph_known_run.x_final) <= 1e-3 * np.sqrt(2.0)
+
+
+# -- a custom scenario through the library API ---------------------------------
+
+def rc_scenario(theta=2.0, r=1.0, k=3.0):
+    """Resistive one-state plant xdot = -theta x + u held at the setpoint r.
+
+    Storage x^2/2, dissipation theta x^2, supply u y with port output y = x.
+    """
+    def fast_rate(x, u, t):
+        return np.array([-theta * x[0] + u])
+
+    nlpre = NlpreData(p_s=0, p_S=0, p_d=1,
+                      b_s=lambda x, u_p, y_p: float(u_p[0] * y_p[0]),
+                      b_S=lambda x: 0.5 * x[0] ** 2,
+                      phi_d=lambda x: np.array([x[0] ** 2]))
+    param_map = ParamMap(q=1, p_s=0, p_S=0, p_d=1, G_s=None, G_S=None,
+                         G_d=lambda th: np.array([th[0]]),
+                         T=np.array([[1.0]]), P=np.array([[1.0]]),
+                         jacobian_G=lambda th: np.array([[1.0]]))
+    return Scenario(
+        name="rc",
+        plant=PlantModel(n=1, m=1, n_p=1, theta_true=np.array([theta]),
+                         nlpre=nlpre, param_map=param_map),
+        controller=Controller(
+            beta=lambda x, th, t: th[0] * r - k * (x[0] - r),
+            target={"kind": "setpoint", "x_star": (r,)}),
+        x0_default=np.zeros(1),
+        theta_hat0_default=np.array([0.5]),
+        substeps=1,
+        regulation_error=lambda x, x0: abs(float(x[0]) - r) / abs(r),
+        fast_rate=fast_rate,
+        energy=lambda x, u: (0.5 * x[0] ** 2,
+                             u * x[0] - theta * x[0] ** 2),
+        ports=lambda x, u, t: (np.array([u]), np.array([x[0]])),
+    )
+
+
+def test_custom_scenario_runs_gplusd():
+    scen = rc_scenario()
+    x, th = np.array([0.4]), np.array([1.3])
+    assert np.array_equal(scen.closed_rate(x, th, 0.0),
+                          scen.fast_rate(x, scen.controller.beta(x, th, 0.0),
+                                         0.0))
+    # 100 steps of h = 1e-2 are enough for the interlaced estimator to
+    # recover theta = 2 from the setpoint transient
+    rep = run(scen, SimConfig(t_end=1.0, h=1e-2,
+                              estimator=EstimatorKind.GPLUSD_PBEP))
+    assert not rep.aborted
+    assert rep.n_steps == 100 and rep.trace_rows == 11
+    assert abs(float(rep.x_final[0]) - 1.0) <= 0.05
+    assert rep.theta_err_rel_final <= 1e-6
+    assert rep.abel_gap <= 1e-9
+    assert rep.max_power_residual <= 5e-3   # O(h^2) floor at h = 1e-2
