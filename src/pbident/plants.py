@@ -19,6 +19,13 @@ when the Scenario is built.  The tests check each description against an
 independent one: the regression data against fast_rate and energy, and
 energy against the trajectories of fast_rate.
 
+During the plant sub-integration the simulator calls fast_rate and beta
+with x as a length-n sequence of Python floats: closures index or unpack
+it and do no array arithmetic on it, and fast_rate must return an ndarray.
+theta stays a numpy row there, so dividing by an estimate keeps numpy's
+inf on a zero divisor.  ports, energy and the regression data always get
+ndarray states.
+
 Two scenarios ship:
 
 * ph_scenario -- a lossless LTI system with skew drift, a parameter-scaled
@@ -36,6 +43,7 @@ Two scenarios ship:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -140,7 +148,8 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
         return float(np.linalg.norm(x)) / n0 if n0 > 0 else float(np.linalg.norm(x))
 
     def fast_rate(x, u, t):
-        return np.array([-a * x[1] + th * u, a * x[0] + th2 * u])
+        x1, x2 = x
+        return np.array([-a * x2 + th * u, a * x1 + th2 * u])
 
     def energy(x, u):
         return (0.5 * (x[0] ** 2 + x[1] ** 2),
@@ -200,7 +209,13 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     th1 = float(theta1)
     th2 = float(theta2)
     alpha = float(alpha)
-    m2 = th1 ** alpha
+    try:
+        m2 = th1 ** alpha
+    except OverflowError:
+        m2 = math.inf
+    if not 0.0 < m2 < math.inf:
+        # the stage arithmetic runs on floats, which raise on a zero divisor
+        raise ValueError("theta1 ** alpha must be positive and finite")
     E = float(E)
     kp = float(kp)
     kappa = float(kappa)
@@ -209,8 +224,8 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
         return abs(float(x[1]) - kappa) / abs(kappa)
 
     def fast_rate(x, u, t):
-        return np.array([(-x[1] * u + E) / th1,
-                         (-th2 * x[1] + x[0] * u) / m2])
+        x1, x2 = x
+        return np.array([(-x2 * u + E) / th1, (-th2 * x2 + x1 * u) / m2])
 
     def energy(x, u):
         return (0.5 * (th1 * x[0] ** 2 + m2 * x[1] ** 2),
@@ -225,7 +240,8 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     u_star = E / kappa
 
     def beta(x, th, t):
-        return -kp * (th[1] * kap2_E * x[1] - kappa * x[0]) + u_star
+        x1, x2 = x
+        return -kp * (float(th[1]) * kap2_E * x2 - kappa * x1) + u_star
 
     nlpre = NlpreData(
         p_s=0, p_S=2, p_d=1,

@@ -26,16 +26,18 @@ def determinant(m) -> float:
     """Determinant; exact cofactor formulas up to 3x3, pivoted elimination above."""
     a = _as_square(m)
     n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return float(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
+    if n <= 3:
+        # closed forms on Python floats: same operations, no scalar boxing
+        r = a.tolist()
+        if n == 1:
+            return r[0][0]
+        if n == 2:
+            (a11, a12), (a21, a22) = r
+            return a11 * a22 - a12 * a21
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
+        return (a11 * (a22 * a33 - a23 * a32)
+                - a12 * (a21 * a33 - a23 * a31)
+                + a13 * (a21 * a32 - a22 * a31))
     a = a.copy()
     det = 1.0
     for k in range(n - 1):
@@ -57,11 +59,10 @@ def adjugate(m) -> np.ndarray:
     if n == 1:
         return np.array([[1.0]])
     if n == 2:
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        (a11, a12), (a21, a22) = a.tolist()
+        return np.array([[a22, -a12], [-a21, a11]])
     if n == 3:
-        a11, a12, a13 = a[0]
-        a21, a22, a23 = a[1]
-        a31, a32, a33 = a[2]
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a.tolist()
         return np.array([
             [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
             [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],

@@ -65,6 +65,60 @@ def rates(est, s):
             theta_rate(est, delta, ycal, est.theta))
 
 
+def numpy_stages(world, x, th, th_new, t, z):
+    """Plant sub-grid states and new filter state of one step of `world`.
+
+    The plant and filter-bank RK4 stages written as numpy array expressions,
+    the form the engine used before it carried its stages on Python floats.
+    Takes the step-start state (x, th, t, filter state z) and the correction
+    flow's end estimate th_new (th itself when nothing interpolates), and
+    evaluates the world's own control law, ports and generator, which the
+    stage arithmetic does not touch.
+    """
+    h = world.cfg.h
+    nsub = world.substeps
+    hs = h / nsub
+    rate = world.plant_rate
+    if th_new is th:
+        ths = [th] * (2 * nsub + 1)
+    else:
+        fracs = np.arange(2 * nsub) / (2.0 * nsub)
+        ths = list(th + fracs[:, None] * (th_new - th))
+        ths.append(th_new)
+    xc = x
+    xs = []
+    for j in range(nsub):
+        i2 = 2 * j
+        t0s = t + (i2 / (2.0 * nsub)) * h
+        tms = t + ((i2 + 1) / (2.0 * nsub)) * h
+        t1s = t + ((i2 + 2) / (2.0 * nsub)) * h
+        k1 = rate(xc, ths[i2], t0s)
+        k2 = rate(xc + (0.5 * hs) * k1, ths[i2 + 1], tms)
+        k3 = rate(xc + (0.5 * hs) * k2, ths[i2 + 1], tms)
+        k4 = rate(xc + hs * k3, ths[i2 + 2], t1s)
+        xc = xc + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(xc)
+    if z is None:
+        return xs, None
+    if nsub == 1:
+        r0 = rate(x, th, t)
+        r1 = rate(xc, th_new, t + h)
+        x_mid = 0.5 * (x + xc) + (h / 8.0) * (r0 - r1)
+    elif nsub % 2 == 0:
+        x_mid = xs[nsub // 2 - 1]
+    else:
+        x_mid = 0.5 * (xs[nsub // 2 - 1] + xs[nsub // 2])
+    i0 = world.assemble_inputs(x, t, th)
+    im = world.assemble_inputs(x_mid, t + 0.5 * h, ths[nsub])
+    i1 = world.assemble_inputs(xc, t + h, th_new)
+    lam = world.cfg.lam
+    c1 = lam * (i0 - z)
+    c2 = lam * (im - (z + (0.5 * h) * c1))
+    c3 = lam * (im - (z + (0.5 * h) * c2))
+    c4 = lam * (i1 - (z + h * c3))
+    return xs, z + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+
+
 @pytest.fixture(scope="session")
 def circuit():
     return circuit_scenario()

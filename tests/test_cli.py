@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from pbident.cli import (ConfigError, check_command, emit_config, main,
-                         parse_config, run_command, sweep_command)
+from pbident.cli import (ConfigError, CsvTraceWriter, check_command,
+                         emit_config, main, parse_config, run_command,
+                         sweep_command)
 from pbident.sim import ControllerKind, EstimatorKind
 
 
@@ -235,3 +237,82 @@ def test_main_check(tmp_path, capsys):
                  "--box", "0.1,10"]) == 0
     out = capsys.readouterr().out
     assert "rho_jacobian = 1" in out
+
+
+def test_csv_row_template_matches_per_value_format(tmp_path):
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1.0 / 3.0,
+              -1.5e300, float("inf"), float("-inf"), float("nan"),
+              np.float64(2.0) / 3.0, np.float64(-0.0), np.float64("nan"),
+              7, -3, True, False]
+    writer = CsvTraceWriter(tmp_path / "t.csv")
+    writer.header([f"c{i}" for i in range(len(values))])
+    writer.row(values)
+    writer.row(values[::-1])
+    writer.close()
+    lines = (tmp_path / "t.csv").read_text().splitlines(keepends=True)
+    assert lines[1] == ",".join(f"{v:.17e}" for v in values) + "\n"
+    assert lines[2] == ",".join(f"{v:.17e}" for v in values[::-1]) + "\n"
+
+
+@pytest.mark.parametrize("line", ["h = nan", "h = inf", "t_end = inf",
+                                  "t_end = nan", "t_end = -inf",
+                                  "gamma = nan", "lambda = inf"])
+def test_error_non_finite_numbers(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = circuit\n{line}\n")
+    assert "finite" in str(err.value)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("flags", [["--h", "nan"], ["--t-end", "inf"],
+                                   ["--t-end", "nan"], ["--h", "inf"]])
+def test_main_run_rejects_non_finite_override(tmp_path, capsys, flags):
+    path = tmp_path / "c.cfg"
+    path.write_text("scenario = circuit\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")] + flags) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "1"],
+                                   ["--box", "5,1"], ["--seed", "-1"],
+                                   ["--box", "1,2", "--box", "1,2",
+                                    "--box", "1,2"]])
+def test_main_check_rejects_bad_arguments(tmp_path, capsys, flags):
+    path = tmp_path / "p.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
+    assert main(["check", str(path)] + flags) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("grid", ["gamma=1:2:0", "gamma=1:2:-3",
+                                  "gamma=nan:2:2", "kp=1:inf:2",
+                                  "gamma=-1:1:3", "lambda=0:1:2"])
+def test_main_sweep_rejects_bad_grid(tmp_path, capsys, grid):
+    path = tmp_path / "c.cfg"
+    path.write_text("scenario = circuit\nt_end = 0.01\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_report_parses_back_to_its_config(tmp_path, capsys):
+    cfg = short_cfg()
+    cfg.out_dir = str(tmp_path / "run")
+    assert run_command(cfg) == 0
+    report = (tmp_path / "run" / "report.txt").read_text()
+    assert "result_x_final" in report
+    assert parse_config(report) == parse_config(emit_config(cfg))
+    # only result_* keys are skipped; other unknown keys stay errors
+    with pytest.raises(ConfigError) as err:
+        parse_config(report + "resultx = 1\n")
+    assert "unknown key" in str(err.value)
+    # and the report reruns the same simulation byte for byte
+    again = tmp_path / "again"
+    assert main(["run", str(tmp_path / "run" / "report.txt"),
+                 "--out", str(again)]) == 0
+    assert (again / "trace.csv").read_bytes() == \
+        (tmp_path / "run" / "trace.csv").read_bytes()

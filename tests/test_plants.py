@@ -287,3 +287,12 @@ def test_custom_scenario_runs_gplusd():
     assert rep.theta_err_rel_final <= 1e-6
     assert rep.abel_gap <= 1e-9
     assert rep.max_power_residual <= 5e-3   # O(h^2) floor at h = 1e-2
+
+
+@pytest.mark.parametrize("theta1, alpha", [(1e-200, 2.0), (1e200, 2.0),
+                                           (1e-3, -200.0)])
+def test_circuit_rejects_degenerate_mass(theta1, alpha):
+    # theta1 ** alpha divides the second state rate; zero or overflowing
+    # values are refused at construction
+    with pytest.raises(ValueError, match="theta1 \\*\\* alpha"):
+        circuit_scenario(theta1=theta1, alpha=alpha)

@@ -5,6 +5,7 @@ from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
                      NonFiniteStateError, SimConfig, World, excitation_report,
                      run, step)
 from pbident.sim import _ListTrace
+from conftest import numpy_stages
 
 
 def test_config_validation():
@@ -22,6 +23,14 @@ def test_config_validation():
         SimConfig(substeps=0)
     with pytest.raises(ValueError):
         SimConfig(c_c=0.0)
+
+
+@pytest.mark.parametrize("over", [{"h": float("nan")}, {"h": float("inf")},
+                                  {"t_end": float("nan")},
+                                  {"t_end": float("inf")}])
+def test_config_rejects_non_finite_time_grid(over):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**over)
 
 
 def test_equilibrium_is_fixed_point(circuit):
@@ -172,3 +181,73 @@ def test_known_parameter_ignores_estimates(circuit):
     # controller never consults it
     assert rep.theta_err_rel_final < 1.0
     assert not rep.aborted
+
+
+# -- the float stage kernel against its numpy form ----------------------------
+
+@pytest.mark.parametrize("name, estimator, substeps", [
+    ("circuit", EstimatorKind.GPLUSD_PBEP, None),        # 4 substeps
+    ("circuit", EstimatorKind.NONE, None),
+    ("circuit", EstimatorKind.GRADIENT_STD, None),
+    ("circuit", EstimatorKind.GPLUSD_PBEP, 3),           # averaged midpoint
+    ("ph", EstimatorKind.GPLUSD_PBEP, None),             # Hermite midpoint
+    ("ph", EstimatorKind.NONE, None),
+    ("ph", EstimatorKind.GRADIENT_PBEP_OVERPARAM, None),
+])
+def test_float_stages_match_numpy_reference(circuit, ph, name, estimator,
+                                            substeps):
+    scen = {"circuit": circuit, "ph": ph}[name]
+    world = World(scen, SimConfig(estimator=estimator, substeps=substeps,
+                                  gamma=30.0, x0=np.array([0.3, 0.3])))
+    interpolates = estimator is EstimatorKind.GPLUSD_PBEP
+    for _ in range(300):
+        x, th, t = world.x, world.theta_hat, world.t
+        z = None if world.generator is None else world.generator.state
+        xs, _, _ = step(world)
+        ref_xs, ref_z = numpy_stages(world, x, th,
+                                     world.theta_hat if interpolates else th,
+                                     t, z)
+        assert xs.tobytes() == np.array(ref_xs).tobytes()
+        assert world.x.tobytes() == ref_xs[-1].tobytes()
+        if z is not None:
+            assert world.generator.state.tobytes() == ref_z.tobytes()
+    assert np.all(np.isfinite(world.x)) and world.x[0] != 0.3
+
+
+# -- pinned outcomes at the edges of the float arithmetic ---------------------
+#
+# Python floats raise on a zero divisor and on an overflowing `**` where
+# numpy scalars give inf/nan; these runs reach both and must end the way
+# they did with numpy stages.
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zero_estimate_on_ph_fails_as_a_non_finite_sample(ph):
+    # beta divides by the estimate, which stays a numpy scalar
+    with pytest.raises(ValueError, match=r"regression sample at t=0\.001"):
+        run(ph, SimConfig(t_end=1.0, theta_hat0=np.array([0.0])))
+
+
+@pytest.mark.parametrize("over, t_abort", [
+    ({"x0": np.array([0.51, 0.95]), "theta_hat0": np.array([0.43, 2.85])},
+     2.041),
+    ({"gamma_g": 1e6, "gamma": 1e6}, 0.995),
+])
+def test_circuit_divergence_aborts_at_pinned_time(circuit, over, t_abort):
+    with pytest.raises(NonFiniteStateError) as exc:
+        run(circuit, SimConfig(**over))
+    assert exc.value.component == "plant state"
+    assert exc.value.t == pytest.approx(t_abort, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["circuit", "ph"])
+def test_open_loop_near_overflow_completes(circuit, ph, name):
+    # the storage x1^2 overflows; energy sees numpy scalars, so the run
+    # completes with a nan power residual instead of raising OverflowError
+    rep = run({"circuit": circuit, "ph": ph}[name],
+              SimConfig(t_end=0.1, x0=np.array([1e160, 0.0]),
+                        controller=ControllerKind.OPEN_LOOP,
+                        estimator=EstimatorKind.NONE))
+    assert not rep.aborted and rep.n_steps == 100
+    assert np.isnan(rep.max_power_residual)
+    assert np.all(np.isfinite(rep.x_final))
