@@ -7,12 +7,16 @@ Configuration files are flat, line-oriented UTF-8 text:
     gamma_g = 100.0
     x0 = 0.0,0.0
 
-Unknown keys, duplicate keys, malformed values and constraint violations
-are all hard errors and are reported with the offending line number.
-Keys starting with result_, which a run's report appends, are skipped.
-Every omitted key takes a scenario-appropriate default, and the parsed
-configuration is fully resolved: emitting it and parsing the result gives
-the same configuration back.
+The keys are the fields of ScenarioConfig, which are SimConfig's run
+settings (`lambda` for its `lam`) plus `scenario`, `seed` and `out_dir`,
+and the parameters of the chosen scenario's builder (`ph_scenario`,
+`circuit_scenario`), whose signature gives their defaults.  Unknown keys,
+duplicate keys, malformed values and the values SimConfig or the builder
+rejects are all hard errors and are reported with the offending line
+number.  Keys starting with result_, which a run's report appends, are
+skipped.  Every omitted key takes a scenario-appropriate default, and the
+parsed configuration is fully resolved: emitting it and parsing the result
+gives the same configuration back.
 
 Subcommands:
 
@@ -23,8 +27,9 @@ Subcommands:
         sampled strong-monotonicity estimates for the scenario's selected
         parameter map, plus an excitation report when a trace exists.
     sweep <config> --grid key=lo:hi:steps [...]
-        repeat run over a gain grid; one cell directory per combination
-        plus an index.csv written at the end.
+        repeat run over a grid of numeric settings or scenario parameters;
+        one cell directory per combination plus an index.csv written at
+        the end.
 
 The trace is CSV: one header row, then one row per decimated step; all
 numbers in full-precision scientific notation.  The report is the same
@@ -35,34 +40,20 @@ is reproducible from its own report.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .estimator import check_monotonicity
-from .plants import Scenario, make_scenario
-from .sim import (ControllerKind, EstimatorKind, NonFiniteStateError,
-                  RunReport, SimConfig, run)
-
-_COMMON_KEYS = ("estimator", "controller", "gamma_g", "gamma", "lambda",
-                "x0", "theta_hat0", "theta_g0", "overparam_hat0", "t_end",
-                "h", "decimation", "substeps", "seed", "c_c", "out_dir")
-_SCENARIO_KEYS = {
-    "ph": ("a", "theta"),
-    "circuit": ("theta1", "theta2", "alpha", "E", "kp", "kappa"),
-    "custom": (),
-}
-_PHYS_DEFAULTS = {
-    "ph": {"a": 1.0, "theta": 1.0},
-    "circuit": {"theta1": 1.0, "theta2": 1.5, "alpha": 2.0, "E": 15.0,
-                "kp": 10.0, "kappa": 15.0},
-    "custom": {},
-}
+from .plants import SCENARIO_BUILDERS, Scenario, make_scenario
+from .sim import (ConfigValueError, ControllerKind, EstimatorKind, RunReport,
+                  SimConfig, run)
 
 
 class ConfigError(ValueError):
@@ -71,28 +62,36 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
-class ScenarioConfig:
-    """Fully resolved run configuration (defaults applied)."""
+@dataclass(kw_only=True)
+class ScenarioConfig(SimConfig):
+    """A config file's run settings plus the scenario and its parameters,
+    the checker's seed and the output directory."""
 
     scenario: str
     params: dict = field(default_factory=dict)
-    estimator: EstimatorKind = EstimatorKind.GPLUSD_PBEP
-    controller: ControllerKind = ControllerKind.ADAPTIVE
-    gamma_g: float = 100.0
-    gamma: float = 50.0
-    lam: float = 10.0
-    x0: Optional[tuple] = None
-    theta_hat0: Optional[tuple] = None
-    theta_g0: Optional[tuple] = None
-    overparam_hat0: Optional[tuple] = None
-    t_end: float = 20.0
-    h: float = 1e-3
-    decimation: int = 10
-    substeps: Optional[int] = None
     seed: int = 0
-    c_c: float = 1e-3
     out_dir: str = "out"
+
+
+def _key(name: str) -> str:
+    """Config key of a field."""
+    return "lambda" if name == "lam" else name
+
+
+_HINTS = get_type_hints(ScenarioConfig)
+# config key -> field, in emitted order; written reports put seed before c_c
+_ORDER = [f.name for f in fields(ScenarioConfig)
+          if f.name not in ("scenario", "params", "seed")]
+_ORDER.insert(_ORDER.index("c_c"), "seed")
+_SETTINGS = {_key(name): name for name in _ORDER}
+
+
+def _scenario_params(scenario: str) -> dict:
+    """Parameter names and defaults of a scenario, from its builder."""
+    if scenario == "custom":
+        return {}
+    return {p.name: p.default for p in
+            inspect.signature(SCENARIO_BUILDERS[scenario]).parameters.values()}
 
 
 def _parse_float(raw: str, key: str, line: int) -> float:
@@ -115,6 +114,19 @@ def _parse_vector(raw: str, key: str, line: int) -> tuple:
     except ValueError:
         raise ConfigError(
             f"{key} expects comma-separated numbers, got {raw!r}", line) from None
+
+
+def _parse_setting(raw: str, key: str, line: int):
+    """A field value from its text, by the field's type; SimConfig checks
+    the value itself."""
+    hint = _HINTS[_SETTINGS[key]]
+    if hint is float:
+        return _parse_float(raw, key, line)
+    if hint in (int, Optional[int]):
+        return _parse_int(raw, key, line)
+    if hint == Optional[tuple]:
+        return _parse_vector(raw, key, line)
+    return raw                    # enums are matched by SimConfig
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -151,135 +163,39 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing required key 'scenario'")
     scen_raw, scen_line = entries.pop("scenario")
     scenario = scen_raw.lower()
-    if scenario not in _SCENARIO_KEYS:
+    known = [*SCENARIO_BUILDERS, "custom"]
+    if scenario not in known:
         raise ConfigError(f"unknown scenario {scen_raw!r}; expected one of "
-                          f"{sorted(_SCENARIO_KEYS)}", scen_line)
+                          f"{sorted(known)}", scen_line)
 
-    allowed = set(_COMMON_KEYS) | set(_SCENARIO_KEYS[scenario])
+    params = _scenario_params(scenario)
     for key, (_, line) in entries.items():
-        if key not in allowed:
+        if key not in _SETTINGS and key not in params:
             raise ConfigError(f"unknown key {key!r} for scenario "
                               f"{scenario!r}", line)
+    settings = {}
+    for key, (raw, line) in entries.items():
+        if key in params:
+            params[key] = _parse_float(raw, key, line)
+        else:
+            settings[_SETTINGS[key]] = _parse_setting(raw, key, line)
 
-    cfg = ScenarioConfig(scenario=scenario,
-                         params=dict(_PHYS_DEFAULTS[scenario]))
-
-    def take(key):
-        return entries.pop(key, (None, 0))
-
-    for key in _SCENARIO_KEYS[scenario]:
-        raw, line = take(key)
-        if raw is not None:
-            cfg.params[key] = _parse_float(raw, key, line)
-
-    raw, line = take("estimator")
-    if raw is not None:
-        try:
-            cfg.estimator = EstimatorKind(raw.lower())
-        except ValueError:
-            raise ConfigError(f"unknown estimator {raw!r}; expected one of "
-                              f"{[k.value for k in EstimatorKind]}", line) from None
-    raw, line = take("controller")
-    if raw is not None:
-        try:
-            cfg.controller = ControllerKind(raw.lower())
-        except ValueError:
-            raise ConfigError(f"unknown controller {raw!r}; expected one of "
-                              f"{[k.value for k in ControllerKind]}", line) from None
-
-    float_keys = (("gamma_g", "gamma_g"), ("gamma", "gamma"), ("lambda", "lam"),
-                  ("t_end", "t_end"), ("h", "h"), ("c_c", "c_c"))
-    lines: dict[str, int] = {}
-    for key, attr in float_keys:
-        raw, line = take(key)
-        if raw is not None:
-            value = _parse_float(raw, key, line)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {raw!r}", line)
-            setattr(cfg, attr, value)
-            lines[key] = line
-    for key in ("decimation", "seed", "substeps"):
-        raw, line = take(key)
-        if raw is not None:
-            setattr(cfg, key, _parse_int(raw, key, line))
-            lines[key] = line
-    for key in ("x0", "theta_hat0", "theta_g0", "overparam_hat0"):
-        raw, line = take(key)
-        if raw is not None:
-            setattr(cfg, key, _parse_vector(raw, key, line))
-            lines[key] = line
-    raw, line = take("out_dir")
-    if raw is not None:
-        cfg.out_dir = raw
-
-    # positivity and consistency constraints, reported against their lines
-    def fail(key, message):
-        raise ConfigError(message, lines.get(key, 0))
-
-    if cfg.lam <= 0:
-        fail("lambda", f"lambda must be positive (stable filter), got {cfg.lam}")
-    if cfg.gamma_g <= 0:
-        fail("gamma_g", f"gamma_g must be positive, got {cfg.gamma_g}")
-    if cfg.gamma <= 0:
-        fail("gamma", f"gamma must be positive, got {cfg.gamma}")
-    if cfg.h <= 0:
-        fail("h", f"h must be positive, got {cfg.h}")
-    if cfg.t_end <= cfg.h:
-        fail("t_end", f"t_end must exceed h, got t_end={cfg.t_end} h={cfg.h}")
-    if cfg.decimation < 1:
-        fail("decimation", f"decimation must be >= 1, got {cfg.decimation}")
-    if cfg.substeps is not None and cfg.substeps < 1:
-        fail("substeps", f"substeps must be >= 1, got {cfg.substeps}")
-    if cfg.c_c <= 0:
-        fail("c_c", f"c_c must be positive, got {cfg.c_c}")
-
-    if cfg.scenario != "custom":
+    try:
+        cfg = ScenarioConfig(scenario=scenario, params=params, **settings)
+        if scenario == "custom":
+            return cfg
         try:
             scen = build_scenario(cfg)
-        except (ValueError, ConfigError) as err:
-            keys = _SCENARIO_KEYS[scenario]
-            raise ConfigError(str(err),
-                              min((lines.get(k, 10**9) for k in keys
-                                   if k in lines), default=0)) from None
+        except ValueError as err:
+            raise ConfigError(str(err), min(
+                (line for key, (_, line) in entries.items() if key in params),
+                default=0)) from None
         # resolve remaining defaults so the config round-trips exactly
-        plant = scen.plant
-        if cfg.x0 is None:
-            cfg.x0 = tuple(scen.x0_default.tolist())
-        elif len(cfg.x0) != plant.n:
-            fail("x0", f"x0 needs {plant.n} components, got {len(cfg.x0)}")
-        if cfg.theta_hat0 is None:
-            cfg.theta_hat0 = tuple(scen.theta_hat0_default.tolist())
-        elif len(cfg.theta_hat0) != plant.param_map.q:
-            fail("theta_hat0", f"theta_hat0 needs {plant.param_map.q} "
-                 f"components, got {len(cfg.theta_hat0)}")
-        if cfg.substeps is None:
-            cfg.substeps = scen.substeps
-        if cfg.estimator is EstimatorKind.GPLUSD_PBEP:
-            p = plant.param_map.p
-            if cfg.theta_g0 is None:
-                cfg.theta_g0 = (0.0,) * p
-            elif len(cfg.theta_g0) != p:
-                fail("theta_g0", f"theta_g0 needs {p} components, got "
-                     f"{len(cfg.theta_g0)}")
-        if cfg.estimator is EstimatorKind.GRADIENT_STD:
-            if plant.std is None:
-                raise ConfigError(
-                    f"scenario {scenario!r} has no standard regression data")
-            n_w = plant.std.n_w
-            if cfg.overparam_hat0 is None:
-                cfg.overparam_hat0 = (0.0,) * n_w
-            elif len(cfg.overparam_hat0) != n_w:
-                fail("overparam_hat0", f"overparam_hat0 needs {n_w} "
-                     f"components, got {len(cfg.overparam_hat0)}")
-        elif cfg.estimator is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
-            p = plant.param_map.p
-            if cfg.overparam_hat0 is None:
-                cfg.overparam_hat0 = tuple(
-                    plant.param_map.G(np.asarray(cfg.theta_hat0)).tolist())
-            elif len(cfg.overparam_hat0) != p:
-                fail("overparam_hat0", f"overparam_hat0 needs {p} "
-                     f"components, got {len(cfg.overparam_hat0)}")
-    return cfg
+        return cfg.resolved(scen)
+    except ConfigValueError as err:
+        key = _key(err.key)
+        raise ConfigError(f"{key} {err.problem}",
+                          entries.get(key, (None, 0))[1]) from None
 
 
 def _fmt_value(value) -> str:
@@ -295,34 +211,18 @@ def _fmt_value(value) -> str:
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse_config(emit_config(cfg)) == cfg."""
     lines = [f"scenario = {cfg.scenario}"]
-    for key in _SCENARIO_KEYS[cfg.scenario]:
+    for key in _scenario_params(cfg.scenario):
         lines.append(f"{key} = {_fmt_value(cfg.params[key])}")
-    for key, attr in (("estimator", "estimator"), ("controller", "controller"),
-                      ("gamma_g", "gamma_g"), ("gamma", "gamma"),
-                      ("lambda", "lam"), ("t_end", "t_end"), ("h", "h"),
-                      ("decimation", "decimation"), ("substeps", "substeps"),
-                      ("seed", "seed"), ("c_c", "c_c"), ("x0", "x0"),
-                      ("theta_hat0", "theta_hat0"), ("theta_g0", "theta_g0"),
-                      ("overparam_hat0", "overparam_hat0"),
-                      ("out_dir", "out_dir")):
-        value = getattr(cfg, attr)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_fmt_value(value)}")
+    for key, name in _SETTINGS.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            lines.append(f"{key} = {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
 
 
 def sim_config(cfg: ScenarioConfig) -> SimConfig:
-    return SimConfig(
-        t_end=cfg.t_end, h=cfg.h, estimator=cfg.estimator,
-        controller=cfg.controller, gamma_g=cfg.gamma_g, gamma=cfg.gamma,
-        lam=cfg.lam,
-        x0=None if cfg.x0 is None else np.asarray(cfg.x0),
-        theta_hat0=None if cfg.theta_hat0 is None else np.asarray(cfg.theta_hat0),
-        theta_g0=None if cfg.theta_g0 is None else np.asarray(cfg.theta_g0),
-        overparam_hat0=(None if cfg.overparam_hat0 is None
-                        else np.asarray(cfg.overparam_hat0)),
-        decimation=cfg.decimation, substeps=cfg.substeps, c_c=cfg.c_c)
+    """The run settings of a configuration."""
+    return SimConfig(**{f.name: getattr(cfg, f.name) for f in fields(SimConfig)})
 
 
 class CsvTraceWriter:
@@ -428,22 +328,11 @@ def run_command(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         scen = build_scenario(cfg)
         writer = CsvTraceWriter(out / "trace.csv")
-    except (OSError, ConfigError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    report = None
-    code = 0
     try:
         report = run(scen, sim_config(cfg), trace=writer)
-    except NonFiniteStateError as err:
-        print(f"error: simulation aborted: {err}", file=sys.stderr)
-        report = RunReport(
-            scenario=cfg.scenario, estimator=cfg.estimator.value,
-            controller=cfg.controller.value, t_end=cfg.t_end, h=cfg.h,
-            substeps=cfg.substeps or 0, decimation=cfg.decimation,
-            x0=np.asarray(cfg.x0), theta_hat0=np.asarray(cfg.theta_hat0),
-            aborted=True, abort_time=err.t, abort_component=err.component)
-        code = 2
     finally:
         writer.close()
     try:
@@ -456,10 +345,13 @@ def run_command(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if code == 0:
-        print(f"run complete: {out / 'trace.csv'} ({report.trace_rows} rows), "
-              f"report in {out / 'report.txt'}")
-    return code
+    if report.aborted:
+        print(f"error: simulation aborted: non-finite {report.abort_component} "
+              f"at t={report.abort_time:.6g}", file=sys.stderr)
+        return 2
+    print(f"run complete: {out / 'trace.csv'} ({report.trace_rows} rows), "
+          f"report in {out / 'report.txt'}")
+    return 0
 
 
 def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
@@ -515,7 +407,7 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
 
 def sweep_command(cfg: ScenarioConfig, grids: list[str],
                   out_dir: Optional[str] = None) -> int:
-    """Repeat run over a grid of numeric config keys."""
+    """Repeat run over a grid of float settings or scenario parameters."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     axes = []
     for spec in grids:
@@ -526,8 +418,9 @@ def sweep_command(cfg: ScenarioConfig, grids: list[str],
         key, _, rng = spec.partition("=")
         lo, hi, steps = rng.split(":")
         key = key.strip()
-        if key not in ("gamma_g", "gamma", "lambda") \
-                and key not in _SCENARIO_KEYS[cfg.scenario]:
+        name = _SETTINGS.get(key)
+        if key not in _scenario_params(cfg.scenario) \
+                and (name is None or _HINTS[name] is not float):
             print(f"error: cannot sweep key {key!r}", file=sys.stderr)
             return 1
         try:
@@ -539,37 +432,39 @@ def sweep_command(cfg: ScenarioConfig, grids: list[str],
             print(f"error: grid range {rng!r} needs finite ends and steps >= 1",
                   file=sys.stderr)
             return 1
-        if key in ("gamma_g", "gamma", "lambda") and min(lo, hi) <= 0:
-            print(f"error: {key} must be positive, got range {rng!r}",
-                  file=sys.stderr)
-            return 1
-        axes.append((key, np.linspace(lo, hi, steps)))
+        axes.append((key, name, np.linspace(lo, hi, steps)))
     if not axes:
         print("error: sweep needs at least one --grid", file=sys.stderr)
         return 1
 
+    # every cell is checked by SimConfig before any of them runs
+    cells = []
+    try:
+        for combo in itertools.product(*(vals for _, _, vals in axes)):
+            params = dict(cfg.params)
+            settings = {}
+            for (key, name, _), value in zip(axes, combo):
+                if name is None:
+                    params[key] = float(value)
+                else:
+                    settings[name] = float(value)
+            cells.append((combo, replace(cfg, params=params, **settings)))
+    except ConfigValueError as err:
+        print(f"error: {_key(err.key)} {err.problem}", file=sys.stderr)
+        return 1
+
     index_rows = []
     worst = 0
-    for cell, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
-        cell_cfg = ScenarioConfig(**{**cfg.__dict__,
-                                     "params": dict(cfg.params)})
-        for (key, _), value in zip(axes, combo):
-            if key == "lambda":
-                cell_cfg.lam = float(value)
-            elif key in ("gamma_g", "gamma"):
-                setattr(cell_cfg, key, float(value))
-            else:
-                cell_cfg.params[key] = float(value)
-        cell_dir = out / f"cell_{cell:04d}"
-        code = run_command(cell_cfg, out_dir=str(cell_dir))
+    for cell, (combo, cell_cfg) in enumerate(cells):
+        code = run_command(cell_cfg, out_dir=str(out / f"cell_{cell:04d}"))
         worst = max(worst, code)
         row = {"cell": cell}
-        row.update({key: value for (key, _), value in zip(axes, combo)})
+        row.update({key: value for (key, _, _), value in zip(axes, combo)})
         row["exit"] = code
         index_rows.append(row)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        keys = ["cell"] + [k for k, _ in axes] + ["exit"]
+        keys = ["cell"] + [k for k, _, _ in axes] + ["exit"]
         with open(out / "index.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(keys) + "\n")
             for row in index_rows:
@@ -622,13 +517,13 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "run":
-        if args.t_end is not None:
-            cfg.t_end = args.t_end
-        if args.h is not None:
-            cfg.h = args.h
-        if not (math.isfinite(cfg.h) and math.isfinite(cfg.t_end)) \
-                or cfg.h <= 0 or cfg.t_end <= cfg.h:
-            print("error: need finite h > 0 and t_end > h", file=sys.stderr)
+        overrides = {name: value for name, value in (("t_end", args.t_end),
+                                                     ("h", args.h))
+                     if value is not None}
+        try:
+            cfg = replace(cfg, **overrides)
+        except ConfigValueError as err:
+            print(f"error: {err}", file=sys.stderr)
             return 1
         return run_command(cfg, out_dir=args.out)
     if args.command == "check":

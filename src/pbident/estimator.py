@@ -144,7 +144,13 @@ class GradientEstimator:
         # matrix regressor: exact exponential through the (tiny) symmetric
         # eigendecomposition of gamma * Omega Omega'
         a = self.gamma * (om @ om.T)
-        w, v = symmetric_eigen(a)
+        try:
+            w, v = symmetric_eigen(a)
+        except np.linalg.LinAlgError:
+            # a non-finite regressor, on which eigh may not converge: the
+            # estimate is lost as it is when eigh returns nan
+            self.Theta = np.full(self.n_w, np.nan)
+            return
         phi = np.where(w > 1e-300, -np.expm1(-w * tau) / np.where(w > 1e-300, w, 1.0), tau)
         s = (v * phi) @ v.T
         self.Theta = self.Theta + s @ (self.gamma * (om @ (sample.Y - om.T @ self.Theta)))

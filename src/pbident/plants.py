@@ -266,7 +266,11 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
         # Theta = (1/theta1, 1/theta1^alpha, theta2/theta1^alpha); invert
         # through the reciprocal of the first entry, guarded away from zero
         t1 = 1.0 / max(float(Th[0]), 1e-2)
-        return np.array([t1, float(Th[2]) * t1 ** alpha])
+        try:
+            scale = t1 ** alpha
+        except OverflowError:          # t1 <= 100: only a large alpha
+            scale = math.inf
+        return np.array([t1, float(Th[2]) * scale])
 
     std = StdLreData(
         n=2, n_p=2, n_w=3,
@@ -286,7 +290,7 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
         controller=Controller(
             beta=beta,
             target={"kind": "setpoint", "x2_star": kappa,
-                    "x_star": (th2 * kappa ** 2 / E, kappa)}),
+                    "x_star": (th2 * (kappa * kappa) / E, kappa)}),
         x0_default=np.zeros(2),
         theta_hat0_default=np.zeros(2),
         substeps=4,
@@ -298,9 +302,10 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     )
 
 
+SCENARIO_BUILDERS = {"ph": ph_scenario, "circuit": circuit_scenario}
+
+
 def make_scenario(name: str, **params) -> Scenario:
-    if name == "ph":
-        return ph_scenario(**params)
-    if name == "circuit":
-        return circuit_scenario(**params)
-    raise ValueError(f"unknown scenario {name!r}")
+    if name not in SCENARIO_BUILDERS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIO_BUILDERS[name](**params)

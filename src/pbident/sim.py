@@ -38,8 +38,9 @@ traces.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -73,36 +74,114 @@ class NonFiniteStateError(RuntimeError):
         self.component = component
 
 
-@dataclass
+class ConfigValueError(ValueError):
+    """A run setting SimConfig rejects; `key` names the setting."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"{key} {problem}")
+        self.key = key
+        self.problem = problem
+
+
+@dataclass(kw_only=True)
 class SimConfig:
-    t_end: float = 20.0
-    h: float = 1e-3
+    """Run settings, validated on construction and by dataclasses.replace.
+
+    Fields left at None take the scenario's default in `resolved`.  Vector
+    fields are stored as tuples of floats.
+    """
+
     estimator: EstimatorKind = EstimatorKind.GPLUSD_PBEP
     controller: ControllerKind = ControllerKind.ADAPTIVE
     gamma_g: float = 100.0
     gamma: float = 50.0
     lam: float = 10.0
-    x0: Optional[np.ndarray] = None            # scenario default when None
-    theta_hat0: Optional[np.ndarray] = None    # scenario default when None
-    theta_g0: Optional[np.ndarray] = None      # zeros when None
-    overparam_hat0: Optional[np.ndarray] = None
+    t_end: float = 20.0
+    h: float = 1e-3
     decimation: int = 10
     substeps: Optional[int] = None             # scenario default when None
     c_c: float = 1e-3
+    x0: Optional[tuple] = None                 # scenario default when None
+    theta_hat0: Optional[tuple] = None         # scenario default when None
+    theta_g0: Optional[tuple] = None           # zeros when None
+    overparam_hat0: Optional[tuple] = None     # estimator default when None
 
     def __post_init__(self):
-        if not math.isfinite(self.h) or self.h <= 0:
-            raise ValueError("h must be positive and finite")
-        if not math.isfinite(self.t_end) or self.t_end <= self.h:
-            raise ValueError("t_end must be finite and exceed h")
+        for key, kind in (("estimator", EstimatorKind),
+                          ("controller", ControllerKind)):
+            value = getattr(self, key)
+            try:
+                setattr(self, key, kind(value.lower() if isinstance(value, str)
+                                        else value))
+            except ValueError:
+                raise ConfigValueError(key, f"must be one of "
+                                       f"{[k.value for k in kind]}, got "
+                                       f"{value!r}") from None
+        for key in ("gamma_g", "gamma", "lam", "h", "c_c", "t_end"):
+            value = float(getattr(self, key))
+            if not math.isfinite(value):
+                raise ConfigValueError(key, f"must be finite, got {value!r}")
+            if key != "t_end" and value <= 0:
+                raise ConfigValueError(key, f"must be positive, got {value!r}")
+            setattr(self, key, value)
+        for key in ("x0", "theta_hat0", "theta_g0", "overparam_hat0"):
+            value = getattr(self, key)
+            if value is not None:
+                value = tuple(float(v) for v in np.ravel(value))
+                if not all(map(math.isfinite, value)):
+                    raise ConfigValueError(key, f"must be finite, got {value!r}")
+                setattr(self, key, value)
+        if self.t_end <= self.h:
+            raise ConfigValueError("t_end", f"must exceed h, got t_end="
+                                   f"{self.t_end!r} h={self.h!r}")
         if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
-        if self.gamma_g <= 0 or self.gamma <= 0 or self.lam <= 0:
-            raise ValueError("gains and the filter constant must be positive")
+            raise ConfigValueError("decimation", f"must be >= 1, got "
+                                   f"{self.decimation!r}")
         if self.substeps is not None and self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        if self.c_c <= 0:
-            raise ValueError("c_c must be positive")
+            raise ConfigValueError("substeps", f"must be >= 1, got "
+                                   f"{self.substeps!r}")
+        # the run allocates one slot per plant substep
+        if not self.t_end / self.h * (self.substeps or 1) < sys.maxsize:
+            raise ConfigValueError("t_end", f"/ h gives more steps than an "
+                                   f"index holds: t_end={self.t_end!r} "
+                                   f"h={self.h!r}")
+
+    # a default that overflows is refused below, not warned about
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def resolved(self, scenario: Scenario) -> SimConfig:
+        """A copy with the scenario's defaults filled in and the vector
+        lengths checked against its dimensions."""
+        plant = scenario.plant
+        pm = plant.param_map
+        kind = self.estimator
+        theta_hat0 = (scenario.theta_hat0_default if self.theta_hat0 is None
+                      else self.theta_hat0)
+        wanted = {"x0": (plant.n, lambda: scenario.x0_default),
+                  "theta_hat0": (pm.q, lambda: theta_hat0)}
+        if kind is EstimatorKind.GPLUSD_PBEP:
+            wanted["theta_g0"] = (pm.p, lambda: np.zeros(pm.p))
+        elif kind is EstimatorKind.GRADIENT_STD:
+            if plant.std is None:
+                raise ConfigValueError("estimator", f"gradient_std needs "
+                                       f"standard regression data, which "
+                                       f"scenario {scenario.name!r} lacks")
+            wanted["overparam_hat0"] = (plant.std.n_w,
+                                        lambda: np.zeros(plant.std.n_w))
+        elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
+            # start at the stacked image of theta_hat0
+            wanted["overparam_hat0"] = (pm.p, lambda: pm.G(
+                np.asarray(theta_hat0, dtype=float)))
+        values = {}
+        for key, (size, default) in wanted.items():
+            value = getattr(self, key)
+            if value is None:
+                value = default()
+            elif len(value) != size:
+                raise ConfigValueError(key, f"needs {size} components, got "
+                                       f"{len(value)}")
+            values[key] = value
+        return replace(self, substeps=(scenario.substeps if self.substeps is None
+                                       else self.substeps), **values)
 
 
 class ExcitationRecord:
@@ -161,8 +240,15 @@ class ExcitationRecord:
         """Trapezoid integral of |Omega|^2 (Frobenius norm squared)."""
         return float(self.gram.trace())
 
+    def min_eig(self) -> float:
+        """Smallest eigenvalue of the Gram; nan once it has overflowed."""
+        try:
+            return min_eig_symmetric(self.gram)
+        except ValueError:
+            return math.nan
+
     def record(self, t: float) -> float:
-        m = min_eig_symmetric(self.gram)
+        m = self.min_eig()
         self.min_eig_history.append((t, m))
         return m
 
@@ -243,17 +329,14 @@ class World:
     """Mutable closed-loop state: plant, filters, estimator, diagnostics."""
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
+        cfg = cfg.resolved(scenario)
         self.scenario = scenario
         self.cfg = cfg
         plant = scenario.plant
         self.t = 0.0
-        self.x = (np.asarray(cfg.x0, dtype=float).reshape(plant.n).copy()
-                  if cfg.x0 is not None else scenario.x0_default.copy())
-        self.theta_hat = (np.asarray(cfg.theta_hat0, dtype=float)
-                          .reshape(plant.param_map.q).copy()
-                          if cfg.theta_hat0 is not None
-                          else scenario.theta_hat0_default.copy())
-        self.substeps = cfg.substeps if cfg.substeps is not None else scenario.substeps
+        self.x = np.array(cfg.x0)
+        self.theta_hat = np.array(cfg.theta_hat0)
+        self.substeps = cfg.substeps
         self._fracs = np.arange(2 * self.substeps) / (2.0 * self.substeps)
 
         # control law and closed-loop rate resolved once
@@ -282,9 +365,6 @@ class World:
                                            cfg.lam, self.x, up0, yp0)
             self.excitation = ExcitationRecord(plant.param_map.p, cfg.h, cfg.c_c)
         elif kind is EstimatorKind.GRADIENT_STD:
-            if plant.std is None:
-                raise ValueError(
-                    f"scenario {scenario.name!r} has no standard regression data")
             self.generator = StdLreGenerator(plant.std, cfg.lam, self.x, up0)
             self.excitation = ExcitationRecord(plant.std.n_w, cfg.h, cfg.c_c)
         if kind is EstimatorKind.GPLUSD_PBEP:
@@ -292,16 +372,11 @@ class World:
                 plant.param_map, cfg.gamma_g, cfg.gamma,
                 theta_g0=cfg.theta_g0, theta0=self.theta_hat)
         elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
-            theta0 = (np.asarray(cfg.overparam_hat0, dtype=float)
-                      if cfg.overparam_hat0 is not None
-                      else plant.param_map.G(self.theta_hat))
             self.estimator = GradientEstimator(plant.param_map.p, cfg.gamma,
-                                               Theta0=theta0)
+                                               Theta0=cfg.overparam_hat0)
         elif kind is EstimatorKind.GRADIENT_STD:
-            theta0 = (np.asarray(cfg.overparam_hat0, dtype=float)
-                      if cfg.overparam_hat0 is not None else None)
             self.estimator = GradientEstimator(plant.std.n_w, cfg.gamma,
-                                               Theta0=theta0)
+                                               Theta0=cfg.overparam_hat0)
         if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.theta_hat = self.extract_theta()
 
@@ -339,6 +414,11 @@ class World:
         if self.generator is not None and not np.isfinite(self.generator.state).all():
             raise NonFiniteStateError(self.t, "filter state")
         raise NonFiniteStateError(self.t, "parameter estimate")
+
+
+def _finite_samples(*samples: RegressorSample) -> bool:
+    return all(np.isfinite(s.Omega).all() and np.isfinite(s.Y).all()
+               for s in samples)
 
 
 def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
@@ -442,6 +522,12 @@ def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
                               for a, b1, b2, b3, b4 in zip(z, c1, c2, c3, c4)])
         sample1 = gen.sample_from(t1, i1)
         if est is not None:
+            if t == 0.0 and not _finite_samples(sample0, sample1):
+                # the estimator refuses a non-finite first pair; end the run
+                # the way a later step's non-finite samples end it
+                world.x, world.t = x_new, t + h
+                world.check_finite()
+                raise NonFiniteStateError(world.t, "regression sample")
             est.propagate(sample0, sample1, h)
 
     world.x = x_new
@@ -455,13 +541,17 @@ def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
     return xs, sample0, sample1
 
 
+# a diverging run overflows on its way to the abort, which check_finite
+# reports; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     """Execute a closed-loop run to t_end and summarize it.
 
     `trace` is an optional sink with header(columns) and row(values)
     methods; rows are written every cfg.decimation steps plus the final
-    step.  Raises NonFiniteStateError if the state leaves the finite range
-    (rows already handed to the sink stay written).
+    step.  If the state leaves the finite range the run stops there and
+    the report has `aborted` set, with the abort time and component, the
+    steps taken, the state and estimate reached and the rows written.
     """
     world = World(scenario, cfg)
     plant = scenario.plant
@@ -538,31 +628,29 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     t_start = time.perf_counter()
     emit_row(0)
     try:
-        # overflow on a diverging run is handled by check_finite, not warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for k in range(1, n_steps + 1):
-                th_prev = world.theta_hat
-                xs, sample0, sample1 = step(world)
-                world.check_finite()
-                if world.excitation is not None:
-                    world.excitation.push(sample0.Omega)
-                    if k == n_steps:
-                        world.excitation.push(sample1.Omega)
-                tk = world.t
-                dth = world.theta_hat - th_prev
-                base = (k - 1) * nsub
-                for j, xsub in enumerate(xs):
-                    if energy_uses_u:
-                        frac = (j + 1) / nsub
-                        usub = control(xsub, th_prev + frac * dth,
-                                       tk - cfg.h + frac * cfg.h)
-                    else:
-                        usub = 0.0
-                    sub_S[base + j + 1], sub_flow[base + j + 1] = energy(xsub, usub)
-                param_err[k] = param_dist(world.theta_hat) if n_theta > 0 else np.nan
-                reg_err[k] = reg_metric(world.x, report.x0)
-                if k % cfg.decimation == 0 or k == n_steps:
-                    emit_row(k)
+        for k in range(1, n_steps + 1):
+            th_prev = world.theta_hat
+            xs, sample0, sample1 = step(world)
+            world.check_finite()
+            if world.excitation is not None:
+                world.excitation.push(sample0.Omega)
+                if k == n_steps:
+                    world.excitation.push(sample1.Omega)
+            tk = world.t
+            dth = world.theta_hat - th_prev
+            base = (k - 1) * nsub
+            for j, xsub in enumerate(xs):
+                if energy_uses_u:
+                    frac = (j + 1) / nsub
+                    usub = control(xsub, th_prev + frac * dth,
+                                   tk - cfg.h + frac * cfg.h)
+                else:
+                    usub = 0.0
+                sub_S[base + j + 1], sub_flow[base + j + 1] = energy(xsub, usub)
+            param_err[k] = param_dist(world.theta_hat) if n_theta > 0 else np.nan
+            reg_err[k] = reg_metric(world.x, report.x0)
+            if k % cfg.decimation == 0 or k == n_steps:
+                emit_row(k)
     except NonFiniteStateError as err:
         report.aborted = True
         report.abort_time = err.t
@@ -571,7 +659,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         report.n_steps = int(round(world.t / cfg.h))
         report.x_final = world.x.copy()
         report.theta_hat_final = world.theta_hat.copy()
-        raise
+        return report
 
     report.wall_seconds = time.perf_counter() - t_start
     report.n_steps = n_steps
@@ -599,7 +687,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         report.max_power_residual_outer = float(np.max(r))
 
     if world.excitation is not None:
-        report.gram_min_eig_final = min_eig_symmetric(world.excitation.gram)
+        report.gram_min_eig_final = world.excitation.min_eig()
         report.is_ie, report.t_c = excitation_report(world.excitation, cfg.c_c)
     if gd:
         est = world.estimator

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,11 +126,7 @@ def test_round_trip_identity():
 
 def short_cfg(**over):
     cfg = parse_config("scenario = circuit\n")
-    cfg.t_end = 0.2
-    cfg.decimation = 20
-    for key, value in over.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(cfg, **{"t_end": 0.2, "decimation": 20, **over})
 
 
 def test_run_command_writes_artifacts(tmp_path, capsys):
@@ -168,17 +166,31 @@ def test_run_command_unwritable_dir(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def report_results(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines()
+                if line.startswith("result_"))
+
+
 def test_run_command_abort_flushes_partial_trace(tmp_path, capsys):
     # forcing a single substep destabilizes the circuit loop at h = 1e-3
     cfg = short_cfg(substeps=1, t_end=20.0, decimation=10)
     out = tmp_path / "boom"
     code = run_command(cfg, out_dir=str(out))
     assert code == 2
-    report = (out / "report.txt").read_text()
-    assert "result_aborted = true" in report
-    assert "result_abort_time" in report
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: simulation aborted: non-finite plant state "
+                   "at t=2.212"]
+    report = report_results(out / "report.txt")
+    assert report["result_aborted"] == "true"
+    assert report["result_abort_time"] == "2.2119999999998674"
+    assert report["result_abort_component"] == "plant state"
     rows = (out / "trace.csv").read_text().splitlines()
     assert len(rows) > 1                 # partial trace was flushed
+    # the report describes the partial run, not an empty one
+    assert report["result_trace_rows"] == str(len(rows) - 1)
+    assert report["result_n_steps"] == "2212"
+    assert len(report["result_x_final"].split(",")) == 2
+    assert float(report["result_wall_seconds"]) > 0.0
 
 
 def test_check_command_circuit(capsys):
@@ -214,6 +226,7 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     cfg = short_cfg()
     assert sweep_command(cfg, ["nonsense"], out_dir=str(tmp_path)) == 1
     assert sweep_command(cfg, ["x0=0:1:2"], out_dir=str(tmp_path)) == 1
+    assert sweep_command(cfg, ["decimation=1:3:2"], out_dir=str(tmp_path)) == 1
 
 
 def test_main_run_and_errors(tmp_path, capsys):
@@ -265,13 +278,70 @@ def test_error_non_finite_numbers(line):
 
 
 @pytest.mark.parametrize("flags", [["--h", "nan"], ["--t-end", "inf"],
-                                   ["--t-end", "nan"], ["--h", "inf"]])
+                                   ["--t-end", "nan"], ["--h", "inf"],
+                                   ["--t-end", "1e300"]])
 def test_main_run_rejects_non_finite_override(tmp_path, capsys, flags):
     path = tmp_path / "c.cfg"
     path.write_text("scenario = circuit\n")
     assert main(["run", str(path), "--out", str(tmp_path / "o")] + flags) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("lines", [
+    "gamma_g = nan", "gamma = inf", "lambda = nan", "c_c = -inf",
+    "x0 = nan,0", "theta_hat0 = 0,inf", "theta_g0 = 0,0,nan",
+    "estimator = gradient_std\noverparam_hat0 = inf,0,0",
+    "t_end = 1e300\nh = 1e-300", "t_end = 1e300"])
+def test_main_run_rejects_unusable_settings(tmp_path, capsys, lines):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\n{lines}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lines", ["theta_hat0 = 0", "estimator = gradient_std"])
+def test_main_run_zero_ph_estimate_aborts_with_a_report(tmp_path, capsys,
+                                                        lines):
+    # beta divides by the estimate: theta_hat0 = 0, or gradient_std's
+    # default overparam_hat0 = 0, makes the first step non-finite
+    path = tmp_path / "p.cfg"
+    path.write_text(f"scenario = ph\nt_end = 1.0\n{lines}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: simulation aborted: non-finite plant state "
+                   "at t=0.001"]
+    report = report_results(out / "report.txt")
+    assert report["result_n_steps"] == "1"
+    assert report["result_trace_rows"] == "1"
+
+
+@pytest.mark.parametrize("lines, component, steps", [
+    # the Gram overflows before the filter state does
+    ("scenario = ph\nlambda = 1e8", "filter state", 17),
+    # eigh does not converge on the gradient's non-finite matrix regressor
+    ("scenario = circuit\nestimator = gradient_std\n"
+     "controller = known_parameter\ntheta2 = 33\nkappa = 38", "plant state", 31),
+    # 100 ** alpha overflows in the state-equation parameter extraction
+    ("scenario = circuit\nestimator = gradient_std\nalpha = 200",
+     "plant state", 1),
+    # kappa ** 2 overflows in the circuit's equilibrium
+    ("scenario = circuit\nkappa = -1e300", "plant state", 1),
+])
+def test_main_run_overflow_ends_in_an_abort(tmp_path, capsys, lines,
+                                            component, steps):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{lines}\nt_end = 0.03125\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: simulation aborted")
+    report = report_results(out / "report.txt")
+    assert report["result_abort_component"] == component
+    assert report["result_n_steps"] == str(steps)
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "1"],

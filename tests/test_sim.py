@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
-                     NonFiniteStateError, SimConfig, World, excitation_report,
-                     run, step)
-from pbident.sim import _ListTrace
+                     SimConfig, World, excitation_report, run, step)
+from pbident.sim import ConfigValueError, _ListTrace
 from conftest import numpy_stages
 
 
@@ -31,6 +30,34 @@ def test_config_validation():
 def test_config_rejects_non_finite_time_grid(over):
     with pytest.raises(ValueError, match="finite"):
         SimConfig(**over)
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"gamma_g": float("nan")}, "gamma_g"), ({"gamma": float("inf")}, "gamma"),
+    ({"lam": float("nan")}, "lam"), ({"c_c": float("inf")}, "c_c"),
+    ({"x0": (float("nan"), 0.0)}, "x0"),
+    ({"theta_hat0": np.array([0.0, float("inf")])}, "theta_hat0"),
+    ({"theta_g0": (0.0, 0.0, float("nan"))}, "theta_g0"),
+    ({"overparam_hat0": (float("-inf"), 0.0, 0.0)}, "overparam_hat0"),
+    ({"t_end": 1e300, "h": 1e-300}, "t_end"), ({"t_end": 1e300}, "t_end"),
+    ({"t_end": 1e17, "substeps": 1000}, "t_end"),
+])
+def test_config_rejects_non_finite_settings_by_key(over, key):
+    with pytest.raises(ConfigValueError) as err:
+        SimConfig(**over)
+    assert err.value.key == key
+    assert str(err.value).startswith(key + " ")
+
+
+def test_config_stores_vectors_as_float_tuples(circuit):
+    cfg = SimConfig(x0=np.array([1, 2]), theta_hat0=[0.5, 1.5])
+    assert cfg.x0 == (1.0, 2.0) and type(cfg.x0[0]) is float
+    assert cfg.theta_hat0 == (0.5, 1.5)
+    resolved = cfg.resolved(circuit)
+    assert resolved.theta_g0 == (0.0, 0.0, 0.0) and resolved.substeps == 4
+    assert resolved.resolved(circuit) == resolved
+    with pytest.raises(ConfigValueError, match="x0 needs 2 components"):
+        SimConfig(x0=(1.0, 2.0, 3.0)).resolved(circuit)
 
 
 def test_equilibrium_is_fixed_point(circuit):
@@ -147,11 +174,15 @@ def test_excitation_matrix_regressor():
 def test_abort_on_unstable_substepping(circuit):
     # one substep leaves the fast closed-loop mode outside the RK4 stability
     # region at h = 1e-3; the run must abort with a diagnostic, not emit NaNs
-    with pytest.raises(NonFiniteStateError) as exc:
-        run(circuit, SimConfig(substeps=1))
-    assert exc.value.t > 0.0
-    assert exc.value.component in ("plant state", "filter state",
+    trace = _ListTrace()
+    rep = run(circuit, SimConfig(substeps=1), trace=trace)
+    assert rep.aborted
+    assert rep.abort_time > 0.0
+    assert rep.abort_component in ("plant state", "filter state",
                                    "parameter estimate")
+    assert rep.n_steps == round(rep.abort_time / 1e-3)
+    assert rep.trace_rows == len(trace.rows) > 1
+    assert rep.x_final.shape == (2,) and rep.wall_seconds > 0.0
 
 
 def test_gradient_std_requires_std_data(circuit):
@@ -220,11 +251,16 @@ def test_float_stages_match_numpy_reference(circuit, ph, name, estimator,
 # numpy scalars give inf/nan; these runs reach both and must end the way
 # they did with numpy stages.
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_estimate_on_ph_fails_as_a_non_finite_sample(ph):
-    # beta divides by the estimate, which stays a numpy scalar
-    with pytest.raises(ValueError, match=r"regression sample at t=0\.001"):
-        run(ph, SimConfig(t_end=1.0, theta_hat0=np.array([0.0])))
+    # beta divides by the estimate, which stays a numpy scalar: the first
+    # step's samples and plant state are non-finite, and the run aborts on
+    # the plant state, as a later step would, instead of raising
+    for over in ({"theta_hat0": np.array([0.0])},
+                 {"estimator": EstimatorKind.GRADIENT_STD}):  # Theta0 = 0
+        rep = run(ph, SimConfig(t_end=1.0, **over))
+        assert rep.aborted and rep.abort_component == "plant state"
+        assert rep.abort_time == 0.001 and rep.n_steps == 1
+        assert rep.trace_rows == 1
 
 
 @pytest.mark.parametrize("over, t_abort", [
@@ -233,10 +269,9 @@ def test_zero_estimate_on_ph_fails_as_a_non_finite_sample(ph):
     ({"gamma_g": 1e6, "gamma": 1e6}, 0.995),
 ])
 def test_circuit_divergence_aborts_at_pinned_time(circuit, over, t_abort):
-    with pytest.raises(NonFiniteStateError) as exc:
-        run(circuit, SimConfig(**over))
-    assert exc.value.component == "plant state"
-    assert exc.value.t == pytest.approx(t_abort, abs=1e-9)
+    rep = run(circuit, SimConfig(**over))
+    assert rep.aborted and rep.abort_component == "plant state"
+    assert rep.abort_time == pytest.approx(t_abort, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
