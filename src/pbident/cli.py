@@ -307,14 +307,15 @@ def _plot_script(cfg: ScenarioConfig, scen: Scenario, columns: list[str]) -> str
     plots = [f'"trace.csv" using 1:{col[c]} with lines title "{c}"'
              for c in est_cols]
     for i, tv in enumerate(scen.theta_true):
-        plots.append(f'{tv!r} with lines dashtype 2 title "theta{i + 1} true"')
+        plots.append(f'{float(tv)!r} with lines dashtype 2 '
+                     f'title "theta{i + 1} true"')
     lines.append("plot " + ", \\\n     ".join(plots))
     lines += ['set output "regulation.png"', 'set title "regulation"']
     plots = [f'"trace.csv" using 1:{col[f"x{i + 1}"]} with lines title "x{i + 1}"'
              for i in range(scen.plant.n)]
     target = scen.controller.target
     if target.get("kind") == "setpoint":
-        plots.append(f'{target["x2_star"]!r} with lines dashtype 2 '
+        plots.append(f'{float(target["x2_star"])!r} with lines dashtype 2 '
                      f'title "setpoint"')
     lines.append("plot " + ", \\\n     ".join(plots))
     lines.append("")

@@ -28,32 +28,56 @@ extension matrix, so the mixing identity and the determinant product rule
 hold exactly in discrete time; det(Phi) matches exp(-gamma_g * trapezoid
 integral of |Omega|^2) by construction.  The simulator integrates the
 correction flow itself, from the mixing pair returned by `mix`.
+
+Number representation: estimates, the pre-estimator state and Phi are
+lists of Python floats, and the elementwise parts of every update run on
+them.  The dot products (|Omega|^2, Omega' theta_g, Omega' Phi,
+adj(I - Phi) r) and expm1 stay numpy calls: numpy's BLAS (OpenBLAS on FMA
+hardware) evaluates small dot products with fused multiply-adds, whose
+rounding no Python expression reproduces, and numpy's expm1 differs from
+math.expm1 in the last bit on about 1.6 % of inputs.  Keeping them makes
+a run bit-identical to the array forms they replace; a divergent run at
+extreme gains is chaotic enough that a one-ulp change moves the step at
+which it aborts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import adjugate, determinant, min_eig_symmetric, symmetric_eigen
+from .smallmat import (adjugate, determinant, min_eig_symmetric,
+                       symmetric_eigen)
 
 
 def _check_sample(sample: RegressorSample, p: int, scalar: bool):
+    om = np.asarray(sample.Omega, dtype=float)
     if scalar:
-        if sample.Omega.ndim != 1 or sample.Omega.shape[0] != p:
+        if om.ndim != 1 or om.shape[0] != p:
             raise ValueError(
                 f"expected a scalar regression sample with a {p}-vector "
-                f"regressor, got Omega shape {sample.Omega.shape}")
-        if not np.isscalar(sample.Y) and np.ndim(sample.Y) != 0:
+                f"regressor, got Omega shape {om.shape}")
+        if np.ndim(sample.Y) != 0:
             raise ValueError("expected scalar Y")
-    if not np.all(np.isfinite(sample.Omega)) or not np.all(np.isfinite(sample.Y)):
+    if not np.all(np.isfinite(om)) or not np.all(np.isfinite(sample.Y)):
         raise ValueError(f"non-finite regression sample at t={sample.t}")
 
 
+def _exp_gain(rate: float, n2: float) -> float:
+    """(1 - exp(-rate * n2)) / n2, the exact gain of a frozen rank-1
+    contraction over one half step, with its Euler limit at n2 -> 0."""
+    return rate if n2 < 1e-300 else -float(np.expm1(-(rate * n2))) / n2
+
+
 class GplusDEstimator:
-    """Interlaced gradient + determinant-mixing estimator."""
+    """Interlaced gradient + determinant-mixing estimator.
+
+    theta_g, theta and theta_g0 are lists of floats; Phi is kept as nested
+    lists and read as an ndarray.
+    """
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
                  theta_g0=None, theta0=None):
@@ -63,34 +87,54 @@ class GplusDEstimator:
         self.gamma_g = float(gamma_g)
         self.gamma = float(gamma)
         p, q = param_map.p, param_map.q
-        self.theta_g0 = np.zeros(p) if theta_g0 is None else \
-            np.asarray(theta_g0, dtype=float).reshape(p).copy()
-        self.theta_g = self.theta_g0.copy()
-        self.Phi = np.eye(p)
-        self.theta = np.zeros(q) if theta0 is None else \
-            np.asarray(theta0, dtype=float).reshape(q).copy()
-        self._PT = param_map.P @ param_map.T
-        self._I = np.eye(p)
+        self.theta_g0 = [0.0] * p if theta_g0 is None else \
+            np.asarray(theta_g0, dtype=float).reshape(p).tolist()
+        self.theta_g = list(self.theta_g0)
+        # Phi @ theta_g0 vanishes for the default theta_g0 = 0
+        self._g0 = np.array(self.theta_g0) if any(self.theta_g0) else None
+        self._eye = np.eye(p).tolist()
+        self._phi = np.eye(p).tolist()
+        self.theta = [0.0] * q if theta0 is None else \
+            np.asarray(theta0, dtype=float).reshape(q).tolist()
+        self._PT = (param_map.P @ param_map.T).tolist()
         # running exponent of det(Phi): exact under `propagate`
         self.log_det_phi = 0.0
         self._validated = False
 
-    def mix(self) -> tuple[float, np.ndarray]:
+    @property
+    def Phi(self) -> np.ndarray:
+        return np.array(self._phi)
+
+    @Phi.setter
+    def Phi(self, value):
+        self._phi = np.asarray(value, dtype=float).tolist()
+
+    def mix(self) -> tuple[float, list]:
         """(Delta, Ycal) from the current extension state."""
-        a = self._I - self.Phi
-        delta = determinant(a)
-        ycal = adjugate(a) @ (self.theta_g - self.Phi @ self.theta_g0)
-        return delta, ycal
+        phi = self._phi
+        a = [[e - v for e, v in zip(e_row, row)]
+             for e_row, row in zip(self._eye, phi)]
+        m = np.array([*adjugate(a), self.theta_g])
+        r = m[-1]
+        if self._g0 is not None:
+            r = r - np.array(phi).dot(self._g0)
+        return determinant(a), m[:-1].dot(r).tolist()
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
-        n2 = float(om @ om)
-        z = self.gamma_g * tau * n2
-        # c = (1 - exp(-z)) / |Omega|^2, with the Euler limit at |Omega| -> 0
-        c = self.gamma_g * tau if n2 < 1e-300 else -np.expm1(-z) / n2
-        self.theta_g = self.theta_g + (c * (float(sample.Y) - float(om @ self.theta_g))) * om
-        self.Phi = self.Phi - np.outer(c * om, om @ self.Phi)
-        self.log_det_phi -= z
+        phi = self._phi
+        m = np.array([om, self.theta_g, *phi])
+        om_a = m[0]
+        n2 = float(om_a.dot(om_a))
+        gt = self.gamma_g * tau
+        c = _exp_gain(gt, n2)
+        ce = c * (sample.Y - float(om_a.dot(m[1])))
+        self.theta_g = [g + ce * o for g, o in zip(self.theta_g, om)]
+        # Phi - outer(c * om, om @ Phi)
+        v = om_a.dot(m[2:]).tolist()
+        self._phi = [[b - co * w for b, w in zip(row, v)]
+                     for co, row in zip([c * o for o in om], phi)]
+        self.log_det_phi -= gt * n2
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
@@ -110,36 +154,39 @@ class GplusDEstimator:
 
 
 class GradientEstimator:
-    """Plain gradient flow on a linear(ized) regression."""
+    """Plain gradient flow on a linear(ized) regression; Theta is a list of
+    floats."""
 
     def __init__(self, n_w: int, gamma: float, Theta0=None):
         if gamma <= 0:
             raise ValueError("gain must be positive")
         self.n_w = int(n_w)
         self.gamma = float(gamma)
-        self.Theta = np.zeros(self.n_w) if Theta0 is None else \
-            np.asarray(Theta0, dtype=float).reshape(self.n_w).copy()
+        self.Theta = [0.0] * self.n_w if Theta0 is None else \
+            np.asarray(Theta0, dtype=float).reshape(self.n_w).tolist()
         self._validated = False
+        self._matrix = False
 
     def rate(self, sample: RegressorSample) -> np.ndarray:
         """Literal flow gamma * Omega * (Y - Omega' Theta_hat)."""
-        om = sample.Omega
+        om = np.asarray(sample.Omega, dtype=float)
         if om.shape[0] != self.n_w:
             raise ValueError(
                 f"regressor has leading dimension {om.shape[0]}, "
                 f"estimator expects {self.n_w}")
         _check_sample(sample, self.n_w, scalar=om.ndim == 1)
+        theta = np.asarray(self.Theta)
         if om.ndim == 1:
-            return self.gamma * om * (float(sample.Y) - float(om @ self.Theta))
-        return self.gamma * (om @ (np.asarray(sample.Y) - om.T @ self.Theta))
+            return self.gamma * om * (float(sample.Y) - float(om @ theta))
+        return self.gamma * (om @ (np.asarray(sample.Y) - om.T @ theta))
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
-        if om.ndim == 1:
-            n2 = float(om @ om)
-            c = self.gamma * tau if n2 < 1e-300 else \
-                -np.expm1(-self.gamma * tau * n2) / n2
-            self.Theta = self.Theta + (c * (float(sample.Y) - float(om @ self.Theta))) * om
+        if not self._matrix:
+            om_a, theta = np.array([om, self.Theta])
+            c = _exp_gain(self.gamma * tau, float(om_a.dot(om_a)))
+            ce = c * (sample.Y - float(om_a.dot(theta)))
+            self.Theta = [a + ce * o for a, o in zip(self.Theta, om)]
             return
         # matrix regressor: exact exponential through the (tiny) symmetric
         # eigendecomposition of gamma * Omega Omega'
@@ -149,11 +196,12 @@ class GradientEstimator:
         except np.linalg.LinAlgError:
             # a non-finite regressor, on which eigh may not converge: the
             # estimate is lost as it is when eigh returns nan
-            self.Theta = np.full(self.n_w, np.nan)
+            self.Theta = [math.nan] * self.n_w
             return
         phi = np.where(w > 1e-300, -np.expm1(-w * tau) / np.where(w > 1e-300, w, 1.0), tau)
         s = (v * phi) @ v.T
-        self.Theta = self.Theta + s @ (self.gamma * (om @ (sample.Y - om.T @ self.Theta)))
+        theta = np.array(self.Theta)
+        self.Theta = (theta + s @ (self.gamma * (om @ (sample.Y - om.T @ theta)))).tolist()
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
@@ -162,6 +210,7 @@ class GradientEstimator:
         if not self._validated:
             self.rate(sample0)
             self.rate(sample1)
+            self._matrix = np.ndim(sample0.Omega) == 2
             self._validated = True
         self._half_update(sample0, 0.5 * dt)
         self._half_update(sample1, 0.5 * dt)

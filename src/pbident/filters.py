@@ -10,7 +10,8 @@ PLAIN outputs z = F[u]; DERIVATIVE outputs lam * (u - z), which equals the
 filtered derivative s F[u].
 
 The bank never integrates itself: the simulator owns time stepping and
-calls `rate` for the state derivative.  `output` is a pure read.
+advances `state`, a list of Python floats, with its own RK4.  `output` is
+a pure read: a per-channel tap over the inputs and the state.
 
 Initialization policy: PLAIN channels start at zero state; DERIVATIVE
 channels start with state equal to the initial input, so their output
@@ -39,22 +40,24 @@ class FirstOrderFilterBank:
             raise ValueError(f"filter constant must be positive, got {lam}")
         self.lam = float(lam)
         self.modes = tuple(modes)
-        self._deriv = np.array([m is ChannelMode.DERIVATIVE for m in self.modes])
+        self._deriv = [m is ChannelMode.DERIVATIVE for m in self.modes]
         u0 = np.asarray(initial_inputs, dtype=float)
         if u0.shape != (len(self.modes),):
             raise ValueError(
                 f"initial_inputs has shape {u0.shape}, expected ({len(self.modes)},)")
-        self.state = np.where(self._deriv, u0, 0.0)
+        self.state = [u if d else 0.0 for d, u in zip(self._deriv, u0.tolist())]
 
     @property
     def n_channels(self) -> int:
         return len(self.modes)
 
-    def output(self, inputs) -> np.ndarray:
+    def output(self, inputs) -> list:
         """Instantaneous channel outputs; does not advance state."""
-        u = np.asarray(inputs, dtype=float)
-        return np.where(self._deriv, self.lam * (u - self.state), self.state)
+        lam = self.lam
+        return [lam * (u - z) if d else z
+                for d, u, z in zip(self._deriv, inputs, self.state)]
 
-    def rate(self, inputs) -> np.ndarray:
-        """d(state)/dt for the integrator to consume."""
-        return self.lam * (np.asarray(inputs, dtype=float) - self.state)
+    def rate(self, inputs) -> list:
+        """d(state)/dt of the channel ODE."""
+        lam = self.lam
+        return [lam * (u - z) for u, z in zip(inputs, self.state)]

@@ -19,12 +19,20 @@ when the Scenario is built.  The tests check each description against an
 independent one: the regression data against fast_rate and energy, and
 energy against the trajectories of fast_rate.
 
-During the plant sub-integration the simulator calls fast_rate and beta
-with x as a length-n sequence of Python floats: closures index or unpack
-it and do no array arithmetic on it, and fast_rate must return an ndarray.
-theta stays a numpy row there, so dividing by an estimate keeps numpy's
-inf on a zero divisor.  ports, energy and the regression data always get
-ndarray states.
+The simulator's whole step runs on Python floats, so every closure is
+written in components:
+
+* x, theta and the port vectors arrive as length-n sequences of floats
+  (lists or tuples; tests may pass ndarrays).  Closures index or unpack
+  them and do no array arithmetic on them.
+* fast_rate, ports, the regression data and the stacked parameter map
+  return tuples of floats; energy and beta return floats.
+* No `**` on state or estimate components: a float `**` raises
+  OverflowError where numpy gives inf.  Powers, squares included, go
+  through smallmat.ieee_pow, which is C pow as numpy's scalar power
+  computes it (x * x differs from it in the last bit on about 0.1 % of
+  inputs), and any division by an estimate through smallmat.ieee_div;
+  both return numpy's inf or nan instead of raising.
 
 Two scenarios ship:
 
@@ -50,6 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .regressor import NlpreData, ParamMap, StdLreData
+from .smallmat import dot, ieee_div, ieee_pow
 
 
 @dataclass
@@ -99,14 +108,16 @@ class Scenario:
     def __post_init__(self):
         fast_rate = self.fast_rate
         beta = self.controller.beta
-        selector = self.plant.param_map.T
+        selector = self.plant.param_map.T.tolist()
 
         def closed_rate(x, theta, t):
             return fast_rate(x, beta(x, theta, t), t)
 
+        def theta_from_overparam(Th):
+            return tuple(dot(row, Th) for row in selector)
+
         self.closed_rate = closed_rate
-        self.theta_from_overparam = \
-            lambda Th: selector @ np.asarray(Th, dtype=float)
+        self.theta_from_overparam = theta_from_overparam
 
     @property
     def theta_true(self) -> np.ndarray:
@@ -143,49 +154,60 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     th = float(theta)
     th2 = th * th
 
+    def norm(x):
+        return math.sqrt(dot(x, x))
+
     def reg_err(x, x0):
-        n0 = float(np.linalg.norm(x0))
-        return float(np.linalg.norm(x)) / n0 if n0 > 0 else float(np.linalg.norm(x))
+        n0 = norm(x0)
+        return norm(x) / n0 if n0 > 0 else norm(x)
 
     def fast_rate(x, u, t):
         x1, x2 = x
-        return np.array([-a * x2 + th * u, a * x1 + th2 * u])
+        return (-a * x2 + th * u, a * x1 + th2 * u)
+
+    def storage(x):
+        x1, x2 = x
+        return 0.5 * (ieee_pow(x1, 2.0) + ieee_pow(x2, 2.0))
 
     def energy(x, u):
-        return (0.5 * (x[0] ** 2 + x[1] ** 2),
-                u * (th * x[0] + th2 * x[1]))
+        return storage(x), u * (th * x[0] + th2 * x[1])
 
     def ports(x, u, t):
-        return np.array([u]), np.array([th * x[0] + th2 * x[1]])
+        return (u,), (th * x[0] + th2 * x[1],)
+
+    def G(theta):
+        t = theta[0]
+        return (t, ieee_pow(t, 2.0))
 
     nlpre = NlpreData(
         p_s=2, p_S=0, p_d=0,
-        phi_s=lambda x, u_p, y_p: np.array([u_p[0] * x[0], u_p[0] * x[1]]),
-        b_S=lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2),
+        phi_s=lambda x, u_p, y_p: (u_p[0] * x[0], u_p[0] * x[1]),
+        b_S=storage,
     )
     param_map = ParamMap(
         q=1, p_s=2, p_S=0, p_d=0,
-        G_s=lambda th: np.array([th[0], th[0] ** 2]),
+        G_s=G,
         G_S=None, G_d=None,
         T=np.array([[1.0, 0.0]]),
         P=np.array([[1.0]]),
         jacobian_G=lambda th: np.array([[1.0], [2.0 * th[0]]]),
-        G_direct=lambda th: np.array([th[0], th[0] ** 2]),
+        G_direct=G,
     )
     std = StdLreData(
         n=2, n_p=1, n_w=2,
-        C=lambda th: np.array([th[0], th[0] ** 2]),
-        b_f=lambda x: np.array([-a * x[1], a * x[0]]),
-        phi_g=[[lambda x: np.array([1.0, 0.0])],
-               [lambda x: np.array([0.0, 1.0])]],
-        theta_from_C=lambda Th: np.array([Th[0]]),
+        C=G,
+        b_f=lambda x: (-a * x[1], a * x[0]),
+        phi_g=[[lambda x: (1.0, 0.0)],
+               [lambda x: (0.0, 1.0)]],
+        theta_from_C=lambda Th: (Th[0],),
     )
     return Scenario(
         name="ph",
         plant=PlantModel(n=2, m=1, n_p=1, theta_true=np.array([th]),
                          nlpre=nlpre, param_map=param_map, std=std),
-        controller=Controller(beta=lambda x, th, t: -x[0] / th[0] - x[1],
-                              target={"kind": "origin"}),
+        controller=Controller(
+            beta=lambda x, th, t: -ieee_div(x[0], th[0]) - x[1],
+            target={"kind": "origin"}),
         x0_default=np.array([1.0, 1.0]),
         theta_hat0_default=np.array([0.5]),
         substeps=1,
@@ -209,10 +231,7 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     th1 = float(theta1)
     th2 = float(theta2)
     alpha = float(alpha)
-    try:
-        m2 = th1 ** alpha
-    except OverflowError:
-        m2 = math.inf
+    m2 = ieee_pow(th1, alpha)
     if not 0.0 < m2 < math.inf:
         # the stage arithmetic runs on floats, which raise on a zero divisor
         raise ValueError("theta1 ** alpha must be positive and finite")
@@ -221,65 +240,70 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     kappa = float(kappa)
 
     def reg_err(x, x0):
-        return abs(float(x[1]) - kappa) / abs(kappa)
+        return abs(x[1] - kappa) / abs(kappa)
 
     def fast_rate(x, u, t):
         x1, x2 = x
-        return np.array([(-x2 * u + E) / th1, (-th2 * x2 + x1 * u) / m2])
+        return ((-x2 * u + E) / th1, (-th2 * x2 + x1 * u) / m2)
 
     def energy(x, u):
-        return (0.5 * (th1 * x[0] ** 2 + m2 * x[1] ** 2),
-                E * x[0] - th2 * x[1] ** 2)
+        x1, x2 = x
+        sq1, sq2 = ieee_pow(x1, 2.0), ieee_pow(x2, 2.0)
+        return 0.5 * (th1 * sq1 + m2 * sq2), E * x1 - th2 * sq2
 
     def ports(x, u, t):
         # the control port is power-neutral through the ideal transformer;
         # the source port sees the inductor current
-        return np.array([u, E]), np.array([0.0, x[0]])
+        return (u, E), (0.0, x[0])
 
     kap2_E = kappa * kappa / E
     u_star = E / kappa
 
     def beta(x, th, t):
         x1, x2 = x
-        return -kp * (float(th[1]) * kap2_E * x2 - kappa * x1) + u_star
+        return -kp * (th[1] * kap2_E * x2 - kappa * x1) + u_star
+
+    def G(th):
+        t1 = th[0]
+        return (t1, ieee_pow(t1, alpha), th[1])
 
     nlpre = NlpreData(
         p_s=0, p_S=2, p_d=1,
-        b_s=lambda x, u_p, y_p: float(u_p[1] * y_p[1]),
-        phi_S=lambda x: np.array([0.5 * x[0] ** 2, 0.5 * x[1] ** 2]),
-        phi_d=lambda x: np.array([x[1] ** 2]),
+        b_s=lambda x, u_p, y_p: u_p[1] * y_p[1],
+        phi_S=lambda x: (0.5 * ieee_pow(x[0], 2.0), 0.5 * ieee_pow(x[1], 2.0)),
+        phi_d=lambda x: (ieee_pow(x[1], 2.0),),
     )
     param_map = ParamMap(
         q=2, p_s=0, p_S=2, p_d=1,
         G_s=None,
-        G_S=lambda th: np.array([th[0], th[0] ** alpha]),
-        G_d=lambda th: np.array([th[1]]),
+        G_S=lambda th: G(th)[:2],
+        G_d=lambda th: (th[1],),
         T=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
         P=np.eye(2),
         jacobian_G=lambda th: np.array([[1.0, 0.0],
-                                        [alpha * th[0] ** (alpha - 1.0), 0.0],
+                                        [alpha * ieee_pow(th[0], alpha - 1.0), 0.0],
                                         [0.0, 1.0]]),
-        G_direct=lambda th: np.array([th[0], th[0] ** alpha, th[1]]),
+        G_direct=G,
     )
 
     def theta_from_c(Th):
         # Theta = (1/theta1, 1/theta1^alpha, theta2/theta1^alpha); invert
         # through the reciprocal of the first entry, guarded away from zero
         t1 = 1.0 / max(float(Th[0]), 1e-2)
-        try:
-            scale = t1 ** alpha
-        except OverflowError:          # t1 <= 100: only a large alpha
-            scale = math.inf
-        return np.array([t1, float(Th[2]) * scale])
+        return (t1, float(Th[2]) * ieee_pow(t1, alpha))
+
+    def C(th):
+        t1_alpha = ieee_pow(th[0], alpha)
+        return (ieee_div(1.0, th[0]), ieee_div(1.0, t1_alpha),
+                ieee_div(th[1], t1_alpha))
 
     std = StdLreData(
         n=2, n_p=2, n_w=3,
-        C=lambda th: np.array([1.0 / th[0], 1.0 / th[0] ** alpha,
-                               th[1] / th[0] ** alpha]),
-        w_f=lambda x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -x[1]]]),
-        phi_g=[[lambda x: np.array([-x[1], 0.0, 0.0]),
-                lambda x: np.array([1.0, 0.0, 0.0])],
-               [lambda x: np.array([0.0, x[0], 0.0]),
+        C=C,
+        w_f=lambda x: ((0.0, 0.0, 0.0), (0.0, 0.0, -x[1])),
+        phi_g=[[lambda x: (-x[1], 0.0, 0.0),
+                lambda x: (1.0, 0.0, 0.0)],
+               [lambda x: (0.0, x[0], 0.0),
                 None]],
         theta_from_C=theta_from_c,
     )

@@ -26,11 +26,14 @@ in the assembled outputs.
 Samples are produced at every integrator step and consumed synchronously
 by the estimators.  The generators expose their filter `state`, the channel
 `inputs` at a plant sample and `sample_from` those inputs; the simulator
-owns all time stepping.
+owns all time stepping.  Channel inputs and filter states are lists of
+Python floats; a power-balance sample carries a float Y and a tuple Omega,
+a state-equation sample carries ndarrays for its matrix estimator.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -89,21 +92,19 @@ class ParamMap:
     def p(self) -> int:
         return self.p_s + self.p_S + self.p_d
 
-    def G(self, theta) -> np.ndarray:
+    def G(self, theta) -> tuple:
         """Stacked map col(G_s, G_S, G_d) evaluated at theta."""
         if self.G_direct is not None:
             return self.G_direct(theta)
         return self.G_stacked(theta)
 
-    def G_stacked(self, theta) -> np.ndarray:
+    def G_stacked(self, theta) -> tuple:
         """Stacking of the component maps, bypassing any G_direct shortcut."""
-        theta = np.asarray(theta, dtype=float)
-        parts = []
-        for dim, mapping in ((self.p_s, self.G_s), (self.p_S, self.G_S),
-                             (self.p_d, self.G_d)):
-            if dim > 0:
-                parts.append(np.asarray(mapping(theta), dtype=float).reshape(dim))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return tuple(itertools.chain.from_iterable(
+            np.asarray(mapping(theta), dtype=float).reshape(dim).tolist()
+            for dim, mapping in ((self.p_s, self.G_s), (self.p_S, self.G_S),
+                                 (self.p_d, self.G_d))
+            if dim > 0))
 
     def W(self, theta) -> np.ndarray:
         """Selected map T @ G(theta)."""
@@ -116,15 +117,15 @@ class NlpreData:
 
     phi_s and b_s may use the state alongside the port variables: the port
     output alone does not always expose the signal products the supply-rate
-    regression needs.
+    regression needs.  The vector maps return tuples of floats.
     """
 
     p_s: int
     p_S: int
     p_d: int
-    phi_s: Optional[Callable] = None   # (x, u_p, y_p) -> (p_s,)
-    phi_S: Optional[Callable] = None   # (x,) -> (p_S,)
-    phi_d: Optional[Callable] = None   # (x,) -> (p_d,)
+    phi_s: Optional[Callable] = None   # (x, u_p, y_p) -> p_s-tuple
+    phi_S: Optional[Callable] = None   # (x,) -> p_S-tuple
+    phi_d: Optional[Callable] = None   # (x,) -> p_d-tuple
     b_s: Optional[Callable] = None     # (x, u_p, y_p) -> float
     b_S: Optional[Callable] = None     # (x,) -> float
     b_d: Optional[Callable] = None     # (x,) -> float
@@ -138,32 +139,33 @@ class StdLreData:
     the parameter-free parts.  C maps the physical parameters to the
     overparameterized vector Theta; theta_from_C is the scenario's
     (approximate) inverse used by certainty-equivalent control when the
-    estimator works in Theta coordinates.
+    estimator works in Theta coordinates.  The maps return tuples of floats
+    (rows of tuples for w_f).
     """
 
     n: int
     n_p: int
     n_w: int
-    C: Callable[[np.ndarray], np.ndarray]
-    w_f: Optional[Callable] = None     # (x,) -> (n, n_w)
-    b_f: Optional[Callable] = None     # (x,) -> (n,)
-    phi_g: Optional[Sequence[Sequence[Optional[Callable]]]] = None  # (x,) -> (n_w,)
+    C: Callable
+    w_f: Optional[Callable] = None     # (x,) -> n rows of n_w
+    b_f: Optional[Callable] = None     # (x,) -> n-tuple
+    phi_g: Optional[Sequence[Sequence[Optional[Callable]]]] = None  # (x,) -> n_w-tuple
     b_g: Optional[Sequence[Sequence[Optional[Callable]]]] = None    # (x,) -> float
-    theta_from_C: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    theta_from_C: Optional[Callable] = None
 
 
 @dataclass(slots=True)
 class RegressorSample:
     """One time-stamped regression sample.
 
-    For the power-balance regression Y is a scalar and Omega a p-vector;
-    for the state-equation regression Y is an n-vector and Omega is stored
-    (n_w, n) so that Y = Omega.T @ Theta in both conventions.
+    For the power-balance regression Y is a float and Omega a p-tuple; for
+    the state-equation regression Y is an n-vector and Omega an (n_w, n)
+    ndarray, so that Y = Omega.T @ Theta in both conventions.
     """
 
     t: float
     Y: float | np.ndarray
-    Omega: np.ndarray
+    Omega: tuple | np.ndarray
 
 
 class PbepGenerator:
@@ -198,7 +200,6 @@ class PbepGenerator:
         modes += [ChannelMode.PLAIN] * nlpre.p_s
         modes += [ChannelMode.DERIVATIVE] * nlpre.p_S
         modes += [ChannelMode.PLAIN] * nlpre.p_d
-        self._n_ch = len(modes)
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0, yp0))
 
     @property
@@ -207,35 +208,31 @@ class PbepGenerator:
 
     @property
     def state(self) -> np.ndarray:
-        return self.bank.state
+        """The filter state as an array (the bank keeps a list of floats)."""
+        return np.array(self.bank.state)
 
     @state.setter
     def state(self, value):
-        self.bank.state = np.asarray(value, dtype=float)
+        self.bank.state = np.asarray(value, dtype=float).tolist()
 
-    def inputs(self, x, u_p, y_p) -> np.ndarray:
+    def inputs(self, x, u_p, y_p) -> list:
         d = self.nlpre
-        out = np.empty(self._n_ch)
-        k = 0
+        out = []
         if self._has_yplain:
             bs = d.b_s(x, u_p, y_p) if d.b_s is not None else 0.0
             bd = d.b_d(x) if d.b_d is not None else 0.0
-            out[0] = bs - bd
-            k = 1
+            out.append(bs - bd)
         if self._has_yderiv:
-            out[k] = d.b_S(x)
-            k += 1
+            out.append(d.b_S(x))
         if d.p_s:
-            out[k:k + d.p_s] = d.phi_s(x, u_p, y_p)
-            k += d.p_s
+            out.extend(d.phi_s(x, u_p, y_p))
         if d.p_S:
-            out[k:k + d.p_S] = d.phi_S(x)
-            k += d.p_S
+            out.extend(d.phi_S(x))
         if d.p_d:
-            out[k:] = d.phi_d(x)
+            out.extend(d.phi_d(x))
         return out
 
-    def sample_from(self, t: float, inputs: np.ndarray) -> RegressorSample:
+    def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
         k = 0
@@ -246,12 +243,9 @@ class PbepGenerator:
         if self._has_yderiv:
             y -= out[k]
             k += 1
-        d = self.nlpre
-        omega = np.empty(self.p)
-        omega[:d.p_s] = -out[k:k + d.p_s]
-        omega[d.p_s:d.p_s + d.p_S] = out[k + d.p_s:k + d.p_s + d.p_S]
-        omega[d.p_s + d.p_S:] = out[k + d.p_s + d.p_S:]
-        return RegressorSample(t=t, Y=float(y), Omega=omega)
+        p_s = self.nlpre.p_s
+        omega = tuple(-v for v in out[k:k + p_s]) + tuple(out[k + p_s:])
+        return RegressorSample(t=t, Y=y, Omega=omega)
 
 
 class StdLreGenerator:
@@ -272,7 +266,6 @@ class StdLreGenerator:
         if self._has_b:
             modes += [ChannelMode.PLAIN] * std.n
         modes += [ChannelMode.PLAIN] * (std.n * std.n_w)
-        self._n_ch = len(modes)
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0))
 
     @property
@@ -281,59 +274,53 @@ class StdLreGenerator:
 
     @property
     def state(self) -> np.ndarray:
-        return self.bank.state
+        """The filter state as an array (the bank keeps a list of floats)."""
+        return np.array(self.bank.state)
 
     @state.setter
     def state(self, value):
-        self.bank.state = np.asarray(value, dtype=float)
+        self.bank.state = np.asarray(value, dtype=float).tolist()
 
-    def _w_matrix(self, x, u_p) -> np.ndarray:
+    def _w_rows(self, x, u_p) -> list:
+        """Rows of the input matrix w_f + sum_j u_p[j] phi_g[i][j]."""
         std = self.std
-        w = np.zeros((std.n, std.n_w))
         if std.w_f is not None:
-            w += np.asarray(std.w_f(x), dtype=float).reshape(std.n, std.n_w)
+            w = [list(row) for row in std.w_f(x)]
+        else:
+            w = [[0.0] * std.n_w for _ in range(std.n)]
         if std.phi_g is not None:
-            u_p = np.asarray(u_p, dtype=float).reshape(std.n_p)
-            for i in range(std.n):
-                for j in range(std.n_p):
-                    entry = std.phi_g[i][j]
+            for i, entries in enumerate(std.phi_g):
+                for u, entry in zip(u_p, entries):
                     if entry is not None:
-                        w[i] += u_p[j] * np.asarray(entry(x), dtype=float)
+                        w[i] = [a + u * b for a, b in zip(w[i], entry(x))]
         return w
 
-    def _b_vector(self, x, u_p) -> np.ndarray:
+    def _b_vector(self, x, u_p) -> list:
         std = self.std
-        b = np.zeros(std.n)
-        if std.b_f is not None:
-            b += np.asarray(std.b_f(x), dtype=float).reshape(std.n)
+        b = list(std.b_f(x)) if std.b_f is not None else [0.0] * std.n
         if std.b_g is not None:
-            u_p = np.asarray(u_p, dtype=float).reshape(std.n_p)
-            for i in range(std.n):
-                for j in range(std.n_p):
-                    entry = std.b_g[i][j]
+            for i, entries in enumerate(std.b_g):
+                for u, entry in zip(u_p, entries):
                     if entry is not None:
-                        b[i] += u_p[j] * float(entry(x))
+                        b[i] += u * entry(x)
         return b
 
-    def inputs(self, x, u_p) -> np.ndarray:
-        out = np.empty(self._n_ch)
-        n = self.n
-        out[:n] = x
-        k = n
+    def inputs(self, x, u_p) -> list:
+        out = list(x)
         if self._has_b:
-            out[k:k + n] = self._b_vector(x, u_p)
-            k += n
-        out[k:] = self._w_matrix(x, u_p).ravel()
+            out.extend(self._b_vector(x, u_p))
+        for row in self._w_rows(x, u_p):
+            out.extend(row)
         return out
 
-    def sample_from(self, t: float, inputs: np.ndarray) -> RegressorSample:
+    def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
         n = self.n
-        y = out[:n].copy()
+        y = out[:n]
         k = n
         if self._has_b:
-            y -= out[k:k + n]
+            y = [a - b for a, b in zip(y, out[k:k + n])]
             k += n
-        omega = out[k:].reshape(n, self.n_w).T
-        return RegressorSample(t=t, Y=y, Omega=omega)
+        omega = np.array(out[k:]).reshape(n, self.n_w).T
+        return RegressorSample(t=t, Y=np.array(y), Omega=omega)

@@ -19,10 +19,6 @@ realistic gains:
    power-balance residual at its truncation floor.
 3. The filter bank is advanced by one RK4 step driven by the plant state
    sampled at the step start, midpoint and end.
-   The plant and filter stages run on Python floats, element by element in
-   the order of the array expressions, so they match the numpy form bit
-   for bit at a fraction of its per-call overhead on 2- to 4-element
-   states.
 4. The estimator's linear flows (pre-estimator, extension matrix, plain
    gradient) are advanced by exact frozen-regressor exponential maps on
    each half step, using the regression samples at both step endpoints.
@@ -30,6 +26,19 @@ realistic gains:
    explicit rule is stable there, while the exponential map is an exact
    contraction and additionally makes det(Phi) match the trapezoid
    quadrature of -gamma_g |Omega|^2 to rounding.
+
+The whole step runs on Python floats: plant and filter states, estimates,
+regression samples and the estimator's matrices are lists and tuples of
+floats, and the scenario closures take and return components (see
+plants).  On 2- and 3-element states numpy's per-call overhead is most of
+the cost.  Element-wise expressions keep the operation order of the array
+forms they replace, and the estimator's dot products stay numpy calls (see
+estimator), so runs are bit-identical to those forms.  Arrays are built
+for the estimator's dot products, trace rows, the report and the ndarray
+views (`World.x`, the generators' `state`, `GplusDEstimator.Phi`) that
+callers read.  The run loop keeps its power-balance residuals, settling
+times and final errors as running reductions, so a run needs memory for
+its trace rows only.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -49,7 +58,7 @@ import numpy as np
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import determinant, min_eig_symmetric
+from .smallmat import determinant, dot, min_eig_symmetric
 
 
 class EstimatorKind(Enum):
@@ -140,7 +149,7 @@ class SimConfig:
         if self.substeps is not None and self.substeps < 1:
             raise ConfigValueError("substeps", f"must be >= 1, got "
                                    f"{self.substeps!r}")
-        # the run allocates one slot per plant substep
+        # plant substeps are counted with an index
         if not self.t_end / self.h * (self.substeps or 1) < sys.maxsize:
             raise ConfigValueError("t_end", f"/ h gives more steps than an "
                                    f"index holds: t_end={self.t_end!r} "
@@ -206,20 +215,23 @@ class ExcitationRecord:
         self._first = None
         self._last = None
 
-    def push(self, omega: np.ndarray):
+    def push(self, omega):
+        """Record the regressor (a p-sequence, or an (p, n) array) at the
+        next grid point."""
         if self._first is None:
             self._first = self._outer(omega)
         self._pending.append(omega)
         self._last = omega
 
     @staticmethod
-    def _outer(om: np.ndarray) -> np.ndarray:
+    def _outer(om) -> np.ndarray:
+        om = np.asarray(om, dtype=float)
         return np.outer(om, om) if om.ndim == 1 else om @ om.T
 
     def _fold(self):
         if not self._pending:
             return
-        if self._pending[0].ndim == 1:
+        if np.ndim(self._pending[0]) == 1:
             block = np.asarray(self._pending)
             self._sum += block.T @ block
         else:
@@ -315,18 +327,24 @@ class _ListTrace:
         self.rows.append(list(values))
 
 
-def _settling_time(err: np.ndarray, band: float, h: float) -> Optional[float]:
-    """First time after which err stays within band; None if it never does."""
-    bad = np.nonzero(err > band)[0]
-    if bad.size == 0:
-        return 0.0
-    if bad[-1] == err.size - 1:
-        return None
-    return float((bad[-1] + 1) * h)
+class SubGrid(list):
+    """A step's plant states on its sub-grid: one list of floats per substep.
+
+    `tobytes` packs the rows as the (substeps, n) float64 array would hold
+    them, so a grid can be compared exactly without the step building
+    arrays.
+    """
+
+    def tobytes(self) -> bytes:
+        return np.array(self, dtype=float).tobytes()
 
 
 class World:
-    """Mutable closed-loop state: plant, filters, estimator, diagnostics."""
+    """Mutable closed-loop state: plant, filters, estimator, diagnostics.
+
+    The plant state `plant_state` and the estimate `theta_hat` are lists of
+    floats; `x` reads the plant state as an ndarray.
+    """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
         cfg = cfg.resolved(scenario)
@@ -334,10 +352,15 @@ class World:
         self.cfg = cfg
         plant = scenario.plant
         self.t = 0.0
-        self.x = np.array(cfg.x0)
-        self.theta_hat = np.array(cfg.theta_hat0)
+        self.plant_state = list(cfg.x0)
+        self.theta_hat = list(cfg.theta_hat0)
         self.substeps = cfg.substeps
-        self._fracs = np.arange(2 * self.substeps) / (2.0 * self.substeps)
+        # half-substep grid points as fractions of the outer step
+        self._fracs = [j / (2.0 * self.substeps)
+                       for j in range(2 * self.substeps + 1)]
+        # (x, theta_hat, filter state, t, inputs, sample) at the end of the
+        # last step, the next step's start sample while those are unchanged
+        self._end_sample = None
 
         # control law and closed-loop rate resolved once
         beta = scenario.controller.beta
@@ -347,7 +370,7 @@ class World:
             self.control = lambda x, th, t: 0.0
             self.plant_rate = lambda x, th, t: fast_rate(x, 0.0, t)
         elif cfg.controller is ControllerKind.KNOWN_PARAMETER:
-            theta_true = plant.theta_true
+            theta_true = plant.theta_true.tolist()
             self.control = lambda x, th, t: beta(x, theta_true, t)
             self.plant_rate = lambda x, th, t: closed_rate(x, theta_true, t)
         else:
@@ -358,14 +381,15 @@ class World:
         self.generator = None
         self.estimator = None
         self.excitation = None
-        u0 = self.control(self.x, self.theta_hat, 0.0)
-        up0, yp0 = scenario.ports(self.x, u0, 0.0)
+        x = self.plant_state
+        u0 = self.control(x, self.theta_hat, 0.0)
+        up0, yp0 = scenario.ports(x, u0, 0.0)
         if kind in (EstimatorKind.GPLUSD_PBEP, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.generator = PbepGenerator(plant.nlpre, plant.param_map,
-                                           cfg.lam, self.x, up0, yp0)
+                                           cfg.lam, x, up0, yp0)
             self.excitation = ExcitationRecord(plant.param_map.p, cfg.h, cfg.c_c)
         elif kind is EstimatorKind.GRADIENT_STD:
-            self.generator = StdLreGenerator(plant.std, cfg.lam, self.x, up0)
+            self.generator = StdLreGenerator(plant.std, cfg.lam, x, up0)
             self.excitation = ExcitationRecord(plant.std.n_w, cfg.h, cfg.c_c)
         if kind is EstimatorKind.GPLUSD_PBEP:
             self.estimator = GplusDEstimator(
@@ -380,21 +404,21 @@ class World:
         if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.theta_hat = self.extract_theta()
 
-    def extract_theta(self) -> np.ndarray:
+    @property
+    def x(self) -> np.ndarray:
+        return np.array(self.plant_state)
+
+    def extract_theta(self) -> list:
         kind = self.cfg.estimator
         if kind is EstimatorKind.GPLUSD_PBEP:
             return self.estimator.theta
         if kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
-            return np.asarray(
-                self.scenario.theta_from_overparam(self.estimator.Theta),
-                dtype=float)
+            return list(self.scenario.theta_from_overparam(self.estimator.Theta))
         if kind is EstimatorKind.GRADIENT_STD:
-            return np.asarray(
-                self.scenario.plant.std.theta_from_C(self.estimator.Theta),
-                dtype=float)
+            return list(self.scenario.plant.std.theta_from_C(self.estimator.Theta))
         return self.theta_hat
 
-    def assemble_inputs(self, x, t, theta_hat) -> np.ndarray:
+    def assemble_inputs(self, x, t, theta_hat) -> list:
         """Generator channel inputs at (x, t) under the current estimate."""
         u = self.control(x, theta_hat, t)
         up, yp = self.scenario.ports(x, u, t)
@@ -403,17 +427,12 @@ class World:
         return self.generator.inputs(x, up)
 
     def check_finite(self):
-        # cheap screen first: non-finite entries poison the sums
-        probe = float(self.x.sum()) + float(self.theta_hat.sum())
-        if self.generator is not None:
-            probe += float(self.generator.state.sum())
-        if np.isfinite(probe):
-            return
-        if not np.isfinite(self.x).all():
-            raise NonFiniteStateError(self.t, "plant state")
-        if self.generator is not None and not np.isfinite(self.generator.state).all():
-            raise NonFiniteStateError(self.t, "filter state")
-        raise NonFiniteStateError(self.t, "parameter estimate")
+        state = self.generator.bank.state if self.generator is not None else ()
+        for part, component in ((self.plant_state, "plant state"),
+                                (state, "filter state"),
+                                (self.theta_hat, "parameter estimate")):
+            if not all(map(math.isfinite, part)):
+                raise NonFiniteStateError(self.t, component)
 
 
 def _finite_samples(*samples: RegressorSample) -> bool:
@@ -421,20 +440,44 @@ def _finite_samples(*samples: RegressorSample) -> bool:
                for s in samples)
 
 
-def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
+def _rk4_correction(est: GplusDEstimator, th: list, h: float) -> list:
+    """One RK4 step of the correction flow
+    theta_dot = gamma * P T * Delta * (Ycal - Delta * G(theta))
+    with the mixing pair frozen at the step start."""
+    delta, ycal = est.mix()
+    gd_ = est.gamma * delta
+    gdd = gd_ * delta
+    vec = [gd_ * dot(row, ycal) for row in est._PT]
+    mat = [[gdd * v for v in row] for row in est._PT]
+    g_map = est.param_map.G
+
+    def rate(theta):
+        g = g_map(theta)
+        return [v - dot(row, g) for v, row in zip(vec, mat)]
+
+    half = 0.5 * h
+    a1 = rate(th)
+    a2 = rate([a + half * b for a, b in zip(th, a1)])
+    a3 = rate([a + half * b for a, b in zip(th, a2)])
+    a4 = rate([a + h * b for a, b in zip(th, a3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(th, a1, a2, a3, a4)]
+
+
+def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
                                 Optional[RegressorSample]]:
     """Advance the world by one outer step.
 
-    Returns the plant states on the sub-integration grid as a (substeps, n)
-    array (one row per substep, ending with the new state) and the
-    regression samples at the step's start and end (None without a
-    regressor).
+    Returns the plant states on the sub-integration grid (one list of
+    floats per substep, ending with the new state) and the regression
+    samples at the step's start and end (None without a regressor).
     """
     cfg = world.cfg
     plant_rate = world.plant_rate
     h = cfg.h
     t = world.t
-    x = world.x
+    x = world.plant_state
     th = world.theta_hat
     kind = cfg.estimator
     est = world.estimator
@@ -443,54 +486,45 @@ def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
     # regression sample at the step start
     sample0 = i0 = None
     if gen is not None:
-        i0 = world.assemble_inputs(x, t, th)
-        sample0 = gen.sample_from(t, i0)
+        end = world._end_sample
+        if end is not None and end[0] is x and end[1] is th \
+                and end[2] is gen.bank.state and end[3] == t:
+            i0, sample0 = end[4], end[5]
+        else:
+            i0 = world.assemble_inputs(x, t, th)
+            sample0 = gen.sample_from(t, i0)
 
     # correction-flow update with the mixing pair frozen at the step start;
-    # gradient estimates update after the plant move instead
+    # gradient estimates update after the plant move instead.  The plant
+    # sub-integration sees the estimate linearly interpolated in time.
+    nsub = world.substeps
+    fracs = world._fracs
     if kind is EstimatorKind.GPLUSD_PBEP:
-        delta, ycal = est.mix()
-        gd_ = est.gamma * delta
-        vec = gd_ * (est._PT @ ycal)
-        mat = (gd_ * delta) * est._PT
-        g_map = est.param_map.G
-        a1 = vec - mat @ g_map(th)
-        a2 = vec - mat @ g_map(th + (0.5 * h) * a1)
-        a3 = vec - mat @ g_map(th + (0.5 * h) * a2)
-        a4 = vec - mat @ g_map(th + h * a3)
-        th_new = th + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        dth = th_new - th
+        th_new = _rk4_correction(est, th, h)
+        dth = [b - a for a, b in zip(th, th_new)]
+        ths = [[a + f * d for a, d in zip(th, dth)] for f in fracs[:-1]]
+        ths.append(th_new)
     else:
         th_new = th
-        dth = None
+        ths = [th] * (2 * nsub + 1)
 
-    # plant sub-integration with the estimate linearly interpolated in time;
-    # stages run on Python floats, element by element in numpy's order
-    nsub = world.substeps
     hs = h / nsub
     hh, h6 = 0.5 * hs, hs / 6.0
-    xc = x.tolist()
-    xs = []
-    if dth is None:
-        ths = [th] * (2 * nsub + 1)
-    else:
-        ths = list(th + world._fracs[:, None] * dth)
-        ths.append(th_new)
+    xc = x
+    xs = SubGrid()
     for j in range(nsub):
         i2 = 2 * j
-        t0s = t + (i2 / (2.0 * nsub)) * h
-        tms = t + ((i2 + 1) / (2.0 * nsub)) * h
-        t1s = t + ((i2 + 2) / (2.0 * nsub)) * h
+        t0s = t + fracs[i2] * h
+        tms = t + fracs[i2 + 1] * h
+        t1s = t + fracs[i2 + 2] * h
         th0s, thms, th1s = ths[i2], ths[i2 + 1], ths[i2 + 2]
-        k1 = plant_rate(xc, th0s, t0s).tolist()
-        k2 = plant_rate([a + hh * b for a, b in zip(xc, k1)], thms, tms).tolist()
-        k3 = plant_rate([a + hh * b for a, b in zip(xc, k2)], thms, tms).tolist()
-        k4 = plant_rate([a + hs * b for a, b in zip(xc, k3)], th1s, t1s).tolist()
+        k1 = plant_rate(xc, th0s, t0s)
+        k2 = plant_rate([a + hh * b for a, b in zip(xc, k1)], thms, tms)
+        k3 = plant_rate([a + hh * b for a, b in zip(xc, k2)], thms, tms)
+        k4 = plant_rate([a + hs * b for a, b in zip(xc, k3)], th1s, t1s)
         xc = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
               for a, b1, b2, b3, b4 in zip(xc, k1, k2, k3, k4)]
         xs.append(xc)
-    xs = np.array(xs)
-    x_new = xs[-1]
 
     sample1 = None
     if gen is not None:
@@ -498,39 +532,41 @@ def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
         th_mid = ths[nsub]
         if nsub == 1:
             # cubic-Hermite midpoint from endpoint values and rates
-            r0 = plant_rate(x, th, t).tolist()
-            r1 = plant_rate(xc, th_new, t + h).tolist()
+            r0 = plant_rate(x, th, t)
+            r1 = plant_rate(xc, th_new, t + h)
             h8 = h / 8.0
-            x_mid = np.array([0.5 * (a + b) + h8 * (c - d) for a, b, c, d
-                              in zip(x.tolist(), xc, r0, r1)])
+            x_mid = [0.5 * (a + b) + h8 * (c - d)
+                     for a, b, c, d in zip(x, xc, r0, r1)]
         elif nsub % 2 == 0:
             x_mid = xs[nsub // 2 - 1]
         else:
-            x_mid = 0.5 * (xs[nsub // 2 - 1] + xs[nsub // 2])
+            x_mid = [0.5 * (a + b) for a, b in zip(xs[nsub // 2 - 1],
+                                                   xs[nsub // 2])]
         tm, t1 = t + 0.5 * h, t + h
-        im = world.assemble_inputs(x_mid, tm, th_mid).tolist()
-        i1 = world.assemble_inputs(x_new, t1, th_new)
-        # filter-bank RK4, on floats like the plant stages
+        im = world.assemble_inputs(x_mid, tm, th_mid)
+        i1 = world.assemble_inputs(xc, t1, th_new)
+        # filter-bank RK4
         lam = cfg.lam
         half, sixth = 0.5 * h, h / 6.0
-        z = gen.state.tolist()
-        c1 = [lam * (u - a) for u, a in zip(i0.tolist(), z)]
+        bank = gen.bank
+        z = bank.state
+        c1 = [lam * (u - a) for u, a in zip(i0, z)]
         c2 = [lam * (u - (a + half * c)) for u, a, c in zip(im, z, c1)]
         c3 = [lam * (u - (a + half * c)) for u, a, c in zip(im, z, c2)]
-        c4 = [lam * (u - (a + h * c)) for u, a, c in zip(i1.tolist(), z, c3)]
-        gen.state = np.array([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                              for a, b1, b2, b3, b4 in zip(z, c1, c2, c3, c4)])
+        c4 = [lam * (u - (a + h * c)) for u, a, c in zip(i1, z, c3)]
+        bank.state = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(z, c1, c2, c3, c4)]
         sample1 = gen.sample_from(t1, i1)
         if est is not None:
             if t == 0.0 and not _finite_samples(sample0, sample1):
                 # the estimator refuses a non-finite first pair; end the run
                 # the way a later step's non-finite samples end it
-                world.x, world.t = x_new, t + h
+                world.plant_state, world.t = xc, t + h
                 world.check_finite()
                 raise NonFiniteStateError(world.t, "regression sample")
             est.propagate(sample0, sample1, h)
 
-    world.x = x_new
+    world.plant_state = xc
     world.t = t + h
     if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
         world.theta_hat = world.extract_theta()
@@ -538,7 +574,34 @@ def step(world: World) -> tuple[np.ndarray, Optional[RegressorSample],
         if kind is EstimatorKind.GPLUSD_PBEP:
             est.theta = th_new
         world.theta_hat = th_new
+    if gen is not None:
+        world._end_sample = (xc, th_new, gen.bank.state, world.t, i1, sample1)
     return xs, sample0, sample1
+
+
+class _Settling:
+    """Streaming settling time of an error sampled on the outer grid: the
+    first time after which it stays within `band`."""
+
+    def __init__(self, band: float):
+        self.band = band
+        self.last_bad = -1      # last sample index with error > band
+        self.k = -1
+        self.value = math.nan   # latest error
+
+    def push(self, err: float):
+        self.k += 1
+        self.value = err
+        if err > self.band:
+            self.last_bad = self.k
+
+    def time(self, h: float) -> Optional[float]:
+        """0.0 if never outside the band, None if still outside at the end."""
+        if self.last_bad < 0:
+            return 0.0
+        if self.last_bad == self.k:
+            return None
+        return float((self.last_bad + 1) * h)
 
 
 # a diverging run overflows on its way to the abort, which check_finite
@@ -552,11 +615,14 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     step.  If the state leaves the finite range the run stops there and
     the report has `aborted` set, with the abort time and component, the
     steps taken, the state and estimate reached and the rows written.
+    Apart from the trace rows, the run keeps a fixed amount of state: its
+    residuals, settling times and final errors are running reductions.
     """
     world = World(scenario, cfg)
     plant = scenario.plant
-    theta_true = plant.theta_true
-    n_steps = int(round(cfg.t_end / cfg.h))
+    theta_true = plant.theta_true.tolist()
+    h = cfg.h
+    n_steps = int(round(cfg.t_end / h))
     q = plant.param_map.q
     kind = cfg.estimator
     gd = kind is EstimatorKind.GPLUSD_PBEP
@@ -566,13 +632,16 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     control = world.control
     reg_metric = scenario.regulation_error
     nsub = world.substeps
-    hsub = cfg.h / nsub
+    # centered differences of the storage: sub-grid and outer-grid spans
+    span_sub = 2.0 * (h / nsub)
+    span_outer = 2.0 * h
+    x0 = list(world.plant_state)
 
     report = RunReport(
         scenario=scenario.name, estimator=kind.value,
-        controller=cfg.controller.value, t_end=cfg.t_end, h=cfg.h,
+        controller=cfg.controller.value, t_end=cfg.t_end, h=h,
         substeps=nsub, decimation=cfg.decimation,
-        x0=world.x.copy(), theta_hat0=world.theta_hat.copy(), c_c=cfg.c_c,
+        x0=world.x, theta_hat0=np.array(world.theta_hat), c_c=cfg.c_c,
     )
 
     if trace is None:
@@ -587,46 +656,46 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
 
     n_theta = float(np.linalg.norm(theta_true))
     energy_uses_u = scenario.energy_uses_u
-    sub_S = np.empty(n_steps * nsub + 1)
-    sub_flow = np.empty(n_steps * nsub + 1)
-    param_err = np.empty(n_steps + 1)
-    reg_err = np.empty(n_steps + 1)
 
     def param_dist(th_hat) -> float:
-        d = th_hat - theta_true
-        return float(np.sqrt(d @ d)) / n_theta
+        if not n_theta > 0:
+            return math.nan
+        d = [a - b for a, b in zip(th_hat, theta_true)]
+        return math.sqrt(dot(d, d)) / n_theta
 
-    def residual_latest(k_sub: int) -> float:
-        if k_sub < 2:
-            return 0.0
-        return abs((sub_S[k_sub] - sub_S[k_sub - 2]) / (2.0 * hsub)
-                   - sub_flow[k_sub - 1])
-
-    def emit_row(k: int):
-        t = k * cfg.h
-        u = control(world.x, world.theta_hat, t)
-        up, yp = scenario.ports(world.x, u, t)
-        vals = [t, *world.x.tolist(), u, *np.asarray(yp).tolist(),
-                *world.theta_hat.tolist()]
+    def emit_row(k: int, residual: float):
+        t = k * h
+        x = world.plant_state
+        th = world.theta_hat
+        u = control(x, th, t)
+        _, yp = scenario.ports(x, u, t)
+        vals = [t, *x, u, *yp, *th]
         if gradient:
-            vals += world.estimator.Theta.tolist()
+            vals += world.estimator.Theta
         if gd:
             delta, _ = world.estimator.mix()
-            vals += [float(delta), determinant(world.estimator.Phi)]
+            vals += [delta, determinant(world.estimator.Phi)]
         else:
             vals += [0.0, 1.0]
         mineig = world.excitation.record(t) if world.excitation is not None else 0.0
-        vals += [mineig, residual_latest(k * nsub)]
+        vals += [mineig, residual]
         trace.row(vals)
         report.trace_rows += 1
 
-    u_now = control(world.x, world.theta_hat, 0.0)
-    sub_S[0], sub_flow[0] = energy(world.x, u_now)
-    param_err[0] = param_dist(world.theta_hat) if n_theta > 0 else np.nan
-    reg_err[0] = reg_metric(world.x, report.x0)
+    # storage S and net flow at the latest points of each grid, with the S
+    # two points back once it exists; residual maxima start at 0 (every
+    # residual is an absolute value) and turn nan if any residual is nan
+    s_now, flow_now = energy(x0, control(x0, world.theta_hat, 0.0))
+    s_back = outer_back = None
+    outer_now, outer_flow = s_now, flow_now
+    res_sub = max_sub = max_outer = 0.0
+    param = _Settling(report.param_band)
+    regulation = _Settling(report.regulation_band)
+    param.push(param_dist(world.theta_hat))
+    regulation.push(reg_metric(x0, x0))
 
     t_start = time.perf_counter()
-    emit_row(0)
+    emit_row(0, res_sub)
     try:
         for k in range(1, n_steps + 1):
             th_prev = world.theta_hat
@@ -637,54 +706,55 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
                 if k == n_steps:
                     world.excitation.push(sample1.Omega)
             tk = world.t
-            dth = world.theta_hat - th_prev
-            base = (k - 1) * nsub
+            if energy_uses_u:
+                dth = [b - a for a, b in zip(th_prev, world.theta_hat)]
             for j, xsub in enumerate(xs):
                 if energy_uses_u:
                     frac = (j + 1) / nsub
-                    usub = control(xsub, th_prev + frac * dth,
-                                   tk - cfg.h + frac * cfg.h)
+                    usub = control(xsub, [a + frac * d for a, d in zip(th_prev, dth)],
+                                   tk - h + frac * h)
                 else:
                     usub = 0.0
-                sub_S[base + j + 1], sub_flow[base + j + 1] = energy(xsub, usub)
-            param_err[k] = param_dist(world.theta_hat) if n_theta > 0 else np.nan
-            reg_err[k] = reg_metric(world.x, report.x0)
+                s_new, flow_new = energy(xsub, usub)
+                if s_back is not None:
+                    res_sub = abs((s_new - s_back) / span_sub - flow_now)
+                    if res_sub > max_sub or res_sub != res_sub:
+                        max_sub = res_sub
+                s_back, s_now, flow_now = s_now, s_new, flow_new
+            if outer_back is not None:
+                res = abs((s_now - outer_back) / span_outer - outer_flow)
+                if res > max_outer or res != res:
+                    max_outer = res
+            outer_back, outer_now, outer_flow = outer_now, s_now, flow_now
+            param.push(param_dist(world.theta_hat))
+            regulation.push(reg_metric(world.plant_state, x0))
             if k % cfg.decimation == 0 or k == n_steps:
-                emit_row(k)
+                emit_row(k, res_sub)
     except NonFiniteStateError as err:
         report.aborted = True
         report.abort_time = err.t
         report.abort_component = err.component
         report.wall_seconds = time.perf_counter() - t_start
-        report.n_steps = int(round(world.t / cfg.h))
-        report.x_final = world.x.copy()
-        report.theta_hat_final = world.theta_hat.copy()
+        report.n_steps = int(round(world.t / h))
+        report.x_final = world.x
+        report.theta_hat_final = np.array(world.theta_hat)
         return report
 
     report.wall_seconds = time.perf_counter() - t_start
     report.n_steps = n_steps
-    report.x_final = world.x.copy()
-    report.theta_hat_final = world.theta_hat.copy()
+    report.x_final = world.x
+    report.theta_hat_final = np.array(world.theta_hat)
     if gradient:
-        report.overparam_hat_final = world.estimator.Theta.copy()
+        report.overparam_hat_final = np.array(world.estimator.Theta)
     if n_theta > 0:
-        report.theta_err_rel_final = float(param_err[-1])
-        report.settling_time_param = _settling_time(param_err,
-                                                    report.param_band, cfg.h)
-    report.regulation_error_final = float(reg_err[-1])
-    report.settling_time_regulation = _settling_time(reg_err,
-                                                     report.regulation_band,
-                                                     cfg.h)
-
-    # power-balance residuals: centered differences on each grid
-    r = np.abs((sub_S[2:] - sub_S[:-2]) / (2.0 * hsub) - sub_flow[1:-1])
-    if r.size:
-        report.max_power_residual = float(np.max(r))
-    grid_S = sub_S[::nsub]
-    grid_flow = sub_flow[::nsub]
-    r = np.abs((grid_S[2:] - grid_S[:-2]) / (2.0 * cfg.h) - grid_flow[1:-1])
-    if r.size:
-        report.max_power_residual_outer = float(np.max(r))
+        report.theta_err_rel_final = param.value
+        report.settling_time_param = param.time(h)
+    report.regulation_error_final = float(regulation.value)
+    report.settling_time_regulation = regulation.time(h)
+    if n_steps * nsub > 1:
+        report.max_power_residual = float(max_sub)
+    if n_steps > 1:
+        report.max_power_residual_outer = float(max_outer)
 
     if world.excitation is not None:
         report.gram_min_eig_final = world.excitation.min_eig()
@@ -694,6 +764,6 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         report.abel_gap = abs(est.log_det_phi
                               + cfg.gamma_g * world.excitation.q_trap)
         delta, _ = est.mix()
-        report.delta_final = float(delta)
+        report.delta_final = delta
         report.det_phi_final = determinant(est.Phi)
     return report

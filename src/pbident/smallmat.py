@@ -6,13 +6,53 @@ must hold even when M is singular -- the mixing step of the interlaced
 estimator evaluates it at det = 0 every run (the extension matrix starts at
 the identity).  Inverse-based shortcuts break exactly there.
 
+For the simulator's step on Python floats, `dot` is a left-to-right
+reduction, `determinant`/`adjugate` take up to 3x3 nested lists of floats
+directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
+float arithmetic would raise.
+
 The symmetric eigenproblems are solved by numpy's eigh / eigvalsh on the
 symmetrized matrix (M + M')/2.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def dot(a, b) -> float:
+    """Sum of the products of two equal-length float sequences, added left
+    to right.
+
+    The fixed order keeps results independent of BLAS and of the
+    interpreter (the builtin sum() compensates from Python 3.12 on).
+    """
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
+
+
+def ieee_div(a: float, b: float) -> float:
+    """a / b, with numpy's signed inf or nan for a zero divisor."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / b)
+
+
+def ieee_pow(a: float, b: float) -> float:
+    """a ** b as C pow computes it, with numpy's inf or nan where Python
+    raises (overflow, a zero base to a negative power) or goes complex (a
+    negative base to a fractional power)."""
+    try:
+        return math.pow(a, b)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float(np.power(np.float64(a), b))
 
 
 def _as_square(m) -> np.ndarray:
@@ -22,22 +62,29 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _det_closed(r) -> float:
+    """Cofactor determinant of a 1x1 to 3x3 nested list."""
+    n = len(r)
+    if n == 1:
+        ((a11,),) = r
+        return a11
+    if n == 2:
+        (a11, a12), (a21, a22) = r
+        return a11 * a22 - a12 * a21
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
+    return (a11 * (a22 * a33 - a23 * a32)
+            - a12 * (a21 * a33 - a23 * a31)
+            + a13 * (a21 * a32 - a22 * a31))
+
+
 def determinant(m) -> float:
     """Determinant; exact cofactor formulas up to 3x3, pivoted elimination above."""
+    if type(m) is list and 0 < len(m) <= 3:
+        return _det_closed(m)
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
-        # closed forms on Python floats: same operations, no scalar boxing
-        r = a.tolist()
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            (a11, a12), (a21, a22) = r
-            return a11 * a22 - a12 * a21
-        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
-        return (a11 * (a22 * a33 - a23 * a32)
-                - a12 * (a21 * a33 - a23 * a31)
-                + a13 * (a21 * a32 - a22 * a31))
+        return _det_closed(a.tolist())
     a = a.copy()
     det = 1.0
     for k in range(n - 1):
@@ -52,22 +99,35 @@ def determinant(m) -> float:
     return float(det * a[n - 1, n - 1])
 
 
-def adjugate(m) -> np.ndarray:
-    """Transpose of the cofactor matrix; adj(M) @ M = det(M) * I for any M."""
+def _adj_closed(r) -> list:
+    """Cofactor adjugate of a 1x1 to 3x3 nested list, as a nested list."""
+    n = len(r)
+    if n == 1:
+        ((_,),) = r
+        return [[1.0]]
+    if n == 2:
+        (a11, a12), (a21, a22) = r
+        return [[a22, -a12], [-a21, a11]]
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
+    return [
+        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
+        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
+        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
+    ]
+
+
+def adjugate(m):
+    """Transpose of the cofactor matrix; adj(M) @ M = det(M) * I for any M.
+
+    A nested list of up to 3x3 gives a nested list, any other input an
+    ndarray.
+    """
+    if type(m) is list and 0 < len(m) <= 3:
+        return _adj_closed(m)
     a = _as_square(m)
     n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        (a11, a12), (a21, a22) = a.tolist()
-        return np.array([[a22, -a12], [-a21, a11]])
-    if n == 3:
-        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a.tolist()
-        return np.array([
-            [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
-            [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
-            [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
-        ])
+    if n <= 3:
+        return np.array(_adj_closed(a.tolist()))
     out = np.empty((n, n))
     rows = np.arange(n)
     for i in range(n):

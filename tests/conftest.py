@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pbident import (ControllerKind, EstimatorKind, SimConfig,
+from pbident import (ChannelMode, ControllerKind, EstimatorKind,
+                     PbepGenerator, RegressorSample, SimConfig,
                      circuit_scenario, ph_scenario, run)
+from pbident.smallmat import adjugate, determinant
 
 
 def rk4(rate, y0, t0, t1, n):
@@ -12,10 +14,10 @@ def rk4(rate, y0, t0, t1, n):
     t = t0
     out = [y.copy()]
     for _ in range(n):
-        k1 = rate(t, y)
-        k2 = rate(t + h / 2, y + h / 2 * k1)
-        k3 = rate(t + h / 2, y + h / 2 * k2)
-        k4 = rate(t + h, y + h * k3)
+        k1 = np.asarray(rate(t, y))
+        k2 = np.asarray(rate(t + h / 2, y + h / 2 * k1))
+        k3 = np.asarray(rate(t + h / 2, y + h / 2 * k2))
+        k4 = np.asarray(rate(t + h, y + h * k3))
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         out.append(y.copy())
@@ -30,7 +32,7 @@ def rk4(rate, y0, t0, t1, n):
 
 def state_rate(gen, *signals):
     """Filter-bank state rate of a regression generator at one plant sample."""
-    return gen.bank.rate(gen.inputs(*signals))
+    return np.asarray(gen.bank.rate(gen.inputs(*signals)))
 
 
 def sample(gen, t, *signals):
@@ -41,7 +43,8 @@ def sample(gen, t, *signals):
 def predicted(s, params):
     """Omega' params: a scalar for the power balance, an n-vector otherwise."""
     params = np.asarray(params, dtype=float)
-    return s.Omega.T @ params if s.Omega.ndim == 2 else float(s.Omega @ params)
+    om = np.asarray(s.Omega)
+    return om.T @ params if om.ndim == 2 else float(om @ params)
 
 
 def residual(s, params):
@@ -52,13 +55,14 @@ def residual(s, params):
 def theta_rate(est, delta, ycal, theta):
     """Correction-flow rate of a GplusDEstimator for a frozen mixing pair."""
     pm = est.param_map
-    return est.gamma * (pm.P @ pm.T @ (delta * (ycal - delta * pm.G(theta))))
+    return est.gamma * (pm.P @ pm.T @ (delta * (np.asarray(ycal)
+                                                - delta * np.asarray(pm.G(theta)))))
 
 
 def rates(est, s):
     """Literal right-hand sides (dtheta_g, dPhi, dtheta) of a GplusDEstimator."""
-    om = s.Omega
-    e = float(s.Y) - float(om @ est.theta_g)
+    om = np.asarray(s.Omega)
+    e = float(s.Y) - float(om @ np.asarray(est.theta_g))
     delta, ycal = est.mix()
     return (est.gamma_g * om * e,
             -est.gamma_g * np.outer(om, om @ est.Phi),
@@ -82,6 +86,7 @@ def numpy_stages(world, x, th, th_new, t, z):
     if th_new is th:
         ths = [th] * (2 * nsub + 1)
     else:
+        th, th_new = np.asarray(th), np.asarray(th_new)
         fracs = np.arange(2 * nsub) / (2.0 * nsub)
         ths = list(th + fracs[:, None] * (th_new - th))
         ths.append(th_new)
@@ -92,31 +97,118 @@ def numpy_stages(world, x, th, th_new, t, z):
         t0s = t + (i2 / (2.0 * nsub)) * h
         tms = t + ((i2 + 1) / (2.0 * nsub)) * h
         t1s = t + ((i2 + 2) / (2.0 * nsub)) * h
-        k1 = rate(xc, ths[i2], t0s)
-        k2 = rate(xc + (0.5 * hs) * k1, ths[i2 + 1], tms)
-        k3 = rate(xc + (0.5 * hs) * k2, ths[i2 + 1], tms)
-        k4 = rate(xc + hs * k3, ths[i2 + 2], t1s)
+        k1 = np.asarray(rate(xc, ths[i2], t0s))
+        k2 = np.asarray(rate(xc + (0.5 * hs) * k1, ths[i2 + 1], tms))
+        k3 = np.asarray(rate(xc + (0.5 * hs) * k2, ths[i2 + 1], tms))
+        k4 = np.asarray(rate(xc + hs * k3, ths[i2 + 2], t1s))
         xc = xc + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs.append(xc)
     if z is None:
         return xs, None
     if nsub == 1:
-        r0 = rate(x, th, t)
-        r1 = rate(xc, th_new, t + h)
+        r0 = np.asarray(rate(x, th, t))
+        r1 = np.asarray(rate(xc, th_new, t + h))
         x_mid = 0.5 * (x + xc) + (h / 8.0) * (r0 - r1)
     elif nsub % 2 == 0:
         x_mid = xs[nsub // 2 - 1]
     else:
         x_mid = 0.5 * (xs[nsub // 2 - 1] + xs[nsub // 2])
-    i0 = world.assemble_inputs(x, t, th)
-    im = world.assemble_inputs(x_mid, t + 0.5 * h, ths[nsub])
-    i1 = world.assemble_inputs(xc, t + h, th_new)
+    i0 = np.asarray(world.assemble_inputs(x, t, th))
+    im = np.asarray(world.assemble_inputs(x_mid, t + 0.5 * h, ths[nsub]))
+    i1 = np.asarray(world.assemble_inputs(xc, t + h, th_new))
     lam = world.cfg.lam
     c1 = lam * (i0 - z)
     c2 = lam * (im - (z + (0.5 * h) * c1))
     c3 = lam * (im - (z + (0.5 * h) * c2))
     c4 = lam * (i1 - (z + h * c3))
     return xs, z + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+
+
+# -- numpy oracle of the rest of the step ------------------------------------
+#
+# The regression-sample assembly, the estimator updates and the
+# correction-flow RK4 in the array expressions the engine used before it
+# carried the whole step on Python floats.
+
+def numpy_sample(gen, t, inputs, z):
+    """Regression sample of generator `gen` at filter state z and inputs."""
+    u = np.asarray(inputs, dtype=float)
+    z = np.asarray(z, dtype=float)
+    deriv = np.array([m is ChannelMode.DERIVATIVE for m in gen.bank.modes])
+    out = np.where(deriv, gen.bank.lam * (u - z), z)
+    if isinstance(gen, PbepGenerator):
+        d = gen.nlpre
+        k, y = 0, 0.0
+        if d.b_s is not None or d.b_d is not None:
+            y += out[k]
+            k += 1
+        if d.b_S is not None:
+            y -= out[k]
+            k += 1
+        omega = np.concatenate([-out[k:k + d.p_s], out[k + d.p_s:]])
+        return RegressorSample(t=t, Y=float(y), Omega=omega)
+    n = gen.n
+    y = out[:n].copy()
+    k = n
+    if gen.std.b_f is not None or gen.std.b_g is not None:
+        y -= out[k:k + n]
+        k += n
+    return RegressorSample(t=t, Y=y, Omega=out[k:].reshape(n, gen.n_w).T)
+
+
+def numpy_mix(theta_g, Phi, theta_g0):
+    """(Delta, Ycal) = (det(I - Phi), adj(I - Phi) (theta_g - Phi theta_g0))."""
+    a = np.eye(len(theta_g)) - Phi
+    return determinant(a), adjugate(a) @ (theta_g - Phi @ theta_g0)
+
+
+def numpy_gplusd_propagate(gamma_g, theta_g, Phi, s0, s1, dt):
+    """(theta_g, Phi) after the two exponential half-updates of one step."""
+    tau = 0.5 * dt
+    for s in (s0, s1):
+        om = np.asarray(s.Omega, dtype=float)
+        n2 = float(om @ om)
+        c = gamma_g * tau if n2 < 1e-300 else \
+            -np.expm1(-gamma_g * tau * n2) / n2
+        theta_g = theta_g + (c * (float(s.Y) - float(om @ theta_g))) * om
+        Phi = Phi - np.outer(c * om, om @ Phi)
+    return theta_g, Phi
+
+
+def numpy_gradient_propagate(gamma, Theta, s0, s1, dt):
+    """Theta after the two exponential half-updates of one step."""
+    tau = 0.5 * dt
+    for s in (s0, s1):
+        om = np.asarray(s.Omega, dtype=float)
+        if om.ndim == 1:
+            n2 = float(om @ om)
+            c = gamma * tau if n2 < 1e-300 else \
+                -np.expm1(-gamma * tau * n2) / n2
+            Theta = Theta + (c * (float(s.Y) - float(om @ Theta))) * om
+            continue
+        w, v = np.linalg.eigh(gamma * (om @ om.T))
+        phi = np.where(w > 1e-300,
+                       -np.expm1(-w * tau) / np.where(w > 1e-300, w, 1.0), tau)
+        Theta = Theta + ((v * phi) @ v.T) @ (gamma * (om @ (s.Y - om.T @ Theta)))
+    return Theta
+
+
+def numpy_correction(est, theta_g, Phi, th, h):
+    """Correction-flow RK4 step from th with the mixing pair frozen."""
+    pm = est.param_map
+    delta, ycal = numpy_mix(theta_g, Phi, np.asarray(est.theta_g0))
+    pt = pm.P @ pm.T
+    vec = est.gamma * delta * (pt @ ycal)
+    mat = (est.gamma * delta * delta) * pt
+
+    def rate(theta):
+        return vec - mat @ np.asarray(pm.G(theta), dtype=float)
+
+    a1 = rate(th)
+    a2 = rate(th + (0.5 * h) * a1)
+    a3 = rate(th + (0.5 * h) * a2)
+    a4 = rate(th + h * a3)
+    return th + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
 @pytest.fixture(scope="session")

@@ -155,10 +155,10 @@ def test_criterion_5_physics_suite(circuit_gd_run, circuit_gradient_run,
     traj = np.empty((n + 1, 2))
     traj[0] = x
     for k in range(n):
-        k1 = circuit.closed_rate(x, circuit.theta_true, 0.0)
-        k2 = circuit.closed_rate(x + h / 2 * k1, circuit.theta_true, 0.0)
-        k3 = circuit.closed_rate(x + h / 2 * k2, circuit.theta_true, 0.0)
-        k4 = circuit.closed_rate(x + h * k3, circuit.theta_true, 0.0)
+        k1 = np.asarray(circuit.closed_rate(x, circuit.theta_true, 0.0))
+        k2 = np.asarray(circuit.closed_rate(x + h / 2 * k1, circuit.theta_true, 0.0))
+        k3 = np.asarray(circuit.closed_rate(x + h / 2 * k2, circuit.theta_true, 0.0))
+        k4 = np.asarray(circuit.closed_rate(x + h * k3, circuit.theta_true, 0.0))
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         traj[k + 1] = x
     err = traj - x_star

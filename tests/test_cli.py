@@ -151,6 +151,25 @@ def test_run_command_writes_artifacts(tmp_path, capsys):
     assert "estimates.png" in plot and "regulation.png" in plot
 
 
+@pytest.mark.parametrize("scenario", ["ph", "circuit"])
+def test_plot_script_numbers_parse(tmp_path, scenario):
+    # gnuplot reads the constant plot operands (true parameters, setpoint)
+    # as numbers, so they must be plain float literals
+    cfg = replace(parse_config(f"scenario = {scenario}\n"), t_end=0.05)
+    assert run_command(cfg, out_dir=str(tmp_path)) == 0
+    plot = (tmp_path / "plot.gp").read_text()
+    assert "np." not in plot
+    commands = plot.replace(", \\\n", ", ").splitlines()
+    operands = [op.strip() for line in commands if line.startswith("plot ")
+                for op in line[len("plot "):].split(", ")]
+    constants = [op.split()[0] for op in operands
+                 if not op.startswith('"trace.csv"')]
+    # the true parameters, plus the circuit's setpoint
+    assert len(constants) == {"ph": 1, "circuit": 3}[scenario]
+    for token in constants:
+        float(token)
+
+
 def test_run_command_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_command(short_cfg(), out_dir=str(a)) == 0

@@ -67,7 +67,7 @@ def test_port_output_consistency(circuit, ph):
         for _ in range(20):
             x = rng.uniform(-3, 3, plant.n)
             u = float(rng.uniform(-2, 2))
-            up, yp = scen.ports(x, u, 0.0)
+            up, yp = map(np.asarray, scen.ports(x, u, 0.0))
             assert up.shape == yp.shape == (plant.n_p,)
             assert up[0] == u
             supply = d.b_s(x, up, yp) if d.b_s else 0.0
@@ -150,7 +150,7 @@ def test_hot_path_closures_match_contract_maps(circuit, ph):
             big = rng.uniform(-3, 3, plant.param_map.p)
             assert np.array_equal(scen.theta_from_overparam(big),
                                   selector @ big)
-            r = scen.fast_rate(x, u, 0.0)
+            r = np.asarray(scen.fast_rate(x, u, 0.0))
             s_plus, _ = scen.energy(x + eps * r, u)
             s_minus, _ = scen.energy(x - eps * r, u)
             _, flow = scen.energy(x, u)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
                      SimConfig, World, excitation_report, run, step)
 from pbident.sim import ConfigValueError, _ListTrace
-from conftest import numpy_stages
+from conftest import (numpy_correction, numpy_gplusd_propagate,
+                      numpy_gradient_propagate, numpy_sample, numpy_stages)
 
 
 def test_config_validation():
@@ -123,6 +126,63 @@ def test_determinism_bit_identical(circuit):
     assert t1.rows == t2.rows
 
 
+def test_run_memory_does_not_grow_with_steps(circuit):
+    # residual maxima, settling times and final errors are running
+    # reductions: with the rows discarded, a 2 s run peaks within 50 kB of
+    # a 0.2 s one (per-step arrays of the residuals and errors alone would
+    # add 144 kB; the 180 extra rows' Gram eigenvalue history adds ~20 kB)
+    class Discard:
+        def header(self, columns):
+            pass
+
+        def row(self, values):
+            pass
+
+    def peak_bytes(t_end):
+        tracemalloc.start()
+        try:
+            rep = run(circuit, SimConfig(t_end=t_end), trace=Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.aborted
+        return peak
+
+    assert peak_bytes(2.0) - peak_bytes(0.2) < 50e3
+
+
+def test_streaming_reductions_match_array_forms(ph):
+    # with one substep and a row per step, the trace holds every grid value
+    # the run reduces: the end-of-run array expressions over the rows give
+    # the report's residual maxima, settling times and final errors
+    trace = _ListTrace()
+    rep = run(ph, SimConfig(t_end=8.0, decimation=1,
+                            controller=ControllerKind.KNOWN_PARAMETER),
+              trace=trace)
+    rows = np.array(trace.rows)
+    col = {c: i for i, c in enumerate(trace.columns)}
+    assert rep.max_power_residual == np.max(rows[:, col["power_residual"]])
+    assert rep.max_power_residual_outer == rep.max_power_residual
+
+    def settling(err, band):
+        bad = np.nonzero(err > band)[0]
+        if bad.size == 0:
+            return 0.0
+        return None if bad[-1] == err.size - 1 else float((bad[-1] + 1) * 1e-3)
+
+    theta = ph.theta_true
+    param_err = np.abs(rows[:, col["theta_hat1"]] - theta[0]) / abs(theta[0])
+    x = rows[:, [col["x1"], col["x2"]]]
+    reg_err = np.linalg.norm(x, axis=1) / np.linalg.norm(x[0])
+    assert rep.settling_time_param == settling(param_err, rep.param_band)
+    assert rep.settling_time_regulation == settling(reg_err,
+                                                    rep.regulation_band)
+    assert rep.settling_time_param > 0 and rep.settling_time_regulation > 0
+    assert rep.theta_err_rel_final == param_err[-1]
+    assert rep.regulation_error_final == pytest.approx(reg_err[-1],
+                                                       rel=1e-15)
+
+
 def test_gram_min_eig_monotone(circuit):
     hist = [m for _, m in run_history(circuit)]
     diffs = np.diff(hist)
@@ -216,7 +276,7 @@ def test_known_parameter_ignores_estimates(circuit):
 
 # -- the float stage kernel against its numpy form ----------------------------
 
-@pytest.mark.parametrize("name, estimator, substeps", [
+KERNEL_CASES = [
     ("circuit", EstimatorKind.GPLUSD_PBEP, None),        # 4 substeps
     ("circuit", EstimatorKind.NONE, None),
     ("circuit", EstimatorKind.GRADIENT_STD, None),
@@ -224,7 +284,10 @@ def test_known_parameter_ignores_estimates(circuit):
     ("ph", EstimatorKind.GPLUSD_PBEP, None),             # Hermite midpoint
     ("ph", EstimatorKind.NONE, None),
     ("ph", EstimatorKind.GRADIENT_PBEP_OVERPARAM, None),
-])
+]
+
+
+@pytest.mark.parametrize("name, estimator, substeps", KERNEL_CASES)
 def test_float_stages_match_numpy_reference(circuit, ph, name, estimator,
                                             substeps):
     scen = {"circuit": circuit, "ph": ph}[name]
@@ -243,6 +306,57 @@ def test_float_stages_match_numpy_reference(circuit, ph, name, estimator,
         if z is not None:
             assert world.generator.state.tobytes() == ref_z.tobytes()
     assert np.all(np.isfinite(world.x)) and world.x[0] != 0.3
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    """max |got - ref| <= rel * max |ref|: exact where ref is all zeros."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) \
+        <= rel * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("name, estimator, substeps", KERNEL_CASES)
+def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
+                                           substeps):
+    # the samples, the correction flow and the estimator updates of every
+    # step against their array forms, fed the step's own start state
+    scen = {"circuit": circuit, "ph": ph}[name]
+    world = World(scen, SimConfig(estimator=estimator, substeps=substeps,
+                                  gamma=30.0, x0=np.array([0.3, 0.3])))
+    est, gen = world.estimator, world.generator
+    h = world.cfg.h
+    gplusd = estimator is EstimatorKind.GPLUSD_PBEP
+    for _ in range(300):
+        x, th, t = world.x, np.array(world.theta_hat), world.t
+        z = None if gen is None else gen.state
+        if gplusd:
+            theta_g, Phi = np.array(est.theta_g), est.Phi
+        elif est is not None:
+            Theta = np.array(est.Theta)
+        _, s0, s1 = step(world)
+        if gen is None:
+            continue
+        th_end = np.array(world.theta_hat) if gplusd else th
+        ref0 = numpy_sample(gen, t, world.assemble_inputs(x, t, th), z)
+        ref1 = numpy_sample(gen, world.t,
+                            world.assemble_inputs(world.x, world.t, th_end),
+                            gen.state)
+        for got, ref in ((s0, ref0), (s1, ref1)):
+            assert got.t == ref.t
+            assert_rel_close(got.Y, ref.Y)
+            assert_rel_close(got.Omega, ref.Omega)
+        if gplusd:
+            assert_rel_close(world.theta_hat,
+                             numpy_correction(est, theta_g, Phi, th, h))
+            ref_g, ref_phi = numpy_gplusd_propagate(est.gamma_g, theta_g, Phi,
+                                                    ref0, ref1, h)
+            assert_rel_close(est.theta_g, ref_g)
+            assert_rel_close(est.Phi, ref_phi)
+        else:
+            assert_rel_close(est.Theta, numpy_gradient_propagate(
+                est.gamma, Theta, ref0, ref1, h))
+    assert world.t == pytest.approx(0.3)
 
 
 # -- pinned outcomes at the edges of the float arithmetic ---------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pbident.smallmat import (adjugate, determinant, min_eig_symmetric,
-                              symmetric_eigen)
+from pbident.smallmat import (adjugate, determinant, dot, ieee_div, ieee_pow,
+                              min_eig_symmetric, symmetric_eigen)
 
 
 def test_determinant_examples():
@@ -105,3 +105,36 @@ def test_rejects_non_square():
         determinant(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         adjugate(np.zeros(3))
+
+
+def test_dot_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so left-to-right addition gives 0.0;
+    # compensated summation (the builtin sum() from Python 3.12) gives 1.0
+    assert dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    # right-to-left addition would keep the 1.0 here
+    assert dot([1.0, 1e16, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert dot([2.0, 3.0], [0.5, 4.0]) == 13.0
+    assert dot([], []) == 0.0
+
+
+def test_ieee_helpers_give_numpy_values_instead_of_raising():
+    assert ieee_div(1.0, 0.0) == np.inf and ieee_div(-1.0, 0.0) == -np.inf
+    assert np.isnan(ieee_div(0.0, 0.0))
+    assert ieee_div(3.0, 4.0) == 0.75
+    assert ieee_pow(1e200, 2.0) == np.inf
+    assert ieee_pow(0.0, -1.0) == np.inf
+    assert np.isnan(ieee_pow(-2.0, 0.5))
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(0.01, 10.0, 1000):
+        assert ieee_pow(float(x), 2.0) == np.float64(x) ** 2
+        assert ieee_pow(float(x), 1.7) == np.float64(x) ** 1.7
+
+
+def test_closed_forms_take_nested_lists():
+    m = [[2.0, -1.0, 0.5], [0.25, 3.0, 1.0], [1.5, 0.0, -2.0]]
+    assert determinant(m) == determinant(np.array(m))
+    adj = adjugate(m)
+    assert isinstance(adj, list)
+    assert np.array_equal(adj, adjugate(np.array(m)))
+    with pytest.raises(ValueError):
+        determinant([[1.0, 2.0], [3.0]])
