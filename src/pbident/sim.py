@@ -58,7 +58,7 @@ import numpy as np
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import determinant, dot, min_eig_symmetric
+from .smallmat import determinant, dot, ieee_div, min_eig_symmetric
 
 
 class EstimatorKind(Enum):
@@ -717,7 +717,8 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
                     usub = 0.0
                 s_new, flow_new = energy(xsub, usub)
                 if s_back is not None:
-                    res_sub = abs((s_new - s_back) / span_sub - flow_now)
+                    # h / substeps underflows to 0 for a subnormal h
+                    res_sub = abs(ieee_div(s_new - s_back, span_sub) - flow_now)
                     if res_sub > max_sub or res_sub != res_sub:
                         max_sub = res_sub
                 s_back, s_now, flow_now = s_now, s_new, flow_new

@@ -388,6 +388,16 @@ def test_circuit_divergence_aborts_at_pinned_time(circuit, over, t_abort):
     assert rep.abort_time == pytest.approx(t_abort, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["circuit", "ph"])
+def test_subnormal_step_completes(circuit, ph, name):
+    # h / substeps underflows to 0, so the sub-grid residual divides by 0
+    # and is nan, as with numpy, instead of raising ZeroDivisionError
+    rep = run({"circuit": circuit, "ph": ph}[name],
+              SimConfig(h=5e-324, t_end=1e-323, substeps=4))
+    assert not rep.aborted and rep.n_steps == 2
+    assert np.isnan(rep.max_power_residual)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["circuit", "ph"])
 def test_open_loop_near_overflow_completes(circuit, ph, name):
