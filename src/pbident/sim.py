@@ -211,12 +211,12 @@ class ExcitationRecord:
         self.threshold = float(threshold)
         self.min_eig_history: list[tuple[float, float]] = []
         self._sum = np.zeros((self.p, self.p))   # unit-weight sum of outers
-        self._pending: list[np.ndarray] = []
+        self._pending: list = []   # regressors pushed since the last fold
         self._first = None
         self._last = None
 
     def push(self, omega):
-        """Record the regressor (a p-sequence, or an (p, n) array) at the
+        """Record the regressor (a p-sequence or a (p, n) array) at the
         next grid point."""
         if self._first is None:
             self._first = self._outer(omega)
