@@ -343,7 +343,9 @@ class World:
     """Mutable closed-loop state: plant, filters, estimator, diagnostics.
 
     The plant state `plant_state` and the estimate `theta_hat` are lists of
-    floats; `x` reads the plant state as an ndarray.
+    floats; `x` reads the plant state as an ndarray.  Replace these lists
+    (and the generator's state) instead of changing them in place: a step
+    reuses the previous step's end sample while they are the same objects.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
