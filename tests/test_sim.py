@@ -363,12 +363,12 @@ def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
 #
 # Python floats raise on a zero divisor and on an overflowing `**` where
 # numpy scalars give inf/nan; these runs reach both and must end the way
-# they did with numpy stages.
+# they did with numpy stages (the closures use smallmat.ieee_div/ieee_pow).
 
 def test_zero_estimate_on_ph_fails_as_a_non_finite_sample(ph):
-    # beta divides by the estimate, which stays a numpy scalar: the first
-    # step's samples and plant state are non-finite, and the run aborts on
-    # the plant state, as a later step would, instead of raising
+    # beta divides by the estimate through ieee_div, which gives inf: the
+    # first step's samples and plant state are non-finite, and the run
+    # aborts on the plant state, as a later step would, instead of raising
     for over in ({"theta_hat0": np.array([0.0])},
                  {"estimator": EstimatorKind.GRADIENT_STD}):  # Theta0 = 0
         rep = run(ph, SimConfig(t_end=1.0, **over))
@@ -401,8 +401,9 @@ def test_subnormal_step_completes(circuit, ph, name):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["circuit", "ph"])
 def test_open_loop_near_overflow_completes(circuit, ph, name):
-    # the storage x1^2 overflows; energy sees numpy scalars, so the run
-    # completes with a nan power residual instead of raising OverflowError
+    # the storage x1^2 overflows; energy squares through ieee_pow, so the
+    # run completes with a nan power residual instead of raising
+    # OverflowError
     rep = run({"circuit": circuit, "ph": ph}[name],
               SimConfig(t_end=0.1, x0=np.array([1e160, 0.0]),
                         controller=ControllerKind.OPEN_LOOP,
