@@ -48,25 +48,25 @@ class ParamMap:
     """Nonlinear parameterization of a scenario.
 
     Maps G_s, G_S, G_d send the q unknown parameters to the coefficient
-    vectors of the supply, storage and dissipation regressions; T is the
-    designer-chosen selector and P the symmetric positive-definite metric
-    used by the monotone correction flow.
+    vectors of the supply, storage and dissipation regressions, as tuples
+    of floats; T is the designer-chosen selector and P the symmetric
+    positive-definite metric used by the monotone correction flow.
     """
 
     q: int
     p_s: int
     p_S: int
     p_d: int
-    G_s: Optional[Callable[[np.ndarray], np.ndarray]]
-    G_S: Optional[Callable[[np.ndarray], np.ndarray]]
-    G_d: Optional[Callable[[np.ndarray], np.ndarray]]
+    G_s: Optional[Callable]
+    G_S: Optional[Callable]
+    G_d: Optional[Callable]
     T: np.ndarray
     P: np.ndarray
     jacobian_G: Callable[[np.ndarray], np.ndarray]
     # optional pre-stacked evaluation of col(G_s, G_S, G_d); must agree with
     # the component maps (checked in tests), only used to avoid stacking in
     # hot loops
-    G_direct: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    G_direct: Optional[Callable] = None
 
     def __post_init__(self):
         self.T = np.asarray(self.T, dtype=float)
