@@ -31,14 +31,28 @@ correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats, and the elementwise parts of every update run on
-them.  The dot products (|Omega|^2, Omega' theta_g, Omega' Phi,
-adj(I - Phi) r) and expm1 stay numpy calls: numpy's BLAS (OpenBLAS on FMA
-hardware) evaluates small dot products with fused multiply-adds, whose
-rounding no Python expression reproduces, and numpy's expm1 differs from
-math.expm1 in the last bit on about 1.6 % of inputs.  Keeping them makes
-a run bit-identical to the array forms they replace; a divergent run at
-extreme gains is chaotic enough that a one-ulp change moves the step at
-which it aborts.
+them.  For the scalar regressions (the interlaced estimator and the
+gradient flow on a p-vector regressor) the dot products (|Omega|^2,
+Omega' theta_g, Omega' Phi, adj(I - Phi) r) and expm1 stay numpy calls:
+numpy's BLAS (OpenBLAS on FMA hardware) evaluates small dot products with
+fused multiply-adds, whose rounding no Python expression reproduces, and
+numpy's expm1 differs from math.expm1 in the last bit on about 1.6 % of
+inputs.  Keeping them makes a run bit-identical to the array forms they
+replace; a divergent run at extreme gains is chaotic enough that a one-ulp
+change moves the step at which it aborts.
+
+The gradient flow on a (p, n) matrix regressor runs wholly on Python
+floats (left-to-right `smallmat.dot`, math.expm1).  Its frozen-regressor
+map acts only on range(Omega), and by the push-through identity
+phi(gamma Omega Omega') gamma Omega = gamma Omega phi(gamma Omega' Omega)
+(Higham, Functions of Matrices, Cor. 1.34) it is applied through the
+n x n Gram gamma Omega' Omega, n being the number of state equations:
+
+    Theta += gamma Omega V diag(phi(w)) V' (Y - Omega' Theta),
+    phi(lam) = (1 - exp(-lam tau)) / lam   (tau for lam <= 1e-300),
+
+with (w, V) from `smallmat.symmetric_eigen`, which is closed-form for
+n <= 2 (both shipped plants).
 """
 
 from __future__ import annotations
@@ -49,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, determinant, min_eig_symmetric,
+from .smallmat import (adjugate, determinant, dot, min_eig_symmetric,
                        symmetric_eigen)
 
 
@@ -188,20 +202,21 @@ class GradientEstimator:
             ce = c * (sample.Y - float(om_a.dot(theta)))
             self.Theta = [a + ce * o for a, o in zip(self.Theta, om)]
             return
-        # matrix regressor: exact exponential through the (tiny) symmetric
-        # eigendecomposition of gamma * Omega Omega'
-        a = self.gamma * (om @ om.T)
-        try:
-            w, v = symmetric_eigen(a)
-        except np.linalg.LinAlgError:
-            # a non-finite regressor, on which eigh may not converge: the
-            # estimate is lost as it is when eigh returns nan
-            self.Theta = [math.nan] * self.n_w
-            return
-        phi = np.where(w > 1e-300, -np.expm1(-w * tau) / np.where(w > 1e-300, w, 1.0), tau)
-        s = (v * phi) @ v.T
-        theta = np.array(self.Theta)
-        self.Theta = (theta + s @ (self.gamma * (om @ (sample.Y - om.T @ theta)))).tolist()
+        # matrix regressor (p x n, one column per state equation): the
+        # exponential update through the n x n Gram (module docstring)
+        g = self.gamma
+        theta = self.Theta
+        rows = np.asarray(om, dtype=float).tolist()
+        cols = list(zip(*rows))
+        r = [y - dot(c, theta)
+             for y, c in zip(np.asarray(sample.Y, dtype=float).tolist(), cols)]
+        w, v = symmetric_eigen([[g * dot(ci, cj) for cj in cols] for ci in cols])
+        # diag(phi(w)) V' r, then gamma V of it; a non-finite Gram gives
+        # nan w and V, and so a nan estimate
+        vr = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau) * dot(vk, r)
+              for lam, vk in zip(w, zip(*v))]
+        z = [g * dot(vi, vr) for vi in v]
+        self.Theta = [a + dot(row, z) for a, row in zip(theta, rows)]
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):

@@ -201,8 +201,10 @@ class ExcitationRecord:
 
         gram = h * sum_i Omega_i Omega_i' - h/2 * (first + latest outer)
 
-    Folding is incremental so recording the minimum eigenvalue at a
-    decimated cadence stays cheap.
+    `push` adds each regressor's outer product to the unit-weight sum on
+    Python floats, one regressor column after another and in push order,
+    so the Gram at a grid point does not depend on how often it is read
+    (the trace decimation).
     """
 
     def __init__(self, p: int, h: float, threshold: float):
@@ -210,42 +212,37 @@ class ExcitationRecord:
         self.h = float(h)
         self.threshold = float(threshold)
         self.min_eig_history: list[tuple[float, float]] = []
-        self._sum = np.zeros((self.p, self.p))   # unit-weight sum of outers
-        self._pending: list = []   # regressors pushed since the last fold
-        self._first = None
+        self._pairs = [(i, j) for i in range(self.p) for j in range(self.p)]
+        self._sum = [0.0] * (self.p * self.p)   # row-major
+        self._first = None   # columns of the first and the latest regressor
         self._last = None
 
     def push(self, omega):
         """Record the regressor (a p-sequence or a (p, n) array) at the
         next grid point."""
+        om = omega.tolist() if isinstance(omega, np.ndarray) else omega
+        cols = list(zip(*om)) if isinstance(om[0], (list, tuple)) else [om]
         if self._first is None:
-            self._first = self._outer(omega)
-        self._pending.append(omega)
-        self._last = omega
+            self._first = cols
+        self._last = cols
+        self._sum = self._add_outers(self._sum, cols)
 
-    @staticmethod
-    def _outer(om) -> np.ndarray:
-        om = np.asarray(om, dtype=float)
-        return np.outer(om, om) if om.ndim == 1 else om @ om.T
-
-    def _fold(self):
-        if not self._pending:
-            return
-        if np.ndim(self._pending[0]) == 1:
-            block = np.asarray(self._pending)
-            self._sum += block.T @ block
-        else:
-            for om in self._pending:
-                self._sum += om @ om.T
-        self._pending.clear()
+    def _add_outers(self, s: list, cols) -> list:
+        """s + sum of c c' over the columns c, row-major, added one column
+        at a time."""
+        pairs = self._pairs
+        for c in cols:
+            s = [v + c[i] * c[j] for v, (i, j) in zip(s, pairs)]
+        return s
 
     @property
     def gram(self) -> np.ndarray:
         if self._first is None:
             return np.zeros((self.p, self.p))
-        self._fold()
-        return self.h * self._sum - (0.5 * self.h) * (self._first
-                                                      + self._outer(self._last))
+        ends = self._add_outers(self._add_outers([0.0] * len(self._sum),
+                                                 self._first), self._last)
+        return (self.h * np.array(self._sum)
+                - (0.5 * self.h) * np.array(ends)).reshape(self.p, self.p)
 
     @property
     def q_trap(self) -> float:

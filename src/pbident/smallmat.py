@@ -11,8 +11,10 @@ reduction, `determinant`/`adjugate` take up to 3x3 nested lists of floats
 directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
 float arithmetic would raise.
 
-The symmetric eigenproblems are solved by numpy's eigh / eigvalsh on the
-symmetrized matrix (M + M')/2.
+The symmetric eigenproblems are posed on the symmetrized matrix
+(M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
+Jacobi rotation on Python floats, nested lists in and out) and with
+numpy's eigh above; `min_eig_symmetric` uses numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -138,13 +140,68 @@ def adjugate(m):
     return out
 
 
-def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_closed(r) -> tuple[list, list]:
+    """Closed-form symmetric eigen-decomposition of a 1x1 or 2x2 nested
+    list: one Jacobi rotation of (M + M')/2, eigenvalues ascending.
+
+    The rotation is the one of Golub & Van Loan's sym.schur2, with
+    zeta = (d - a) / 2b and tangent t = sign(zeta) / (|zeta| + sqrt(1 +
+    zeta^2)).  No finite entries make it raise, and non-finite entries
+    give nan throughout.
+    """
+    if len(r) == 1:
+        ((a,),) = r
+        if not math.isfinite(a):
+            return [math.nan], [[math.nan]]
+        return [a], [[1.0]]
+    (a, b01), (b10, d) = r
+    # a symmetric pair is kept as it is, where b01 + b10 could overflow
+    b = b01 if b01 == b10 else 0.5 * (b01 + b10)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        nan = math.nan
+        return [nan, nan], [[nan, nan], [nan, nan]]
+    if b == 0.0:
+        return ([a, d], [[1.0, 0.0], [0.0, 1.0]]) if a <= d else \
+            ([d, a], [[0.0, 1.0], [1.0, 0.0]])
+    # halving first keeps d - a and 2b finite near the overflow limit
+    zeta = (0.5 * d - 0.5 * a) / b
+    # past |zeta| ~ 1e154, zeta^2 (or zeta itself) overflows to inf and t
+    # to 0; the exact t, about 1 / 2zeta, moves neither eigenvalue by eps
+    # of the diagonal there
+    t = math.copysign(1.0 / (abs(zeta) + math.sqrt(1.0 + zeta * zeta)), zeta)
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    lo, hi = a - t * b, d + t * b
+    if lo <= hi:
+        return [lo, hi], [[c, s], [-s, c]]
+    return [hi, lo], [[s, c], [c, -s]]
+
+
+def symmetric_eigen(m):
     """Eigenvalues and eigenvectors of the symmetrized matrix (M + M')/2.
 
-    Returns (w, V) with m ~ V @ diag(w) @ V.T, eigenvalues ascending.
+    Returns (w, V) with m ~ V @ diag(w) @ V.T, eigenvalues ascending: lists
+    (V as a nested list of rows) for a nested-list input, ndarrays for any
+    other.  Up to 2x2 the decomposition is closed-form (one Jacobi
+    rotation), above it numpy's eigh.  A non-finite matrix, or one on
+    which eigh does not converge, gives all-nan w and V instead of raising.
     """
+    if type(m) is list and 0 < len(m) <= 2:
+        return _eigen_closed(m)
     a = _as_square(m)
-    return np.linalg.eigh(0.5 * (a + a.T))
+    n = a.shape[0]
+    if n <= 2:
+        w, v = _eigen_closed(a.tolist())
+        return np.array(w), np.array(v)
+    w = v = None
+    if np.isfinite(a).all():
+        try:
+            w, v = np.linalg.eigh(0.5 * (a + a.T))
+        except np.linalg.LinAlgError:
+            pass
+    if w is None:
+        w, v = np.full(n, np.nan), np.full((n, n), np.nan)
+    return (w.tolist(), v.tolist()) if type(m) is list else (w, v)
 
 
 def min_eig_symmetric(m) -> float:

@@ -6,7 +6,7 @@ from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
 from pbident.smallmat import determinant
-from conftest import rates, theta_rate
+from conftest import numpy_gradient_propagate, rates, theta_rate
 
 
 def scalar_map():
@@ -292,6 +292,56 @@ def test_gradient_matrix_regressor_matches_ivp():
         s1 = const_sample((k + 1) * h, y((k + 1) * h), om((k + 1) * h))
         est.propagate(s0, s1, h)
     assert np.max(np.abs(est.Theta - ref.y[:, -1])) <= 1e-5
+
+
+def matrix_regressor_cases(rng):
+    """(p x n regressor, stiffness gamma |Omega|^2 tau) pairs: full rank,
+    collinear columns, a zero column, n = 1 and n = 3."""
+    for stiff in (1e-3, 1.0, 1e2, 1e4):
+        yield rng.normal(size=(3, 2)), stiff
+        a = rng.normal(size=3)
+        yield np.column_stack([a, -2.5 * a]), stiff
+        yield np.column_stack([rng.normal(size=3), np.zeros(3)]), stiff
+        yield rng.normal(size=(3, 1)), stiff
+        yield rng.normal(size=(3, 3)), stiff
+
+
+def test_gradient_matrix_update_matches_numpy_oracle():
+    # the float update through the n x n Gram against the eigh form on the
+    # p x p matrix gamma Omega Omega' it replaces.  That oracle's near-zero
+    # eigenvalues (gamma Omega Omega' has rank <= n < p) carry absolute
+    # errors of about eps * gamma |Omega|^2, so it leaks an error of about
+    # eps * stiffness through its null space: against a 50-digit reference
+    # it is off by 2.6e-12 relative at stiffness 1e4, the Gram path by 1e-13
+    rng = np.random.default_rng(11)
+    tau = 5e-4
+    for om, stiff in matrix_regressor_cases(rng):
+        p, n = om.shape
+        gamma = stiff / (tau * float(np.sum(om * om)))
+        theta0 = rng.normal(size=p)
+        s0 = const_sample(0.0, rng.normal(size=n), om)
+        s1 = const_sample(2 * tau, rng.normal(size=n),
+                          om + 1e-3 * rng.normal(size=(p, n)))
+        est = GradientEstimator(p, gamma=gamma, Theta0=theta0)
+        est.propagate(s0, s1, 2 * tau)
+        ref = numpy_gradient_propagate(gamma, theta0, s0, s1, 2 * tau)
+        rel = max(1e-12, 8 * np.finfo(float).eps * stiff)
+        assert np.max(np.abs(np.array(est.Theta) - ref)) \
+            <= rel * np.max(np.abs(ref)), (om, stiff)
+
+
+def test_gradient_matrix_update_non_finite_gives_nan():
+    # only the first call checks finiteness; a later non-finite regressor
+    # loses the estimate instead of raising
+    for bad in (np.nan, np.inf):
+        for n in (1, 2, 3):
+            good = const_sample(0.0, np.ones(n), np.eye(3)[:, :n])
+            om = np.ones((3, n))
+            om[0, 0] = bad
+            est = GradientEstimator(3, gamma=1.0, Theta0=[1.0, 2.0, 3.0])
+            est.propagate(good, good, 1e-3)
+            est.propagate(good, const_sample(1e-3, np.ones(n), om), 1e-3)
+            assert np.all(np.isnan(est.Theta))
 
 
 def test_gradient_dimension_mismatch():

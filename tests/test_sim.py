@@ -220,6 +220,25 @@ def test_excitation_record_closed_forms():
     assert t_c == pytest.approx(c_c / c ** 2, abs=h)
 
 
+@pytest.mark.parametrize("name, estimator", [
+    ("circuit", EstimatorKind.GPLUSD_PBEP),
+    ("ph", EstimatorKind.GPLUSD_PBEP),
+    ("circuit", EstimatorKind.GRADIENT_STD),
+])
+def test_gram_does_not_depend_on_decimation(circuit, ph, name, estimator):
+    # the Gram is summed as the regressors are pushed, so reading it at
+    # every row or at every 100th leaves its bits alone
+    scen = {"circuit": circuit, "ph": ph}[name]
+    gains = {"gamma": 30.0} if estimator is EstimatorKind.GRADIENT_STD else {}
+    outs = set()
+    for decimation in (1, 7, 10, 100):
+        rep = run(scen, SimConfig(estimator=estimator, t_end=2.0,
+                                  decimation=decimation, **gains))
+        assert not rep.aborted
+        outs.add((rep.gram_min_eig_final, rep.abel_gap))
+    assert len(outs) == 1
+
+
 def test_excitation_matrix_regressor():
     rec = ExcitationRecord(2, h=1e-3, threshold=1e-3)
     om = np.array([[1.0, 0.0], [0.0, 2.0]])

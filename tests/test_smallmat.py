@@ -138,3 +138,78 @@ def test_closed_forms_take_nested_lists():
     assert np.array_equal(adj, adjugate(np.array(m)))
     with pytest.raises(ValueError):
         determinant([[1.0, 2.0], [3.0]])
+
+
+# -- closed-form symmetric_eigen on 1x1 and 2x2 nested lists ------------------
+
+EPS = np.finfo(float).eps
+TINY = 5e-324   # the smallest subnormal
+
+
+def closed_form_cases():
+    """Symmetric 1x1 and 2x2 matrices as nested lists."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a, b, d = rng.normal(size=3)
+        yield [[a, b], [b, d]]
+        yield [[a]]
+    for a, d in ((1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (-1.0, 0.0), (0.0, 0.0)):
+        yield [[a, 0.0], [0.0, d]]                # b = 0
+    for b in (1e-300, 1e-8, 1.0, 1e8, 1e300, -2.0):
+        yield [[0.5, b], [b, 0.5]]                # equal diagonals
+    for e in range(-300, 301, 20):                # magnitude ratios 1e-300..1e300
+        yield [[1.0, 10.0 ** e], [10.0 ** e, 2.0]]
+        yield [[10.0 ** e, 1.0], [1.0, 10.0 ** -e]]
+        yield [[10.0 ** e, 0.5 * 10.0 ** e], [0.5 * 10.0 ** e, -(10.0 ** e)]]
+    for m in ([[1e-310, 3e-311], [3e-311, -2e-310]],    # subnormals
+              [[TINY, TINY], [TINY, 0.0]], [[2e-320, 0.0], [0.0, 1e-320]],
+              [[1e300, 1e-300], [1e-300, 1e-300]],
+              [[-1e308, 1e308], [1e308, 1e308]]):     # d - a, 2b overflow
+        yield m
+    for _ in range(100):                          # indefinite and negative
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        lam = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-5, 5, 2)
+        yield (q @ np.diag(lam) @ q.T).tolist()
+        yield (-(q @ np.diag(np.abs(lam)) @ q.T)).tolist()
+
+
+def test_symmetric_eigen_closed_form_against_eigh():
+    for m in closed_form_cases():
+        w, v = symmetric_eigen(m)
+        assert isinstance(w, list) and isinstance(v, list)
+        n = len(m)
+        ma, wa, va = np.array(m), np.array(w), np.array(v)
+        norm = np.max(np.abs(ma))
+        assert all(x <= y for x, y in zip(w, w[1:])), m
+        assert np.max(np.abs(va.T @ va - np.eye(n))) <= 4 * EPS, m
+        # relative to |M|, plus a few units of the smallest subnormal, the
+        # spacing of the floats that hold w and V diag(w) V' for subnormal M
+        bound = 8 * EPS * norm + 4 * TINY
+        assert np.max(np.abs(va @ np.diag(wa) @ va.T - ma)) <= bound, m
+        assert np.max(np.abs(wa - np.linalg.eigvalsh(ma))) <= bound, m
+
+
+def test_symmetric_eigen_symmetrizes():
+    w, v = symmetric_eigen([[1.0, 0.5], [1.5, 3.0]])
+    ref_w, _ = np.linalg.eigh([[1.0, 1.0], [1.0, 3.0]])
+    assert np.allclose(w, ref_w, rtol=0, atol=4 * EPS * 3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symmetric_eigen_non_finite_gives_nan(bad):
+    for m in ([[bad]], [[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]],
+              [[1.0, 0.0], [0.0, bad]], [[1.0, bad], [0.0, 1.0]],
+              [[bad, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        w, v = symmetric_eigen(m)
+        assert isinstance(w, list) and isinstance(v, list)
+        assert np.all(np.isnan(w)) and np.all(np.isnan(v)), m
+
+
+def test_symmetric_eigen_larger_lists_come_back_as_lists():
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(3, 3))
+    m = 0.5 * (m + m.T)
+    w, v = symmetric_eigen(m.tolist())
+    assert isinstance(w, list) and isinstance(v, list)
+    ref_w, ref_v = symmetric_eigen(m)
+    assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
