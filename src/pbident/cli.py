@@ -84,12 +84,15 @@ _ORDER = [f.name for f in fields(ScenarioConfig)
           if f.name not in ("scenario", "params", "seed")]
 _ORDER.insert(_ORDER.index("c_c"), "seed")
 _SETTINGS = {_key(name): name for name in _ORDER}
+_REPORT_FIELDS = [f.name for f in fields(RunReport)]
+# report.txt's result_* keys: RunReport's fields after the run settings,
+# without the settling bands, which no run changes
+_RESULTS = [name for name in _REPORT_FIELDS[_REPORT_FIELDS.index("x_final"):]
+            if name not in ("param_band", "regulation_band")]
 
 
 def _scenario_params(scenario: str) -> dict:
     """Parameter names and defaults of a scenario, from its builder."""
-    if scenario == "custom":
-        return {}
     return {p.name: p.default for p in
             inspect.signature(SCENARIO_BUILDERS[scenario]).parameters.values()}
 
@@ -130,10 +133,6 @@ def _parse_setting(raw: str, key: str, line: int):
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    if cfg.scenario == "custom":
-        raise ConfigError(
-            "scenario=custom carries no built-in plant; construct a "
-            "Scenario through the library API instead")
     return make_scenario(cfg.scenario, **cfg.params)
 
 
@@ -163,10 +162,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing required key 'scenario'")
     scen_raw, scen_line = entries.pop("scenario")
     scenario = scen_raw.lower()
-    known = [*SCENARIO_BUILDERS, "custom"]
-    if scenario not in known:
+    if scenario not in SCENARIO_BUILDERS:
         raise ConfigError(f"unknown scenario {scen_raw!r}; expected one of "
-                          f"{sorted(known)}", scen_line)
+                          f"{sorted(SCENARIO_BUILDERS)}", scen_line)
 
     params = _scenario_params(scenario)
     for key, (_, line) in entries.items():
@@ -182,8 +180,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     try:
         cfg = ScenarioConfig(scenario=scenario, params=params, **settings)
-        if scenario == "custom":
-            return cfg
         try:
             scen = build_scenario(cfg)
         except ValueError as err:
@@ -263,27 +259,8 @@ def _report_lines(cfg: ScenarioConfig, report: RunReport) -> list[str]:
             value = repr(value)
         lines.append(f"result_{key} = {value}")
 
-    add("x_final", report.x_final)
-    add("theta_hat_final", report.theta_hat_final)
-    add("overparam_hat_final", report.overparam_hat_final)
-    add("theta_err_rel_final", report.theta_err_rel_final)
-    add("regulation_error_final", report.regulation_error_final)
-    add("settling_time_param", report.settling_time_param)
-    add("settling_time_regulation", report.settling_time_regulation)
-    add("gram_min_eig_final", report.gram_min_eig_final)
-    add("is_ie", report.is_ie)
-    add("t_c", report.t_c)
-    add("max_power_residual", report.max_power_residual)
-    add("max_power_residual_outer", report.max_power_residual_outer)
-    add("abel_gap", report.abel_gap)
-    add("delta_final", report.delta_final)
-    add("det_phi_final", report.det_phi_final)
-    add("wall_seconds", report.wall_seconds)
-    add("n_steps", report.n_steps)
-    add("aborted", report.aborted)
-    add("abort_time", report.abort_time)
-    add("abort_component", report.abort_component)
-    add("trace_rows", report.trace_rows)
+    for name in _RESULTS:
+        add(name, getattr(report, name))
     add("trace", "trace.csv")
     return lines
 
@@ -360,7 +337,7 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
     """Monotonicity estimates for the scenario's parameter selection."""
     try:
         scen = build_scenario(cfg)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     q = scen.plant.param_map.q

@@ -110,6 +110,12 @@ class GplusDEstimator:
         self._phi = np.eye(p).tolist()
         self.theta = [0.0] * q if theta0 is None else \
             np.asarray(theta0, dtype=float).reshape(q).tolist()
+        # the correction flow zips G(theta) with rows of length p, which
+        # would silently truncate a wrong-length G
+        n_g = len(param_map.G(self.theta))
+        if n_g != p:
+            raise ValueError(f"G returns {n_g} values, but the parameter "
+                             f"map has p = {p}")
         self._PT = (param_map.P @ param_map.T).tolist()
         # running exponent of det(Phi): exact under `propagate`
         self.log_det_phi = 0.0

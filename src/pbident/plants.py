@@ -66,7 +66,6 @@ class PlantModel:
     """Dimensions, true parameters and regression data of a plant."""
 
     n: int
-    m: int
     n_p: int
     theta_true: np.ndarray
     nlpre: NlpreData
@@ -81,7 +80,7 @@ class PlantModel:
 class Controller:
     """Known-parameter stabilizer beta(x, theta, t) and its target."""
 
-    beta: Callable       # (x, theta, t) -> float (m = 1 in shipped scenarios)
+    beta: Callable       # (x, theta, t) -> float, the one control input
     target: dict
 
 
@@ -185,16 +184,13 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
         b_S=storage,
     )
     param_map = ParamMap(
-        q=1, p_s=2, p_S=0, p_d=0,
-        G_s=G,
-        G_S=None, G_d=None,
+        G_direct=G,
         T=np.array([[1.0, 0.0]]),
         P=np.array([[1.0]]),
         jacobian_G=lambda th: np.array([[1.0], [2.0 * th[0]]]),
-        G_direct=G,
     )
     std = StdLreData(
-        n=2, n_p=1, n_w=2,
+        n_w=2,
         C=G,
         b_f=lambda x: (-a * x[1], a * x[0]),
         phi_g=[[lambda x: (1.0, 0.0)],
@@ -203,7 +199,7 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     )
     return Scenario(
         name="ph",
-        plant=PlantModel(n=2, m=1, n_p=1, theta_true=np.array([th]),
+        plant=PlantModel(n=2, n_p=1, theta_true=np.array([th]),
                          nlpre=nlpre, param_map=param_map, std=std),
         controller=Controller(
             beta=lambda x, th, t: -ieee_div(x[0], th[0]) - x[1],
@@ -274,16 +270,12 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
         phi_d=lambda x: (ieee_pow(x[1], 2.0),),
     )
     param_map = ParamMap(
-        q=2, p_s=0, p_S=2, p_d=1,
-        G_s=None,
-        G_S=lambda th: G(th)[:2],
-        G_d=lambda th: (th[1],),
+        G_direct=G,
         T=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
         P=np.eye(2),
         jacobian_G=lambda th: np.array([[1.0, 0.0],
                                         [alpha * ieee_pow(th[0], alpha - 1.0), 0.0],
                                         [0.0, 1.0]]),
-        G_direct=G,
     )
 
     def theta_from_c(Th):
@@ -298,7 +290,7 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
                 ieee_div(th[1], t1_alpha))
 
     std = StdLreData(
-        n=2, n_p=2, n_w=3,
+        n_w=3,
         C=C,
         w_f=lambda x: ((0.0, 0.0, 0.0), (0.0, 0.0, -x[1])),
         phi_g=[[lambda x: (-x[1], 0.0, 0.0),
@@ -309,7 +301,7 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     )
     return Scenario(
         name="circuit",
-        plant=PlantModel(n=2, m=1, n_p=2, theta_true=np.array([th1, th2]),
+        plant=PlantModel(n=2, n_p=2, theta_true=np.array([th1, th2]),
                          nlpre=nlpre, param_map=param_map, std=std),
         controller=Controller(
             beta=beta,

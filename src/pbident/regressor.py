@@ -11,13 +11,17 @@ banks integrated in lockstep with the plant:
       Omega = col(-F[phi_s], sF[phi_S], F[phi_d])
       Y = Omega' G(theta)
 
-  with G the stacked nonlinear parameter map.
+  with G the stacked nonlinear parameter map.  Each dimension is declared
+  once: NlpreData carries the block split p_s, p_S, p_d of Omega, and
+  ParamMap gives G as one map whose p and parameter count q are the shape
+  of its selector T; the generator checks that the two p agree.
 
 * StdLreGenerator -- the conventional state-equation regression obtained by
   filtering xdot = (w_f + w_g) Theta + b_f + B_g u_p, yielding the vector
   regression Y = pF[x] - F[b_f + B_g u_p], Omega' = F[w_f + w_g], and
   Y = Omega' Theta with the enlarged (overparameterized) vector
-  Theta = C(theta).
+  Theta = C(theta).  The number n of state equations is the length of the
+  plant state the generator starts from.
 
 Structurally-zero signal maps are declared as None; the generators then
 skip the corresponding filter channels entirely and substitute exact zeros
@@ -33,7 +37,6 @@ a state-equation sample carries ndarrays for its matrix estimator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -47,64 +50,46 @@ from .smallmat import min_eig_symmetric
 class ParamMap:
     """Nonlinear parameterization of a scenario.
 
-    Maps G_s, G_S, G_d send the q unknown parameters to the coefficient
-    vectors of the supply, storage and dissipation regressions, as tuples
-    of floats; T is the designer-chosen selector and P the symmetric
-    positive-definite metric used by the monotone correction flow.
+    G_direct is the stacked map G from the q unknown parameters to the
+    coefficients of the supply, storage and dissipation regressions, one
+    block after another as NlpreData splits them, a p-tuple of floats; T is
+    the designer-chosen (q, p) selector, whose shape fixes q and p, and P
+    the symmetric positive-definite metric used by the monotone correction
+    flow.  The field keeps the name G_direct because the benchmark's tracer
+    wraps it by that name.
     """
 
-    q: int
-    p_s: int
-    p_S: int
-    p_d: int
-    G_s: Optional[Callable]
-    G_S: Optional[Callable]
-    G_d: Optional[Callable]
+    G_direct: Callable
     T: np.ndarray
     P: np.ndarray
     jacobian_G: Callable[[np.ndarray], np.ndarray]
-    # optional pre-stacked evaluation of col(G_s, G_S, G_d); must agree with
-    # the component maps (checked in tests), only used to avoid stacking in
-    # hot loops
-    G_direct: Optional[Callable] = None
 
     def __post_init__(self):
         self.T = np.asarray(self.T, dtype=float)
         self.P = np.asarray(self.P, dtype=float)
-        p = self.p
-        if p < self.q:
-            raise ValueError(f"need p >= q, got p={p} q={self.q}")
-        if self.T.shape != (self.q, p):
-            raise ValueError(f"T has shape {self.T.shape}, expected {(self.q, p)}")
-        if self.P.shape != (self.q, self.q):
-            raise ValueError(f"P has shape {self.P.shape}, expected {(self.q, self.q)}")
+        if self.T.ndim != 2:
+            raise ValueError(f"T must be a (q, p) matrix, got shape {self.T.shape}")
+        q, p = self.T.shape
+        if p < q:
+            raise ValueError(f"need p >= q, got p={p} q={q}")
+        if self.P.shape != (q, q):
+            raise ValueError(f"P has shape {self.P.shape}, expected {(q, q)}")
         if np.max(np.abs(self.P - self.P.T)) > 1e-9:
             raise ValueError("P must be symmetric")
         if min_eig_symmetric(self.P) <= 0.0:
             raise ValueError("P must be positive definite")
-        for dim, mapping, name in ((self.p_s, self.G_s, "G_s"),
-                                   (self.p_S, self.G_S, "G_S"),
-                                   (self.p_d, self.G_d, "G_d")):
-            if dim > 0 and mapping is None:
-                raise ValueError(f"{name} required when its dimension is {dim}")
+
+    @property
+    def q(self) -> int:
+        return self.T.shape[0]
 
     @property
     def p(self) -> int:
-        return self.p_s + self.p_S + self.p_d
+        return self.T.shape[1]
 
     def G(self, theta) -> tuple:
-        """Stacked map col(G_s, G_S, G_d) evaluated at theta."""
-        if self.G_direct is not None:
-            return self.G_direct(theta)
-        return self.G_stacked(theta)
-
-    def G_stacked(self, theta) -> tuple:
-        """Stacking of the component maps, bypassing any G_direct shortcut."""
-        return tuple(itertools.chain.from_iterable(
-            np.asarray(mapping(theta), dtype=float).reshape(dim).tolist()
-            for dim, mapping in ((self.p_s, self.G_s), (self.p_S, self.G_S),
-                                 (self.p_d, self.G_d))
-            if dim > 0))
+        """Stacked map G evaluated at theta."""
+        return self.G_direct(theta)
 
     def W(self, theta) -> np.ndarray:
         """Selected map T @ G(theta)."""
@@ -140,11 +125,9 @@ class StdLreData:
     overparameterized vector Theta; theta_from_C is the scenario's
     (approximate) inverse used by certainty-equivalent control when the
     estimator works in Theta coordinates.  The maps return tuples of floats
-    (rows of tuples for w_f).
+    (rows of tuples for w_f); n is the plant's state dimension.
     """
 
-    n: int
-    n_p: int
     n_w: int
     C: Callable
     w_f: Optional[Callable] = None     # (x,) -> n rows of n_w
@@ -180,13 +163,11 @@ class PbepGenerator:
 
     def __init__(self, nlpre: NlpreData, param_map: ParamMap, lam: float,
                  x0, up0, yp0):
-        for mine, theirs, name in ((nlpre.p_s, param_map.p_s, "p_s"),
-                                   (nlpre.p_S, param_map.p_S, "p_S"),
-                                   (nlpre.p_d, param_map.p_d, "p_d")):
-            if mine != theirs:
-                raise ValueError(
-                    f"{name} mismatch: regression data has {mine}, "
-                    f"parameter map has {theirs}")
+        p = nlpre.p_s + nlpre.p_S + nlpre.p_d
+        if p != param_map.p:
+            raise ValueError(
+                f"p mismatch: regression data has p_s + p_S + p_d = {p}, "
+                f"parameter map has p = {param_map.p}")
         self.nlpre = nlpre
         self.param_map = param_map
         self.p = param_map.p
@@ -259,13 +240,13 @@ class StdLreGenerator:
 
     def __init__(self, std: StdLreData, lam: float, x0, up0):
         self.std = std
-        self.n = std.n
+        self.n = n = len(x0)
         self.n_w = std.n_w
         self._has_b = std.b_f is not None or std.b_g is not None
-        modes = [ChannelMode.DERIVATIVE] * std.n
+        modes = [ChannelMode.DERIVATIVE] * n
         if self._has_b:
-            modes += [ChannelMode.PLAIN] * std.n
-        modes += [ChannelMode.PLAIN] * (std.n * std.n_w)
+            modes += [ChannelMode.PLAIN] * n
+        modes += [ChannelMode.PLAIN] * (n * std.n_w)
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0))
 
     @property
@@ -287,7 +268,7 @@ class StdLreGenerator:
         if std.w_f is not None:
             w = [list(row) for row in std.w_f(x)]
         else:
-            w = [[0.0] * std.n_w for _ in range(std.n)]
+            w = [[0.0] * std.n_w for _ in range(self.n)]
         if std.phi_g is not None:
             for i, entries in enumerate(std.phi_g):
                 for u, entry in zip(u_p, entries):
@@ -297,7 +278,7 @@ class StdLreGenerator:
 
     def _b_vector(self, x, u_p) -> list:
         std = self.std
-        b = list(std.b_f(x)) if std.b_f is not None else [0.0] * std.n
+        b = list(std.b_f(x)) if std.b_f is not None else [0.0] * self.n
         if std.b_g is not None:
             for i, entries in enumerate(std.b_g):
                 for u, entry in zip(u_p, entries):

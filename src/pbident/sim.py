@@ -11,7 +11,9 @@ realistic gains:
    contraction rate is only gamma * Delta^2).
 2. The plant is advanced by `substeps` classical RK4 steps of size
    h/substeps, with the control recomputed at every internal stage from
-   the stage state and a theta_hat linearly interpolated across the step.
+   the stage state and the correction flow's theta_hat linearly
+   interpolated across the step (a gradient estimate updates after the
+   plant move, so the plant sees its step-start value throughout).
    Substepping is required: the shipped circuit's known-parameter loop has
    a closed-loop eigenvalue near -7.3e3 at its target equilibrium, far
    outside the RK4 stability region at h = 1e-3.  Interpolating theta_hat
@@ -37,8 +39,8 @@ estimator), so runs are bit-identical to those forms.  Arrays are built
 for the estimator's dot products, trace rows, the report and the ndarray
 views (`World.x`, the generators' `state`, `GplusDEstimator.Phi`) that
 callers read.  The run loop keeps its power-balance residuals, settling
-times and final errors as running reductions, so a run needs memory for
-its trace rows only.
+times and final errors as running reductions, and its trace rows go to
+the caller's sink, so a run needs a fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -308,20 +310,6 @@ class RunReport:
     abort_time: Optional[float] = None
     abort_component: Optional[str] = None
     trace_rows: int = 0
-
-
-class _ListTrace:
-    """In-memory trace sink used when the caller does not provide one."""
-
-    def __init__(self):
-        self.columns: list[str] = []
-        self.rows: list[list[float]] = []
-
-    def header(self, columns):
-        self.columns = list(columns)
-
-    def row(self, values):
-        self.rows.append(list(values))
 
 
 class SubGrid(list):
@@ -611,11 +599,13 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
 
     `trace` is an optional sink with header(columns) and row(values)
     methods; rows are written every cfg.decimation steps plus the final
-    step.  If the state leaves the finite range the run stops there and
-    the report has `aborted` set, with the abort time and component, the
-    steps taken, the state and estimate reached and the rows written.
-    Apart from the trace rows, the run keeps a fixed amount of state: its
-    residuals, settling times and final errors are running reductions.
+    step.  Without a sink no row is built, but the excitation record is
+    still sampled and `trace_rows` still counted at the row times.  If the
+    state leaves the finite range the run stops there and the report has
+    `aborted` set, with the abort time and component, the steps taken, the
+    state and estimate reached and the rows written.  The run keeps a
+    fixed amount of state: its residuals, settling times and final errors
+    are running reductions.
     """
     world = World(scenario, cfg)
     plant = scenario.plant
@@ -643,15 +633,14 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         x0=world.x, theta_hat0=np.array(world.theta_hat), c_c=cfg.c_c,
     )
 
-    if trace is None:
-        trace = _ListTrace()
-    cols = (["t"] + [f"x{i + 1}" for i in range(plant.n)] + ["u"]
-            + [f"yp{i + 1}" for i in range(plant.n_p)]
-            + [f"theta_hat{i + 1}" for i in range(q)])
-    if gradient:
-        cols += [f"overparam_hat{i + 1}" for i in range(world.estimator.n_w)]
-    cols += ["delta", "det_phi", "gram_min_eig", "power_residual"]
-    trace.header(cols)
+    if trace is not None:
+        cols = (["t"] + [f"x{i + 1}" for i in range(plant.n)] + ["u"]
+                + [f"yp{i + 1}" for i in range(plant.n_p)]
+                + [f"theta_hat{i + 1}" for i in range(q)])
+        if gradient:
+            cols += [f"overparam_hat{i + 1}" for i in range(world.estimator.n_w)]
+        cols += ["delta", "det_phi", "gram_min_eig", "power_residual"]
+        trace.header(cols)
 
     n_theta = float(np.linalg.norm(theta_true))
     energy_uses_u = scenario.energy_uses_u
@@ -664,6 +653,11 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
 
     def emit_row(k: int, residual: float):
         t = k * h
+        # the excitation record feeds is_ie and t_c
+        mineig = world.excitation.record(t) if world.excitation is not None else 0.0
+        report.trace_rows += 1
+        if trace is None:
+            return
         x = world.plant_state
         th = world.theta_hat
         u = control(x, th, t)
@@ -676,10 +670,8 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
             vals += [delta, determinant(world.estimator.Phi)]
         else:
             vals += [0.0, 1.0]
-        mineig = world.excitation.record(t) if world.excitation is not None else 0.0
         vals += [mineig, residual]
         trace.row(vals)
-        report.trace_rows += 1
 
     # storage S and net flow at the latest points of each grid, with the S
     # two points back once it exists; residual maxima start at 0 (every
@@ -705,13 +697,16 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
                 if k == n_steps:
                     world.excitation.push(sample1.Omega)
             tk = world.t
-            if energy_uses_u:
+            # the control the plant applied: only the correction flow's
+            # estimate moves across the step (see step)
+            if energy_uses_u and gd:
                 dth = [b - a for a, b in zip(th_prev, world.theta_hat)]
             for j, xsub in enumerate(xs):
                 if energy_uses_u:
                     frac = (j + 1) / nsub
-                    usub = control(xsub, [a + frac * d for a, d in zip(th_prev, dth)],
-                                   tk - h + frac * h)
+                    th_sub = ([a + frac * d for a, d in zip(th_prev, dth)] if gd
+                              else th_prev)
+                    usub = control(xsub, th_sub, tk - h + frac * h)
                 else:
                     usub = 0.0
                 s_new, flow_new = energy(xsub, usub)

@@ -24,6 +24,20 @@ def rk4(rate, y0, t0, t1, n):
     return np.array(out)
 
 
+class ListTrace:
+    """Trace sink that keeps the header and every row in memory."""
+
+    def __init__(self):
+        self.columns: list[str] = []
+        self.rows: list[list[float]] = []
+
+    def header(self, columns):
+        self.columns = list(columns)
+
+    def row(self, values):
+        self.rows.append(list(values))
+
+
 # -- test-side views of the library's stepping pieces ----------------------
 #
 # The simulator drives generators through `inputs`/`sample_from` and the

@@ -86,9 +86,8 @@ def test_criterion_4b_exact_feed_mixing_identity():
     worst = 0.0
     for trial in range(100):
         p = int(rng.integers(1, 4))
-        pm = ParamMap(q=p, p_s=p, p_S=0, p_d=0,
-                      G_s=lambda th: np.asarray(th, dtype=float),
-                      G_S=None, G_d=None, T=np.eye(p), P=np.eye(p),
+        pm = ParamMap(G_direct=lambda th: tuple(map(float, th)),
+                      T=np.eye(p), P=np.eye(p),
                       jacobian_G=lambda th: np.eye(p))
         target = rng.uniform(-2.0, 2.0, p)
         est = GplusDEstimator(pm, gamma_g=rng.uniform(0.5, 20.0), gamma=1.0,

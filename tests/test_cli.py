@@ -105,10 +105,13 @@ def test_error_malformed_line():
     assert err.value.line == 2
 
 
-def test_custom_scenario_parses_but_cannot_run(tmp_path):
-    cfg = parse_config("scenario = custom\n")
-    assert cfg.scenario == "custom"
-    assert run_command(cfg, out_dir=str(tmp_path / "o")) == 2
+def test_error_custom_scenario_is_unknown():
+    # a custom plant is a Scenario built through the library; a config names
+    # one of the shipped scenarios
+    with pytest.raises(ConfigError) as err:
+        parse_config("# plant\nscenario = custom\n")
+    assert "unknown scenario 'custom'" in str(err.value)
+    assert err.value.line == 2
 
 
 def test_round_trip_identity():

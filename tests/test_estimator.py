@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from pbident import SimConfig, run
 from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
@@ -10,17 +13,14 @@ from conftest import numpy_gradient_propagate, rates, theta_rate
 
 
 def scalar_map():
-    return ParamMap(q=1, p_s=1, p_S=0, p_d=0,
-                    G_s=lambda th: np.array([th[0]]), G_S=None, G_d=None,
+    return ParamMap(G_direct=lambda th: (float(th[0]),),
                     T=np.array([[1.0]]), P=np.array([[1.0]]),
                     jacobian_G=lambda th: np.array([[1.0]]))
 
 
 def vector_map(p):
     # identity-style stack: G(theta) = theta embedded in p slots (p >= q = p)
-    return ParamMap(q=p, p_s=p, p_S=0, p_d=0,
-                    G_s=lambda th: np.asarray(th, dtype=float),
-                    G_S=None, G_d=None,
+    return ParamMap(G_direct=lambda th: tuple(map(float, th)),
                     T=np.eye(p), P=np.eye(p),
                     jacobian_G=lambda th: np.eye(p))
 
@@ -350,6 +350,15 @@ def test_gradient_dimension_mismatch():
         est.rate(const_sample(0.0, 0.0, [1.0, 2.0, 3.0]))
 
 
+def test_gplusd_rejects_a_wrong_length_G(ph):
+    # the correction flow zips G(theta) with rows of length p: a G one entry
+    # short would run to a report on a truncated flow
+    pm = replace(ph.plant.param_map, G_direct=lambda th: (th[0],))
+    scen = replace(ph, plant=replace(ph.plant, param_map=pm))
+    with pytest.raises(ValueError, match="G returns 1 values.*p = 2"):
+        run(scen, SimConfig(t_end=0.1))
+
+
 # -- monotonicity checker ---------------------------------------------------------
 
 def test_monotonicity_shipped_selections(circuit, ph):
@@ -370,9 +379,7 @@ def test_monotonicity_identity_map():
 def test_monotonicity_weak_selection_reports_small_rho():
     # selecting only the quadratic storage coefficient of the circuit stack
     # leaves W(theta) = theta^2 whose slope drops to 0.2 at the box edge
-    pm = ParamMap(q=1, p_s=2, p_S=0, p_d=0,
-                  G_s=lambda th: np.array([th[0], th[0] ** 2]),
-                  G_S=None, G_d=None,
+    pm = ParamMap(G_direct=lambda th: (float(th[0]), float(th[0] ** 2)),
                   T=np.array([[0.0, 1.0]]), P=np.array([[1.0]]),
                   jacobian_G=lambda th: np.array([[1.0], [2.0 * th[0]]]))
     rep = check_monotonicity(pm, [0.1, 10.0], n_samples=10000, seed=2)

@@ -249,13 +249,12 @@ def rc_scenario(theta=2.0, r=1.0, k=3.0):
                       b_s=lambda x, u_p, y_p: float(u_p[0] * y_p[0]),
                       b_S=lambda x: 0.5 * x[0] ** 2,
                       phi_d=lambda x: np.array([x[0] ** 2]))
-    param_map = ParamMap(q=1, p_s=0, p_S=0, p_d=1, G_s=None, G_S=None,
-                         G_d=lambda th: np.array([th[0]]),
+    param_map = ParamMap(G_direct=lambda th: (th[0],),
                          T=np.array([[1.0]]), P=np.array([[1.0]]),
                          jacobian_G=lambda th: np.array([[1.0]]))
     return Scenario(
         name="rc",
-        plant=PlantModel(n=1, m=1, n_p=1, theta_true=np.array([theta]),
+        plant=PlantModel(n=1, n_p=1, theta_true=np.array([theta]),
                          nlpre=nlpre, param_map=param_map),
         controller=Controller(
             beta=lambda x, th, t: th[0] * r - k * (x[0] - r),

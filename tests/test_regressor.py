@@ -27,37 +27,30 @@ def drive(scenario, estimator, x0, t_end=3.0, h=1e-3):
 
 # -- ParamMap ---------------------------------------------------------------
 
+def scalar_map(**over):
+    return ParamMap(**{"G_direct": lambda th: (th[0],), "T": np.array([[1.0]]),
+                       "P": np.array([[1.0]]),
+                       "jacobian_G": lambda th: np.array([[1.0]]), **over})
+
+
 def test_param_map_validation():
-    good = dict(q=1, p_s=1, p_S=0, p_d=0, G_s=lambda th: np.array([th[0]]),
-                G_S=None, G_d=None, T=np.array([[1.0]]), P=np.array([[1.0]]),
-                jacobian_G=lambda th: np.array([[1.0]]))
-    ParamMap(**good)
+    pm = scalar_map()
+    assert (pm.q, pm.p) == (1, 1)
     with pytest.raises(ValueError):   # p < q
-        ParamMap(**{**good, "q": 2, "T": np.array([[1.0], [0.0]]),
-                    "P": np.eye(2)})
+        scalar_map(T=np.array([[1.0], [0.0]]), P=np.eye(2))
     with pytest.raises(ValueError):   # P not positive definite
-        ParamMap(**{**good, "P": np.array([[-1.0]])})
-    with pytest.raises(ValueError):   # T shape
-        ParamMap(**{**good, "T": np.array([[1.0, 0.0]])})
-    with pytest.raises(ValueError):   # missing component map
-        ParamMap(**{**good, "G_s": None})
+        scalar_map(P=np.array([[-1.0]]))
+    with pytest.raises(ValueError):   # T not a matrix
+        scalar_map(T=np.array([1.0]))
 
 
 def test_param_map_dimension_audit(circuit, ph):
+    # the selector's shape gives q and p; the regression data splits p
     for scen in (circuit, ph):
-        pm = scen.plant.param_map
-        assert pm.p == pm.p_s + pm.p_S + pm.p_d
+        pm, d = scen.plant.param_map, scen.plant.nlpre
+        assert pm.T.shape == (pm.q, pm.p)
+        assert pm.p == d.p_s + d.p_S + d.p_d == len(pm.G(scen.theta_true))
         assert pm.p >= pm.q
-
-
-def test_param_map_direct_stack_agree(circuit, ph):
-    # the hot-path stacked map must match the component stacking everywhere
-    rng = np.random.default_rng(7)
-    for scen in (circuit, ph):
-        pm = scen.plant.param_map
-        for _ in range(50):
-            th = rng.uniform(0.1, 5.0, pm.q)
-            assert np.array_equal(pm.G(th), pm.G_stacked(th))
 
 
 # -- generator construction --------------------------------------------------
@@ -88,6 +81,11 @@ def test_pbep_dimension_mismatch(circuit, ph):
     with pytest.raises(ValueError):
         PbepGenerator(circuit.plant.nlpre, ph.plant.param_map, LAM,
                       np.zeros(2), np.zeros(2), np.zeros(2))
+    # a selector two wide against a one-block split
+    nlpre = NlpreData(p_s=1, p_S=0, p_d=0, phi_s=lambda x, up, yp: (x[0],))
+    with pytest.raises(ValueError, match="p_s \\+ p_S \\+ p_d = 1.*p = 2"):
+        PbepGenerator(nlpre, scalar_map(T=np.array([[1.0, 0.0]])), LAM,
+                      np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def test_signal_count_comparison(circuit, ph):
@@ -111,11 +109,7 @@ def test_signal_count_comparison(circuit, ph):
 def test_zero_maps_give_zero_regression():
     nlpre = NlpreData(p_s=1, p_S=0, p_d=0,
                       phi_s=lambda x, up, yp: np.zeros(1))
-    pm = ParamMap(q=1, p_s=1, p_S=0, p_d=0,
-                  G_s=lambda th: np.array([th[0]]), G_S=None, G_d=None,
-                  T=np.array([[1.0]]), P=np.array([[1.0]]),
-                  jacobian_G=lambda th: np.array([[1.0]]))
-    gen = PbepGenerator(nlpre, pm, LAM, np.zeros(1), np.zeros(1), np.zeros(1))
+    gen = PbepGenerator(nlpre, scalar_map(), LAM, np.zeros(1), np.zeros(1), np.zeros(1))
     x = np.array([3.0])
     for k in range(100):
         z = gen.state

@@ -5,8 +5,8 @@ import pytest
 
 from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
                      SimConfig, World, excitation_report, run, step)
-from pbident.sim import ConfigValueError, _ListTrace
-from conftest import (numpy_correction, numpy_gplusd_propagate,
+from pbident.sim import ConfigValueError
+from conftest import (ListTrace, numpy_correction, numpy_gplusd_propagate,
                       numpy_gradient_propagate, numpy_sample, numpy_stages)
 
 
@@ -96,7 +96,7 @@ def test_run_report_fields(circuit):
 
 
 def test_trace_layout_and_decimation(circuit):
-    trace = _ListTrace()
+    trace = ListTrace()
     rep = run(circuit, SimConfig(t_end=0.5, decimation=50), trace=trace)
     assert trace.columns == [
         "t", "x1", "x2", "u", "yp1", "yp2", "theta_hat1", "theta_hat2",
@@ -112,7 +112,7 @@ def test_trace_layout_and_decimation(circuit):
 
 
 def test_trace_includes_overparam_for_gradient(circuit):
-    trace = _ListTrace()
+    trace = ListTrace()
     run(circuit, SimConfig(t_end=0.1, estimator=EstimatorKind.GRADIENT_STD,
                            gamma=30.0), trace=trace)
     assert "overparam_hat1" in trace.columns
@@ -120,7 +120,7 @@ def test_trace_includes_overparam_for_gradient(circuit):
 
 
 def test_determinism_bit_identical(circuit):
-    t1, t2 = _ListTrace(), _ListTrace()
+    t1, t2 = ListTrace(), ListTrace()
     run(circuit, SimConfig(t_end=2.0), trace=t1)
     run(circuit, SimConfig(t_end=2.0), trace=t2)
     assert t1.rows == t2.rows
@@ -128,9 +128,10 @@ def test_determinism_bit_identical(circuit):
 
 def test_run_memory_does_not_grow_with_steps(circuit):
     # residual maxima, settling times and final errors are running
-    # reductions: with the rows discarded, a 2 s run peaks within 50 kB of
-    # a 0.2 s one (per-step arrays of the residuals and errors alone would
-    # add 144 kB; the 180 extra rows' Gram eigenvalue history adds ~20 kB)
+    # reductions: with the rows discarded by the sink, or with no sink at
+    # all, a 2 s run peaks within 50 kB of a 0.2 s one (per-step arrays of
+    # the residuals and errors alone would add 144 kB; the 180 extra rows'
+    # Gram eigenvalue history adds ~20 kB)
     class Discard:
         def header(self, columns):
             pass
@@ -138,24 +139,25 @@ def test_run_memory_does_not_grow_with_steps(circuit):
         def row(self, values):
             pass
 
-    def peak_bytes(t_end):
+    def peak_bytes(t_end, trace):
         tracemalloc.start()
         try:
-            rep = run(circuit, SimConfig(t_end=t_end), trace=Discard())
+            rep = run(circuit, SimConfig(t_end=t_end), trace=trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not rep.aborted
+        assert not rep.aborted and rep.trace_rows == round(t_end / 1e-2) + 1
         return peak
 
-    assert peak_bytes(2.0) - peak_bytes(0.2) < 50e3
+    for trace in (Discard(), None):
+        assert peak_bytes(2.0, trace) - peak_bytes(0.2, trace) < 50e3
 
 
 def test_streaming_reductions_match_array_forms(ph):
     # with one substep and a row per step, the trace holds every grid value
     # the run reduces: the end-of-run array expressions over the rows give
     # the report's residual maxima, settling times and final errors
-    trace = _ListTrace()
+    trace = ListTrace()
     rep = run(ph, SimConfig(t_end=8.0, decimation=1,
                             controller=ControllerKind.KNOWN_PARAMETER),
               trace=trace)
@@ -183,6 +185,33 @@ def test_streaming_reductions_match_array_forms(ph):
                                                        rel=1e-15)
 
 
+@pytest.mark.parametrize("over", [
+    {"estimator": EstimatorKind.GRADIENT_PBEP_OVERPARAM, "x0": (0.3, 0.3)},
+    {"estimator": EstimatorKind.GRADIENT_STD, "overparam_hat0": (0.5, 0.25)},
+], ids=["gradient_pbep_overparam", "gradient_std"])
+def test_gradient_power_residual_uses_the_applied_control(ph, over):
+    # a gradient estimate updates after the plant move, so the plant ran
+    # each step on the estimate at the step start; ph's net flow u y depends
+    # on the control, and the residual's must use the one the plant applied
+    trace = ListTrace()
+    rep = run(ph, SimConfig(t_end=2.0, decimation=1, gamma=30.0, **over),
+              trace=trace)
+    assert not rep.aborted
+    col = {c: i for i, c in enumerate(trace.columns)}
+    xs = [[row[col["x1"]], row[col["x2"]]] for row in trace.rows]
+    ths = [[row[col["theta_hat1"]]] for row in trace.rows]
+    h = 1e-3
+    s = [ph.energy(x, 0.0)[0] for x in xs]
+    # net flow at the end of step k under the estimate held over it
+    flow = {k: ph.energy(xs[k], ph.controller.beta(xs[k], ths[k - 1], k * h))[1]
+            for k in range(1, len(xs))}
+    want = [abs((s[k] - s[k - 2]) / (2.0 * h) - flow[k - 1])
+            for k in range(2, len(xs))]
+    got = [row[col["power_residual"]] for row in trace.rows[2:]]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-18)
+    assert rep.max_power_residual == max(want)
+
+
 def test_gram_min_eig_monotone(circuit):
     hist = [m for _, m in run_history(circuit)]
     diffs = np.diff(hist)
@@ -191,7 +220,7 @@ def test_gram_min_eig_monotone(circuit):
 
 def run_history(scenario):
     cfg = SimConfig(t_end=2.0, decimation=20)
-    trace = _ListTrace()
+    trace = ListTrace()
     rep = run(scenario, cfg, trace=trace)
     # min-eig column from the trace rows
     idx = trace.columns.index("gram_min_eig")
@@ -253,7 +282,7 @@ def test_excitation_matrix_regressor():
 def test_abort_on_unstable_substepping(circuit):
     # one substep leaves the fast closed-loop mode outside the RK4 stability
     # region at h = 1e-3; the run must abort with a diagnostic, not emit NaNs
-    trace = _ListTrace()
+    trace = ListTrace()
     rep = run(circuit, SimConfig(substeps=1), trace=trace)
     assert rep.aborted
     assert rep.abort_time > 0.0
