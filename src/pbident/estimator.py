@@ -90,7 +90,8 @@ class GplusDEstimator:
     """Interlaced gradient + determinant-mixing estimator.
 
     theta_g, theta and theta_g0 are lists of floats; Phi is kept as nested
-    lists and read as an ndarray.
+    lists and read as an ndarray.  Replace theta_g and Phi instead of
+    changing them in place: `mix` is memoized on their identity.
     """
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
@@ -119,6 +120,8 @@ class GplusDEstimator:
         self._PT = (param_map.P @ param_map.T).tolist()
         # running exponent of det(Phi): exact under `propagate`
         self.log_det_phi = 0.0
+        # (Phi rows, theta_g, (Delta, Ycal)) of the latest `mix`
+        self._mix_memo = None
         self._validated = False
 
     @property
@@ -129,16 +132,32 @@ class GplusDEstimator:
     def Phi(self, value):
         self._phi = np.asarray(value, dtype=float).tolist()
 
-    def mix(self) -> tuple[float, list]:
-        """(Delta, Ycal) from the current extension state."""
-        phi = self._phi
+    def mix(self) -> tuple[float, tuple]:
+        """(Delta, Ycal) from the current extension state, Ycal a tuple.
+
+        The pair is memoized on the identity of Phi's nested list and of
+        theta_g.  `propagate`, the Phi setter and assignment to theta_g
+        replace them instead of changing them in place, so a step's
+        correction flow and its trace row share one evaluation; the tuple
+        keeps callers from changing the memoized Ycal.
+        """
+        phi, g = self._phi, self.theta_g
+        memo = self._mix_memo
+        if memo is not None and memo[0] is phi and memo[1] is g:
+            return memo[2]
         a = [[e - v for e, v in zip(e_row, row)]
              for e_row, row in zip(self._eye, phi)]
-        m = np.array([*adjugate(a), self.theta_g])
+        m = np.array([*adjugate(a), g])
         r = m[-1]
         if self._g0 is not None:
             r = r - np.array(phi).dot(self._g0)
-        return determinant(a), m[:-1].dot(r).tolist()
+        pair = (determinant(a), tuple(m[:-1].dot(r).tolist()))
+        self._mix_memo = (phi, g, pair)
+        return pair
+
+    def det_phi(self) -> float:
+        """det(Phi), from the nested list."""
+        return determinant(self._phi)
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega

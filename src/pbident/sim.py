@@ -60,7 +60,7 @@ import numpy as np
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import determinant, dot, ieee_div, min_eig_symmetric
+from .smallmat import dot, ieee_div, min_eig_symmetric
 
 
 class EstimatorKind(Enum):
@@ -152,10 +152,17 @@ class SimConfig:
             raise ConfigValueError("substeps", f"must be >= 1, got "
                                    f"{self.substeps!r}")
         # plant substeps are counted with an index
-        if not self.t_end / self.h * (self.substeps or 1) < sys.maxsize:
+        steps = self.t_end / self.h
+        if not steps * (self.substeps or 1) < sys.maxsize:
             raise ConfigValueError("t_end", f"/ h gives more steps than an "
                                    f"index holds: t_end={self.t_end!r} "
                                    f"h={self.h!r}")
+        # a run takes whole steps; t_end / h may miss a whole number by
+        # the rounding of the division
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigValueError("t_end", f"must be a whole multiple of h, "
+                                   f"got t_end={self.t_end!r} h={self.h!r} "
+                                   f"({steps!r} steps)")
 
     # a default that overflows is refused below, not warned about
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -167,29 +174,34 @@ class SimConfig:
         kind = self.estimator
         theta_hat0 = (scenario.theta_hat0_default if self.theta_hat0 is None
                       else self.theta_hat0)
-        wanted = {"x0": (plant.n, lambda: scenario.x0_default),
-                  "theta_hat0": (pm.q, lambda: theta_hat0)}
+        # key -> (components, default, where the default comes from)
+        wanted = {"x0": (plant.n, lambda: scenario.x0_default, "x0_default"),
+                  "theta_hat0": (pm.q, lambda: theta_hat0,
+                                 "theta_hat0_default")}
         if kind is EstimatorKind.GPLUSD_PBEP:
-            wanted["theta_g0"] = (pm.p, lambda: np.zeros(pm.p))
+            wanted["theta_g0"] = (pm.p, lambda: np.zeros(pm.p), "zeros")
         elif kind is EstimatorKind.GRADIENT_STD:
             if plant.std is None:
                 raise ConfigValueError("estimator", f"gradient_std needs "
                                        f"standard regression data, which "
                                        f"scenario {scenario.name!r} lacks")
             wanted["overparam_hat0"] = (plant.std.n_w,
-                                        lambda: np.zeros(plant.std.n_w))
+                                        lambda: np.zeros(plant.std.n_w), "zeros")
         elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
             # start at the stacked image of theta_hat0
             wanted["overparam_hat0"] = (pm.p, lambda: pm.G(
-                np.asarray(theta_hat0, dtype=float)))
+                np.asarray(theta_hat0, dtype=float)), "G(theta_hat0)")
         values = {}
-        for key, (size, default) in wanted.items():
+        for key, (size, default, source) in wanted.items():
             value = getattr(self, key)
-            if value is None:
+            given = value is not None
+            if not given:
                 value = default()
-            elif len(value) != size:
+            n = len(np.ravel(value))
+            if n != size:
                 raise ConfigValueError(key, f"needs {size} components, got "
-                                       f"{len(value)}")
+                                       f"{n}" + ("" if given else
+                                                 f" from its default {source}"))
             values[key] = value
         return replace(self, substeps=(scenario.substeps if self.substeps is None
                                        else self.substeps), **values)
@@ -206,18 +218,23 @@ class ExcitationRecord:
     `push` adds each regressor's outer product to the unit-weight sum on
     Python floats, one regressor column after another and in push order,
     so the Gram at a grid point does not depend on how often it is read
-    (the trace decimation).
+    (the trace decimation).  The Gram is built as rows of floats: the
+    (i, j) and (j, i) products are the same float, so it is exactly
+    symmetric, and `min_eig` hands the rows to `min_eig_symmetric` as
+    they are.  `record` also keeps `t_c`, the first recorded time at which
+    the minimum eigenvalue reached `threshold` (None until then), so the
+    record needs a fixed amount of memory however long the run.
     """
 
     def __init__(self, p: int, h: float, threshold: float):
         self.p = int(p)
         self.h = float(h)
         self.threshold = float(threshold)
-        self.min_eig_history: list[tuple[float, float]] = []
+        self.t_c: Optional[float] = None
         self._pairs = [(i, j) for i in range(self.p) for j in range(self.p)]
         self._sum = [0.0] * (self.p * self.p)   # row-major
-        self._first = None   # columns of the first and the latest regressor
-        self._last = None
+        self._first = None   # outer product of the first regressor
+        self._last = None    # columns of the latest regressor
 
     def push(self, omega):
         """Record the regressor (a p-sequence or a (p, n) array) at the
@@ -225,7 +242,7 @@ class ExcitationRecord:
         om = omega.tolist() if isinstance(omega, np.ndarray) else omega
         cols = list(zip(*om)) if isinstance(om[0], (list, tuple)) else [om]
         if self._first is None:
-            self._first = cols
+            self._first = self._add_outers([0.0] * len(self._sum), cols)
         self._last = cols
         self._sum = self._add_outers(self._sum, cols)
 
@@ -237,14 +254,19 @@ class ExcitationRecord:
             s = [v + c[i] * c[j] for v, (i, j) in zip(s, pairs)]
         return s
 
+    def _gram_rows(self) -> list:
+        """The trapezoid Gram as p rows of floats."""
+        p = self.p
+        if self._first is None:
+            return [[0.0] * p for _ in range(p)]
+        h, hh = self.h, 0.5 * self.h
+        ends = self._add_outers(self._first, self._last)
+        flat = [h * s - hh * e for s, e in zip(self._sum, ends)]
+        return [flat[i:i + p] for i in range(0, p * p, p)]
+
     @property
     def gram(self) -> np.ndarray:
-        if self._first is None:
-            return np.zeros((self.p, self.p))
-        ends = self._add_outers(self._add_outers([0.0] * len(self._sum),
-                                                 self._first), self._last)
-        return (self.h * np.array(self._sum)
-                - (0.5 * self.h) * np.array(ends)).reshape(self.p, self.p)
+        return np.array(self._gram_rows())
 
     @property
     def q_trap(self) -> float:
@@ -254,25 +276,23 @@ class ExcitationRecord:
     def min_eig(self) -> float:
         """Smallest eigenvalue of the Gram; nan once it has overflowed."""
         try:
-            return min_eig_symmetric(self.gram)
+            return min_eig_symmetric(self._gram_rows())
         except ValueError:
             return math.nan
 
     def record(self, t: float) -> float:
+        """The Gram's minimum eigenvalue at grid time t, noting t as `t_c`
+        if it is the first to reach the threshold."""
         m = self.min_eig()
-        self.min_eig_history.append((t, m))
+        if self.t_c is None and m >= self.threshold:
+            self.t_c = t
         return m
 
 
-def excitation_report(record: ExcitationRecord,
-                      c_c: Optional[float] = None) -> tuple[bool, Optional[float]]:
-    """(is_IE, t_c): whether the sampled Gram minimum eigenvalue ever reached
-    the threshold, and the first recorded time it did."""
-    level = record.threshold if c_c is None else float(c_c)
-    for t, m in record.min_eig_history:
-        if m >= level:
-            return True, t
-    return False, None
+def excitation_report(record: ExcitationRecord) -> tuple[bool, Optional[float]]:
+    """(is_IE, t_c): whether the recorded Gram minimum eigenvalue ever
+    reached the record's threshold, and the first recorded time it did."""
+    return record.t_c is not None, record.t_c
 
 
 @dataclass
@@ -667,7 +687,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
             vals += world.estimator.Theta
         if gd:
             delta, _ = world.estimator.mix()
-            vals += [delta, determinant(world.estimator.Phi)]
+            vals += [delta, world.estimator.det_phi()]
         else:
             vals += [0.0, 1.0]
         vals += [mineig, residual]
@@ -753,12 +773,12 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
 
     if world.excitation is not None:
         report.gram_min_eig_final = world.excitation.min_eig()
-        report.is_ie, report.t_c = excitation_report(world.excitation, cfg.c_c)
+        report.is_ie, report.t_c = excitation_report(world.excitation)
     if gd:
         est = world.estimator
         report.abel_gap = abs(est.log_det_phi
                               + cfg.gamma_g * world.excitation.q_trap)
         delta, _ = est.mix()
         report.delta_final = delta
-        report.det_phi_final = determinant(est.Phi)
+        report.det_phi_final = est.det_phi()
     return report

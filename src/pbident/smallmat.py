@@ -14,7 +14,11 @@ float arithmetic would raise.
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
 Jacobi rotation on Python floats, nested lists in and out) and with
-numpy's eigh above; `min_eig_symmetric` uses numpy's eigvalsh.
+numpy's eigh above.  `min_eig_symmetric` uses numpy's eigvalsh at every
+size, after checking and symmetrizing on floats, so the excitation
+monitor hands over its Gram as nested float rows.  A closed form would
+not do there: it rounds differently from LAPACK, and the Gram eigenvalue
+is a trace column that stays bit-identical.
 """
 
 from __future__ import annotations
@@ -205,8 +209,16 @@ def symmetric_eigen(m):
 
 
 def min_eig_symmetric(m) -> float:
-    """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2)."""
-    a = _as_square(m)
-    if not np.isfinite(a).all():
+    """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2).
+
+    The matrix is checked and symmetrized on floats, and numpy's eigvalsh
+    is called once; a square nested list is taken as it is, anything else
+    is read as a square array first.  Non-finite entries raise ValueError.
+    """
+    if not (type(m) is list and m
+            and all(type(r) is list and len(r) == len(m) for r in m)):
+        m = _as_square(m).tolist()
+    if not all(math.isfinite(v) for r in m for v in r):
         raise ValueError("matrix entries must be finite")
-    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+    sym = [[0.5 * (a + b) for a, b in zip(r, c)] for r, c in zip(m, zip(*m))]
+    return float(np.linalg.eigvalsh(sym)[0])

@@ -356,7 +356,7 @@ def test_main_run_zero_ph_estimate_aborts_with_a_report(tmp_path, capsys,
 def test_main_run_overflow_ends_in_an_abort(tmp_path, capsys, lines,
                                             component, steps):
     path = tmp_path / "c.cfg"
-    path.write_text(f"{lines}\nt_end = 0.03125\n")
+    path.write_text(f"{lines}\nt_end = 0.031\n")
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()

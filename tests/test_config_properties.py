@@ -36,10 +36,11 @@ def fmt(value):
 @st.composite
 def config_texts(draw, scalars, vector, always, broken=None):
     """Config text with the scenario, estimator, controller and the keys of
-    `always` set, and every other key present or not.  `scalars(scenario)`
-    maps keys to value strategies; `vector(size)` draws a vector meant to
-    have `size` components.  With `broken`, one key may instead take a
-    value drawn from it."""
+    `always` set, and every other key present or not.  A value of `always`
+    is a strategy, or a function of the values drawn before it that gives
+    one.  `scalars(scenario)` maps keys to value strategies; `vector(size)`
+    draws a vector meant to have `size` components.  With `broken`, one key
+    may instead take a value drawn from it."""
     scenario = draw(st.sampled_from(sorted(DIMS)))
     estimator = draw(st.sampled_from(ESTIMATORS))
     q, p, n_w = DIMS[scenario]
@@ -47,7 +48,9 @@ def config_texts(draw, scalars, vector, always, broken=None):
              "overparam_hat0": n_w if estimator == "gradient_std" else p}
     values = {"scenario": scenario, "estimator": estimator,
               "controller": draw(st.sampled_from(CONTROLLERS))}
-    values.update((key, draw(value)) for key, value in always.items())
+    for key, value in always.items():
+        values[key] = draw(value if isinstance(value, st.SearchStrategy)
+                           else value(values))
     optional = {**scalars(scenario),
                 **{key: vector(size) for key, size in sizes.items()}}
     for key, value in optional.items():
@@ -79,11 +82,21 @@ def valid_scalars(scenario):
                                min_size=1)}
 
 
+def whole_steps(t_lo, t_hi):
+    """t_end from t_lo to t_hi as a whole number (at least 2) of steps of
+    the drawn h."""
+    def draw_t_end(values):
+        h = values["h"]
+        return st.integers(max(2, math.ceil(t_lo / h)),
+                           max(2, math.floor(t_hi / h))).map(lambda n: n * h)
+    return draw_t_end
+
+
 @checked
 @given(config_texts(valid_scalars,
                     lambda size: st.tuples(*[st.floats(0.1, 10.0)] * size),
                     always={"h": st.floats(1e-6, 1.0),
-                            "t_end": st.floats(2.0, 1e6)}))
+                            "t_end": whole_steps(2.0, 1e6)}))
 def test_parse_emit_round_trip(text):
     cfg = parse_config(text)
     again = parse_config(emit_config(cfg))
@@ -114,7 +127,8 @@ def broken(key, size):
     if key in ("decimation", "substeps"):
         return st.integers(-2, 0)
     if key in ("h", "t_end"):            # refused values only: runs stay short
-        return st.sampled_from([0.0, -1.0, 1e-300, 1e300, math.nan, math.inf])
+        return st.sampled_from([0.0, -1.0, 1e-300, 1e300, math.nan, math.inf,
+                                0.0123456789])   # not a multiple of h
     return anything
 
 
@@ -123,7 +137,7 @@ def broken(key, size):
                     lambda size: st.tuples(*[usable | extreme | st.floats(
                         -1e300, 1e300)] * size),
                     always={"h": st.sampled_from([1e-3, 2e-3, 1e-2]),
-                            "t_end": st.floats(0.011, 0.05)},
+                            "t_end": whole_steps(0.011, 0.05)},
                     broken=broken))
 def test_parsed_config_runs_to_a_report_or_an_abort(text):
     try:

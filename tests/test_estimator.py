@@ -139,6 +139,39 @@ def test_mix_initial_instant():
     assert np.array_equal(ycal, np.zeros(3))
 
 
+def test_mix_follows_every_state_replacement():
+    # mix is memoized on the identity of Phi and theta_g: propagate, the Phi
+    # setter and assignment to theta_g must each give the fresh pair
+    theta_g0 = np.array([0.4, -0.3])
+    est = GplusDEstimator(vector_map(2), gamma_g=3.0, gamma=1.0,
+                          theta_g0=theta_g0)
+
+    def fresh():
+        a = np.eye(2) - est.Phi
+        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        r = np.asarray(est.theta_g) - est.Phi @ theta_g0
+        return np.linalg.det(a), adj @ r
+
+    def check():
+        delta, ycal = est.mix()
+        assert type(ycal) is tuple
+        assert est.mix() is est.mix()
+        want_delta, want_ycal = fresh()
+        assert delta == pytest.approx(want_delta, abs=1e-14)
+        assert np.asarray(ycal) == pytest.approx(want_ycal, abs=1e-14)
+        return delta, ycal
+
+    pairs = [check()]
+    est.propagate(const_sample(0.0, 1.0, [1.0, 0.5]),
+                  const_sample(0.1, 1.2, [0.2, 1.0]), 0.1)
+    pairs.append(check())
+    est.Phi = np.array([[0.5, 0.1], [0.2, 0.25]])
+    pairs.append(check())
+    est.theta_g = [1.0, 2.0]
+    pairs.append(check())
+    assert len(set(pairs)) == len(pairs)
+
+
 # -- mixing identity under exact feed ------------------------------------------
 
 def random_omega_stream(rng, p, n_steps):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,36 @@ def test_config_rejects_non_finite_settings_by_key(over, key):
         SimConfig(**over)
     assert err.value.key == key
     assert str(err.value).startswith(key + " ")
+
+
+@pytest.mark.parametrize("t_end, h", [(0.0315, 1e-3), (1.05, 0.1),
+                                       (2.5, 2.0)])
+def test_config_rejects_t_end_off_the_step_grid(t_end, h):
+    with pytest.raises(ConfigValueError, match="whole multiple of h") as err:
+        SimConfig(t_end=t_end, h=h)
+    assert err.value.key == "t_end"
+
+
+@pytest.mark.parametrize("t_end, h", [(0.3, 0.1), (20.0, 1e-3), (0.031, 1e-3),
+                                       (1e-323, 5e-324)])
+def test_config_accepts_t_end_on_the_step_grid(t_end, h):
+    # t_end / h misses a whole number by the rounding of the division only
+    assert SimConfig(t_end=t_end, h=h).t_end == t_end
+
+
+def test_config_checks_a_derived_overparam_hat0(ph):
+    # the default overparam_hat0 is G(theta_hat0): a G one value short gives
+    # a one-value start, refused by key instead of in the estimator
+    pm = replace(ph.plant.param_map, G_direct=lambda th: (th[0],))
+    scen = replace(ph, plant=replace(ph.plant, param_map=pm))
+    cfg = SimConfig(estimator=EstimatorKind.GRADIENT_PBEP_OVERPARAM, t_end=0.1)
+    with pytest.raises(ConfigValueError,
+                       match=r"needs 2 components, got 1 from its default "
+                             r"G\(theta_hat0\)") as err:
+        cfg.resolved(scen)
+    assert err.value.key == "overparam_hat0"
+    with pytest.raises(ConfigValueError, match="overparam_hat0"):
+        run(scen, cfg)
 
 
 def test_config_stores_vectors_as_float_tuples(circuit):
@@ -247,6 +278,40 @@ def test_excitation_record_closed_forms():
     ok, t_c = excitation_report(rec)
     assert ok
     assert t_c == pytest.approx(c_c / c ** 2, abs=h)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (3, 2)])
+def test_excitation_gram_rows_match_the_array_form(shape):
+    # the Gram is built as float rows: it equals the array expression
+    # h * sum of outers - h/2 * (first + latest outers) bit for bit, is
+    # exactly symmetric, and its minimum eigenvalue is eigvalsh's
+    rng = np.random.default_rng(sum(shape))
+    p, h = shape[0], 1e-3
+    rec = ExcitationRecord(p, h=h, threshold=1e-3)
+    total = np.zeros((p, p))
+    for k in range(60):
+        om = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+        rec.push(om)
+        # one outer product per regressor column, added left to right
+        outers = [np.outer(c, c) for c in om.reshape(p, -1).T]
+        total = sum(outers, total)
+        if k == 0:
+            first = sum(outers, np.zeros((p, p)))
+        ends = sum(outers, first)
+        gram = rec.gram
+        assert gram.tobytes() == (h * total - (0.5 * h) * ends).tobytes()
+        assert np.array_equal(gram, gram.T)
+        assert rec.min_eig() == float(np.linalg.eigvalsh(gram)[0])
+
+
+def test_run_t_c_is_the_first_crossing_of_the_trace_column(ph):
+    trace = ListTrace()
+    cfg = SimConfig(t_end=2.0, decimation=1)
+    rep = run(ph, cfg, trace=trace)
+    col = trace.columns.index("gram_min_eig")
+    crossings = [row[0] for row in trace.rows if row[col] >= cfg.c_c]
+    assert crossings and 0.0 < crossings[0] < 2.0
+    assert (rep.is_ie, rep.t_c) == (True, crossings[0])
 
 
 @pytest.mark.parametrize("name, estimator", [

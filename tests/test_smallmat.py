@@ -82,6 +82,18 @@ def test_min_eig_recovers_constructed_spectrum():
             assert min_eig_symmetric(m) == pytest.approx(lam[0], abs=1e-9)
 
 
+def test_min_eig_matches_eigvalsh_of_the_symmetrized_array():
+    # symmetrizing on floats takes the same operations as the array
+    # expression, so eigvalsh sees the same matrix
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        for _ in range(50):
+            m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 8)
+            want = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+            assert min_eig_symmetric(m.tolist()) == want
+            assert min_eig_symmetric(m) == want
+
+
 def test_symmetric_eigen_reconstructs():
     rng = np.random.default_rng(3)
     for n in range(1, 9):
