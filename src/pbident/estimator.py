@@ -31,8 +31,9 @@ correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats, and the elementwise parts of every update run on
-them.  For the scalar regressions (the interlaced estimator and the
-gradient flow on a p-vector regressor) the dot products (|Omega|^2,
+them through smallmat's kernels, unrolled to length p.  For the scalar
+regressions (the interlaced estimator and the gradient flow on a p-vector
+regressor) the dot products (|Omega|^2,
 Omega' theta_g, Omega' Phi, adj(I - Phi) r) and expm1 stay numpy calls:
 numpy's BLAS (OpenBLAS on FMA hardware) evaluates small dot products with
 fused multiply-adds, whose rounding no Python expression reproduces, and
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, determinant, dot, min_eig_symmetric,
-                       symmetric_eigen)
+from .smallmat import (adjugate, axpy, determinant, dot, eye_minus,
+                       min_eig_symmetric, rank1_update, symmetric_eigen)
 
 
 def _check_sample(sample: RegressorSample, p: int, scalar: bool):
@@ -107,8 +108,11 @@ class GplusDEstimator:
         self.theta_g = list(self.theta_g0)
         # Phi @ theta_g0 vanishes for the default theta_g0 = 0
         self._g0 = np.array(self.theta_g0) if any(self.theta_g0) else None
-        self._eye = np.eye(p).tolist()
         self._phi = np.eye(p).tolist()
+        # element-wise kernels unrolled to length p (smallmat)
+        self._eye_minus = eye_minus(p)
+        self._axpy = axpy(p)
+        self._rank1_update = rank1_update(p)
         self.theta = [0.0] * q if theta0 is None else \
             np.asarray(theta0, dtype=float).reshape(q).tolist()
         # the correction flow zips G(theta) with rows of length p, which
@@ -122,6 +126,8 @@ class GplusDEstimator:
         self.log_det_phi = 0.0
         # (Phi rows, theta_g, (Delta, Ycal)) of the latest `mix`
         self._mix_memo = None
+        # (sample, gain, |Omega|^2, exact gain) of the latest half update
+        self._gain_memo = None
         self._validated = False
 
     @property
@@ -145,8 +151,7 @@ class GplusDEstimator:
         memo = self._mix_memo
         if memo is not None and memo[0] is phi and memo[1] is g:
             return memo[2]
-        a = [[e - v for e, v in zip(e_row, row)]
-             for e_row, row in zip(self._eye, phi)]
+        a = self._eye_minus(phi)
         m = np.array([*adjugate(a), g])
         r = m[-1]
         if self._g0 is not None:
@@ -164,15 +169,19 @@ class GplusDEstimator:
         phi = self._phi
         m = np.array([om, self.theta_g, *phi])
         om_a = m[0]
-        n2 = float(om_a.dot(om_a))
         gt = self.gamma_g * tau
-        c = _exp_gain(gt, n2)
+        # a step's end sample is the next step's start sample
+        memo = self._gain_memo
+        if memo is not None and memo[0] is sample and memo[1] == gt:
+            n2, c = memo[2], memo[3]
+        else:
+            n2 = float(om_a.dot(om_a))
+            c = _exp_gain(gt, n2)
+            self._gain_memo = (sample, gt, n2, c)
         ce = c * (sample.Y - float(om_a.dot(m[1])))
-        self.theta_g = [g + ce * o for g, o in zip(self.theta_g, om)]
+        self.theta_g = self._axpy(self.theta_g, ce, om)
         # Phi - outer(c * om, om @ Phi)
-        v = om_a.dot(m[2:]).tolist()
-        self._phi = [[b - co * w for b, w in zip(row, v)]
-                     for co, row in zip([c * o for o in om], phi)]
+        self._phi = self._rank1_update(phi, c, om, om_a.dot(m[2:]).tolist())
         self.log_det_phi -= gt * n2
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
@@ -205,6 +214,7 @@ class GradientEstimator:
             np.asarray(Theta0, dtype=float).reshape(self.n_w).tolist()
         self._validated = False
         self._matrix = False
+        self._axpy = axpy(self.n_w)
 
     def rate(self, sample: RegressorSample) -> np.ndarray:
         """Literal flow gamma * Omega * (Y - Omega' Theta_hat)."""
@@ -225,7 +235,7 @@ class GradientEstimator:
             om_a, theta = np.array([om, self.Theta])
             c = _exp_gain(self.gamma * tau, float(om_a.dot(om_a)))
             ce = c * (sample.Y - float(om_a.dot(theta)))
-            self.Theta = [a + ce * o for a, o in zip(self.Theta, om)]
+            self.Theta = self._axpy(self.Theta, ce, om)
             return
         # matrix regressor (p x n, one column per state equation): the
         # exponential update through the n x n Gram (module docstring)

@@ -33,14 +33,17 @@ The whole step runs on Python floats: plant and filter states, estimates,
 regression samples and the estimator's matrices are lists and tuples of
 floats, and the scenario closures take and return components (see
 plants).  On 2- and 3-element states numpy's per-call overhead is most of
-the cost.  Element-wise expressions keep the operation order of the array
-forms they replace, and the estimator's dot products stay numpy calls (see
-estimator), so runs are bit-identical to those forms.  Arrays are built
-for the estimator's dot products, trace rows, the report and the ndarray
-views (`World.x`, the generators' `state`, `GplusDEstimator.Phi`) that
-callers read.  The run loop keeps its power-balance residuals, settling
-times and final errors as running reductions, and its trace rows go to
-the caller's sink, so a run needs a fixed amount of memory.
+the cost.  Element-wise expressions are smallmat's unrolled kernels, which
+`World` binds once to the run's lengths (plant state, estimate, regressor,
+filter channels) after checking that the scenario's closures return those
+lengths; they keep the operation order of the array forms they replace,
+and the estimator's dot products stay numpy calls (see estimator), so runs
+are bit-identical to those forms.  Arrays are built for the estimator's
+dot products, trace rows, the report and the ndarray views (`World.x`, the
+generators' `state`, `GplusDEstimator.Phi`) that callers read.  The run
+loop keeps its power-balance residuals, settling times and final errors
+as running reductions, and its trace rows go to the caller's sink, so a
+run needs a fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -60,7 +63,10 @@ import numpy as np
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import dot, ieee_div, min_eig_symmetric
+from .smallmat import (axpy, axpy_rows, dot, hermite_mid, ieee_div, lag_rate,
+                       lag_rate_at, midpoint, min_eig_symmetric, outer_add,
+                       rk4_sum, scale_rows, scaled_diff_rows, scaled_mv, sub,
+                       v_minus_mg)
 
 
 class EstimatorKind(Enum):
@@ -231,7 +237,8 @@ class ExcitationRecord:
         self.h = float(h)
         self.threshold = float(threshold)
         self.t_c: Optional[float] = None
-        self._pairs = [(i, j) for i in range(self.p) for j in range(self.p)]
+        self._outer_add = outer_add(self.p)
+        self._trapezoid = scaled_diff_rows(self.p)
         self._sum = [0.0] * (self.p * self.p)   # row-major
         self._first = None   # outer product of the first regressor
         self._last = None    # columns of the latest regressor
@@ -249,9 +256,8 @@ class ExcitationRecord:
     def _add_outers(self, s: list, cols) -> list:
         """s + sum of c c' over the columns c, row-major, added one column
         at a time."""
-        pairs = self._pairs
         for c in cols:
-            s = [v + c[i] * c[j] for v, (i, j) in zip(s, pairs)]
+            s = self._outer_add(s, c)
         return s
 
     def _gram_rows(self) -> list:
@@ -259,10 +265,8 @@ class ExcitationRecord:
         p = self.p
         if self._first is None:
             return [[0.0] * p for _ in range(p)]
-        h, hh = self.h, 0.5 * self.h
         ends = self._add_outers(self._first, self._last)
-        flat = [h * s - hh * e for s, e in zip(self._sum, ends)]
-        return [flat[i:i + p] for i in range(0, p * p, p)]
+        return self._trapezoid(self.h, self._sum, 0.5 * self.h, ends)
 
     @property
     def gram(self) -> np.ndarray:
@@ -391,6 +395,16 @@ class World:
         x = self.plant_state
         u0 = self.control(x, self.theta_hat, 0.0)
         up0, yp0 = scenario.ports(x, u0, 0.0)
+        # the step's kernels are unrolled to these lengths, and would read
+        # past a short closure value or ignore the rest of a long one
+        # (fast_rate(x, u0, 0) is the start rate under every controller)
+        for closure, value, dim in (("fast_rate", fast_rate(x, u0, 0.0), "n"),
+                                    ("ports u_p", up0, "n_p"),
+                                    ("ports y_p", yp0, "n_p")):
+            if len(value) != getattr(plant, dim):
+                raise ValueError(f"{closure} returns {len(value)} components "
+                                 f"at the start state, but the plant has "
+                                 f"{dim} = {getattr(plant, dim)}")
         if kind in (EstimatorKind.GPLUSD_PBEP, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.generator = PbepGenerator(plant.nlpre, plant.param_map,
                                            cfg.lam, x, up0, yp0)
@@ -410,6 +424,22 @@ class World:
                                                Theta0=cfg.overparam_hat0)
         if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.theta_hat = self.extract_theta()
+
+        # element-wise kernels unrolled to this run's lengths (smallmat)
+        n, q = plant.n, plant.param_map.q
+        self._axpy_x, self._rk4_x = axpy(n), rk4_sum(n)
+        self._midpoint_x, self._hermite_x = midpoint(n), hermite_mid(n)
+        self._axpy_th, self._sub_th, self._rk4_th = axpy(q), sub(q), rk4_sum(q)
+        self._interp_th = axpy_rows(q, 2 * self.substeps)
+        if kind is EstimatorKind.GPLUSD_PBEP:
+            p = plant.param_map.p
+            self._rate_th = v_minus_mg(q, p)
+            self._scaled_mv_th = scaled_mv(q, p)
+            self._scale_rows_th = scale_rows(q, p)
+        if self.generator is not None:
+            n_ch = self.generator.n_channels
+            self._lag_z, self._lag_at_z = lag_rate(n_ch), lag_rate_at(n_ch)
+            self._rk4_z = rk4_sum(n_ch)
 
     @property
     def x(self) -> np.ndarray:
@@ -447,29 +477,28 @@ def _finite_samples(*samples: RegressorSample) -> bool:
                for s in samples)
 
 
-def _rk4_correction(est: GplusDEstimator, th: list, h: float) -> list:
+def _rk4_correction(world: World, th: list, h: float) -> list:
     """One RK4 step of the correction flow
     theta_dot = gamma * P T * Delta * (Ycal - Delta * G(theta))
     with the mixing pair frozen at the step start."""
+    est = world.estimator
     delta, ycal = est.mix()
     gd_ = est.gamma * delta
     gdd = gd_ * delta
-    vec = [gd_ * dot(row, ycal) for row in est._PT]
-    mat = [[gdd * v for v in row] for row in est._PT]
+    vec = world._scaled_mv_th(gd_, est._PT, ycal)
+    mat = world._scale_rows_th(gdd, est._PT)
     g_map = est.param_map.G
+    v_minus_mg, axpy = world._rate_th, world._axpy_th
 
     def rate(theta):
-        g = g_map(theta)
-        return [v - dot(row, g) for v, row in zip(vec, mat)]
+        return v_minus_mg(vec, mat, g_map(theta))
 
     half = 0.5 * h
     a1 = rate(th)
-    a2 = rate([a + half * b for a, b in zip(th, a1)])
-    a3 = rate([a + half * b for a, b in zip(th, a2)])
-    a4 = rate([a + h * b for a, b in zip(th, a3)])
-    sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(th, a1, a2, a3, a4)]
+    a2 = rate(axpy(th, half, a1))
+    a3 = rate(axpy(th, half, a2))
+    a4 = rate(axpy(th, h, a3))
+    return world._rk4_th(th, h / 6.0, a1, a2, a3, a4)
 
 
 def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
@@ -507,9 +536,8 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
     nsub = world.substeps
     fracs = world._fracs
     if kind is EstimatorKind.GPLUSD_PBEP:
-        th_new = _rk4_correction(est, th, h)
-        dth = [b - a for a, b in zip(th, th_new)]
-        ths = [[a + f * d for a, d in zip(th, dth)] for f in fracs[:-1]]
+        th_new = _rk4_correction(world, th, h)
+        ths = world._interp_th(th, fracs, world._sub_th(th_new, th))
         ths.append(th_new)
     else:
         th_new = th
@@ -517,6 +545,7 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
 
     hs = h / nsub
     hh, h6 = 0.5 * hs, hs / 6.0
+    axpy, rk4 = world._axpy_x, world._rk4_x
     xc = x
     xs = SubGrid()
     for j in range(nsub):
@@ -526,11 +555,10 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
         t1s = t + fracs[i2 + 2] * h
         th0s, thms, th1s = ths[i2], ths[i2 + 1], ths[i2 + 2]
         k1 = plant_rate(xc, th0s, t0s)
-        k2 = plant_rate([a + hh * b for a, b in zip(xc, k1)], thms, tms)
-        k3 = plant_rate([a + hh * b for a, b in zip(xc, k2)], thms, tms)
-        k4 = plant_rate([a + hs * b for a, b in zip(xc, k3)], th1s, t1s)
-        xc = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-              for a, b1, b2, b3, b4 in zip(xc, k1, k2, k3, k4)]
+        k2 = plant_rate(axpy(xc, hh, k1), thms, tms)
+        k3 = plant_rate(axpy(xc, hh, k2), thms, tms)
+        k4 = plant_rate(axpy(xc, hs, k3), th1s, t1s)
+        xc = rk4(xc, h6, k1, k2, k3, k4)
         xs.append(xc)
 
     sample1 = None
@@ -541,14 +569,11 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
             # cubic-Hermite midpoint from endpoint values and rates
             r0 = plant_rate(x, th, t)
             r1 = plant_rate(xc, th_new, t + h)
-            h8 = h / 8.0
-            x_mid = [0.5 * (a + b) + h8 * (c - d)
-                     for a, b, c, d in zip(x, xc, r0, r1)]
+            x_mid = world._hermite_x(x, xc, h / 8.0, r0, r1)
         elif nsub % 2 == 0:
             x_mid = xs[nsub // 2 - 1]
         else:
-            x_mid = [0.5 * (a + b) for a, b in zip(xs[nsub // 2 - 1],
-                                                   xs[nsub // 2])]
+            x_mid = world._midpoint_x(xs[nsub // 2 - 1], xs[nsub // 2])
         tm, t1 = t + 0.5 * h, t + h
         im = world.assemble_inputs(x_mid, tm, th_mid)
         i1 = world.assemble_inputs(xc, t1, th_new)
@@ -557,12 +582,12 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
         half, sixth = 0.5 * h, h / 6.0
         bank = gen.bank
         z = bank.state
-        c1 = [lam * (u - a) for u, a in zip(i0, z)]
-        c2 = [lam * (u - (a + half * c)) for u, a, c in zip(im, z, c1)]
-        c3 = [lam * (u - (a + half * c)) for u, a, c in zip(im, z, c2)]
-        c4 = [lam * (u - (a + h * c)) for u, a, c in zip(i1, z, c3)]
-        bank.state = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(z, c1, c2, c3, c4)]
+        lag_at = world._lag_at_z
+        c1 = world._lag_z(lam, i0, z)
+        c2 = lag_at(lam, im, z, half, c1)
+        c3 = lag_at(lam, im, z, half, c2)
+        c4 = lag_at(lam, i1, z, h, c3)
+        bank.state = world._rk4_z(z, sixth, c1, c2, c3, c4)
         sample1 = gen.sample_from(t1, i1)
         if est is not None:
             if t == 0.0 and not _finite_samples(sample0, sample1):
@@ -665,10 +690,12 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     n_theta = float(np.linalg.norm(theta_true))
     energy_uses_u = scenario.energy_uses_u
 
+    sub_th, axpy_th = world._sub_th, world._axpy_th
+
     def param_dist(th_hat) -> float:
         if not n_theta > 0:
             return math.nan
-        d = [a - b for a, b in zip(th_hat, theta_true)]
+        d = sub_th(th_hat, theta_true)
         return math.sqrt(dot(d, d)) / n_theta
 
     def emit_row(k: int, residual: float):
@@ -720,12 +747,11 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
             # the control the plant applied: only the correction flow's
             # estimate moves across the step (see step)
             if energy_uses_u and gd:
-                dth = [b - a for a, b in zip(th_prev, world.theta_hat)]
+                dth = sub_th(world.theta_hat, th_prev)
             for j, xsub in enumerate(xs):
                 if energy_uses_u:
                     frac = (j + 1) / nsub
-                    th_sub = ([a + frac * d for a, d in zip(th_prev, dth)] if gd
-                              else th_prev)
+                    th_sub = axpy_th(th_prev, frac, dth) if gd else th_prev
                     usub = control(xsub, th_sub, tk - h + frac * h)
                 else:
                     usub = 0.0

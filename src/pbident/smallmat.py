@@ -11,6 +11,23 @@ reduction, `determinant`/`adjugate` take up to 3x3 nested lists of floats
 directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
 float arithmetic would raise.
 
+The step's element-wise expressions are kernels unrolled to a vector
+length: a factory such as `axpy(n)` returns the function
+`lambda x, s, y: [x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled
+on the first call with that length and cached (`_kernel`), so a second
+call with the same length returns the same function.  The sources come
+only from the fixed templates here and integer lengths.  On CPython 3.11
+a comprehension such as `[a + s * b for a, b in zip(x, y)]` builds a
+function, a frame and a zip on every call, which on 2- and 3-element
+states costs several times the arithmetic; comprehensions are inlined
+from 3.12 on (PEP 709), so the gain is smaller there.  Each kernel keeps
+the per-element operation order of the comprehension it replaces (its
+docstring gives the expression; sums of products start from 0.0 and go
+left to right, as `dot` does), so results are bit-identical to it.  A
+kernel reads exactly n components: it raises IndexError on a shorter
+argument and ignores the rest of a longer one, so callers bind kernels
+to lengths they have checked.
+
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
 Jacobi rotation on Python floats, nested lists in and out) and with
@@ -23,6 +40,7 @@ is a trace column that stays bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,6 +57,143 @@ def dot(a, b) -> float:
     for u, v in zip(a, b):
         acc += u * v
     return acc
+
+
+def _kernel(source):
+    """Turn `source`, lengths -> (params, body), into a kernel factory:
+    lengths -> the function `lambda params: body`, compiled on the first
+    call with those lengths and cached.
+
+    Sources come only from the templates below and integer lengths.
+    """
+    @functools.cache
+    @functools.wraps(source)
+    def factory(*lengths):
+        params, body = source(*lengths)
+        return eval(f"lambda {params}: {body}", {"__builtins__": {}})
+    return factory
+
+
+def _list(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+@_kernel
+def axpy(n: int):
+    """f(x, s, y) = x + s*y on length-n sequences, as a list."""
+    return "x, s, y", _list(f"x[{i}] + s * y[{i}]" for i in range(n))
+
+
+@_kernel
+def axpy_rows(n: int, m: int):
+    """f(x, s, y) = [x + s[k]*y for each of the m scalars s[k]], length-n
+    rows."""
+    return "x, s, y", _list(_list(f"x[{i}] + s[{k}] * y[{i}]" for i in range(n))
+                            for k in range(m))
+
+
+@_kernel
+def sub(n: int):
+    """f(x, y) = x - y on length-n sequences, as a list."""
+    return "x, y", _list(f"x[{i}] - y[{i}]" for i in range(n))
+
+
+@_kernel
+def rk4_sum(n: int):
+    """f(x, s, k1, k2, k3, k4) = x + s*(k1 + 2.0*k2 + 2.0*k3 + k4), the
+    combine of a classical RK4 step, on length-n sequences."""
+    return "x, s, k1, k2, k3, k4", _list(
+        f"x[{i}] + s * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}])"
+        for i in range(n))
+
+
+def _row_product(i: int, n: int, vec: str) -> str:
+    """Row i of M times `vec`, summed left to right from 0.0 as `dot` sums
+    it."""
+    return " + ".join(["0.0", *(f"M[{i}][{j}] * {vec}[{j}]" for j in range(n))])
+
+
+@_kernel
+def v_minus_mg(m: int, n: int):
+    """f(v, M, g) = v - M g for an m-vector v, m rows M of length n and an
+    n-vector g."""
+    return "v, M, g", _list(f"v[{i}] - ({_row_product(i, n, 'g')})"
+                            for i in range(m))
+
+
+@_kernel
+def scaled_mv(m: int, n: int):
+    """f(s, M, y) = s*(M y) for m rows M of length n and an n-vector y."""
+    return "s, M, y", _list(f"s * ({_row_product(i, n, 'y')})"
+                            for i in range(m))
+
+
+@_kernel
+def scale_rows(m: int, n: int):
+    """f(s, M) = s*M for m rows M of length n, as nested rows."""
+    return "s, M", _list(_list(f"s * M[{i}][{j}]" for j in range(n))
+                         for i in range(m))
+
+
+@_kernel
+def lag_rate(n: int):
+    """f(lam, u, z) = lam*(u - z), the rate of n first-order lags."""
+    return "lam, u, z", _list(f"lam * (u[{i}] - z[{i}])" for i in range(n))
+
+
+@_kernel
+def lag_rate_at(n: int):
+    """f(lam, u, z, s, c) = lam*(u - (z + s*c)), the lag rate at the
+    state z + s*c."""
+    return "lam, u, z, s, c", _list(f"lam * (u[{i}] - (z[{i}] + s * c[{i}]))"
+                                    for i in range(n))
+
+
+@_kernel
+def midpoint(n: int):
+    """f(x, y) = 0.5*(x + y) on length-n sequences."""
+    return "x, y", _list(f"0.5 * (x[{i}] + y[{i}])" for i in range(n))
+
+
+@_kernel
+def hermite_mid(n: int):
+    """f(x, y, s, r, w) = 0.5*(x + y) + s*(r - w) on length-n sequences."""
+    return "x, y, s, r, w", _list(
+        f"0.5 * (x[{i}] + y[{i}]) + s * (r[{i}] - w[{i}])" for i in range(n))
+
+
+@_kernel
+def rank1_update(p: int):
+    """f(Phi, c, om, v) = Phi - outer(c*om, v) for p x p nested rows Phi,
+    each entry Phi_ij - (c*om_i)*v_j."""
+    return "Phi, c, om, v", _list(
+        _list(f"Phi[{i}][{j}] - (c * om[{i}]) * v[{j}]" for j in range(p))
+        for i in range(p))
+
+
+@_kernel
+def eye_minus(p: int):
+    """f(Phi) = I - Phi for p x p nested rows, each entry 1.0 or 0.0
+    minus Phi_ij (0.0 - 0.0 is +0.0, where -Phi_ij would be -0.0)."""
+    return "Phi", _list(
+        _list(f"{1.0 if i == j else 0.0!r} - Phi[{i}][{j}]" for j in range(p))
+        for i in range(p))
+
+
+@_kernel
+def outer_add(p: int):
+    """f(s, c) = s + c c' for a row-major p*p list s and a p-vector c."""
+    return "s, c", _list(f"s[{i * p + j}] + c[{i}] * c[{j}]"
+                         for i in range(p) for j in range(p))
+
+
+@_kernel
+def scaled_diff_rows(p: int):
+    """f(a, s, b, e) = a*s - b*e for row-major p*p lists s and e, as p
+    rows."""
+    return "a, s, b, e", _list(
+        _list(f"a * s[{i * p + j}] - b * e[{i * p + j}]" for j in range(p))
+        for i in range(p))
 
 
 def ieee_div(a: float, b: float) -> float:

@@ -1,10 +1,12 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pbident import SimConfig, run
+from pbident import SimConfig, World, run, step
+from pbident import estimator as estimator_module
 from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
@@ -171,6 +173,28 @@ def test_mix_follows_every_state_replacement():
     pairs.append(check())
     assert len(set(pairs)) == len(pairs)
 
+
+def test_half_updates_share_one_gain_per_sample(ph, monkeypatch):
+    # a step's end sample is the next step's start sample: its |Omega|^2
+    # and exact gain are computed once, and the result is bit-identical to
+    # recomputing them
+    n2s = []
+    exp_gain = estimator_module._exp_gain
+    monkeypatch.setattr(estimator_module, "_exp_gain",
+                        lambda rate, n2: n2s.append(n2) or exp_gain(rate, n2))
+    world = World(ph, SimConfig(gamma_g=300.0))
+    est, h = world.estimator, world.cfg.h
+    twin = copy.deepcopy(est)
+    for k in range(1, 41):
+        _, s0, s1 = step(world)
+        assert len(n2s) == k + 1
+        twin._gain_memo = None
+        twin.propagate(s0, s1, h)
+        del n2s[-2:]
+        assert np.array(est.theta_g).tobytes() == \
+            np.array(twin.theta_g).tobytes()
+        assert est.Phi.tobytes() == twin.Phi.tobytes()
+        assert est.log_det_phi == twin.log_det_phi
 
 # -- mixing identity under exact feed ------------------------------------------
 

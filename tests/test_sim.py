@@ -524,3 +524,38 @@ def test_open_loop_near_overflow_completes(circuit, ph, name):
     assert not rep.aborted and rep.n_steps == 100
     assert np.isnan(rep.max_power_residual)
     assert np.all(np.isfinite(rep.x_final))
+
+
+# -- closure lengths, checked once at the start state --------------------------
+
+def _padded_rate(fast_rate, extra):
+    def rate(x, u, t):
+        return (*fast_rate(x, u, t), *extra)
+    return rate
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("controller", list(ControllerKind))
+def test_world_rejects_a_fast_rate_of_the_wrong_length(ph, size, controller):
+    # at the parent engine 3 components ran silently to a wrong report
+    # (zip truncated them) and 1 died in IndexError mid-step
+    rate = (lambda x, u, t: ph.fast_rate(x, u, t)[:1]) if size == 1 else \
+        _padded_rate(ph.fast_rate, (0.0,))
+    scen = replace(ph, fast_rate=rate)
+    with pytest.raises(ValueError, match=f"fast_rate returns {size} "
+                                         f"components .* has n = 2"):
+        World(scen, SimConfig(controller=controller))
+
+
+@pytest.mark.parametrize("port", ["u_p", "y_p"])
+@pytest.mark.parametrize("size", [0, 2])
+def test_world_rejects_ports_of_the_wrong_length(ph, port, size):
+    def ports(x, u, t):
+        up, yp = ph.ports(x, u, t)
+        wrong = (up[0],) * size if port == "u_p" else (yp[0],) * size
+        return (wrong, yp) if port == "u_p" else (up, wrong)
+
+    scen = replace(ph, ports=ports)
+    with pytest.raises(ValueError, match=f"ports {port} returns {size} "
+                                         f"components .* has n_p = 1"):
+        World(scen, SimConfig(estimator=EstimatorKind.NONE))

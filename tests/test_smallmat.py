@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbident.smallmat import (adjugate, determinant, dot, ieee_div, ieee_pow,
-                              min_eig_symmetric, symmetric_eigen)
+from pbident.smallmat import (adjugate, axpy, axpy_rows, determinant, dot,
+                              eye_minus, hermite_mid, ieee_div, ieee_pow,
+                              lag_rate, lag_rate_at, midpoint,
+                              min_eig_symmetric, outer_add, rank1_update,
+                              rk4_sum, scale_rows, scaled_diff_rows,
+                              scaled_mv, sub, symmetric_eigen, v_minus_mg)
 
 
 def test_determinant_examples():
@@ -225,3 +232,128 @@ def test_symmetric_eigen_larger_lists_come_back_as_lists():
     assert isinstance(w, list) and isinstance(v, list)
     ref_w, ref_v = symmetric_eigen(m)
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+
+# -- unrolled element-wise kernels against their comprehension forms ---------
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.5]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+kernel_examples = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=60)
+
+
+def vectors(n):
+    return st.lists(floats, min_size=n, max_size=n)
+
+
+def square(p):
+    return st.lists(vectors(p), min_size=p, max_size=p)
+
+
+def same_bytes(got, want):
+    """Equal float64 bytes, signed zeros included, with every nan read as
+    one nan: of two nan operands CPython's float + and * return one or the
+    other depending on whether the instruction has been specialized yet,
+    so a nan's sign and payload vary even between calls of one expression.
+    """
+    def canonical(v):
+        a = np.array(v, dtype=float)
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+    return canonical(got) == canonical(want)
+
+
+def _draw_case(draw, kernel, n):
+    """(kernel's output, its comprehension form's output) on drawn values."""
+    s, lam = draw(floats), draw(floats)
+    x, y, k2, k3, k4 = (draw(vectors(n)) for _ in range(5))
+    if kernel == "axpy":
+        return axpy(n)(x, s, y), [a + s * b for a, b in zip(x, y)]
+    if kernel == "axpy_rows":
+        f = draw(vectors(n))
+        return axpy_rows(n, n)(x, f, y), \
+            [[a + c * b for a, b in zip(x, y)] for c in f]
+    if kernel == "sub":
+        return sub(n)(x, y), [a - b for a, b in zip(x, y)]
+    if kernel == "rk4_sum":
+        return rk4_sum(n)(x, s, y, k2, k3, k4), \
+            [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, y, k2, k3, k4)]
+    if kernel == "v_minus_mg":
+        m = draw(st.integers(1, 5))
+        v, mat = draw(vectors(m)), draw(st.lists(vectors(n), min_size=m,
+                                                 max_size=m))
+        return v_minus_mg(m, n)(v, mat, x), \
+            [a - dot(row, x) for a, row in zip(v, mat)]
+    if kernel == "scaled_mv":
+        mat = draw(square(n))
+        return scaled_mv(n, n)(s, mat, x), [s * dot(row, x) for row in mat]
+    if kernel == "scale_rows":
+        mat = draw(square(n))
+        return scale_rows(n, n)(s, mat), [[s * v for v in row] for row in mat]
+    if kernel == "lag_rate":
+        return lag_rate(n)(lam, x, y), [lam * (u - z) for u, z in zip(x, y)]
+    if kernel == "lag_rate_at":
+        return lag_rate_at(n)(lam, x, y, s, k2), \
+            [lam * (u - (z + s * c)) for u, z, c in zip(x, y, k2)]
+    if kernel == "midpoint":
+        return midpoint(n)(x, y), [0.5 * (a + b) for a, b in zip(x, y)]
+    if kernel == "hermite_mid":
+        return hermite_mid(n)(x, y, s, k2, k3), \
+            [0.5 * (a + b) + s * (c - d) for a, b, c, d in zip(x, y, k2, k3)]
+    phi = draw(square(n))
+    if kernel == "rank1_update":
+        return rank1_update(n)(phi, s, x, y), \
+            [[b - co * w for b, w in zip(row, y)]
+             for co, row in zip([s * o for o in x], phi)]
+    if kernel == "eye_minus":
+        return eye_minus(n)(phi), \
+            [[e - v for e, v in zip(e_row, row)]
+             for e_row, row in zip(np.eye(n).tolist(), phi)]
+    flat, ends = sum(phi, []), sum(draw(square(n)), [])
+    if kernel == "outer_add":
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        return outer_add(n)(flat, x), \
+            [v + x[i] * x[j] for v, (i, j) in zip(flat, pairs)]
+    assert kernel == "scaled_diff_rows"
+    want = [s * a - lam * e for a, e in zip(flat, ends)]
+    return scaled_diff_rows(n)(s, flat, lam, ends), \
+        [want[i:i + n] for i in range(0, n * n, n)]
+
+
+KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "scaled_mv",
+           "scale_rows", "lag_rate", "lag_rate_at", "midpoint", "hermite_mid",
+           "rank1_update", "eye_minus", "outer_add", "scaled_diff_rows"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 5))
+def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
+    got, want = _draw_case(data.draw, kernel, n)
+    assert same_bytes(got, want)
+
+
+@pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
+                                     midpoint, hermite_mid, rank1_update,
+                                     eye_minus, outer_add, scaled_diff_rows])
+def test_kernel_factory_compiles_once_per_length(factory):
+    for n in range(1, 6):
+        assert factory(n) is factory(n)
+    assert factory(2) is not factory(3)
+    assert axpy_rows(2, 3) is axpy_rows(2, 3) is not axpy_rows(3, 2)
+    for two_lengths in (v_minus_mg, scaled_mv, scale_rows):
+        assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
+
+
+def test_kernels_keep_signed_zero_and_read_exactly_n_components():
+    # 0.0 - 0.0 is +0.0 where -0.0 would be negated zero, and a row
+    # product starts from 0.0 as dot does, so a sum of -0.0 products is +0.0
+    assert same_bytes(eye_minus(2)([[0.0, 0.0], [0.0, 0.0]]),
+                      [[1.0, 0.0], [0.0, 1.0]])
+    assert same_bytes(v_minus_mg(1, 2)([-0.0], [[-0.0, -0.0]], [1.0, 1.0]),
+                      [-0.0])
+    assert same_bytes(scaled_mv(1, 2)(1.0, [[-0.0, -0.0]], [1.0, 1.0]), [0.0])
+    with pytest.raises(IndexError):
+        axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
+    assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
