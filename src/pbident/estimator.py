@@ -30,21 +30,20 @@ integral of |Omega|^2) by construction.  The simulator integrates the
 correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
-lists of Python floats, and the elementwise parts of every update run on
-them through smallmat's kernels, unrolled to length p.  For the scalar
-regressions (the interlaced estimator and the gradient flow on a p-vector
-regressor) the dot products (|Omega|^2,
-Omega' theta_g, Omega' Phi, adj(I - Phi) r) and expm1 stay numpy calls:
-numpy's BLAS (OpenBLAS on FMA hardware) evaluates small dot products with
-fused multiply-adds, whose rounding no Python expression reproduces, and
-numpy's expm1 differs from math.expm1 in the last bit on about 1.6 % of
-inputs.  Keeping them makes a run bit-identical to the array forms they
-replace; a divergent run at extreme gains is chaotic enough that a one-ulp
-change moves the step at which it aborts.
+lists of Python floats, and every update runs on them through smallmat's
+kernels, unrolled to length p, and math.expm1; after the first step's
+sample check no update calls numpy.  Every dot product (|Omega|^2,
+Omega' theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums its
+products from 0.0 left to right, as `smallmat.dot` does, so the numbers
+depend on IEEE arithmetic and the C library's expm1 only, not on the BLAS
+build: a BLAS evaluates small dot products with fused multiply-adds or
+in a blocked order that differs between CPU kernels, and a divergent run
+at extreme gains is chaotic enough that a one-ulp change moves the step
+at which it aborts.
 
-The gradient flow on a (p, n) matrix regressor runs wholly on Python
-floats (left-to-right `smallmat.dot`, math.expm1).  Its frozen-regressor
-map acts only on range(Omega), and by the push-through identity
+The gradient flow on a (p, n) matrix regressor reads the regressor as
+its n_w rows of n floats.  Its frozen-regressor map acts only on
+range(Omega), and by the push-through identity
 phi(gamma Omega Omega') gamma Omega = gamma Omega phi(gamma Omega' Omega)
 (Higham, Functions of Matrices, Cor. 1.34) it is applied through the
 n x n Gram gamma Omega' Omega, n being the number of state equations:
@@ -64,8 +63,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, axpy, determinant, dot, eye_minus,
-                       min_eig_symmetric, rank1_update, symmetric_eigen)
+from .smallmat import (adjugate, axpy, determinant, dot, dot_k, eye_minus,
+                       mat_vec, min_eig_symmetric, rank1_update,
+                       symmetric_eigen, v_minus_mg, vec_mat)
 
 
 def _check_sample(sample: RegressorSample, p: int, scalar: bool):
@@ -84,7 +84,7 @@ def _check_sample(sample: RegressorSample, p: int, scalar: bool):
 def _exp_gain(rate: float, n2: float) -> float:
     """(1 - exp(-rate * n2)) / n2, the exact gain of a frozen rank-1
     contraction over one half step, with its Euler limit at n2 -> 0."""
-    return rate if n2 < 1e-300 else -float(np.expm1(-(rate * n2))) / n2
+    return rate if n2 < 1e-300 else -math.expm1(-(rate * n2)) / n2
 
 
 class GplusDEstimator:
@@ -107,12 +107,16 @@ class GplusDEstimator:
             np.asarray(theta_g0, dtype=float).reshape(p).tolist()
         self.theta_g = list(self.theta_g0)
         # Phi @ theta_g0 vanishes for the default theta_g0 = 0
-        self._g0 = np.array(self.theta_g0) if any(self.theta_g0) else None
+        self._g0 = self.theta_g0 if any(self.theta_g0) else None
         self._phi = np.eye(p).tolist()
-        # element-wise kernels unrolled to length p (smallmat)
+        # kernels unrolled to length p (smallmat)
         self._eye_minus = eye_minus(p)
         self._axpy = axpy(p)
         self._rank1_update = rank1_update(p)
+        self._dot = dot_k(p)
+        self._vec_mat = vec_mat(p)
+        self._mat_vec = mat_vec(p, p)
+        self._v_minus_mg = v_minus_mg(p, p)
         self.theta = [0.0] * q if theta0 is None else \
             np.asarray(theta0, dtype=float).reshape(q).tolist()
         # the correction flow zips G(theta) with rows of length p, which
@@ -152,11 +156,8 @@ class GplusDEstimator:
         if memo is not None and memo[0] is phi and memo[1] is g:
             return memo[2]
         a = self._eye_minus(phi)
-        m = np.array([*adjugate(a), g])
-        r = m[-1]
-        if self._g0 is not None:
-            r = r - np.array(phi).dot(self._g0)
-        pair = (determinant(a), tuple(m[:-1].dot(r).tolist()))
+        r = g if self._g0 is None else self._v_minus_mg(g, phi, self._g0)
+        pair = (determinant(a), tuple(self._mat_vec(adjugate(a), r)))
         self._mix_memo = (phi, g, pair)
         return pair
 
@@ -167,21 +168,19 @@ class GplusDEstimator:
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
         phi = self._phi
-        m = np.array([om, self.theta_g, *phi])
-        om_a = m[0]
         gt = self.gamma_g * tau
         # a step's end sample is the next step's start sample
         memo = self._gain_memo
         if memo is not None and memo[0] is sample and memo[1] == gt:
             n2, c = memo[2], memo[3]
         else:
-            n2 = float(om_a.dot(om_a))
+            n2 = self._dot(om, om)
             c = _exp_gain(gt, n2)
             self._gain_memo = (sample, gt, n2, c)
-        ce = c * (sample.Y - float(om_a.dot(m[1])))
+        ce = c * (sample.Y - self._dot(om, self.theta_g))
         self.theta_g = self._axpy(self.theta_g, ce, om)
-        # Phi - outer(c * om, om @ Phi)
-        self._phi = self._rank1_update(phi, c, om, om_a.dot(m[2:]).tolist())
+        # Phi - outer(c * om, om' Phi)
+        self._phi = self._rank1_update(phi, c, om, self._vec_mat(om, phi))
         self.log_det_phi -= gt * n2
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
@@ -215,6 +214,7 @@ class GradientEstimator:
         self._validated = False
         self._matrix = False
         self._axpy = axpy(self.n_w)
+        self._dot = dot_k(self.n_w)
 
     def rate(self, sample: RegressorSample) -> np.ndarray:
         """Literal flow gamma * Omega * (Y - Omega' Theta_hat)."""
@@ -232,26 +232,23 @@ class GradientEstimator:
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
         if not self._matrix:
-            om_a, theta = np.array([om, self.Theta])
-            c = _exp_gain(self.gamma * tau, float(om_a.dot(om_a)))
-            ce = c * (sample.Y - float(om_a.dot(theta)))
+            c = _exp_gain(self.gamma * tau, self._dot(om, om))
+            ce = c * (sample.Y - self._dot(om, self.Theta))
             self.Theta = self._axpy(self.Theta, ce, om)
             return
-        # matrix regressor (p x n, one column per state equation): the
-        # exponential update through the n x n Gram (module docstring)
+        # matrix regressor (p rows of n, one column per state equation):
+        # the exponential update through the n x n Gram (module docstring)
         g = self.gamma
         theta = self.Theta
-        rows = np.asarray(om, dtype=float).tolist()
-        cols = list(zip(*rows))
-        r = [y - dot(c, theta)
-             for y, c in zip(np.asarray(sample.Y, dtype=float).tolist(), cols)]
+        cols = list(zip(*om))
+        r = [y - dot(c, theta) for y, c in zip(sample.Y, cols)]
         w, v = symmetric_eigen([[g * dot(ci, cj) for cj in cols] for ci in cols])
         # diag(phi(w)) V' r, then gamma V of it; a non-finite Gram gives
         # nan w and V, and so a nan estimate
         vr = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau) * dot(vk, r)
               for lam, vk in zip(w, zip(*v))]
         z = [g * dot(vi, vr) for vi in v]
-        self.Theta = [a + dot(row, z) for a, row in zip(theta, rows)]
+        self.Theta = [a + dot(row, z) for a, row in zip(theta, om)]
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):

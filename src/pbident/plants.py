@@ -28,11 +28,12 @@ written in components:
 * fast_rate, ports, the regression data and the stacked parameter map
   return tuples of floats; energy and beta return floats.
 * No `**` on state or estimate components: a float `**` raises
-  OverflowError where numpy gives inf.  Powers, squares included, go
-  through smallmat.ieee_pow, which is C pow as numpy's scalar power
-  computes it (x * x differs from it in the last bit on about 0.1 % of
-  inputs), and any division by an estimate through smallmat.ieee_div;
-  both return numpy's inf or nan instead of raising.
+  OverflowError where numpy gives inf.  Squares are written x * x, which
+  IEEE arithmetic rounds exactly on every platform and which overflows to
+  inf without raising.  The one non-integer power, theta1 ** alpha of the
+  circuit, goes through smallmat.ieee_pow, and any division by an
+  estimate through smallmat.ieee_div; both return numpy's inf or nan
+  instead of raising.
 
 Two scenarios ship:
 
@@ -166,7 +167,7 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
 
     def storage(x):
         x1, x2 = x
-        return 0.5 * (ieee_pow(x1, 2.0) + ieee_pow(x2, 2.0))
+        return 0.5 * (x1 * x1 + x2 * x2)
 
     def energy(x, u):
         return storage(x), u * (th * x[0] + th2 * x[1])
@@ -176,7 +177,7 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
 
     def G(theta):
         t = theta[0]
-        return (t, ieee_pow(t, 2.0))
+        return (t, t * t)
 
     nlpre = NlpreData(
         p_s=2, p_S=0, p_d=0,
@@ -244,7 +245,7 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
 
     def energy(x, u):
         x1, x2 = x
-        sq1, sq2 = ieee_pow(x1, 2.0), ieee_pow(x2, 2.0)
+        sq1, sq2 = x1 * x1, x2 * x2
         return 0.5 * (th1 * sq1 + m2 * sq2), E * x1 - th2 * sq2
 
     def ports(x, u, t):
@@ -266,8 +267,8 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     nlpre = NlpreData(
         p_s=0, p_S=2, p_d=1,
         b_s=lambda x, u_p, y_p: u_p[1] * y_p[1],
-        phi_S=lambda x: (0.5 * ieee_pow(x[0], 2.0), 0.5 * ieee_pow(x[1], 2.0)),
-        phi_d=lambda x: (ieee_pow(x[1], 2.0),),
+        phi_S=lambda x: (0.5 * (x[0] * x[0]), 0.5 * (x[1] * x[1])),
+        phi_d=lambda x: (x[1] * x[1],),
     )
     param_map = ParamMap(
         G_direct=G,

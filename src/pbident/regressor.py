@@ -30,9 +30,10 @@ in the assembled outputs.
 Samples are produced at every integrator step and consumed synchronously
 by the estimators.  The generators expose their filter `state`, the channel
 `inputs` at a plant sample and `sample_from` those inputs; the simulator
-owns all time stepping.  Channel inputs and filter states are lists of
-Python floats; a power-balance sample carries a float Y and a tuple Omega,
-a state-equation sample carries ndarrays for its matrix estimator.
+owns all time stepping.  Channel inputs, filter states and samples are
+Python floats: a power-balance sample carries a float Y and a p-tuple
+Omega, a state-equation sample an n-tuple Y and Omega as n_w rows of n
+floats, which the matrix estimator reads as they are.
 """
 
 from __future__ import annotations
@@ -142,13 +143,14 @@ class RegressorSample:
     """One time-stamped regression sample.
 
     For the power-balance regression Y is a float and Omega a p-tuple; for
-    the state-equation regression Y is an n-vector and Omega an (n_w, n)
-    ndarray, so that Y = Omega.T @ Theta in both conventions.
+    the state-equation regression Y is an n-tuple and Omega a tuple of n_w
+    rows, each a list of n floats, so that Y = Omega' Theta in both
+    conventions.  Both read as arrays of those shapes through np.asarray.
     """
 
     t: float
-    Y: float | np.ndarray
-    Omega: tuple | np.ndarray
+    Y: float | tuple
+    Omega: tuple
 
 
 class PbepGenerator:
@@ -297,11 +299,14 @@ class StdLreGenerator:
     def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
-        n = self.n
+        n, n_w = self.n, self.n_w
         y = out[:n]
         k = n
         if self._has_b:
             y = [a - b for a, b in zip(y, out[k:k + n])]
             k += n
-        omega = np.array(out[k:]).reshape(n, self.n_w).T
-        return RegressorSample(t=t, Y=np.array(y), Omega=omega)
+        # out[k:] holds the n rows of w_f + w_g one after another; Omega
+        # row j is their column j, every n_w-th entry from j
+        w = out[k:]
+        omega = tuple(w[j::n_w] for j in range(n_w))
+        return RegressorSample(t=t, Y=tuple(y), Omega=omega)

@@ -33,17 +33,18 @@ The whole step runs on Python floats: plant and filter states, estimates,
 regression samples and the estimator's matrices are lists and tuples of
 floats, and the scenario closures take and return components (see
 plants).  On 2- and 3-element states numpy's per-call overhead is most of
-the cost.  Element-wise expressions are smallmat's unrolled kernels, which
-`World` binds once to the run's lengths (plant state, estimate, regressor,
-filter channels) after checking that the scenario's closures return those
-lengths; they keep the operation order of the array forms they replace,
-and the estimator's dot products stay numpy calls (see estimator), so runs
-are bit-identical to those forms.  Arrays are built for the estimator's
-dot products, trace rows, the report and the ndarray views (`World.x`, the
-generators' `state`, `GplusDEstimator.Phi`) that callers read.  The run
-loop keeps its power-balance residuals, settling times and final errors
-as running reductions, and its trace rows go to the caller's sink, so a
-run needs a fixed amount of memory.
+the cost.  Element-wise expressions and dot products are smallmat's
+unrolled kernels, which `World` and the estimators bind once to the run's
+lengths (plant state, estimate, regressor, filter channels) after
+checking that the scenario's closures return those lengths.  Each keeps
+one fixed operation order, with sums taken left to right, so a step
+after the first calls no numpy and its numbers do not depend on the BLAS
+build.  Arrays are built only for the excitation record's eigenvalue,
+the report and the ndarray views (`World.x`, the generators' `state`,
+`GplusDEstimator.Phi`) that callers read.  The run loop keeps its
+power-balance residuals, settling times and final errors as running
+reductions, and its trace rows go to the caller's sink, so a run needs a
+fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -472,9 +473,16 @@ class World:
                 raise NonFiniteStateError(self.t, component)
 
 
+def _finite(v) -> bool:
+    """Whether a float, or every float of a sequence or of its rows, is
+    finite."""
+    if isinstance(v, (list, tuple)):
+        return all(map(_finite, v))
+    return math.isfinite(v)
+
+
 def _finite_samples(*samples: RegressorSample) -> bool:
-    return all(np.isfinite(s.Omega).all() and np.isfinite(s.Y).all()
-               for s in samples)
+    return all(_finite(s.Y) and _finite(s.Omega) for s in samples)
 
 
 def _rk4_correction(world: World, th: list, h: float) -> list:

@@ -9,7 +9,8 @@ the identity).  Inverse-based shortcuts break exactly there.
 For the simulator's step on Python floats, `dot` is a left-to-right
 reduction, `determinant`/`adjugate` take up to 3x3 nested lists of floats
 directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
-float arithmetic would raise.
+float arithmetic would raise (`ieee_pow` serves only the circuit's
+non-integer power theta1 ** alpha; squares are written x * x).
 
 The step's element-wise expressions are kernels unrolled to a vector
 length: a factory such as `axpy(n)` returns the function
@@ -23,10 +24,14 @@ states costs several times the arithmetic; comprehensions are inlined
 from 3.12 on (PEP 709), so the gain is smaller there.  Each kernel keeps
 the per-element operation order of the comprehension it replaces (its
 docstring gives the expression; sums of products start from 0.0 and go
-left to right, as `dot` does), so results are bit-identical to it.  A
-kernel reads exactly n components: it raises IndexError on a shorter
-argument and ignores the rest of a longer one, so callers bind kernels
-to lengths they have checked.
+left to right, as `dot` does), so results are bit-identical to it.  The
+estimator's dot products are kernels of the same kind: `dot_k(n)` (the
+float `dot` returns), `vec_mat(p)` (v'M) and `mat_vec(m, n)` (M v).
+Their fixed order makes a run's numbers independent of the BLAS build,
+whose small dot products round differently from one CPU kernel to the
+next.  A kernel reads exactly n components: it raises IndexError on a
+shorter argument and ignores the rest of a longer one, so callers bind
+kernels to lengths they have checked.
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -107,10 +112,35 @@ def rk4_sum(n: int):
         for i in range(n))
 
 
+def _sum_of(products) -> str:
+    """The products summed left to right from 0.0, as `dot` sums them."""
+    return " + ".join(["0.0", *products])
+
+
 def _row_product(i: int, n: int, vec: str) -> str:
     """Row i of M times `vec`, summed left to right from 0.0 as `dot` sums
     it."""
-    return " + ".join(["0.0", *(f"M[{i}][{j}] * {vec}[{j}]" for j in range(n))])
+    return _sum_of(f"M[{i}][{j}] * {vec}[{j}]" for j in range(n))
+
+
+@_kernel
+def dot_k(n: int):
+    """f(a, b) = a'b for length-n sequences, the float `dot` returns."""
+    return "a, b", _sum_of(f"a[{i}] * b[{i}]" for i in range(n))
+
+
+@_kernel
+def vec_mat(p: int):
+    """f(v, M) = v'M for a p-vector v and p x p nested rows M, as a list;
+    entry j sums v_i M_ij over i."""
+    return "v, M", _list(_sum_of(f"v[{i}] * M[{i}][{j}]" for i in range(p))
+                         for j in range(p))
+
+
+@_kernel
+def mat_vec(m: int, n: int):
+    """f(M, v) = M v for m rows M of length n and an n-vector v."""
+    return "M, v", _list(_row_product(i, n, "v") for i in range(m))
 
 
 @_kernel

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,10 +172,29 @@ def numpy_sample(gen, t, inputs, z):
     return RegressorSample(t=t, Y=y, Omega=out[k:].reshape(n, gen.n_w).T)
 
 
+# The estimator's dot products sum from 0.0 left to right and its exponential
+# gain uses math.expm1, so that its numbers do not depend on the BLAS build;
+# the oracle takes its dot products the same way.
+
+def ltr_dot(a, b) -> float:
+    """a'b summed from 0.0 left to right."""
+    acc = 0.0
+    for u, v in zip(np.asarray(a, dtype=float).tolist(),
+                    np.asarray(b, dtype=float).tolist()):
+        acc += u * v
+    return acc
+
+
+def ltr_matvec(m, v) -> np.ndarray:
+    """M v, each row's product summed from 0.0 left to right."""
+    return np.array([ltr_dot(row, v) for row in np.asarray(m, dtype=float)])
+
+
 def numpy_mix(theta_g, Phi, theta_g0):
     """(Delta, Ycal) = (det(I - Phi), adj(I - Phi) (theta_g - Phi theta_g0))."""
     a = np.eye(len(theta_g)) - Phi
-    return determinant(a), adjugate(a) @ (theta_g - Phi @ theta_g0)
+    return determinant(a), ltr_matvec(adjugate(a),
+                                      theta_g - ltr_matvec(Phi, theta_g0))
 
 
 def numpy_gplusd_propagate(gamma_g, theta_g, Phi, s0, s1, dt):
@@ -181,11 +202,11 @@ def numpy_gplusd_propagate(gamma_g, theta_g, Phi, s0, s1, dt):
     tau = 0.5 * dt
     for s in (s0, s1):
         om = np.asarray(s.Omega, dtype=float)
-        n2 = float(om @ om)
+        n2 = ltr_dot(om, om)
         c = gamma_g * tau if n2 < 1e-300 else \
-            -np.expm1(-gamma_g * tau * n2) / n2
-        theta_g = theta_g + (c * (float(s.Y) - float(om @ theta_g))) * om
-        Phi = Phi - np.outer(c * om, om @ Phi)
+            -math.expm1(-gamma_g * tau * n2) / n2
+        theta_g = theta_g + (c * (float(s.Y) - ltr_dot(om, theta_g))) * om
+        Phi = Phi - np.outer(c * om, ltr_matvec(np.transpose(Phi), om))
     return theta_g, Phi
 
 
@@ -195,10 +216,10 @@ def numpy_gradient_propagate(gamma, Theta, s0, s1, dt):
     for s in (s0, s1):
         om = np.asarray(s.Omega, dtype=float)
         if om.ndim == 1:
-            n2 = float(om @ om)
+            n2 = ltr_dot(om, om)
             c = gamma * tau if n2 < 1e-300 else \
-                -np.expm1(-gamma * tau * n2) / n2
-            Theta = Theta + (c * (float(s.Y) - float(om @ Theta))) * om
+                -math.expm1(-gamma * tau * n2) / n2
+            Theta = Theta + (c * (float(s.Y) - ltr_dot(om, Theta))) * om
             continue
         w, v = np.linalg.eigh(gamma * (om @ om.T))
         phi = np.where(w > 1e-300,

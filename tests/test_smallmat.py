@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbident.smallmat import (adjugate, axpy, axpy_rows, determinant, dot,
-                              eye_minus, hermite_mid, ieee_div, ieee_pow,
-                              lag_rate, lag_rate_at, midpoint,
-                              min_eig_symmetric, outer_add, rank1_update,
-                              rk4_sum, scale_rows, scaled_diff_rows,
-                              scaled_mv, sub, symmetric_eigen, v_minus_mg)
+                              dot_k, eye_minus, hermite_mid, ieee_div,
+                              ieee_pow, lag_rate, lag_rate_at, mat_vec,
+                              midpoint, min_eig_symmetric, outer_add,
+                              rank1_update, rk4_sum, scale_rows,
+                              scaled_diff_rows, scaled_mv, sub,
+                              symmetric_eigen, v_minus_mg, vec_mat)
 
 
 def test_determinant_examples():
@@ -285,6 +286,15 @@ def _draw_case(draw, kernel, n):
                                                  max_size=m))
         return v_minus_mg(m, n)(v, mat, x), \
             [a - dot(row, x) for a, row in zip(v, mat)]
+    if kernel == "dot_k":
+        return [dot_k(n)(x, y)], [dot(x, y)]
+    if kernel == "mat_vec":
+        m = draw(st.integers(1, 5))
+        mat = draw(st.lists(vectors(n), min_size=m, max_size=m))
+        return mat_vec(m, n)(mat, x), [dot(row, x) for row in mat]
+    if kernel == "vec_mat":
+        mat = draw(square(n))
+        return vec_mat(n)(x, mat), [dot(x, col) for col in zip(*mat)]
     if kernel == "scaled_mv":
         mat = draw(square(n))
         return scaled_mv(n, n)(s, mat, x), [s * dot(row, x) for row in mat]
@@ -321,9 +331,10 @@ def _draw_case(draw, kernel, n):
         [want[i:i + n] for i in range(0, n * n, n)]
 
 
-KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "scaled_mv",
-           "scale_rows", "lag_rate", "lag_rate_at", "midpoint", "hermite_mid",
-           "rank1_update", "eye_minus", "outer_add", "scaled_diff_rows"]
+KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "dot_k",
+           "mat_vec", "vec_mat", "scaled_mv", "scale_rows", "lag_rate",
+           "lag_rate_at", "midpoint", "hermite_mid", "rank1_update",
+           "eye_minus", "outer_add", "scaled_diff_rows"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -336,13 +347,14 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
 
 @pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
                                      midpoint, hermite_mid, rank1_update,
-                                     eye_minus, outer_add, scaled_diff_rows])
+                                     eye_minus, outer_add, scaled_diff_rows,
+                                     dot_k, vec_mat])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
     assert axpy_rows(2, 3) is axpy_rows(2, 3) is not axpy_rows(3, 2)
-    for two_lengths in (v_minus_mg, scaled_mv, scale_rows):
+    for two_lengths in (v_minus_mg, scaled_mv, scale_rows, mat_vec):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
 
 
@@ -354,6 +366,11 @@ def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     assert same_bytes(v_minus_mg(1, 2)([-0.0], [[-0.0, -0.0]], [1.0, 1.0]),
                       [-0.0])
     assert same_bytes(scaled_mv(1, 2)(1.0, [[-0.0, -0.0]], [1.0, 1.0]), [0.0])
+    assert same_bytes([dot_k(2)([-0.0, -0.0], [1.0, 1.0])], [0.0])
+    # left to right: 1e16 + 1.0 rounds back to 1e16 before -1e16 comes in
+    assert dot_k(3)([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    assert vec_mat(2)([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]) == [7.0, 10.0]
+    assert mat_vec(2, 2)([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]) == [5.0, 11.0]
     with pytest.raises(IndexError):
         axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
     assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
