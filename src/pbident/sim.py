@@ -473,16 +473,9 @@ class World:
                 raise NonFiniteStateError(self.t, component)
 
 
-def _finite(v) -> bool:
-    """Whether a float, or every float of a sequence or of its rows, is
-    finite."""
-    if isinstance(v, (list, tuple)):
-        return all(map(_finite, v))
-    return math.isfinite(v)
-
-
 def _finite_samples(*samples: RegressorSample) -> bool:
-    return all(_finite(s.Y) and _finite(s.Omega) for s in samples)
+    return all(np.isfinite(s.Omega).all() and np.isfinite(s.Y).all()
+               for s in samples)
 
 
 def _rk4_correction(world: World, th: list, h: float) -> list:

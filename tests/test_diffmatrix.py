@@ -2,14 +2,12 @@
 
 tools/diffmatrix.py runs cases in subprocesses, one per checkout; here it
 runs a slice of its matrix against this checkout itself, and runs the
-pinned abort and a short circuit run under OpenBLAS core types other than
+pinned aborts and a short circuit run under OpenBLAS core types other than
 the one the host would pick.
 """
 
 import importlib.util
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,17 +24,19 @@ def diffmatrix():
     return module
 
 
-def test_diffmatrix_slice_against_this_checkout():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--against", str(ROOT), "--cases",
-         "circuit/gplusd_pbep/adaptive", "ph/gradient_pbep_overparam/adaptive"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 cases, 0 with a difference" in proc.stdout
+def test_diffmatrix_slice_against_this_checkout(diffmatrix):
+    ids = ("circuit/gplusd_pbep/adaptive", "ph/gradient_pbep_overparam/adaptive")
+    cases = [c for c in diffmatrix.matrix_cases() if c[0] in ids]
+    assert len(cases) == 2
+    table, changed = diffmatrix.compare(diffmatrix.collect(ROOT, cases),
+                                        diffmatrix.collect(ROOT, cases))
+    assert changed == set()
+    assert all(n == 0 for n, _, _ in table.values())
     # the trace, report and abort columns are all compared
+    text = diffmatrix.format_table(table, len(cases))
     for col in ("trace:x1", "trace:delta", "report:theta_hat_final",
                 "report:abel_gap", "abort:time"):
-        assert f"\n{col} " in proc.stdout
+        assert f"\n{col} " in text and table[col][0] == 0
 
 
 def test_diffmatrix_reports_each_changed_column(diffmatrix):
@@ -59,28 +59,37 @@ def test_diffmatrix_reports_each_changed_column(diffmatrix):
     assert table["error"][0] == 1 and table["trace:u"][0] == 1
 
 
-def test_diffmatrix_exits_nonzero_on_a_missing_checkout(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--against", str(tmp_path),
-         "--cases", "ph/none/open_loop"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 2 and "no src/pbident" in proc.stderr
+def test_diffmatrix_refuses_a_missing_checkout(diffmatrix, tmp_path):
+    cases = diffmatrix.matrix_cases()[:1]
+    with pytest.raises(FileNotFoundError, match="no src/pbident"):
+        diffmatrix.collect(tmp_path, cases)
+
+
+def _host_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return any(line.startswith("flags") and "avx2" in line.split()
+                       for line in f)
+    except OSError:
+        return False
 
 
 def test_runs_do_not_depend_on_the_blas_core(diffmatrix):
     # The estimator's dot products sum left to right on floats, so the
-    # pinned abort and a completed run match under any OpenBLAS core type.
+    # pinned aborts and a completed run match under any OpenBLAS core type.
     # Only the excitation Gram's eigenvalue comes from LAPACK, whose kernels
     # may round differently per core.  OPENBLAS_CORETYPE is ignored by
     # other BLAS builds, where this holds trivially.
+    # OpenBLAS does not check the CPU for a forced core type, so Haswell's
+    # AVX2 kernels are forced only on a host that has AVX2.
     cases = [c for c in diffmatrix.matrix_cases()
-             if c[0] in ("abort/circuit-gains-1e6",
-                         "circuit/gplusd_pbep/adaptive")]
-    assert len(cases) == 2
+             if c[0].startswith("abort/")
+             or c[0] == "circuit/gplusd_pbep/adaptive"]
+    assert len(cases) == 4
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     base = diffmatrix.collect(ROOT, cases, env=env)
     assert base["abort/circuit-gains-1e6"]["report"]["aborted"]
-    for core in ("Haswell", "Prescott"):
+    for core in ("Haswell", "Prescott") if _host_has_avx2() else ("Prescott",):
         other = diffmatrix.collect(ROOT, cases,
                                    env={**env, "OPENBLAS_CORETYPE": core})
         table, _ = diffmatrix.compare(other, base)

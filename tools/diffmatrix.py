@@ -1,7 +1,6 @@
 """Differential matrix: compare this checkout's outputs with another's.
 
     python3 tools/diffmatrix.py --against DIR [--allow COL ...]
-                                [--cases PATTERN ...]
 
 Runs the same cases on this checkout and on the checkout at DIR, each in
 its own subprocess with that checkout's `src` first on the path, and
@@ -16,7 +15,6 @@ compares what every case produced:
 The cases are {circuit, ph} x the 4 estimators x the 3 controllers from
 each scenario's default start over 5 s, plus the pinned aborts of the
 test suite.
-`--cases` keeps the cases whose id matches one of the shell patterns.
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
 `abort:<part>`, `error`): the number of cases where it differs, and the
@@ -224,15 +222,8 @@ def main(argv=None) -> int:
                     help="root of the checkout to compare with")
     ap.add_argument("--allow", nargs="*", default=[], metavar="COL",
                     help="column patterns allowed to differ")
-    ap.add_argument("--cases", nargs="*", default=None, metavar="PATTERN",
-                    help="run only the cases whose id matches a pattern")
     args = ap.parse_args(argv)
-    cases = [c for c in matrix_cases()
-             if args.cases is None
-             or any(fnmatch.fnmatchcase(c[0], p) for p in args.cases)]
-    if not cases:
-        print("diffmatrix: no case matches --cases", file=sys.stderr)
-        return 2
+    cases = matrix_cases()
     try:
         new = collect(ROOT, cases)
         ref = collect(args.against, cases)
