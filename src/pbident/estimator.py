@@ -31,7 +31,7 @@ correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats, and every update runs on them through smallmat's
-kernels, unrolled to length p, and math.expm1; after the first step's
+kernels, unrolled to their lengths, and math.expm1; after the first step's
 sample check no update calls numpy.  Every dot product (|Omega|^2,
 Omega' theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums its
 products from 0.0 left to right, as `smallmat.dot` does, so the numbers
@@ -52,7 +52,12 @@ n x n Gram gamma Omega' Omega, n being the number of state equations:
     phi(lam) = (1 - exp(-lam tau)) / lam   (tau for lam <= 1e-300),
 
 with (w, V) from `smallmat.symmetric_eigen`, which is closed-form for
-n <= 2 (both shipped plants).
+n <= 2 (both shipped plants).  The rest of the update runs on smallmat
+kernels bound to (n_w, n) on the first call: `residual_gram` reads the
+residual Y - Omega' Theta and the Gram straight from the rows of Omega,
+`scaled_mtv` forms diag(phi(w)) V' r, and `scaled_mv` and `v_plus_mg` add
+Omega (gamma V diag(phi(w)) V' r) to Theta.  Each sums its products from
+0.0 left to right, as `smallmat.dot` over the columns of Omega does.
 """
 
 from __future__ import annotations
@@ -63,9 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, axpy, determinant, dot, dot_k, eye_minus,
+from .smallmat import (adjugate, axpy, determinant, dot_k, eye_minus,
                        mat_vec, min_eig_symmetric, rank1_update,
-                       symmetric_eigen, v_minus_mg, vec_mat)
+                       residual_gram, scaled_mtv, scaled_mv, symmetric_eigen,
+                       v_minus_mg, v_plus_mg, vec_mat)
 
 
 def _check_sample(sample: RegressorSample, p: int, scalar: bool):
@@ -240,15 +246,14 @@ class GradientEstimator:
         # the exponential update through the n x n Gram (module docstring)
         g = self.gamma
         theta = self.Theta
-        cols = list(zip(*om))
-        r = [y - dot(c, theta) for y, c in zip(sample.Y, cols)]
-        w, v = symmetric_eigen([[g * dot(ci, cj) for cj in cols] for ci in cols])
+        r, gram = self._residual_gram(om, sample.Y, theta, g)
+        w, v = symmetric_eigen(gram)
         # diag(phi(w)) V' r, then gamma V of it; a non-finite Gram gives
         # nan w and V, and so a nan estimate
-        vr = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau) * dot(vk, r)
-              for lam, vk in zip(w, zip(*v))]
-        z = [g * dot(vi, vr) for vi in v]
-        self.Theta = [a + dot(row, z) for a, row in zip(theta, om)]
+        vr = self._scaled_mtv(
+            [-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau
+             for lam in w], v, r)
+        self.Theta = self._v_plus_mg(theta, om, self._scaled_mv(g, v, vr))
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
@@ -258,6 +263,12 @@ class GradientEstimator:
             self.rate(sample0)
             self.rate(sample1)
             self._matrix = np.ndim(sample0.Omega) == 2
+            if self._matrix:   # kernels for n_w rows of n columns
+                n = len(sample0.Omega[0])
+                self._residual_gram = residual_gram(self.n_w, n)
+                self._scaled_mtv = scaled_mtv(n)
+                self._scaled_mv = scaled_mv(n, n)
+                self._v_plus_mg = v_plus_mg(self.n_w, n)
             self._validated = True
         self._half_update(sample0, 0.5 * dt)
         self._half_update(sample1, 0.5 * dt)

@@ -33,7 +33,11 @@ by the estimators.  The generators expose their filter `state`, the channel
 owns all time stepping.  Channel inputs, filter states and samples are
 Python floats: a power-balance sample carries a float Y and a p-tuple
 Omega, a state-equation sample an n-tuple Y and Omega as n_w rows of n
-floats, which the matrix estimator reads as they are.
+floats, which the matrix estimator reads as they are.  The state-equation
+generator adds the declared phi_g terms to the rows of its input matrix
+with smallmat's `axpy`, and splits the channel outputs into Y and Omega
+with the `sub_at` and `block_columns` kernels, all bound to the generator's
+lengths when it is built.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .filters import ChannelMode, FirstOrderFilterBank
-from .smallmat import min_eig_symmetric
+from .smallmat import axpy, block_columns, min_eig_symmetric, sub_at
 
 
 @dataclass
@@ -245,6 +249,19 @@ class StdLreGenerator:
         self.n = n = len(x0)
         self.n_w = std.n_w
         self._has_b = std.b_f is not None or std.b_g is not None
+        # the declared terms (i, j, phi_g[i][j]) of the input matrix, in
+        # the order they are added, up to the len(up0) input components
+        self._terms = [(i, j, entry)
+                       for i, entries in enumerate(std.phi_g or ())
+                       for j, entry in zip(range(len(up0)), entries)
+                       if entry is not None]
+        self._zero_row = (0.0,) * std.n_w
+        self._axpy_w = axpy(std.n_w)
+        # the channel outputs are pF[x], then F[b_f + B_g u_p] when declared,
+        # then the n rows of F[w_f + w_g]: Y = pF[x] - F[b_f + B_g u_p], and
+        # Omega row j is column j of that n x n_w block
+        self._y = sub_at(n, n)
+        self._omega = block_columns(2 * n if self._has_b else n, n, std.n_w)
         modes = [ChannelMode.DERIVATIVE] * n
         if self._has_b:
             modes += [ChannelMode.PLAIN] * n
@@ -266,16 +283,12 @@ class StdLreGenerator:
 
     def _w_rows(self, x, u_p) -> list:
         """Rows of the input matrix w_f + sum_j u_p[j] phi_g[i][j]."""
-        std = self.std
-        if std.w_f is not None:
-            w = [list(row) for row in std.w_f(x)]
-        else:
-            w = [[0.0] * std.n_w for _ in range(self.n)]
-        if std.phi_g is not None:
-            for i, entries in enumerate(std.phi_g):
-                for u, entry in zip(u_p, entries):
-                    if entry is not None:
-                        w[i] = [a + u * b for a, b in zip(w[i], entry(x))]
+        w_f = self.std.w_f
+        # a fresh list of rows on every call: the terms replace its rows
+        w = list(w_f(x)) if w_f is not None else [self._zero_row] * self.n
+        axpy_w = self._axpy_w
+        for i, j, entry in self._terms:
+            w[i] = axpy_w(w[i], u_p[j], entry(x))
         return w
 
     def _b_vector(self, x, u_p) -> list:
@@ -299,14 +312,5 @@ class StdLreGenerator:
     def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
         out = self.bank.output(inputs)
-        n, n_w = self.n, self.n_w
-        y = out[:n]
-        k = n
-        if self._has_b:
-            y = [a - b for a, b in zip(y, out[k:k + n])]
-            k += n
-        # out[k:] holds the n rows of w_f + w_g one after another; Omega
-        # row j is their column j, every n_w-th entry from j
-        w = out[k:]
-        omega = tuple(w[j::n_w] for j in range(n_w))
-        return RegressorSample(t=t, Y=tuple(y), Omega=omega)
+        y = self._y(out) if self._has_b else tuple(out[:self.n])
+        return RegressorSample(t=t, Y=y, Omega=self._omega(out))

@@ -64,10 +64,10 @@ import numpy as np
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (axpy, axpy_rows, dot, hermite_mid, ieee_div, lag_rate,
-                       lag_rate_at, midpoint, min_eig_symmetric, outer_add,
-                       rk4_sum, scale_rows, scaled_diff_rows, scaled_mv, sub,
-                       v_minus_mg)
+from .smallmat import (axpy, axpy_rows, columns, dot, hermite_mid, ieee_div,
+                       lag_rate, lag_rate_at, midpoint, min_eig_symmetric,
+                       outer_add, rk4_sum, scale_rows, scaled_diff_rows,
+                       scaled_mv, sub, v_minus_mg)
 
 
 class EstimatorKind(Enum):
@@ -243,12 +243,18 @@ class ExcitationRecord:
         self._sum = [0.0] * (self.p * self.p)   # row-major
         self._first = None   # outer product of the first regressor
         self._last = None    # columns of the latest regressor
+        self._columns = None  # columns kernel, bound at a first matrix push
 
     def push(self, omega):
         """Record the regressor (a p-sequence or a (p, n) array) at the
         next grid point."""
         om = omega.tolist() if isinstance(omega, np.ndarray) else omega
-        cols = list(zip(*om)) if isinstance(om[0], (list, tuple)) else [om]
+        if isinstance(om[0], (list, tuple)):
+            if self._columns is None:
+                self._columns = columns(len(om), len(om[0]))
+            cols = self._columns(om)
+        else:
+            cols = [om]
         if self._first is None:
             self._first = self._add_outers([0.0] * len(self._sum), cols)
         self._last = cols

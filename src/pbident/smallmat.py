@@ -26,12 +26,17 @@ the per-element operation order of the comprehension it replaces (its
 docstring gives the expression; sums of products start from 0.0 and go
 left to right, as `dot` does), so results are bit-identical to it.  The
 estimator's dot products are kernels of the same kind: `dot_k(n)` (the
-float `dot` returns), `vec_mat(p)` (v'M) and `mat_vec(m, n)` (M v).
-Their fixed order makes a run's numbers independent of the BLAS build,
-whose small dot products round differently from one CPU kernel to the
-next.  A kernel reads exactly n components: it raises IndexError on a
-shorter argument and ignores the rest of a longer one, so callers bind
-kernels to lengths they have checked.
+float `dot` returns), `vec_mat(p)` (v'M), `mat_vec(m, n)` (M v) and, for
+the gradient flow's matrix update, `residual_gram(m, n)` (y - M'v and
+s M'M, read from the rows of M), `scaled_mtv(n)` (c * M'v), `scaled_mv`
+and `v_plus_mg` (v + M g).  Their fixed order makes a run's numbers
+independent of the BLAS build, whose small dot products round differently
+from one CPU kernel to the next.  `sub_at` and `block_columns` split the
+state-equation channel outputs into Y and Omega, and `columns` transposes
+a matrix regressor for the excitation record.  A kernel reads exactly n
+components: it raises IndexError on a shorter argument and ignores the
+rest of a longer one, so callers bind kernels to lengths they have
+checked.
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -83,6 +88,10 @@ def _list(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
+def _tuple(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
 @_kernel
 def axpy(n: int):
     """f(x, s, y) = x + s*y on length-n sequences, as a list."""
@@ -101,6 +110,27 @@ def axpy_rows(n: int, m: int):
 def sub(n: int):
     """f(x, y) = x - y on length-n sequences, as a list."""
     return "x, y", _list(f"x[{i}] - y[{i}]" for i in range(n))
+
+
+@_kernel
+def sub_at(n: int, k: int):
+    """f(v) = v[:n] - v[k:k + n], as a tuple."""
+    return "v", _tuple(f"v[{i}] - v[{k + i}]" for i in range(n))
+
+
+@_kernel
+def columns(m: int, n: int):
+    """f(M) = the n columns of m rows M of length n, as a tuple of lists."""
+    return "M", _tuple(_list(f"M[{i}][{j}]" for i in range(m))
+                       for j in range(n))
+
+
+@_kernel
+def block_columns(k: int, m: int, n: int):
+    """f(v) = the n columns of the m x n row-major block that starts at
+    v[k], as a tuple of lists."""
+    return "v", _tuple(_list(f"v[{k + i * n + j}]" for i in range(m))
+                       for j in range(n))
 
 
 @_kernel
@@ -144,6 +174,14 @@ def mat_vec(m: int, n: int):
 
 
 @_kernel
+def v_plus_mg(m: int, n: int):
+    """f(v, M, g) = v + M g for an m-vector v, m rows M of length n and an
+    n-vector g."""
+    return "v, M, g", _list(f"v[{i}] + ({_row_product(i, n, 'g')})"
+                            for i in range(m))
+
+
+@_kernel
 def v_minus_mg(m: int, n: int):
     """f(v, M, g) = v - M g for an m-vector v, m rows M of length n and an
     n-vector g."""
@@ -156,6 +194,29 @@ def scaled_mv(m: int, n: int):
     """f(s, M, y) = s*(M y) for m rows M of length n and an n-vector y."""
     return "s, M, y", _list(f"s * ({_row_product(i, n, 'y')})"
                             for i in range(m))
+
+
+@_kernel
+def residual_gram(m: int, n: int):
+    """f(M, y, v, s) = (y - M'v, s*M'M) for m rows M of length n, an
+    n-vector y and an m-vector v: entry j of the residual is y_j - c_j'v
+    and Gram entry (i, j) is s*(c_i'c_j), c_j being column j of M."""
+    residual = _list(
+        f"y[{j}] - ({_sum_of(f'M[{k}][{j}] * v[{k}]' for k in range(m))})"
+        for j in range(n))
+    gram = _list(_list(
+        f"s * ({_sum_of(f'M[{k}][{i}] * M[{k}][{j}]' for k in range(m))})"
+        for j in range(n)) for i in range(n))
+    return "M, y, v, s", f"({residual}, {gram})"
+
+
+@_kernel
+def scaled_mtv(n: int):
+    """f(c, M, v) = c * (M'v) element-wise for n x n rows M and n-vectors
+    c and v; entry k is c_k times the sum of M_ik v_i over i."""
+    return "c, M, v", _list(
+        f"c[{k}] * ({_sum_of(f'M[{i}][{k}] * v[{i}]' for i in range(n))})"
+        for k in range(n))
 
 
 @_kernel

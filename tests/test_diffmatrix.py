@@ -25,9 +25,10 @@ def diffmatrix():
 
 
 def test_diffmatrix_slice_against_this_checkout(diffmatrix):
-    ids = ("circuit/gplusd_pbep/adaptive", "ph/gradient_pbep_overparam/adaptive")
+    ids = ("circuit/gplusd_pbep/adaptive", "ph/gradient_pbep_overparam/adaptive",
+           "extra/ph-gradient_std-overparam")
     cases = [c for c in diffmatrix.matrix_cases() if c[0] in ids]
-    assert len(cases) == 2
+    assert len(cases) == 3
     table, changed = diffmatrix.compare(diffmatrix.collect(ROOT, cases),
                                         diffmatrix.collect(ROOT, cases))
     assert changed == set()
@@ -35,7 +36,7 @@ def test_diffmatrix_slice_against_this_checkout(diffmatrix):
     # the trace, report and abort columns are all compared
     text = diffmatrix.format_table(table, len(cases))
     for col in ("trace:x1", "trace:delta", "report:theta_hat_final",
-                "report:abel_gap", "abort:time"):
+                "report:abel_gap", "abort:time", "trace:overparam_hat2"):
         assert f"\n{col} " in text and table[col][0] == 0
 
 

@@ -1,4 +1,6 @@
 import copy
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,8 @@ from pbident import estimator as estimator_module
 from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
-from pbident.smallmat import determinant
+from pbident import smallmat
+from pbident.smallmat import determinant, dot, symmetric_eigen
 from conftest import numpy_gradient_propagate, rates, theta_rate
 
 
@@ -399,6 +402,86 @@ def test_gradient_matrix_update_non_finite_gives_nan():
             est.propagate(good, good, 1e-3)
             est.propagate(good, const_sample(1e-3, np.ones(n), om), 1e-3)
             assert np.all(np.isnan(est.Theta))
+
+
+def loop_half_update(gamma, theta, sample, tau):
+    """The matrix half update as generic `dot` loops over the regressor's
+    columns, in the order the estimator's kernels keep."""
+    cols = list(zip(*sample.Omega))
+    r = [y - dot(c, theta) for y, c in zip(sample.Y, cols)]
+    w, v = symmetric_eigen([[gamma * dot(ci, cj) for cj in cols]
+                            for ci in cols])
+    vr = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau)
+          * dot(vk, r) for lam, vk in zip(w, zip(*v))]
+    z = [gamma * dot(vi, vr) for vi in v]
+    return [a + dot(row, z) for a, row in zip(theta, sample.Omega)]
+
+
+def float_bytes(values) -> bytes:
+    """IEEE double bytes of the values, every nan as the one quiet nan: of
+    two nan operands CPython 3.11 returns either one's bits."""
+    return struct.pack(f"<{len(values)}d",
+                       *(math.nan if v != v else v for v in values))
+
+
+@pytest.mark.parametrize("n_w, n", [(2, 1), (2, 2), (3, 2), (3, 3)])
+def test_gradient_matrix_kernels_match_the_loop_form_bit_for_bit(n_w, n):
+    rng = np.random.default_rng(100 * n_w + n)
+    tau = 5e-4
+    for trial in range(40):
+        om = rng.normal(size=(n_w, n)) * 10.0 ** rng.integers(-3, 4)
+        if trial % 8 == 7:   # non-finite entries from the second call on
+            om[rng.integers(n_w), rng.integers(n)] = \
+                (math.inf, -math.inf, math.nan)[trial % 3]
+        gamma = float(10.0 ** rng.uniform(-2, 5))
+        theta0 = rng.normal(size=n_w).tolist()
+        first = RegressorSample(0.0, tuple(rng.normal(size=n).tolist()),
+                                tuple(rng.normal(size=(n_w, n)).tolist()))
+        s = RegressorSample(0.0, tuple(rng.normal(size=n).tolist()),
+                            tuple(om.tolist()))
+        est = GradientEstimator(n_w, gamma=gamma, Theta0=theta0)
+        ref = theta0
+        for a, b in ((first, first), (s, first), (first, s)):
+            est.propagate(a, b, 2 * tau)
+            for sample in (a, b):
+                ref = loop_half_update(gamma, ref, sample, tau)
+            assert float_bytes(est.Theta) == float_bytes(ref), (om, gamma)
+
+
+def test_gradient_matrix_kernels_are_bound_once_per_shape():
+    def bound(n_w, n):
+        est = GradientEstimator(n_w, gamma=1.0)
+        s = RegressorSample(0.0, (1.0,) * n, tuple([[0.5] * n] * n_w))
+        est.propagate(s, s, 1e-3)
+        return (est._residual_gram, est._scaled_mtv, est._scaled_mv,
+                est._v_plus_mg)
+    first = bound(3, 2)
+    assert all(a is b for a, b in zip(first, bound(3, 2)))
+    assert all(a is not b for a, b in zip(first, bound(2, 3)))
+
+
+class _Raises:
+    """Stands in for a module attribute; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the update used .{name}")
+
+    def __call__(self, *args):
+        raise AssertionError("the update called the generic dot")
+
+
+def test_gradient_matrix_update_after_the_first_calls_no_numpy_or_dot(
+        monkeypatch):
+    est = GradientEstimator(3, gamma=2.0)
+    s = RegressorSample(0.0, (1.0, 2.0),
+                        ([1.0, 0.5], [0.0, -1.0], [2.0, 0.25]))
+    est.propagate(s, s, 1e-3)
+    for module in (estimator_module, smallmat):
+        monkeypatch.setattr(module, "np", _Raises())
+    monkeypatch.setattr(smallmat, "dot", _Raises())
+    theta = est.Theta
+    est.propagate(s, s, 1e-3)
+    assert est.Theta != theta
 
 
 def test_gradient_dimension_mismatch():

@@ -106,6 +106,47 @@ def test_signal_count_comparison(circuit, ph):
         assert pbep.n_channels < std.n_channels
 
 
+def numpy_std_inputs(std, x, u_p):
+    """StdLre channel inputs as arrays: x, then b_f + B_g u_p when declared,
+    then the rows of w_f + sum_j u_p[j] phi_g[i][j], one after another."""
+    n = len(x)
+    parts = [np.asarray(x, dtype=float)]
+    if std.b_f is not None or std.b_g is not None:
+        b = np.zeros(n) if std.b_f is None else np.array(std.b_f(x), dtype=float)
+        for i, entries in enumerate(std.b_g or ()):
+            for u, entry in zip(u_p, entries):
+                if entry is not None:
+                    b[i] += u * entry(x)
+        parts.append(b)
+    w = np.zeros((n, std.n_w)) if std.w_f is None else \
+        np.array(std.w_f(x), dtype=float)
+    for i, entries in enumerate(std.phi_g or ()):
+        for u, entry in zip(u_p, entries):
+            if entry is not None:
+                w[i] += u * np.array(entry(x), dtype=float)
+    parts.append(w.ravel())
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", ["circuit", "ph"])
+def test_std_inputs_match_a_numpy_oracle(name, circuit, ph):
+    plant = {"circuit": circuit, "ph": ph}[name].plant
+    rng = np.random.default_rng(7)
+    x0, u0 = rng.normal(size=plant.n), rng.normal(size=plant.n_p)
+    gen = StdLreGenerator(plant.std, LAM, tuple(x0.tolist()),
+                          tuple(u0.tolist()))
+    calls = []
+    # two calls in a row at different states: the rows of a call must not
+    # start from, or be changed by, those of another (ph has no w_f, so its
+    # rows start from zeros on every call)
+    for _ in range(2):
+        x = tuple(rng.normal(size=plant.n).tolist())
+        u_p = tuple((10.0 * rng.normal(size=plant.n_p)).tolist())
+        calls.append((gen.inputs(x, u_p), numpy_std_inputs(plant.std, x, u_p)))
+    for got, want in calls:
+        assert np.array(got).tobytes() == want.tobytes()
+
+
 def test_zero_maps_give_zero_regression():
     nlpre = NlpreData(p_s=1, p_S=0, p_d=0,
                       phi_s=lambda x, up, yp: np.zeros(1))

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbident.smallmat import (adjugate, axpy, axpy_rows, determinant, dot,
-                              dot_k, eye_minus, hermite_mid, ieee_div,
-                              ieee_pow, lag_rate, lag_rate_at, mat_vec,
-                              midpoint, min_eig_symmetric, outer_add,
-                              rank1_update, rk4_sum, scale_rows,
-                              scaled_diff_rows, scaled_mv, sub,
-                              symmetric_eigen, v_minus_mg, vec_mat)
+from pbident.smallmat import (adjugate, axpy, axpy_rows, block_columns,
+                              columns, determinant, dot, dot_k, eye_minus,
+                              hermite_mid, ieee_div, ieee_pow, lag_rate,
+                              lag_rate_at, mat_vec, midpoint,
+                              min_eig_symmetric, outer_add, rank1_update,
+                              residual_gram, rk4_sum, scale_rows,
+                              scaled_diff_rows, scaled_mtv, scaled_mv, sub,
+                              sub_at, symmetric_eigen, v_minus_mg, v_plus_mg,
+                              vec_mat)
 
 
 def test_determinant_examples():
@@ -286,6 +288,39 @@ def _draw_case(draw, kernel, n):
                                                  max_size=m))
         return v_minus_mg(m, n)(v, mat, x), \
             [a - dot(row, x) for a, row in zip(v, mat)]
+    if kernel == "v_plus_mg":
+        m = draw(st.integers(1, 5))
+        v, mat = draw(vectors(m)), draw(st.lists(vectors(n), min_size=m,
+                                                 max_size=m))
+        return v_plus_mg(m, n)(v, mat, x), \
+            [a + dot(row, x) for a, row in zip(v, mat)]
+    if kernel == "residual_gram":
+        m = draw(st.integers(1, 5))
+        mat, v = draw(st.lists(vectors(n), min_size=m, max_size=m)), \
+            draw(vectors(m))
+        r, gram = residual_gram(m, n)(mat, y, v, s)
+        cols = list(zip(*mat))
+        return [*r, *sum(gram, [])], \
+            [b - dot(c, v) for b, c in zip(y, cols)] \
+            + [s * dot(ci, cj) for ci in cols for cj in cols]
+    if kernel == "scaled_mtv":
+        mat = draw(square(n))
+        return scaled_mtv(n)(x, mat, y), \
+            [c * dot(col, y) for c, col in zip(x, zip(*mat))]
+    if kernel == "sub_at":
+        k = draw(st.integers(0, 5))
+        v = draw(vectors(n + k))
+        return list(sub_at(n, k)(v)), \
+            [a - b for a, b in zip(v[:n], v[k:k + n])]
+    if kernel == "columns":
+        m = draw(st.integers(1, 5))
+        mat = draw(st.lists(vectors(n), min_size=m, max_size=m))
+        return sum(columns(m, n)(mat), []), sum(map(list, zip(*mat)), [])
+    if kernel == "block_columns":
+        k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+        v = draw(vectors(k + m * n))
+        return sum(block_columns(k, m, n)(v), []), \
+            sum((v[k:][j::n] for j in range(n)), [])
     if kernel == "dot_k":
         return [dot_k(n)(x, y)], [dot(x, y)]
     if kernel == "mat_vec":
@@ -331,10 +366,11 @@ def _draw_case(draw, kernel, n):
         [want[i:i + n] for i in range(0, n * n, n)]
 
 
-KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "dot_k",
-           "mat_vec", "vec_mat", "scaled_mv", "scale_rows", "lag_rate",
-           "lag_rate_at", "midpoint", "hermite_mid", "rank1_update",
-           "eye_minus", "outer_add", "scaled_diff_rows"]
+KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "v_plus_mg",
+           "residual_gram", "scaled_mtv", "sub_at", "columns",
+           "block_columns", "dot_k", "mat_vec", "vec_mat", "scaled_mv",
+           "scale_rows", "lag_rate", "lag_rate_at", "midpoint", "hermite_mid",
+           "rank1_update", "eye_minus", "outer_add", "scaled_diff_rows"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -348,14 +384,17 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
 @pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
                                      midpoint, hermite_mid, rank1_update,
                                      eye_minus, outer_add, scaled_diff_rows,
-                                     dot_k, vec_mat])
+                                     dot_k, vec_mat, scaled_mtv])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
     assert axpy_rows(2, 3) is axpy_rows(2, 3) is not axpy_rows(3, 2)
-    for two_lengths in (v_minus_mg, scaled_mv, scale_rows, mat_vec):
+    for two_lengths in (v_minus_mg, v_plus_mg, scaled_mv, scale_rows, mat_vec,
+                        residual_gram, sub_at, columns):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
+    assert block_columns(2, 2, 3) is block_columns(2, 2, 3) \
+        is not block_columns(4, 2, 3)
 
 
 def test_kernels_keep_signed_zero_and_read_exactly_n_components():

@@ -13,8 +13,11 @@ compares what every case produced:
   message of an exception the run raised.
 
 The cases are {circuit, ph} x the 4 estimators x the 3 controllers from
-each scenario's default start over 5 s, plus the pinned aborts of the
-test suite.
+each scenario's default start over 5 s, three runs off the defaults (ph
+gradient_std from a nonzero Theta, circuit gradient_std at gamma 30
+without sub-steps or decimation, and the circuit's slow start x0 = (0.64,
+0.27), theta_hat0 = (0.12, 0.05)), plus the pinned aborts of the test
+suite.
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
 `abort:<part>`, `error`): the number of cases where it differs, and the
@@ -51,13 +54,30 @@ PINNED_ABORTS = [
 ]
 
 
+# (id, scenario, SimConfig settings) of runs off the default start.  The
+# default ph/gradient_std cases abort on their first step (Theta starts at
+# 0, so the estimate does, and beta divides by it), so one ph case starts
+# the state-equation estimator elsewhere; the circuit one is the
+# benchmark's gradient_std run without sub-steps or decimation
+EXTRA_CASES = [
+    ("extra/ph-gradient_std-overparam", "ph",
+     {"estimator": "gradient_std", "overparam_hat0": (0.5, 0.25),
+      "t_end": 5.0}),
+    ("extra/circuit-gradient_std-gamma30", "circuit",
+     {"estimator": "gradient_std", "gamma": 30.0, "substeps": 1,
+      "decimation": 1, "t_end": 5.0}),
+    ("extra/circuit-slow-start", "circuit",
+     {"x0": (0.64, 0.27), "theta_hat0": (0.12, 0.05), "t_end": 5.0}),
+]
+
+
 def matrix_cases() -> list:
     """(id, scenario, SimConfig settings) of every case."""
     cases = [(f"{name}/{est}/{ctl}", name,
               {"estimator": est, "controller": ctl, "t_end": 5.0})
              for name in ("circuit", "ph")
              for est in ESTIMATORS for ctl in CONTROLLERS]
-    return cases + PINNED_ABORTS
+    return cases + EXTRA_CASES + PINNED_ABORTS
 
 
 # -- the worker: runs in a subprocess, imports the checkout's pbident --------
