@@ -39,12 +39,13 @@ lengths (plant state, estimate, regressor, filter channels) after
 checking that the scenario's closures return those lengths.  Each keeps
 one fixed operation order, with sums taken left to right, so a step
 after the first calls no numpy and its numbers do not depend on the BLAS
-build.  Arrays are built only for the excitation record's eigenvalue,
-the report and the ndarray views (`World.x`, the generators' `state`,
-`GplusDEstimator.Phi`) that callers read.  The run loop keeps its
-power-balance residuals, settling times and final errors as running
-reductions, and its trace rows go to the caller's sink, so a run needs a
-fixed amount of memory.
+build.  The excitation record's eigenvalue is taken on floats for a 2x2
+Gram (ph) and by numpy's eigvalsh for the circuit's 3x3 one; otherwise
+arrays are built only for the report and the ndarray views (`World.x`,
+the generators' `state`, `GplusDEstimator.Phi`) that callers read.  The
+run loop keeps its power-balance residuals, settling times and final
+errors as running reductions, and its trace rows go to the caller's
+sink, so a run needs a fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.

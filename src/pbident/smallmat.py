@@ -41,11 +41,14 @@ checked.
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
 Jacobi rotation on Python floats, nested lists in and out) and with
-numpy's eigh above.  `min_eig_symmetric` uses numpy's eigvalsh at every
-size, after checking and symmetrizing on floats, so the excitation
-monitor hands over its Gram as nested float rows.  A closed form would
-not do there: it rounds differently from LAPACK, and the Gram eigenvalue
-is a trace column that stays bit-identical.
+numpy's eigh above.  `min_eig_symmetric` checks and symmetrizes on floats.
+On a 2x2 matrix it then takes, on Python floats, the operations that
+numpy's eigvalsh runs in LAPACK (dsyevd, dsytd2, dsterf, dlae2, dlasrt),
+so its result is bit-identical to eigvalsh's without the cost of the call;
+a 2x2 matrix that dsyevd or dsterf would rescale, and any larger one, goes
+to eigvalsh itself.  The excitation monitor hands over its Gram as nested
+float rows, so ph's 2x2 Gram eigenvalue is a trace column that depends on
+no BLAS build; the circuit's 3x3 one still comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -454,16 +457,98 @@ def symmetric_eigen(m):
     return (w.tolist(), v.tolist()) if type(m) is list else (w, v)
 
 
-def min_eig_symmetric(m) -> float:
-    """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2).
+# LAPACK's machine constants (DLAMCH) in the routines eigvalsh runs: dsterf's
+# unit roundoff 'E' and safe minimum 'S', and dsyevd's SMLNUM, 'S' over the
+# precision 'P'
+_EPS = 2.0 ** -53
+_EPS2 = _EPS * _EPS
+_SAFMIN = 2.0 ** -1022
+_SMLNUM = _SAFMIN / 2.0 ** -52
+# the range of the largest |entry| in which neither dsyevd nor dsterf
+# rescales the matrix: 2**-405 to 2**485
+_UNSCALED_MIN = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)
+_UNSCALED_MAX = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)
 
-    The matrix is checked and symmetrized on floats, and numpy's eigvalsh
-    is called once; a square nested list is taken as it is, anything else
-    is read as a square array first.  Non-finite entries raise ValueError.
+
+def _is_square_list(m) -> bool:
+    """Whether m is a nonempty list of len(m) lists of len(m) entries.
+
+    A loop, as on CPython 3.11 all() over a generator costs several times
+    as much on a 2x2 matrix.
     """
-    if not (type(m) is list and m
-            and all(type(r) is list and len(r) == len(m) for r in m)):
+    if type(m) is not list or not m:
+        return False
+    n = len(m)
+    for r in m:
+        if type(r) is not list or len(r) != n:
+            return False
+    return True
+
+
+def _min_eig_2x2(a: float, b: float, c: float) -> float:
+    """Smallest eigenvalue of [[a, b], [b, c]] in the operations of LAPACK's
+    dsyevd, for a matrix that it does not rescale.
+
+    dsytd2 leaves a 2x2 matrix as it is (d = (a, c), e = b, tau = 0), and
+    dsterf either splits it at one of its two tests on b or squares b and
+    hands (a, sqrt(b*b), c) to dlae2, whose two roots dlasrt sorts.  When
+    |c| < |a| dsterf runs QR instead of QL and calls dlae2 on (c, ., a);
+    that changes none of dlae2's operations, which take the diagonal by
+    magnitude.
+    """
+    if abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS:
+        return c if c < a else a
+    e2 = b * b
+    if e2 <= _EPS2 * abs(a * c):
+        return c if c < a else a
+    # dlae2(A = a, B = rte, C = c): rt1, the root of larger magnitude, and
+    # rt2 = det / rt1 in the order of operations that dlae2 keeps
+    rte = math.sqrt(e2)
+    sm = a + c
+    adf = abs(a - c)
+    ab = rte + rte
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        t = ab / adf
+        rt = adf * math.sqrt(1.0 + t * t)
+    elif adf < ab:
+        t = adf / ab
+        rt = ab * math.sqrt(1.0 + t * t)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1 = 0.5 * (sm - rt)
+    elif sm > 0.0:
+        rt1 = 0.5 * (sm + rt)
+    else:
+        return -0.5 * rt   # rt2 of the pair (0.5 rt, -0.5 rt)
+    rt2 = (acmx / rt1) * acmn - (rte / rt1) * rte
+    return rt2 if rt2 < rt1 else rt1
+
+
+def min_eig_symmetric(m) -> float:
+    """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2),
+    bit-identical to numpy's eigvalsh of the symmetrized matrix.
+
+    A square nested list is taken as it is, anything else is read as a
+    square array first; the matrix is checked and symmetrized on floats,
+    and non-finite entries raise ValueError.  A 2x2 matrix whose largest
+    symmetrized |entry| is 0 or lies in [2**-405, 2**485] is solved on
+    floats in LAPACK's own operations (`_min_eig_2x2`); any other matrix
+    goes to eigvalsh, which rescales such a 2x2 matrix first.
+    """
+    if not _is_square_list(m):
         m = _as_square(m).tolist()
+    if len(m) == 2:
+        (a, b01), (b10, c) = m
+        if not (math.isfinite(a) and math.isfinite(b01)
+                and math.isfinite(b10) and math.isfinite(c)):
+            raise ValueError("matrix entries must be finite")
+        a, b, c = 0.5 * (a + a), 0.5 * (b01 + b10), 0.5 * (c + c)
+        big = max(abs(a), abs(b), abs(c))
+        if big <= _UNSCALED_MAX and (big >= _UNSCALED_MIN or big == 0.0):
+            return float(_min_eig_2x2(a, b, c))
+        return float(np.linalg.eigvalsh([[a, b], [b, c]])[0])
     if not all(math.isfinite(v) for r in m for v in r):
         raise ValueError("matrix entries must be finite")
     sym = [[0.5 * (a + b) for a, b in zip(r, c)] for r, c in zip(m, zip(*m))]

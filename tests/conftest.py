@@ -26,6 +26,13 @@ def rk4(rate, y0, t0, t1, n):
     return np.array(out)
 
 
+class NoNumpy:
+    """Stands in for a module's `np`; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"called numpy.{name}")
+
+
 class ListTrace:
     """Trace sink that keeps the header and every row in memory."""
 

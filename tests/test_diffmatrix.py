@@ -78,9 +78,10 @@ def _host_has_avx2() -> bool:
 def test_runs_do_not_depend_on_the_blas_core(diffmatrix):
     # The estimator's dot products sum left to right on floats, so the
     # pinned aborts and a completed run match under any OpenBLAS core type.
-    # Only the excitation Gram's eigenvalue comes from LAPACK, whose kernels
-    # may round differently per core.  OPENBLAS_CORETYPE is ignored by
-    # other BLAS builds, where this holds trivially.
+    # Only the circuit's 3x3 excitation Gram eigenvalue comes from LAPACK,
+    # whose kernels may round differently per core (ph's 2x2 one is taken
+    # on floats).  OPENBLAS_CORETYPE is ignored by other BLAS builds, where
+    # this holds trivially.
     # OpenBLAS does not check the CPU for a forced core type, so Haswell's
     # AVX2 kernels are forced only on a host that has AVX2.
     cases = [c for c in diffmatrix.matrix_cases()

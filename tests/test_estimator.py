@@ -533,6 +533,34 @@ def test_monotonicity_secant_dominates_jacobian(circuit):
     assert rep.rho_secant >= rep.rho_jacobian - 1e-6
 
 
+def _coupled_map():
+    """q = 2 with W(theta) = T G(theta) coupled through theta0 * theta1, so
+    sym(P T J_G) changes from sample to sample."""
+    return ParamMap(
+        G_direct=lambda th: (float(th[0]), float(th[1]),
+                             float(th[0] * th[1])),
+        T=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.25]]),
+        P=np.array([[2.0, 0.5], [0.5, 1.0]]),
+        jacobian_G=lambda th: np.array([[1.0, 0.0], [0.0, 1.0],
+                                        [th[1], th[0]]]))
+
+
+@pytest.mark.parametrize("name", ["circuit", "coupled"])
+def test_monotonicity_rho_jacobian_is_eigvalsh_bit_for_bit(circuit, name):
+    # q = 2: every sample's sym(P T J_G) is a 2x2 ndarray, whose minimum
+    # eigenvalue min_eig_symmetric takes on floats in LAPACK's operations
+    pm = circuit.plant.param_map if name == "circuit" else _coupled_map()
+    assert pm.q == 2
+    rep = check_monotonicity(pm, [0.1, 10.0], n_samples=3000, seed=4)
+    rng = np.random.default_rng(4)
+    want = np.inf
+    for theta in 0.1 + 9.9 * rng.random((3000, 2)):
+        jw = pm.P @ (pm.T @ np.asarray(pm.jacobian_G(theta), dtype=float))
+        sym = 0.5 * (jw + jw.T)
+        want = min(want, float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0]))
+    assert struct.pack("<d", rep.rho_jacobian) == struct.pack("<d", want)
+
+
 def test_monotonicity_rejects_degenerate_box():
     with pytest.raises(ValueError):
         check_monotonicity(scalar_map(), [[1.0, 1.0]], n_samples=10)

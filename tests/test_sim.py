@@ -8,8 +8,9 @@ import pytest
 from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
                      SimConfig, World, excitation_report, run, step)
 from pbident.sim import ConfigValueError
-from conftest import (ListTrace, numpy_correction, numpy_gplusd_propagate,
-                      numpy_gradient_propagate, numpy_sample, numpy_stages)
+from conftest import (ListTrace, NoNumpy, numpy_correction,
+                      numpy_gplusd_propagate, numpy_gradient_propagate,
+                      numpy_sample, numpy_stages)
 
 
 def test_config_validation():
@@ -475,13 +476,6 @@ def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
 
 # -- a step after the first calls no numpy -----------------------------------
 
-class _NoNumpy:
-    """Stands in for a module's `np`; any use of it fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the step called numpy.{name}")
-
-
 STEP_MODULES = ("sim", "estimator", "regressor", "smallmat", "plants",
                 "filters")
 
@@ -501,7 +495,7 @@ def test_step_calls_no_numpy_after_the_first(circuit, ph, monkeypatch, name,
     step(world)   # the first step validates the samples with numpy
     for module in STEP_MODULES:
         monkeypatch.setattr(importlib.import_module(f"pbident.{module}"),
-                            "np", _NoNumpy())
+                            "np", NoNumpy())
     for _ in range(50):
         step(world)
         world.check_finite()

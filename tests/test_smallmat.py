@@ -1,9 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import NoNumpy
+from pbident.sim import ExcitationRecord
 from pbident.smallmat import (adjugate, axpy, axpy_rows, block_columns,
                               columns, determinant, dot, dot_k, eye_minus,
                               hermite_mid, ieee_div, ieee_pow, lag_rate,
@@ -413,3 +416,96 @@ def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     with pytest.raises(IndexError):
         axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
     assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
+
+
+# -- the 2x2 minimum eigenvalue in LAPACK's operations, against eigvalsh ------
+
+# the bounds on the largest |entry| between which neither dsyevd nor dsterf
+# rescales a matrix, each with its neighbours one ulp to either side
+THRESHOLDS = [v for t in (2.0 ** -405, 2.0 ** 485)
+              for v in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))]
+EIG_EDGES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300,
+             1.0, *THRESHOLDS]
+# bounded so that symmetrizing and the Gram's squares stay finite
+eig_entries = st.one_of(
+    st.sampled_from(EIG_EDGES).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e300, 1e300), st.floats(-1e3, 1e3))
+eig_examples = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=1000)
+
+
+@st.composite
+def two_by_two(draw):
+    """A 2x2 nested list of finite floats, mostly symmetric, drawn toward
+    dsterf's split tests and the rescaling thresholds."""
+    a, b, c = draw(eig_entries), draw(eig_entries), draw(eig_entries)
+    shape = draw(st.sampled_from(["plain", "equal_diagonal", "tiny_off",
+                                  "underflow_off", "zero_off", "gram",
+                                  "at_threshold", "asymmetric"]))
+    if shape == "equal_diagonal":
+        c = a
+    elif shape == "tiny_off":
+        # near |b| = sqrt|a| sqrt|c| eps, where both split tests decide
+        c = a if draw(st.booleans()) else c
+        b = (math.sqrt(abs(a)) * math.sqrt(abs(c))
+             * 2.0 ** -draw(st.integers(50, 56)) * draw(st.floats(0.5, 2.0)))
+    elif shape == "underflow_off":
+        # b*b underflows to a subnormal, so sqrt(b*b) is not |b|
+        a = draw(st.sampled_from([0.0, -0.0]))
+        b = draw(st.floats(1e-165, 1e-154))
+    elif shape == "zero_off":
+        b = draw(st.sampled_from([0.0, -0.0]))
+    elif shape == "gram":
+        u = [draw(st.floats(-1e150, 1e150)) for _ in range(4)]
+        a, b, c = (u[0] * u[0] + u[2] * u[2], u[0] * u[1] + u[2] * u[3],
+                   u[1] * u[1] + u[3] * u[3])
+    elif shape == "at_threshold":
+        t = draw(st.sampled_from(THRESHOLDS)) * draw(st.sampled_from([1, -1]))
+        a, b, c = draw(st.permutations(
+            [t, t * draw(st.floats(-1.0, 1.0)), t * draw(st.floats(-1.0, 1.0))]))
+    b10 = draw(eig_entries) if shape == "asymmetric" else b
+    return [[a, b], [b10, c]]
+
+
+@eig_examples
+@given(m=two_by_two())
+@example(m=[[-0.0, 0.0], [0.0, 0.0]])
+@example(m=[[0.0, -0.0], [-0.0, -0.0]])
+@example(m=[[1.0, 1.0], [1.0, -1.0]])       # a + c = 0
+@example(m=[[1.0, 0.5], [0.5, 1.0]])        # |a - c| < |2b|
+@example(m=[[3.0, 1.0], [1.0, 1.0]])        # |a - c| = |2b|
+@example(m=[[1e-300, 1e-300], [1e-300, 0.0]])
+# only dsterf's second split test, on b*b, splits this one
+@example(m=[[0.2576611551787722, 2.860613470309883e-17],
+            [2.860613470309883e-17, 0.2576611551787722]])
+# sqrt(b*b) is not |b| where b*b is subnormal
+@example(m=[[-0.0, 2.36137087598986e-155], [2.36137087598986e-155, 1.325]])
+def test_min_eig_2x2_is_eigvalsh_bit_for_bit(m):
+    arr = np.array(m)
+    want = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
+    assert same_bytes(min_eig_symmetric(m), want)
+    assert same_bytes(min_eig_symmetric(arr), want)
+
+
+def test_min_eig_of_int_entries_is_a_float():
+    for m in ([[2, 1], [1, 2]], [[0, 0], [0, 0]], [[1, 3], [0, -4]],
+              [[1, 2, 0], [2, 1, 0], [0, 0, 5]]):
+        got = min_eig_symmetric(m)
+        arr = np.array(m, dtype=float)
+        assert type(got) is float
+        assert got == float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
+
+
+def test_excitation_record_at_p2_calls_no_numpy(monkeypatch):
+    # push reads ndarray regressors, so only `record` runs without numpy
+    rec = ExcitationRecord(2, 1e-3, threshold=1e-4)
+    got = []
+    for k in range(40):
+        rec.push((math.cos(0.3 * k), 0.5 * math.sin(0.2 * k)))
+        with monkeypatch.context() as patch:
+            for module in ("sim", "smallmat"):
+                patch.setattr(importlib.import_module(f"pbident.{module}"),
+                              "np", NoNumpy())
+            got.append(rec.record(k * 1e-3))
+        assert same_bytes(got[-1], float(np.linalg.eigvalsh(rec.gram)[0]))
+    assert rec.t_c is not None and got[-1] > 1e-4

@@ -13,11 +13,12 @@ compares what every case produced:
   message of an exception the run raised.
 
 The cases are {circuit, ph} x the 4 estimators x the 3 controllers from
-each scenario's default start over 5 s, three runs off the defaults (ph
+each scenario's default start over 5 s, four runs off the defaults (ph
 gradient_std from a nonzero Theta, circuit gradient_std at gamma 30
-without sub-steps or decimation, and the circuit's slow start x0 = (0.64,
-0.27), theta_hat0 = (0.12, 0.05)), plus the pinned aborts of the test
-suite.
+without sub-steps or decimation, the circuit's slow start x0 = (0.64,
+0.27), theta_hat0 = (0.12, 0.05), and a 0.5 s ph gplusd_pbep run at
+decimation 1 with gamma_g 150 and gamma 75), plus the pinned aborts of the
+test suite.
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
 `abort:<part>`, `error`): the number of cases where it differs, and the
@@ -58,7 +59,9 @@ PINNED_ABORTS = [
 # default ph/gradient_std cases abort on their first step (Theta starts at
 # 0, so the estimate does, and beta divides by it), so one ph case starts
 # the state-equation estimator elsewhere; the circuit one is the
-# benchmark's gradient_std run without sub-steps or decimation
+# benchmark's gradient_std run without sub-steps or decimation.  The ph
+# decimation-1 case is a sweep cell at the top corner of the benchmark's
+# gain grid: its trace holds every step's 2x2 Gram eigenvalue
 EXTRA_CASES = [
     ("extra/ph-gradient_std-overparam", "ph",
      {"estimator": "gradient_std", "overparam_hat0": (0.5, 0.25),
@@ -68,6 +71,9 @@ EXTRA_CASES = [
       "decimation": 1, "t_end": 5.0}),
     ("extra/circuit-slow-start", "circuit",
      {"x0": (0.64, 0.27), "theta_hat0": (0.12, 0.05), "t_end": 5.0}),
+    ("extra/ph-gplusd-decimation1", "ph",
+     {"estimator": "gplusd_pbep", "decimation": 1, "t_end": 0.5,
+      "gamma_g": 150.0, "gamma": 75.0}),
 ]
 
 
