@@ -48,8 +48,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
-import numpy as np
-
 from .estimator import check_monotonicity
 from .plants import SCENARIO_BUILDERS, Scenario, make_scenario
 from .sim import (ConfigValueError, ControllerKind, EstimatorKind, RunReport,
@@ -251,13 +249,9 @@ def _report_lines(cfg: ScenarioConfig, report: RunReport) -> list[str]:
     def add(key, value):
         if value is None:
             return
-        if isinstance(value, np.ndarray):
-            value = ",".join(repr(float(v)) for v in value)
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"result_{key} = {value}")
+        lines.append(f"result_{key} = {_fmt_value(value)}")
 
     for name in _RESULTS:
         add(name, getattr(report, name))
@@ -340,6 +334,7 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    import numpy as np
     q = scen.plant.param_map.q
     if box is None:
         box = np.tile([0.1, 10.0], (q, 1))
@@ -383,6 +378,23 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
     return 0
 
 
+def _grid(lo: float, hi: float, steps: int) -> list:
+    """np.linspace(lo, hi, steps) on floats, operation for operation: k
+    times the step plus lo (k / (steps - 1) times hi - lo where the step
+    underflows to 0, k times hi - lo for one step), and hi exactly last."""
+    div = steps - 1
+    delta = hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0:
+        values = [(k / div) * delta + lo for k in range(steps)]
+    else:
+        values = [k * step + lo for k in range(steps)]
+    values[-1] = hi
+    return values
+
+
 def sweep_command(cfg: ScenarioConfig, grids: list[str],
                   out_dir: Optional[str] = None) -> int:
     """Repeat run over a grid of float settings or scenario parameters."""
@@ -410,7 +422,7 @@ def sweep_command(cfg: ScenarioConfig, grids: list[str],
             print(f"error: grid range {rng!r} needs finite ends and steps >= 1",
                   file=sys.stderr)
             return 1
-        axes.append((key, name, np.linspace(lo, hi, steps)))
+        axes.append((key, name, _grid(lo, hi, steps)))
     if not axes:
         print("error: sweep needs at least one --grid", file=sys.stderr)
         return 1

@@ -31,9 +31,13 @@ correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats, and every update runs on them through smallmat's
-kernels, unrolled to their lengths, and math.expm1; after the first step's
-sample check no update calls numpy.  Every dot product (|Omega|^2,
-Omega' theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums its
+kernels, unrolled to their lengths, and math.expm1; the first step's
+sample check and P T (a left-to-right float product) run on floats too,
+so no update calls numpy.  numpy is imported only by the array views and
+checks outside a run: `GplusDEstimator.Phi`, `GradientEstimator.rate` and
+`check_monotonicity`, whose samples come from numpy's generator.  Every
+dot product (|Omega|^2, Omega' theta_g, Omega' Phi, Phi theta_g0,
+adj(I - Phi) r) sums its
 products from 0.0 left to right, as `smallmat.dot` does, so the numbers
 depend on IEEE arithmetic and the C library's expm1 only, not on the BLAS
 build: a BLAS evaluates small dot products with fused multiply-adds or
@@ -65,26 +69,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, axpy, determinant, dot_k, eye_minus,
-                       mat_vec, min_eig_symmetric, rank1_update,
-                       residual_gram, scaled_mtv, scaled_mv, symmetric_eigen,
-                       v_minus_mg, v_plus_mg, vec_mat)
+from .smallmat import (adjugate, all_finite, axpy, determinant, dot,
+                       dot_k, eye_minus, flat_floats, float_rows, mat_vec,
+                       min_eig_symmetric, rank1_update, residual_gram,
+                       scaled_mtv, scaled_mv, symmetric_eigen, v_minus_mg,
+                       v_plus_mg, vec_mat)
 
 
-def _check_sample(sample: RegressorSample, p: int, scalar: bool):
-    om = np.asarray(sample.Omega, dtype=float)
-    if scalar:
-        if om.ndim != 1 or om.shape[0] != p:
-            raise ValueError(
-                f"expected a scalar regression sample with a {p}-vector "
-                f"regressor, got Omega shape {om.shape}")
-        if np.ndim(sample.Y) != 0:
-            raise ValueError("expected scalar Y")
-    if not np.all(np.isfinite(om)) or not np.all(np.isfinite(sample.Y)):
+def _check_sample(sample: RegressorSample, p: int,
+                  scalar: bool = False) -> bool:
+    """Check a sample's shape and finiteness on floats; returns whether its
+    Omega is a matrix (p rows of n).
+
+    Omega must have p rows, or be a p-vector when `scalar` is set; with a
+    vector Omega, Y must be a number.
+    """
+    om = sample.Omega
+    om = om.tolist() if hasattr(om, "tolist") else om
+    y = sample.Y.tolist() if hasattr(sample.Y, "tolist") else sample.Y
+    matrix = bool(om) and isinstance(om[0], (list, tuple))
+    if len(om) != p or (scalar and matrix):
+        shape = (len(om), len(om[0])) if matrix else (len(om),)
+        raise ValueError(
+            f"expected a regressor of {p} rows{' (a vector)' if scalar else ''}"
+            f", got Omega shape {shape}")
+    if not matrix and isinstance(y, (list, tuple)):
+        raise ValueError("expected scalar Y")
+    if not (all_finite(om) and all_finite(y)):
         raise ValueError(f"non-finite regression sample at t={sample.t}")
+    return matrix
+
+
+def _vector(value, n: int, name: str) -> list:
+    """The n numbers of a sequence or array, as a list of floats."""
+    v = list(flat_floats(value))
+    if len(v) != n:
+        raise ValueError(f"{name} has {len(v)} values, expected {n}")
+    return v
 
 
 def _exp_gain(rate: float, n2: float) -> float:
@@ -97,8 +119,8 @@ class GplusDEstimator:
     """Interlaced gradient + determinant-mixing estimator.
 
     theta_g, theta and theta_g0 are lists of floats; Phi is kept as nested
-    lists and read as an ndarray.  Replace theta_g and Phi instead of
-    changing them in place: `mix` is memoized on their identity.
+    lists and read as an ndarray, built on access.  Replace theta_g and Phi
+    instead of changing them in place: `mix` is memoized on their identity.
     """
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
@@ -110,11 +132,12 @@ class GplusDEstimator:
         self.gamma = float(gamma)
         p, q = param_map.p, param_map.q
         self.theta_g0 = [0.0] * p if theta_g0 is None else \
-            np.asarray(theta_g0, dtype=float).reshape(p).tolist()
+            _vector(theta_g0, p, "theta_g0")
         self.theta_g = list(self.theta_g0)
         # Phi @ theta_g0 vanishes for the default theta_g0 = 0
         self._g0 = self.theta_g0 if any(self.theta_g0) else None
-        self._phi = np.eye(p).tolist()
+        self._phi = [[1.0 if i == j else 0.0 for j in range(p)]
+                     for i in range(p)]
         # kernels unrolled to length p (smallmat)
         self._eye_minus = eye_minus(p)
         self._axpy = axpy(p)
@@ -124,14 +147,16 @@ class GplusDEstimator:
         self._mat_vec = mat_vec(p, p)
         self._v_minus_mg = v_minus_mg(p, p)
         self.theta = [0.0] * q if theta0 is None else \
-            np.asarray(theta0, dtype=float).reshape(q).tolist()
+            _vector(theta0, q, "theta0")
         # the correction flow zips G(theta) with rows of length p, which
         # would silently truncate a wrong-length G
         n_g = len(param_map.G(self.theta))
         if n_g != p:
             raise ValueError(f"G returns {n_g} values, but the parameter "
                              f"map has p = {p}")
-        self._PT = (param_map.P @ param_map.T).tolist()
+        # P T, each entry's products summed left to right
+        t_cols = list(zip(*param_map.T))
+        self._PT = [[dot(row, col) for col in t_cols] for row in param_map.P]
         # running exponent of det(Phi): exact under `propagate`
         self.log_det_phi = 0.0
         # (Phi rows, theta_g, (Delta, Ycal)) of the latest `mix`
@@ -141,12 +166,13 @@ class GplusDEstimator:
         self._validated = False
 
     @property
-    def Phi(self) -> np.ndarray:
+    def Phi(self):
+        import numpy as np
         return np.array(self._phi)
 
     @Phi.setter
     def Phi(self, value):
-        self._phi = np.asarray(value, dtype=float).tolist()
+        self._phi = float_rows(value)
 
     def mix(self) -> tuple[float, tuple]:
         """(Delta, Ycal) from the current extension state, Ycal a tuple.
@@ -199,8 +225,8 @@ class GplusDEstimator:
         of the stream is the integrator's responsibility.
         """
         if not self._validated:
-            _check_sample(sample0, self.param_map.p, scalar=True)
-            _check_sample(sample1, self.param_map.p, scalar=True)
+            for sample in (sample0, sample1):
+                _check_sample(sample, self.param_map.p, scalar=True)
             self._validated = True
         self._half_update(sample0, 0.5 * dt)
         self._half_update(sample1, 0.5 * dt)
@@ -216,22 +242,19 @@ class GradientEstimator:
         self.n_w = int(n_w)
         self.gamma = float(gamma)
         self.Theta = [0.0] * self.n_w if Theta0 is None else \
-            np.asarray(Theta0, dtype=float).reshape(self.n_w).tolist()
+            _vector(Theta0, self.n_w, "Theta0")
         self._validated = False
         self._matrix = False
         self._axpy = axpy(self.n_w)
         self._dot = dot_k(self.n_w)
 
-    def rate(self, sample: RegressorSample) -> np.ndarray:
-        """Literal flow gamma * Omega * (Y - Omega' Theta_hat)."""
+    def rate(self, sample: RegressorSample):
+        """Literal flow gamma * Omega * (Y - Omega' Theta_hat), an ndarray."""
+        import numpy as np
+        matrix = _check_sample(sample, self.n_w)
         om = np.asarray(sample.Omega, dtype=float)
-        if om.shape[0] != self.n_w:
-            raise ValueError(
-                f"regressor has leading dimension {om.shape[0]}, "
-                f"estimator expects {self.n_w}")
-        _check_sample(sample, self.n_w, scalar=om.ndim == 1)
         theta = np.asarray(self.Theta)
-        if om.ndim == 1:
+        if not matrix:
             return self.gamma * om * (float(sample.Y) - float(om @ theta))
         return self.gamma * (om @ (np.asarray(sample.Y) - om.T @ theta))
 
@@ -260,9 +283,8 @@ class GradientEstimator:
         """Advance Theta_hat across one step: exact frozen-regressor
         exponential update on each half step."""
         if not self._validated:
-            self.rate(sample0)
-            self.rate(sample1)
-            self._matrix = np.ndim(sample0.Omega) == 2
+            self._matrix = _check_sample(sample0, self.n_w)
+            _check_sample(sample1, self.n_w)
             if self._matrix:   # kernels for n_w rows of n columns
                 n = len(sample0.Omega[0])
                 self._residual_gram = residual_gram(self.n_w, n)
@@ -281,7 +303,7 @@ class MonotonicityReport:
     rho_jacobian: float
     rho_secant: float
     sample_count: int
-    box: np.ndarray
+    box: object     # the (q, 2) float ndarray of the [lo, hi] rows
     seed: int
 
     @property
@@ -299,6 +321,7 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
     Jacobian bound implies the secant bound on a convex box, so
     rho_secant >= rho_jacobian up to sampling slack.
     """
+    import numpy as np
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = np.tile(box, (param_map.q, 1))
@@ -311,7 +334,7 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
     rng = np.random.default_rng(seed)
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
     pm = param_map
-    pmat, tmat = pm.P, pm.T
+    pmat, tmat = np.array(pm.P), np.array(pm.T)
 
     rho_j = np.inf
     for theta in lo + span * rng.random((n_samples, pm.q)):
@@ -325,7 +348,8 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
         n2 = float(d @ d)
         if n2 < 1e-20:
             continue
-        rho_s = min(rho_s, float(d @ pmat @ (pm.W(a) - pm.W(b))) / n2)
+        w_diff = np.subtract(pm.W(a), pm.W(b))
+        rho_s = min(rho_s, float(d @ pmat @ w_diff) / n2)
 
     return MonotonicityReport(rho_jacobian=float(rho_j), rho_secant=float(rho_s),
                               sample_count=int(n_samples), box=box, seed=int(seed))

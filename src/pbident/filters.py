@@ -22,9 +22,10 @@ regression identity only up to a transient that decays like exp(-lam * t).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
-import numpy as np
+from .smallmat import flat_floats
 
 
 class ChannelMode(Enum):
@@ -36,16 +37,16 @@ class FirstOrderFilterBank:
     """Bank of independent first-order channels sharing one cutoff lam."""
 
     def __init__(self, lam: float, modes, initial_inputs):
-        if not np.isfinite(lam) or lam <= 0.0:
+        if not math.isfinite(lam) or lam <= 0.0:
             raise ValueError(f"filter constant must be positive, got {lam}")
         self.lam = float(lam)
         self.modes = tuple(modes)
         self._deriv = [m is ChannelMode.DERIVATIVE for m in self.modes]
-        u0 = np.asarray(initial_inputs, dtype=float)
-        if u0.shape != (len(self.modes),):
-            raise ValueError(
-                f"initial_inputs has shape {u0.shape}, expected ({len(self.modes)},)")
-        self.state = [u if d else 0.0 for d, u in zip(self._deriv, u0.tolist())]
+        u0 = flat_floats(initial_inputs)
+        if len(u0) != len(self.modes):
+            raise ValueError(f"initial_inputs has {len(u0)} values, "
+                             f"expected {len(self.modes)}")
+        self.state = [u if d else 0.0 for d, u in zip(self._deriv, u0)]
 
     @property
     def n_channels(self) -> int:

@@ -26,7 +26,11 @@ written in components:
   (lists or tuples; tests may pass ndarrays).  Closures index or unpack
   them and do no array arithmetic on them.
 * fast_rate, ports, the regression data and the stacked parameter map
-  return tuples of floats; energy and beta return floats.
+  return tuples of floats, the Jacobian of that map tuples of rows; energy
+  and beta return floats.  The true parameters and the default start are
+  tuples of floats too, so building and running a scenario uses no numpy
+  (`power_balance_residual`, an array check of a sampled trajectory,
+  imports it).
 * No `**` on state or estimate components: a float `**` raises
   OverflowError where numpy gives inf.  Squares are written x * x, which
   IEEE arithmetic rounds exactly on every platform and which overflows to
@@ -56,10 +60,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .regressor import NlpreData, ParamMap, StdLreData
-from .smallmat import dot, ieee_div, ieee_pow
+from .smallmat import dot, flat_floats, ieee_div, ieee_pow
 
 
 @dataclass
@@ -68,13 +70,13 @@ class PlantModel:
 
     n: int
     n_p: int
-    theta_true: np.ndarray
+    theta_true: tuple
     nlpre: NlpreData
     param_map: ParamMap
     std: Optional[StdLreData] = None
 
     def __post_init__(self):
-        self.theta_true = np.asarray(self.theta_true, dtype=float)
+        self.theta_true = flat_floats(self.theta_true)
 
 
 @dataclass
@@ -92,8 +94,8 @@ class Scenario:
     name: str
     plant: PlantModel
     controller: Controller
-    x0_default: np.ndarray
-    theta_hat0_default: np.ndarray
+    x0_default: tuple
+    theta_hat0_default: tuple
     substeps: int                      # plant sub-integration per outer step
     regulation_error: Callable         # (x, x0) -> float, relative metric
     fast_rate: Callable                # (x, u, t) -> f + g [u; E(t)]
@@ -108,7 +110,7 @@ class Scenario:
     def __post_init__(self):
         fast_rate = self.fast_rate
         beta = self.controller.beta
-        selector = self.plant.param_map.T.tolist()
+        selector = self.plant.param_map.T
 
         def closed_rate(x, theta, t):
             return fast_rate(x, beta(x, theta, t), t)
@@ -120,7 +122,7 @@ class Scenario:
         self.theta_from_overparam = theta_from_overparam
 
     @property
-    def theta_true(self) -> np.ndarray:
+    def theta_true(self) -> tuple:
         return self.plant.theta_true
 
 
@@ -132,6 +134,7 @@ def power_balance_residual(scenario: Scenario, t, xs, us) -> float:
     one-sided differences at the endpoints, so the result carries an O(h^2)
     truncation floor on top of any genuine model inconsistency.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     if t.size < 3:
         raise ValueError("need at least three samples")
@@ -186,9 +189,9 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     )
     param_map = ParamMap(
         G_direct=G,
-        T=np.array([[1.0, 0.0]]),
-        P=np.array([[1.0]]),
-        jacobian_G=lambda th: np.array([[1.0], [2.0 * th[0]]]),
+        T=((1.0, 0.0),),
+        P=((1.0,),),
+        jacobian_G=lambda th: ((1.0,), (2.0 * th[0],)),
     )
     std = StdLreData(
         n_w=2,
@@ -200,13 +203,13 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     )
     return Scenario(
         name="ph",
-        plant=PlantModel(n=2, n_p=1, theta_true=np.array([th]),
+        plant=PlantModel(n=2, n_p=1, theta_true=(th,),
                          nlpre=nlpre, param_map=param_map, std=std),
         controller=Controller(
             beta=lambda x, th, t: -ieee_div(x[0], th[0]) - x[1],
             target={"kind": "origin"}),
-        x0_default=np.array([1.0, 1.0]),
-        theta_hat0_default=np.array([0.5]),
+        x0_default=(1.0, 1.0),
+        theta_hat0_default=(0.5,),
         substeps=1,
         regulation_error=reg_err,
         fast_rate=fast_rate,
@@ -272,11 +275,11 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     )
     param_map = ParamMap(
         G_direct=G,
-        T=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-        P=np.eye(2),
-        jacobian_G=lambda th: np.array([[1.0, 0.0],
-                                        [alpha * ieee_pow(th[0], alpha - 1.0), 0.0],
-                                        [0.0, 1.0]]),
+        T=((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        P=((1.0, 0.0), (0.0, 1.0)),
+        jacobian_G=lambda th: ((1.0, 0.0),
+                               (alpha * ieee_pow(th[0], alpha - 1.0), 0.0),
+                               (0.0, 1.0)),
     )
 
     def theta_from_c(Th):
@@ -302,14 +305,14 @@ def circuit_scenario(theta1: float = 1.0, theta2: float = 1.5,
     )
     return Scenario(
         name="circuit",
-        plant=PlantModel(n=2, n_p=2, theta_true=np.array([th1, th2]),
+        plant=PlantModel(n=2, n_p=2, theta_true=(th1, th2),
                          nlpre=nlpre, param_map=param_map, std=std),
         controller=Controller(
             beta=beta,
             target={"kind": "setpoint", "x2_star": kappa,
                     "x_star": (th2 * (kappa * kappa) / E, kappa)}),
-        x0_default=np.zeros(2),
-        theta_hat0_default=np.zeros(2),
+        x0_default=(0.0, 0.0),
+        theta_hat0_default=(0.0, 0.0),
         substeps=4,
         regulation_error=reg_err,
         fast_rate=fast_rate,

@@ -37,7 +37,8 @@ floats, which the matrix estimator reads as they are.  The state-equation
 generator adds the declared phi_g terms to the rows of its input matrix
 with smallmat's `axpy`, and splits the channel outputs into Y and Omega
 with the `sub_at` and `block_columns` kernels, all bound to the generator's
-lengths when it is built.
+lengths when it is built.  The generators' `state` reads the filter state
+as an ndarray, built on access with numpy imported there.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .filters import ChannelMode, FirstOrderFilterBank
-from .smallmat import axpy, block_columns, min_eig_symmetric, sub_at
+from .smallmat import (axpy, block_columns, dot, flat_floats, float_rows,
+                       min_eig_symmetric, sub_at)
 
 
 @dataclass
@@ -60,45 +60,50 @@ class ParamMap:
     block after another as NlpreData splits them, a p-tuple of floats; T is
     the designer-chosen (q, p) selector, whose shape fixes q and p, and P
     the symmetric positive-definite metric used by the monotone correction
-    flow.  The field keeps the name G_direct because the benchmark's tracer
-    wraps it by that name.
+    flow.  T and P may be given as nested sequences or arrays and are kept
+    as tuples of rows of floats; jacobian_G returns the (p, q) Jacobian of
+    G as rows.  The field keeps the name G_direct because the benchmark's
+    tracer wraps it by that name.
     """
 
     G_direct: Callable
-    T: np.ndarray
-    P: np.ndarray
-    jacobian_G: Callable[[np.ndarray], np.ndarray]
+    T: tuple
+    P: tuple
+    jacobian_G: Callable
 
     def __post_init__(self):
-        self.T = np.asarray(self.T, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
-        if self.T.ndim != 2:
-            raise ValueError(f"T must be a (q, p) matrix, got shape {self.T.shape}")
-        q, p = self.T.shape
+        self.T = tuple(map(tuple, float_rows(self.T)))
+        q, p = self.q, self.p
         if p < q:
             raise ValueError(f"need p >= q, got p={p} q={q}")
-        if self.P.shape != (q, q):
-            raise ValueError(f"P has shape {self.P.shape}, expected {(q, q)}")
-        if np.max(np.abs(self.P - self.P.T)) > 1e-9:
+        rows = float_rows(self.P)
+        if (len(rows), len(rows[0])) != (q, q):
+            raise ValueError(f"P has shape {(len(rows), len(rows[0]))}, "
+                             f"expected {(q, q)}")
+        if any(abs(rows[i][j] - rows[j][i]) > 1e-9
+               for i in range(q) for j in range(q)):
             raise ValueError("P must be symmetric")
-        if min_eig_symmetric(self.P) <= 0.0:
+        if min_eig_symmetric(rows) <= 0.0:
             raise ValueError("P must be positive definite")
+        self.P = tuple(map(tuple, rows))
 
     @property
     def q(self) -> int:
-        return self.T.shape[0]
+        return len(self.T)
 
     @property
     def p(self) -> int:
-        return self.T.shape[1]
+        return len(self.T[0])
 
     def G(self, theta) -> tuple:
         """Stacked map G evaluated at theta."""
         return self.G_direct(theta)
 
-    def W(self, theta) -> np.ndarray:
-        """Selected map T @ G(theta)."""
-        return self.T @ self.G(theta)
+    def W(self, theta) -> tuple:
+        """Selected map T G(theta), each row's product summed left to
+        right."""
+        g = self.G(theta)
+        return tuple(dot(row, g) for row in self.T)
 
 
 @dataclass
@@ -194,13 +199,14 @@ class PbepGenerator:
         return self.bank.n_channels
 
     @property
-    def state(self) -> np.ndarray:
-        """The filter state as an array (the bank keeps a list of floats)."""
+    def state(self):
+        """The filter state as an ndarray (the bank keeps a list of floats)."""
+        import numpy as np
         return np.array(self.bank.state)
 
     @state.setter
     def state(self, value):
-        self.bank.state = np.asarray(value, dtype=float).tolist()
+        self.bank.state = list(flat_floats(value))
 
     def inputs(self, x, u_p, y_p) -> list:
         d = self.nlpre
@@ -273,13 +279,14 @@ class StdLreGenerator:
         return self.bank.n_channels
 
     @property
-    def state(self) -> np.ndarray:
-        """The filter state as an array (the bank keeps a list of floats)."""
+    def state(self):
+        """The filter state as an ndarray (the bank keeps a list of floats)."""
+        import numpy as np
         return np.array(self.bank.state)
 
     @state.setter
     def state(self, value):
-        self.bank.state = np.asarray(value, dtype=float).tolist()
+        self.bank.state = list(flat_floats(value))
 
     def _w_rows(self, x, u_p) -> list:
         """Rows of the input matrix w_f + sum_j u_p[j] phi_g[i][j]."""

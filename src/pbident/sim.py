@@ -38,14 +38,16 @@ unrolled kernels, which `World` and the estimators bind once to the run's
 lengths (plant state, estimate, regressor, filter channels) after
 checking that the scenario's closures return those lengths.  Each keeps
 one fixed operation order, with sums taken left to right, so a step
-after the first calls no numpy and its numbers do not depend on the BLAS
-build.  The excitation record's eigenvalue is taken on floats for a 2x2
-Gram (ph) and by numpy's eigvalsh for the circuit's 3x3 one; otherwise
-arrays are built only for the report and the ndarray views (`World.x`,
-the generators' `state`, `GplusDEstimator.Phi`) that callers read.  The
-run loop keeps its power-balance residuals, settling times and final
-errors as running reductions, and its trace rows go to the caller's
-sink, so a run needs a fixed amount of memory.
+calls no numpy and its numbers do not depend on the BLAS build.  The
+excitation record's eigenvalue is taken on floats for a 2x2 Gram (ph) and
+by numpy's eigvalsh for the circuit's 3x3 one, the one place a run that
+does not abort imports numpy.  The report's vectors are tuples of floats
+(`Vector`), and arrays are built only for the ndarray views that callers
+read (`World.x`, `ExcitationRecord.gram`, `SubGrid.tobytes`, the
+generators' `state`, `GplusDEstimator.Phi`), with numpy imported there.  The run loop keeps its
+power-balance residuals, settling times and final errors as running
+reductions, and its trace rows go to the caller's sink, so a run needs a
+fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -60,15 +62,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (axpy, axpy_rows, columns, dot, hermite_mid, ieee_div,
-                       lag_rate, lag_rate_at, midpoint, min_eig_symmetric,
-                       outer_add, rk4_sum, scale_rows, scaled_diff_rows,
-                       scaled_mv, sub, v_minus_mg)
+from .smallmat import (all_finite, axpy, axpy_rows, columns, dot,
+                       flat_floats, hermite_mid, ieee_div, lag_rate,
+                       lag_rate_at, midpoint, min_eig_symmetric, outer_add,
+                       rk4_sum, scale_rows, scaled_diff_rows, scaled_mv, sub,
+                       v_minus_mg)
 
 
 class EstimatorKind(Enum):
@@ -146,7 +147,7 @@ class SimConfig:
         for key in ("x0", "theta_hat0", "theta_g0", "overparam_hat0"):
             value = getattr(self, key)
             if value is not None:
-                value = tuple(float(v) for v in np.ravel(value))
+                value = flat_floats(value)
                 if not all(map(math.isfinite, value)):
                     raise ConfigValueError(key, f"must be finite, got {value!r}")
                 setattr(self, key, value)
@@ -172,8 +173,6 @@ class SimConfig:
                                    f"got t_end={self.t_end!r} h={self.h!r} "
                                    f"({steps!r} steps)")
 
-    # a default that overflows is refused below, not warned about
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def resolved(self, scenario: Scenario) -> SimConfig:
         """A copy with the scenario's defaults filled in and the vector
         lengths checked against its dimensions."""
@@ -187,25 +186,25 @@ class SimConfig:
                   "theta_hat0": (pm.q, lambda: theta_hat0,
                                  "theta_hat0_default")}
         if kind is EstimatorKind.GPLUSD_PBEP:
-            wanted["theta_g0"] = (pm.p, lambda: np.zeros(pm.p), "zeros")
+            wanted["theta_g0"] = (pm.p, lambda: (0.0,) * pm.p, "zeros")
         elif kind is EstimatorKind.GRADIENT_STD:
             if plant.std is None:
                 raise ConfigValueError("estimator", f"gradient_std needs "
                                        f"standard regression data, which "
                                        f"scenario {scenario.name!r} lacks")
             wanted["overparam_hat0"] = (plant.std.n_w,
-                                        lambda: np.zeros(plant.std.n_w), "zeros")
+                                        lambda: (0.0,) * plant.std.n_w, "zeros")
         elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
             # start at the stacked image of theta_hat0
             wanted["overparam_hat0"] = (pm.p, lambda: pm.G(
-                np.asarray(theta_hat0, dtype=float)), "G(theta_hat0)")
+                flat_floats(theta_hat0)), "G(theta_hat0)")
         values = {}
         for key, (size, default, source) in wanted.items():
             value = getattr(self, key)
             given = value is not None
             if not given:
                 value = default()
-            n = len(np.ravel(value))
+            n = len(flat_floats(value))
             if n != size:
                 raise ConfigValueError(key, f"needs {size} components, got "
                                        f"{n}" + ("" if given else
@@ -249,7 +248,7 @@ class ExcitationRecord:
     def push(self, omega):
         """Record the regressor (a p-sequence or a (p, n) array) at the
         next grid point."""
-        om = omega.tolist() if isinstance(omega, np.ndarray) else omega
+        om = omega if isinstance(omega, (tuple, list)) else omega.tolist()
         if isinstance(om[0], (list, tuple)):
             if self._columns is None:
                 self._columns = columns(len(om), len(om[0]))
@@ -277,13 +276,20 @@ class ExcitationRecord:
         return self._trapezoid(self.h, self._sum, 0.5 * self.h, ends)
 
     @property
-    def gram(self) -> np.ndarray:
+    def gram(self):
+        """The trapezoid Gram as a (p, p) ndarray."""
+        import numpy as np
         return np.array(self._gram_rows())
 
     @property
     def q_trap(self) -> float:
-        """Trapezoid integral of |Omega|^2 (Frobenius norm squared)."""
-        return float(self.gram.trace())
+        """Trapezoid integral of |Omega|^2 (Frobenius norm squared): the
+        Gram's diagonal summed from 0.0 left to right, as ndarray.trace
+        adds it (so a -0.0 diagonal sums to 0.0)."""
+        acc = 0.0
+        for i, row in enumerate(self._gram_rows()):
+            acc += row[i]
+        return acc
 
     def min_eig(self) -> float:
         """Smallest eigenvalue of the Gram; nan once it has overflowed."""
@@ -307,6 +313,31 @@ def excitation_report(record: ExcitationRecord) -> tuple[bool, Optional[float]]:
     return record.t_c is not None, record.t_c
 
 
+class Vector(tuple):
+    """A report's vector: a tuple of floats whose `-` is element-wise, as
+    it was for the arrays the report held before.
+
+    `a - b` with a tuple b of the same length is the Vector of the
+    differences; with an ndarray b it is numpy's difference.  Every other
+    operator is a tuple's.
+    """
+
+    @staticmethod
+    def _diff(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple)):
+            return NotImplemented
+        if len(a) != len(b):
+            raise ValueError(f"cannot subtract vectors of lengths {len(a)} "
+                             f"and {len(b)}")
+        return Vector(u - v for u, v in zip(a, b))
+
+    def __sub__(self, other):
+        return self._diff(self, other)
+
+    def __rsub__(self, other):
+        return self._diff(other, self)
+
+
 @dataclass
 class RunReport:
     scenario: str
@@ -316,12 +347,12 @@ class RunReport:
     h: float
     substeps: int
     decimation: int
-    x0: np.ndarray
-    theta_hat0: np.ndarray
+    x0: Vector
+    theta_hat0: Vector
     c_c: float = 1e-3
-    x_final: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    theta_hat_final: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    overparam_hat_final: Optional[np.ndarray] = None
+    x_final: Vector = field(default_factory=Vector)
+    theta_hat_final: Vector = field(default_factory=Vector)
+    overparam_hat_final: Optional[Vector] = None
     theta_err_rel_final: Optional[float] = None
     regulation_error_final: Optional[float] = None
     settling_time_param: Optional[float] = None
@@ -353,6 +384,7 @@ class SubGrid(list):
     """
 
     def tobytes(self) -> bytes:
+        import numpy as np
         return np.array(self, dtype=float).tobytes()
 
 
@@ -360,7 +392,7 @@ class World:
     """Mutable closed-loop state: plant, filters, estimator, diagnostics.
 
     The plant state `plant_state` and the estimate `theta_hat` are lists of
-    floats; `x` reads the plant state as an ndarray.  Replace these lists
+    floats; `x` reads the plant state as an ndarray, built on access.  Replace these lists
     (and the generator's state) instead of changing them in place: a step
     reuses the previous step's end sample while they are the same objects.
     """
@@ -389,7 +421,7 @@ class World:
             self.control = lambda x, th, t: 0.0
             self.plant_rate = lambda x, th, t: fast_rate(x, 0.0, t)
         elif cfg.controller is ControllerKind.KNOWN_PARAMETER:
-            theta_true = plant.theta_true.tolist()
+            theta_true = list(plant.theta_true)
             self.control = lambda x, th, t: beta(x, theta_true, t)
             self.plant_rate = lambda x, th, t: closed_rate(x, theta_true, t)
         else:
@@ -450,7 +482,8 @@ class World:
             self._rk4_z = rk4_sum(n_ch)
 
     @property
-    def x(self) -> np.ndarray:
+    def x(self):
+        import numpy as np
         return np.array(self.plant_state)
 
     def extract_theta(self) -> list:
@@ -481,8 +514,7 @@ class World:
 
 
 def _finite_samples(*samples: RegressorSample) -> bool:
-    return all(np.isfinite(s.Omega).all() and np.isfinite(s.Y).all()
-               for s in samples)
+    return all(all_finite(s.Omega) and all_finite(s.Y) for s in samples)
 
 
 def _rk4_correction(world: World, th: list, h: float) -> list:
@@ -644,9 +676,6 @@ class _Settling:
         return float((self.last_bad + 1) * h)
 
 
-# a diverging run overflows on its way to the abort, which check_finite
-# reports; numpy's warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     """Execute a closed-loop run to t_end and summarize it.
 
@@ -662,7 +691,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     """
     world = World(scenario, cfg)
     plant = scenario.plant
-    theta_true = plant.theta_true.tolist()
+    theta_true = list(plant.theta_true)
     h = cfg.h
     n_steps = int(round(cfg.t_end / h))
     q = plant.param_map.q
@@ -683,7 +712,8 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         scenario=scenario.name, estimator=kind.value,
         controller=cfg.controller.value, t_end=cfg.t_end, h=h,
         substeps=nsub, decimation=cfg.decimation,
-        x0=world.x, theta_hat0=np.array(world.theta_hat), c_c=cfg.c_c,
+        x0=Vector(world.plant_state), theta_hat0=Vector(world.theta_hat),
+        c_c=cfg.c_c,
     )
 
     if trace is not None:
@@ -695,7 +725,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         cols += ["delta", "det_phi", "gram_min_eig", "power_residual"]
         trace.header(cols)
 
-    n_theta = float(np.linalg.norm(theta_true))
+    n_theta = math.sqrt(dot(theta_true, theta_true))
     energy_uses_u = scenario.energy_uses_u
 
     sub_th, axpy_th = world._sub_th, world._axpy_th
@@ -785,16 +815,16 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
         report.abort_component = err.component
         report.wall_seconds = time.perf_counter() - t_start
         report.n_steps = int(round(world.t / h))
-        report.x_final = world.x
-        report.theta_hat_final = np.array(world.theta_hat)
+        report.x_final = Vector(world.plant_state)
+        report.theta_hat_final = Vector(world.theta_hat)
         return report
 
     report.wall_seconds = time.perf_counter() - t_start
     report.n_steps = n_steps
-    report.x_final = world.x
-    report.theta_hat_final = np.array(world.theta_hat)
+    report.x_final = Vector(world.plant_state)
+    report.theta_hat_final = Vector(world.theta_hat)
     if gradient:
-        report.overparam_hat_final = np.array(world.estimator.Theta)
+        report.overparam_hat_final = Vector(world.estimator.Theta)
     if n_theta > 0:
         report.theta_err_rel_final = param.value
         report.settling_time_param = param.time(h)

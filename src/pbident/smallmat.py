@@ -42,21 +42,27 @@ The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
 Jacobi rotation on Python floats, nested lists in and out) and with
 numpy's eigh above.  `min_eig_symmetric` checks and symmetrizes on floats.
-On a 2x2 matrix it then takes, on Python floats, the operations that
-numpy's eigvalsh runs in LAPACK (dsyevd, dsytd2, dsterf, dlae2, dlasrt),
-so its result is bit-identical to eigvalsh's without the cost of the call;
-a 2x2 matrix that dsyevd or dsterf would rescale, and any larger one, goes
-to eigvalsh itself.  The excitation monitor hands over its Gram as nested
-float rows, so ph's 2x2 Gram eigenvalue is a trace column that depends on
-no BLAS build; the circuit's 3x3 one still comes from LAPACK.
+A 1x1 matrix is its own eigenvalue, as dsyevd returns it.  On a 2x2
+matrix it takes, on Python floats, the operations that numpy's eigvalsh
+runs in LAPACK (dsyevd, dsytd2, dsterf, dlae2, dlasrt), so its result is
+bit-identical to eigvalsh's without the cost of the call; a 2x2 matrix
+that dsyevd or dsterf would rescale, and any larger one, goes to eigvalsh
+itself.  The excitation monitor hands over its Gram as nested float rows,
+so ph's 2x2 Gram eigenvalue is a trace column that depends on no BLAS
+build; the circuit's 3x3 one still comes from LAPACK.
+
+numpy is imported only inside the functions that hand a matrix to it:
+eigvalsh and eigh above 2x2, the determinant and adjugate above 3x3 or of
+an array, and the inf/nan fallbacks of `ieee_div` and `ieee_pow`.
+`flat_floats`, `float_rows` and `all_finite` read scalars, nested
+sequences and arrays on floats, as np.ravel, np.asarray and np.isfinite
+would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 
 def dot(a, b) -> float:
@@ -70,6 +76,43 @@ def dot(a, b) -> float:
     for u, v in zip(a, b):
         acc += u * v
     return acc
+
+
+def flat_floats(value) -> tuple:
+    """The numbers of a scalar, a nested sequence or an array, in row-major
+    order, as a tuple of floats: the values of np.ravel(value)."""
+    if hasattr(value, "tolist"):   # an ndarray or a numpy scalar
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return (float(value),)
+    out = []
+    for v in value:
+        out.extend(flat_floats(v))
+    return tuple(out)
+
+
+def float_rows(m) -> list:
+    """A matrix (nested sequence or 2-D array) as a list of equal-length
+    lists of floats; ValueError for anything else."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    try:
+        out = [[float(v) for v in row] for row in rows]
+    except TypeError:
+        out = None
+    if not out or any(len(row) != len(out[0]) for row in out):
+        raise ValueError(f"expected a matrix of equal-length rows of "
+                         f"numbers, got {m!r}")
+    return out
+
+
+def all_finite(x) -> bool:
+    """Whether a number, or every number of a nested sequence or an array,
+    is finite."""
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return all(map(all_finite, x))
+    return math.isfinite(x)
 
 
 def _kernel(source):
@@ -295,6 +338,7 @@ def ieee_div(a: float, b: float) -> float:
     try:
         return a / b
     except ZeroDivisionError:
+        import numpy as np
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(np.float64(a) / b)
 
@@ -306,11 +350,14 @@ def ieee_pow(a: float, b: float) -> float:
     try:
         return math.pow(a, b)
     except (OverflowError, ValueError):
+        import numpy as np
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return float(np.power(np.float64(a), b))
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m):
+    """m as a square float ndarray."""
+    import numpy as np
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -340,6 +387,7 @@ def determinant(m) -> float:
     n = a.shape[0]
     if n <= 3:
         return _det_closed(a.tolist())
+    import numpy as np
     a = a.copy()
     det = 1.0
     for k in range(n - 1):
@@ -379,6 +427,7 @@ def adjugate(m):
     """
     if type(m) is list and 0 < len(m) <= 3:
         return _adj_closed(m)
+    import numpy as np
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
@@ -441,6 +490,7 @@ def symmetric_eigen(m):
     """
     if type(m) is list and 0 < len(m) <= 2:
         return _eigen_closed(m)
+    import numpy as np
     a = _as_square(m)
     n = a.shape[0]
     if n <= 2:
@@ -532,14 +582,22 @@ def min_eig_symmetric(m) -> float:
 
     A square nested list is taken as it is, anything else is read as a
     square array first; the matrix is checked and symmetrized on floats,
-    and non-finite entries raise ValueError.  A 2x2 matrix whose largest
-    symmetrized |entry| is 0 or lies in [2**-405, 2**485] is solved on
-    floats in LAPACK's own operations (`_min_eig_2x2`); any other matrix
-    goes to eigvalsh, which rescales such a 2x2 matrix first.
+    and non-finite entries raise ValueError.  A 1x1 matrix gives its
+    symmetrized entry, which dsyevd returns before any scaling.  A 2x2
+    matrix whose largest symmetrized |entry| is 0 or lies in [2**-405,
+    2**485] is solved on floats in LAPACK's own operations
+    (`_min_eig_2x2`); any other matrix goes to eigvalsh, which rescales
+    such a 2x2 matrix first.
     """
     if not _is_square_list(m):
         m = _as_square(m).tolist()
-    if len(m) == 2:
+    n = len(m)
+    if n == 1:
+        ((a,),) = m
+        if not math.isfinite(a):
+            raise ValueError("matrix entries must be finite")
+        return float(0.5 * (a + a))
+    if n == 2:
         (a, b01), (b10, c) = m
         if not (math.isfinite(a) and math.isfinite(b01)
                 and math.isfinite(b10) and math.isfinite(c)):
@@ -548,8 +606,11 @@ def min_eig_symmetric(m) -> float:
         big = max(abs(a), abs(b), abs(c))
         if big <= _UNSCALED_MAX and (big >= _UNSCALED_MIN or big == 0.0):
             return float(_min_eig_2x2(a, b, c))
-        return float(np.linalg.eigvalsh([[a, b], [b, c]])[0])
-    if not all(math.isfinite(v) for r in m for v in r):
-        raise ValueError("matrix entries must be finite")
-    sym = [[0.5 * (a + b) for a, b in zip(r, c)] for r, c in zip(m, zip(*m))]
+        sym = [[a, b], [b, c]]
+    else:
+        if not all(math.isfinite(v) for r in m for v in r):
+            raise ValueError("matrix entries must be finite")
+        sym = [[0.5 * (a + b) for a, b in zip(r, c)]
+               for r, c in zip(m, zip(*m))]
+    import numpy as np
     return float(np.linalg.eigvalsh(sym)[0])

@@ -27,7 +27,12 @@ def rk4(rate, y0, t0, t1, n):
 
 
 class NoNumpy:
-    """Stands in for a module's `np`; any use of it fails the test."""
+    """Stands in for numpy in sys.modules; any use of it fails the test.
+
+    The package imports numpy inside the functions that use it, so with
+    `monkeypatch.setitem(sys.modules, "numpy", NoNumpy())` any numpy use
+    there fails, while a test module's own `np` still works.
+    """
 
     def __getattr__(self, name):
         raise AssertionError(f"called numpy.{name}")
@@ -78,8 +83,9 @@ def residual(s, params):
 def theta_rate(est, delta, ycal, theta):
     """Correction-flow rate of a GplusDEstimator for a frozen mixing pair."""
     pm = est.param_map
-    return est.gamma * (pm.P @ pm.T @ (delta * (np.asarray(ycal)
-                                                - delta * np.asarray(pm.G(theta)))))
+    pt = np.asarray(pm.P) @ np.asarray(pm.T)
+    return est.gamma * (pt @ (delta * (np.asarray(ycal)
+                                       - delta * np.asarray(pm.G(theta)))))
 
 
 def rates(est, s):
@@ -239,7 +245,7 @@ def numpy_correction(est, theta_g, Phi, th, h):
     """Correction-flow RK4 step from th with the mixing pair frozen."""
     pm = est.param_map
     delta, ycal = numpy_mix(theta_g, Phi, np.asarray(est.theta_g0))
-    pt = pm.P @ pm.T
+    pt = np.asarray(pm.P) @ np.asarray(pm.T)
     vec = est.gamma * delta * (pt @ ycal)
     mat = (est.gamma * delta * delta) * pt
 

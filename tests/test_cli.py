@@ -1,12 +1,15 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pbident.cli import (ConfigError, CsvTraceWriter, check_command,
-                         emit_config, main, parse_config, run_command,
-                         sweep_command)
-from pbident.sim import ControllerKind, EstimatorKind
+from pbident import circuit_scenario, ph_scenario, run
+from pbident.cli import (ConfigError, CsvTraceWriter, _grid, _report_lines,
+                         check_command, emit_config, main, parse_config,
+                         run_command, sweep_command)
+from pbident.sim import ControllerKind, EstimatorKind, SimConfig
 
 
 def test_minimal_circuit_defaults():
@@ -408,3 +411,82 @@ def test_report_parses_back_to_its_config(tmp_path, capsys):
                  "--out", str(again)]) == 0
     assert (again / "trace.csv").read_bytes() == \
         (tmp_path / "run" / "trace.csv").read_bytes()
+
+
+# -- float forms of the former numpy bridges, bit for bit ----------------------
+
+def _bits(values):
+    """float64 bytes, with every nan read as one nan."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False),
+       steps=st.integers(1, 50))
+@example(lo=1.0, hi=1.0, steps=5)                        # lo == hi
+@example(lo=150.0, hi=75.0, steps=10)                    # lo > hi
+@example(lo=0.0, hi=5e-324, steps=7)                     # the step is 0
+@example(lo=-5e-324, hi=5e-324, steps=50)
+@example(lo=1e-310, hi=1.0000000000001e-310, steps=3)
+@example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308, steps=4)
+@example(lo=1.7976931348623157e308, hi=-1e308, steps=1)  # hi - lo overflows
+@example(lo=-0.0, hi=0.0, steps=3)
+@example(lo=75.0, hi=125.0, steps=10)
+def test_sweep_grid_is_linspace_bit_for_bit(lo, hi, steps):
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, steps)
+    got = _grid(lo, hi, steps)
+    assert _bits(np.array(got)) == _bits(want)
+    # index.csv writes each value with str()
+    assert [str(v) for v in got] == [str(v) for v in want]
+
+
+def _former_result_line(key, value):
+    """A report.txt result line as it was written while the report's
+    vectors were ndarrays."""
+    if isinstance(value, np.ndarray):
+        value = ",".join(repr(float(v)) for v in value)
+    elif isinstance(value, bool):
+        value = "true" if value else "false"
+    elif isinstance(value, float):
+        value = repr(value)
+    return f"result_{key} = {value}"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -1e-300, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("case", ["ph-gplusd", "circuit-gradient", "abort",
+                                  "edges"])
+def test_report_lines_of_tuples_are_the_former_ndarray_lines(case):
+    cfg = parse_config("scenario = circuit\n" if case == "circuit-gradient"
+                       else "scenario = ph\n")
+    if case == "ph-gplusd":
+        rep = run(ph_scenario(), SimConfig(t_end=0.2))
+    elif case == "circuit-gradient":
+        rep = run(circuit_scenario(), SimConfig(
+            t_end=0.2, estimator=EstimatorKind.GRADIENT_STD, gamma=30.0))
+        assert rep.overparam_hat_final is not None
+    elif case == "abort":
+        rep = run(ph_scenario(), SimConfig(t_end=0.2, theta_hat0=(0.0,)))
+        assert rep.aborted
+    else:
+        rep = run(ph_scenario(), SimConfig(t_end=0.2))
+        rep.x_final = EDGE_FLOATS[:5]
+        rep.theta_hat_final = EDGE_FLOATS[5:]
+        rep.overparam_hat_final = ()
+    vectors = [f.name for f in fields(rep)
+               if isinstance(getattr(rep, f.name), tuple)]
+    assert {"x0", "theta_hat0", "x_final", "theta_hat_final"} <= set(vectors)
+    as_arrays = replace(rep, **{name: np.array(getattr(rep, name), dtype=float)
+                                for name in vectors})
+    results = [line for line in _report_lines(cfg, rep)
+               if line.startswith("result_")]
+    assert len(results) > len(vectors)
+    for line in results:
+        key = line.partition(" = ")[0][len("result_"):]
+        # the last line, result_trace, names the trace file
+        assert line == _former_result_line(
+            key, getattr(as_arrays, key, "trace.csv"))

@@ -26,18 +26,23 @@ def diffmatrix():
 
 def test_diffmatrix_slice_against_this_checkout(diffmatrix):
     ids = ("circuit/gplusd_pbep/adaptive", "ph/gradient_pbep_overparam/adaptive",
-           "extra/ph-gradient_std-overparam")
+           "extra/ph-gradient_std-overparam", "cli/run-ph")
     cases = [c for c in diffmatrix.matrix_cases() if c[0] in ids]
-    assert len(cases) == 3
-    table, changed = diffmatrix.compare(diffmatrix.collect(ROOT, cases),
-                                        diffmatrix.collect(ROOT, cases))
+    assert len(cases) == 4
+    new = diffmatrix.collect(ROOT, cases)
+    table, changed = diffmatrix.compare(new, diffmatrix.collect(ROOT, cases))
     assert changed == set()
     assert all(n == 0 for n, _, _ in table.values())
-    # the trace, report and abort columns are all compared
+    # the trace, report, abort and command-line file columns are all compared
     text = diffmatrix.format_table(table, len(cases))
     for col in ("trace:x1", "trace:delta", "report:theta_hat_final",
-                "report:abel_gap", "abort:time", "trace:overparam_hat2"):
+                "report:abel_gap", "abort:time", "trace:overparam_hat2",
+                "cli:exit", "cli:trace.csv", "cli:report.txt", "cli:plot.gp"):
         assert f"\n{col} " in text and table[col][0] == 0
+    # report.txt is compared without its wall time, which no two runs share
+    report = new["cli/run-ph"]["cli"]["report.txt"]
+    assert "result_theta_hat_final = " in report
+    assert "result_wall_seconds" not in report
 
 
 def test_diffmatrix_reports_each_changed_column(diffmatrix):

@@ -1,6 +1,7 @@
 import copy
 import math
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -461,7 +462,7 @@ def test_gradient_matrix_kernels_are_bound_once_per_shape():
 
 
 class _Raises:
-    """Stands in for a module attribute; any use of it fails the test."""
+    """Stands in for numpy or a function; any use of it fails the test."""
 
     def __getattr__(self, name):
         raise AssertionError(f"the update used .{name}")
@@ -476,8 +477,8 @@ def test_gradient_matrix_update_after_the_first_calls_no_numpy_or_dot(
     s = RegressorSample(0.0, (1.0, 2.0),
                         ([1.0, 0.5], [0.0, -1.0], [2.0, 0.25]))
     est.propagate(s, s, 1e-3)
-    for module in (estimator_module, smallmat):
-        monkeypatch.setattr(module, "np", _Raises())
+    # the package imports numpy where it uses it: this import fails the test
+    monkeypatch.setitem(sys.modules, "numpy", _Raises())
     monkeypatch.setattr(smallmat, "dot", _Raises())
     theta = est.Theta
     est.propagate(s, s, 1e-3)
@@ -545,17 +546,20 @@ def _coupled_map():
                                         [th[1], th[0]]]))
 
 
-@pytest.mark.parametrize("name", ["circuit", "coupled"])
-def test_monotonicity_rho_jacobian_is_eigvalsh_bit_for_bit(circuit, name):
-    # q = 2: every sample's sym(P T J_G) is a 2x2 ndarray, whose minimum
-    # eigenvalue min_eig_symmetric takes on floats in LAPACK's operations
-    pm = circuit.plant.param_map if name == "circuit" else _coupled_map()
-    assert pm.q == 2
+@pytest.mark.parametrize("name", ["circuit", "coupled", "ph"])
+def test_monotonicity_rho_jacobian_is_eigvalsh_bit_for_bit(circuit, ph, name):
+    # every sample's sym(P T J_G) is an ndarray, 2x2 at q = 2 and 1x1 for
+    # ph (q = 1), whose minimum eigenvalue min_eig_symmetric takes on
+    # floats in LAPACK's operations
+    pm = {"circuit": circuit.plant.param_map, "coupled": _coupled_map(),
+          "ph": ph.plant.param_map}[name]
+    assert pm.q == (1 if name == "ph" else 2)
     rep = check_monotonicity(pm, [0.1, 10.0], n_samples=3000, seed=4)
     rng = np.random.default_rng(4)
     want = np.inf
-    for theta in 0.1 + 9.9 * rng.random((3000, 2)):
-        jw = pm.P @ (pm.T @ np.asarray(pm.jacobian_G(theta), dtype=float))
+    pmat, tmat = np.array(pm.P), np.array(pm.T)
+    for theta in 0.1 + 9.9 * rng.random((3000, pm.q)):
+        jw = pmat @ (tmat @ np.asarray(pm.jacobian_G(theta), dtype=float))
         sym = 0.5 * (jw + jw.T)
         want = min(want, float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0]))
     assert struct.pack("<d", rep.rho_jacobian) == struct.pack("<d", want)

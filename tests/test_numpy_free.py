@@ -1,0 +1,93 @@
+"""Which runs load numpy, checked in a fresh interpreter.
+
+The package imports numpy only inside the functions that need LAPACK,
+numpy's random generator or an ndarray view.  A ph run or sweep needs none
+of them, so it completes without numpy ever being imported; the circuit's
+3x3 excitation Gram eigenvalue is LAPACK's, so a circuit run imports it.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
+
+import pytest
+
+from pbident import SimConfig, circuit_scenario, ph_scenario, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROGRAM = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    out = Path(sys.argv[1])
+    import pbident
+    import pbident.cli as cli
+    assert "numpy" not in sys.modules, "import pbident loaded numpy"
+
+    def config(name, text):
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    # gradient_std's default Theta = 0 makes the estimate 0, which beta
+    # divides by, so it starts elsewhere
+    for est, extra in (("gplusd_pbep", ""),
+                       ("gradient_std", "overparam_hat0 = 0.5,0.25\\n"),
+                       ("gradient_pbep_overparam", ""), ("none", "")):
+        text = f"scenario = ph\\nt_end = 0.5\\nestimator = {est}\\n{extra}"
+        code = cli.main(["run", config(est + ".cfg", text),
+                         "--out", str(out / est)])
+        assert code == 0, (est, code)
+        assert "numpy" not in sys.modules, f"a ph {est} run loaded numpy"
+
+    code = cli.main(["sweep", config("sweep.cfg", "scenario = ph\\n"
+                                     "t_end = 0.05\\ndecimation = 1\\n"),
+                     "--grid", "gamma_g=75:125:2",
+                     "--grid", "gamma=37.5:62.5:2",
+                     "--out", str(out / "sweep")])
+    assert code == 0, code
+    assert "numpy" not in sys.modules, "a ph sweep loaded numpy"
+
+    code = cli.main(["run", config("circuit.cfg", "scenario = circuit\\n"
+                                   "t_end = 0.05\\n"),
+                     "--out", str(out / "circuit")])
+    assert code == 0, code
+    assert "numpy" in sys.modules, "a circuit run did not load numpy"
+    print("ok")
+""")
+
+
+def test_ph_runs_and_sweeps_never_import_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM, str(tmp_path)], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+    # the last line; the commands print their own lines before it
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+    assert (tmp_path / "sweep" / "index.csv").read_text().count("\n") == 5
+
+
+# The pinned aborts of tests/test_sim.py and tools/diffmatrix.py: the runs
+# overflow on their way to the abort, and with no numpy arithmetic left on
+# the run path (and no np.errstate around it) they must warn about nothing.
+PINNED_ABORTS = [
+    ("circuit", {"gamma_g": 1e6, "gamma": 1e6}, 0.996, 996),
+    ("circuit", {"x0": (0.51, 0.95), "theta_hat0": (0.43, 2.85)}, 2.041,
+     2041),
+    ("ph", {"t_end": 1.0, "theta_hat0": (0.0,)}, 0.001, 1),
+]
+
+
+@pytest.mark.parametrize("name, over, t_abort, steps", PINNED_ABORTS)
+def test_pinned_aborts_raise_no_warning(name, over, t_abort, steps):
+    scenario = {"circuit": circuit_scenario, "ph": ph_scenario}[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run(scenario, SimConfig(**over))
+    assert rep.aborted and rep.abort_component == "plant state"
+    assert rep.abort_time == pytest.approx(t_abort, abs=1e-9)
+    assert rep.n_steps == steps

@@ -48,7 +48,7 @@ def test_param_map_dimension_audit(circuit, ph):
     # the selector's shape gives q and p; the regression data splits p
     for scen in (circuit, ph):
         pm, d = scen.plant.param_map, scen.plant.nlpre
-        assert pm.T.shape == (pm.q, pm.p)
+        assert np.shape(pm.T) == (pm.q, pm.p)
         assert pm.p == d.p_s + d.p_S + d.p_d == len(pm.G(scen.theta_true))
         assert pm.p >= pm.q
 

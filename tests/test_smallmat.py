@@ -1,5 +1,5 @@
-import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +119,9 @@ def test_symmetric_eigen_reconstructs():
 
 
 def test_min_eig_rejects_nonfinite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            min_eig_symmetric([[bad]])
     with pytest.raises(ValueError):
         min_eig_symmetric([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -487,8 +490,34 @@ def test_min_eig_2x2_is_eigvalsh_bit_for_bit(m):
     assert same_bytes(min_eig_symmetric(arr), want)
 
 
+# entries at the ends of the float range: signed zeros, subnormals, the
+# largest finite magnitude, and magnitudes whose a + a overflows to inf
+ONE_BY_ONE_EDGES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 8.98846567431158e307,
+                    math.nextafter(8.98846567431158e307, 0.0), 1e308]
+
+
+@eig_examples
+@given(a=st.one_of(
+    st.sampled_from(ONE_BY_ONE_EDGES).flatmap(
+        lambda v: st.sampled_from([v, -v])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3)))
+@example(a=-0.0)
+@example(a=1.7976931348623157e308)
+@example(a=-1.7976931348623157e308)
+def test_min_eig_1x1_is_eigvalsh_bit_for_bit(a):
+    # dsyevd returns the symmetrized entry itself at n = 1
+    arr = np.array([[a]])
+    with np.errstate(over="ignore"):
+        want = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
+    assert same_bytes(min_eig_symmetric([[a]]), want)
+    assert same_bytes(min_eig_symmetric(arr), want)
+    assert type(min_eig_symmetric([[a]])) is float
+
+
 def test_min_eig_of_int_entries_is_a_float():
-    for m in ([[2, 1], [1, 2]], [[0, 0], [0, 0]], [[1, 3], [0, -4]],
+    for m in ([[3]], [[2, 1], [1, 2]], [[0, 0], [0, 0]], [[1, 3], [0, -4]],
               [[1, 2, 0], [2, 1, 0], [0, 0, 5]]):
         got = min_eig_symmetric(m)
         arr = np.array(m, dtype=float)
@@ -497,15 +526,12 @@ def test_min_eig_of_int_entries_is_a_float():
 
 
 def test_excitation_record_at_p2_calls_no_numpy(monkeypatch):
-    # push reads ndarray regressors, so only `record` runs without numpy
     rec = ExcitationRecord(2, 1e-3, threshold=1e-4)
     got = []
     for k in range(40):
-        rec.push((math.cos(0.3 * k), 0.5 * math.sin(0.2 * k)))
         with monkeypatch.context() as patch:
-            for module in ("sim", "smallmat"):
-                patch.setattr(importlib.import_module(f"pbident.{module}"),
-                              "np", NoNumpy())
+            patch.setitem(sys.modules, "numpy", NoNumpy())
+            rec.push((math.cos(0.3 * k), 0.5 * math.sin(0.2 * k)))
             got.append(rec.record(k * 1e-3))
         assert same_bytes(got[-1], float(np.linalg.eigvalsh(rec.gram)[0]))
     assert rec.t_c is not None and got[-1] > 1e-4

@@ -18,10 +18,15 @@ gradient_std from a nonzero Theta, circuit gradient_std at gamma 30
 without sub-steps or decimation, the circuit's slow start x0 = (0.64,
 0.27), theta_hat0 = (0.12, 0.05), and a 0.5 s ph gplusd_pbep run at
 decimation 1 with gamma_g 150 and gamma 75), plus the pinned aborts of the
-test suite.
+test suite.  Three command-line cases run `pbident` through `cli.main`
+(`run` on each default scenario at t_end = 1.0, and a 2 x 2 ph `sweep` at
+t_end = 0.05) and compare the exit code and the bytes of every file it
+writes (trace.csv, plot.gp, report.txt without its result_wall_seconds
+line, index.csv).
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
-`abort:<part>`, `error`): the number of cases where it differs, and the
+`abort:<part>`, `cli:<file>`, `error`): the number of cases where it
+differs, and the
 largest absolute and relative change over the differing entries, the
 relative change taken against the larger magnitude.  A change in the
 number of trace rows counts as an infinite change.  The exit code is 0
@@ -77,13 +82,24 @@ EXTRA_CASES = [
 ]
 
 
+# (id, config file text, command and flags) of the command-line cases,
+# whose files are compared byte for byte
+CLI_CASES = [
+    ("cli/run-ph", "scenario = ph\n", ["run", "--t-end", "1.0"]),
+    ("cli/run-circuit", "scenario = circuit\n", ["run", "--t-end", "1.0"]),
+    ("cli/sweep-ph-2x2", "scenario = ph\nt_end = 0.05\n",
+     ["sweep", "--grid", "gamma_g=75:125:2", "--grid", "gamma=37.5:62.5:2"]),
+]
+
+
 def matrix_cases() -> list:
-    """(id, scenario, SimConfig settings) of every case."""
+    """(id, scenario, SimConfig settings) of every library run, then
+    (id, config text, command) of every command-line case."""
     cases = [(f"{name}/{est}/{ctl}", name,
               {"estimator": est, "controller": ctl, "t_end": 5.0})
              for name in ("circuit", "ph")
              for est in ESTIMATORS for ctl in CONTROLLERS]
-    return cases + EXTRA_CASES + PINNED_ABORTS
+    return cases + EXTRA_CASES + PINNED_ABORTS + CLI_CASES
 
 
 # -- the worker: runs in a subprocess, imports the checkout's pbident --------
@@ -131,8 +147,40 @@ def run_case(scenario: str, settings: dict) -> dict:
                       "steps": rep.n_steps if rep.aborted else None}}
 
 
+def run_cli_case(config: str, command: list) -> dict:
+    """Exit code and files of one `pbident` command, as text; report.txt
+    without its result_wall_seconds line."""
+    import contextlib
+    import io
+    import tempfile
+    from pbident import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "case.cfg", Path(tmp) / "out"
+        path.write_text(config, encoding="utf-8")
+        # the worker's stdout carries its result
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command[0], str(path), *command[1:],
+                                 "--out", str(out)])
+        except Exception as err:   # a raised error is an outcome to compare
+            return {"error": f"{type(err).__name__}: {err}"}
+        files = {"exit": code}
+        for item in sorted(out.rglob("*")):
+            if item.is_file():
+                text = item.read_text(encoding="utf-8")
+                if item.name == "report.txt":
+                    text = "".join(
+                        line for line in text.splitlines(keepends=True)
+                        if not line.startswith("result_wall_seconds "))
+                files[item.relative_to(out).as_posix()] = text
+    return {"cli": files}
+
+
 def _worker(cases) -> None:
-    out = {cid: run_case(name, settings) for cid, name, settings in cases}
+    out = {cid: run_cli_case(*args) if cid.startswith("cli/")
+           else run_case(*args) for cid, *args in cases}
     sys.stdout.buffer.write(pickle.dumps(out))
 
 
@@ -206,8 +254,8 @@ def _columns(out: dict) -> dict:
     if "error" in out:
         return {"error": out["error"]}
     cols = {"error": None}
-    for kind in ("trace", "report", "abort"):
-        for name, value in out[kind].items():
+    for kind in ("trace", "report", "abort", "cli"):
+        for name, value in out.get(kind, {}).items():
             cols[f"{kind}:{name}"] = value
     return cols
 
