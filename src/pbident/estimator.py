@@ -30,20 +30,19 @@ integral of |Omega|^2) by construction.  The simulator integrates the
 correction flow itself, from the mixing pair returned by `mix`.
 
 Number representation: estimates, the pre-estimator state and Phi are
-lists of Python floats, and every update runs on them through smallmat's
-kernels, unrolled to their lengths, and math.expm1; the first step's
-sample check and P T (a left-to-right float product) run on floats too,
-so no update calls numpy.  numpy is imported only by the array views and
-checks outside a run: `GplusDEstimator.Phi`, `GradientEstimator.rate` and
-`check_monotonicity`, whose samples come from numpy's generator.  Every
-dot product (|Omega|^2, Omega' theta_g, Omega' Phi, Phi theta_g0,
-adj(I - Phi) r) sums its
-products from 0.0 left to right, as `smallmat.dot` does, so the numbers
-depend on IEEE arithmetic and the C library's expm1 only, not on the BLAS
-build: a BLAS evaluates small dot products with fused multiply-adds or
-in a blocked order that differs between CPU kernels, and a divergent run
-at extreme gains is chaotic enough that a one-ulp change moves the step
-at which it aborts.
+lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`), each
+interlaced half update another (`half_update`) next to math.expm1, and
+the gradient flow runs on kernels too; the first step's sample check and
+P T (a left-to-right float product) run on floats, so no update calls
+numpy.  numpy is imported only by `GplusDEstimator.Phi`,
+`GradientEstimator.rate` and `check_monotonicity`, whose samples come
+from numpy's generator.  Every dot product (|Omega|^2, Omega' theta_g,
+Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to right, as
+`smallmat.dot` does, so the numbers depend on IEEE arithmetic and the C
+library's expm1 only, not on the BLAS build, whose small dot products use
+fused multiply-adds or a blocked order that differs between CPU kernels;
+a divergent run at extreme gains is chaotic enough that a one-ulp change
+moves the step at which it aborts.
 
 The gradient flow on a (p, n) matrix regressor reads the regressor as
 its n_w rows of n floats.  Its frozen-regressor map acts only on
@@ -70,11 +69,10 @@ import math
 from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (adjugate, all_finite, axpy, determinant, dot,
-                       dot_k, eye_minus, flat_floats, float_rows, mat_vec,
-                       min_eig_symmetric, rank1_update, residual_gram,
-                       scaled_mtv, scaled_mv, symmetric_eigen, v_minus_mg,
-                       v_plus_mg, vec_mat)
+from .smallmat import (all_finite, axpy, determinant, dot, dot_k,
+                       flat_floats, float_rows, half_update, min_eig_symmetric,
+                       mix_pair, residual_gram, scaled_mtv, scaled_mv,
+                       symmetric_eigen, v_minus_mg, v_plus_mg)
 
 
 def _check_sample(sample: RegressorSample, p: int,
@@ -139,12 +137,9 @@ class GplusDEstimator:
         self._phi = [[1.0 if i == j else 0.0 for j in range(p)]
                      for i in range(p)]
         # kernels unrolled to length p (smallmat)
-        self._eye_minus = eye_minus(p)
-        self._axpy = axpy(p)
-        self._rank1_update = rank1_update(p)
+        self._mix_pair = mix_pair(p)
+        self._update = half_update(p)
         self._dot = dot_k(p)
-        self._vec_mat = vec_mat(p)
-        self._mat_vec = mat_vec(p, p)
         self._v_minus_mg = v_minus_mg(p, p)
         self.theta = [0.0] * q if theta0 is None else \
             _vector(theta0, q, "theta0")
@@ -187,9 +182,8 @@ class GplusDEstimator:
         memo = self._mix_memo
         if memo is not None and memo[0] is phi and memo[1] is g:
             return memo[2]
-        a = self._eye_minus(phi)
         r = g if self._g0 is None else self._v_minus_mg(g, phi, self._g0)
-        pair = (determinant(a), tuple(self._mat_vec(adjugate(a), r)))
+        pair = self._mix_pair(phi, r)
         self._mix_memo = (phi, g, pair)
         return pair
 
@@ -199,7 +193,6 @@ class GplusDEstimator:
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
-        phi = self._phi
         gt = self.gamma_g * tau
         # a step's end sample is the next step's start sample
         memo = self._gain_memo
@@ -209,10 +202,8 @@ class GplusDEstimator:
             n2 = self._dot(om, om)
             c = _exp_gain(gt, n2)
             self._gain_memo = (sample, gt, n2, c)
-        ce = c * (sample.Y - self._dot(om, self.theta_g))
-        self.theta_g = self._axpy(self.theta_g, ce, om)
-        # Phi - outer(c * om, om' Phi)
-        self._phi = self._rank1_update(phi, c, om, self._vec_mat(om, phi))
+        self.theta_g, self._phi = self._update(c, sample.Y, om, self.theta_g,
+                                              self._phi)
         self.log_det_phi -= gt * n2
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,

@@ -33,12 +33,13 @@ by the estimators.  The generators expose their filter `state`, the channel
 owns all time stepping.  Channel inputs, filter states and samples are
 Python floats: a power-balance sample carries a float Y and a p-tuple
 Omega, a state-equation sample an n-tuple Y and Omega as n_w rows of n
-floats, which the matrix estimator reads as they are.  The state-equation
-generator adds the declared phi_g terms to the rows of its input matrix
-with smallmat's `axpy`, and splits the channel outputs into Y and Omega
-with the `sub_at` and `block_columns` kernels, all bound to the generator's
-lengths when it is built.  The generators' `state` reads the filter state
-as an ndarray, built on access with numpy imported there.
+floats, which the matrix estimator reads as they are.  A power-balance
+sample is one smallmat kernel (`pbep_sample`) over the channel layout.
+The state-equation generator adds the declared phi_g terms to the rows of
+its input matrix with `axpy` and splits the channel outputs into Y and
+Omega with `sub_at` and `block_columns`.  All are bound to the
+generator's lengths when it is built.  `state` reads the filter state as
+an ndarray, built on access with numpy imported there.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 from .filters import ChannelMode, FirstOrderFilterBank
 from .smallmat import (axpy, block_columns, dot, flat_floats, float_rows,
-                       min_eig_symmetric, sub_at)
+                       min_eig_symmetric, pbep_sample, sub_at)
 
 
 @dataclass
@@ -193,6 +194,8 @@ class PbepGenerator:
         modes += [ChannelMode.DERIVATIVE] * nlpre.p_S
         modes += [ChannelMode.PLAIN] * nlpre.p_d
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0, yp0))
+        self._sample = pbep_sample(self._has_yplain, self._has_yderiv,
+                                   nlpre.p_s, nlpre.p_S, nlpre.p_d)
 
     @property
     def n_channels(self) -> int:
@@ -227,17 +230,8 @@ class PbepGenerator:
 
     def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
-        out = self.bank.output(inputs)
-        k = 0
-        y = 0.0
-        if self._has_yplain:
-            y += out[k]
-            k += 1
-        if self._has_yderiv:
-            y -= out[k]
-            k += 1
-        p_s = self.nlpre.p_s
-        omega = tuple(-v for v in out[k:k + p_s]) + tuple(out[k + p_s:])
+        bank = self.bank
+        y, omega = self._sample(bank.lam, inputs, bank.state)
         return RegressorSample(t=t, Y=y, Omega=omega)
 
 

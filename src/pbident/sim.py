@@ -32,22 +32,21 @@ realistic gains:
 The whole step runs on Python floats: plant and filter states, estimates,
 regression samples and the estimator's matrices are lists and tuples of
 floats, and the scenario closures take and return components (see
-plants).  On 2- and 3-element states numpy's per-call overhead is most of
-the cost.  Element-wise expressions and dot products are smallmat's
-unrolled kernels, which `World` and the estimators bind once to the run's
-lengths (plant state, estimate, regressor, filter channels) after
-checking that the scenario's closures return those lengths.  Each keeps
-one fixed operation order, with sums taken left to right, so a step
-calls no numpy and its numbers do not depend on the BLAS build.  The
-excitation record's eigenvalue is taken on floats for a 2x2 Gram (ph) and
-by numpy's eigvalsh for the circuit's 3x3 one, the one place a run that
-does not abort imports numpy.  The report's vectors are tuples of floats
+plants).  Each stage of the step is one smallmat kernel, which `World` and
+the estimators bind once to the run's lengths (plant state, estimate,
+regressor, filter channels, substeps) after checking that the scenario's
+closures return those lengths.  Each keeps one fixed operation order,
+with sums taken left to right, so a step calls no numpy and its numbers
+do not depend on the BLAS build.  The excitation
+record's eigenvalue is taken on floats for a 2x2 Gram (ph) and by numpy's
+eigvalsh for the circuit's 3x3 one, the one place a run that does not
+abort imports numpy.  The report's vectors are tuples of floats
 (`Vector`), and arrays are built only for the ndarray views that callers
 read (`World.x`, `ExcitationRecord.gram`, `SubGrid.tobytes`, the
-generators' `state`, `GplusDEstimator.Phi`), with numpy imported there.  The run loop keeps its
-power-balance residuals, settling times and final errors as running
-reductions, and its trace rows go to the caller's sink, so a run needs a
-fixed amount of memory.
+generators' `state`, `GplusDEstimator.Phi`), with numpy imported there.
+The run loop keeps its power-balance residuals, settling times and final
+errors as running reductions, and its trace rows go to the caller's sink,
+so a run needs a fixed amount of memory.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -65,11 +64,10 @@ from typing import Optional
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (all_finite, axpy, axpy_rows, columns, dot,
-                       flat_floats, hermite_mid, ieee_div, lag_rate,
-                       lag_rate_at, midpoint, min_eig_symmetric, outer_add,
-                       rk4_sum, scale_rows, scaled_diff_rows, scaled_mv, sub,
-                       v_minus_mg)
+from .smallmat import (all_finite, axpy, columns, correction_rk4, dot,
+                       flat_floats, hermite_mid, ieee_div, lag_rk4, midpoint,
+                       min_eig_symmetric, outer_add, plant_rk4,
+                       scaled_diff_rows, sub)
 
 
 class EstimatorKind(Enum):
@@ -154,12 +152,12 @@ class SimConfig:
         if self.t_end <= self.h:
             raise ConfigValueError("t_end", f"must exceed h, got t_end="
                                    f"{self.t_end!r} h={self.h!r}")
-        if self.decimation < 1:
-            raise ConfigValueError("decimation", f"must be >= 1, got "
-                                   f"{self.decimation!r}")
-        if self.substeps is not None and self.substeps < 1:
-            raise ConfigValueError("substeps", f"must be >= 1, got "
-                                   f"{self.substeps!r}")
+        for key in ("decimation", "substeps"):
+            value = getattr(self, key)
+            count = isinstance(value, int) and not isinstance(value, bool)
+            if not (count and value >= 1 or key == "substeps" and value is None):
+                raise ConfigValueError(key, f"must be an integer >= 1, got "
+                                       f"{value!r}")
         # plant substeps are counted with an index
         steps = self.t_end / self.h
         if not steps * (self.substeps or 1) < sys.maxsize:
@@ -406,9 +404,11 @@ class World:
         self.plant_state = list(cfg.x0)
         self.theta_hat = list(cfg.theta_hat0)
         self.substeps = cfg.substeps
-        # half-substep grid points as fractions of the outer step
-        self._fracs = [j / (2.0 * self.substeps)
-                       for j in range(2 * self.substeps + 1)]
+        # half-substep grid points as fractions of the outer step (those of
+        # the interpolated estimates) and as time offsets from the start
+        fracs = [j / (2.0 * self.substeps)
+                 for j in range(2 * self.substeps + 1)]
+        self._fracs, self._dts = fracs[:-1], [f * cfg.h for f in fracs]
         # (x, theta_hat, filter state, t, inputs, sample) at the end of the
         # last step, the next step's start sample while those are unchanged
         self._end_sample = None
@@ -465,21 +465,15 @@ class World:
         if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
             self.theta_hat = self.extract_theta()
 
-        # element-wise kernels unrolled to this run's lengths (smallmat)
-        n, q = plant.n, plant.param_map.q
-        self._axpy_x, self._rk4_x = axpy(n), rk4_sum(n)
+        # the step's stage kernels, unrolled to this run's lengths (smallmat)
+        n, q, nsub = plant.n, plant.param_map.q, self.substeps
+        self._plant_rk4 = plant_rk4(n, nsub)
         self._midpoint_x, self._hermite_x = midpoint(n), hermite_mid(n)
-        self._axpy_th, self._sub_th, self._rk4_th = axpy(q), sub(q), rk4_sum(q)
-        self._interp_th = axpy_rows(q, 2 * self.substeps)
+        self._axpy_th, self._sub_th = axpy(q), sub(q)
         if kind is EstimatorKind.GPLUSD_PBEP:
-            p = plant.param_map.p
-            self._rate_th = v_minus_mg(q, p)
-            self._scaled_mv_th = scaled_mv(q, p)
-            self._scale_rows_th = scale_rows(q, p)
+            self._correction_rk4 = correction_rk4(q, plant.param_map.p)
         if self.generator is not None:
-            n_ch = self.generator.n_channels
-            self._lag_z, self._lag_at_z = lag_rate(n_ch), lag_rate_at(n_ch)
-            self._rk4_z = rk4_sum(n_ch)
+            self._lag_rk4 = lag_rk4(self.generator.n_channels)
 
     @property
     def x(self):
@@ -517,30 +511,6 @@ def _finite_samples(*samples: RegressorSample) -> bool:
     return all(all_finite(s.Omega) and all_finite(s.Y) for s in samples)
 
 
-def _rk4_correction(world: World, th: list, h: float) -> list:
-    """One RK4 step of the correction flow
-    theta_dot = gamma * P T * Delta * (Ycal - Delta * G(theta))
-    with the mixing pair frozen at the step start."""
-    est = world.estimator
-    delta, ycal = est.mix()
-    gd_ = est.gamma * delta
-    gdd = gd_ * delta
-    vec = world._scaled_mv_th(gd_, est._PT, ycal)
-    mat = world._scale_rows_th(gdd, est._PT)
-    g_map = est.param_map.G
-    v_minus_mg, axpy = world._rate_th, world._axpy_th
-
-    def rate(theta):
-        return v_minus_mg(vec, mat, g_map(theta))
-
-    half = 0.5 * h
-    a1 = rate(th)
-    a2 = rate(axpy(th, half, a1))
-    a3 = rate(axpy(th, half, a2))
-    a4 = rate(axpy(th, h, a3))
-    return world._rk4_th(th, h / 6.0, a1, a2, a3, a4)
-
-
 def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
                                 Optional[RegressorSample]]:
     """Advance the world by one outer step.
@@ -570,36 +540,20 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
             i0 = world.assemble_inputs(x, t, th)
             sample0 = gen.sample_from(t, i0)
 
-    # correction-flow update with the mixing pair frozen at the step start;
-    # gradient estimates update after the plant move instead.  The plant
-    # sub-integration sees the estimate linearly interpolated in time.
+    # the correction flow theta_dot = gamma * P T * Delta * (Ycal - Delta *
+    # G(theta)) with the mixing pair frozen at the step start, interpolated
+    # for the plant; gradient estimates update after the plant move instead
     nsub = world.substeps
-    fracs = world._fracs
     if kind is EstimatorKind.GPLUSD_PBEP:
-        th_new = _rk4_correction(world, th, h)
-        ths = world._interp_th(th, fracs, world._sub_th(th_new, th))
-        ths.append(th_new)
+        delta, ycal = est.mix()
+        ths = world._correction_rk4(est.param_map.G, est._PT, est.gamma,
+                                    delta, ycal, th, h, world._fracs)
+        th_new = ths[-1]
     else:
         th_new = th
         ths = [th] * (2 * nsub + 1)
-
-    hs = h / nsub
-    hh, h6 = 0.5 * hs, hs / 6.0
-    axpy, rk4 = world._axpy_x, world._rk4_x
-    xc = x
-    xs = SubGrid()
-    for j in range(nsub):
-        i2 = 2 * j
-        t0s = t + fracs[i2] * h
-        tms = t + fracs[i2 + 1] * h
-        t1s = t + fracs[i2 + 2] * h
-        th0s, thms, th1s = ths[i2], ths[i2 + 1], ths[i2 + 2]
-        k1 = plant_rate(xc, th0s, t0s)
-        k2 = plant_rate(axpy(xc, hh, k1), thms, tms)
-        k3 = plant_rate(axpy(xc, hh, k2), thms, tms)
-        k4 = plant_rate(axpy(xc, hs, k3), th1s, t1s)
-        xc = rk4(xc, h6, k1, k2, k3, k4)
-        xs.append(xc)
+    xs = SubGrid(world._plant_rk4(plant_rate, x, ths, t, world._dts, h))
+    xc = xs[-1]
 
     sample1 = None
     if gen is not None:
@@ -617,17 +571,7 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
         tm, t1 = t + 0.5 * h, t + h
         im = world.assemble_inputs(x_mid, tm, th_mid)
         i1 = world.assemble_inputs(xc, t1, th_new)
-        # filter-bank RK4
-        lam = cfg.lam
-        half, sixth = 0.5 * h, h / 6.0
-        bank = gen.bank
-        z = bank.state
-        lag_at = world._lag_at_z
-        c1 = world._lag_z(lam, i0, z)
-        c2 = lag_at(lam, im, z, half, c1)
-        c3 = lag_at(lam, im, z, half, c2)
-        c4 = lag_at(lam, i1, z, h, c3)
-        bank.state = world._rk4_z(z, sixth, c1, c2, c3, c4)
+        gen.bank.state = world._lag_rk4(cfg.lam, i0, im, i1, gen.bank.state, h)
         sample1 = gen.sample_from(t1, i1)
         if est is not None:
             if t == 0.0 and not _finite_samples(sample0, sample1):

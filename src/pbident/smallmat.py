@@ -12,31 +12,24 @@ directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
 float arithmetic would raise (`ieee_pow` serves only the circuit's
 non-integer power theta1 ** alpha; squares are written x * x).
 
-The step's element-wise expressions are kernels unrolled to a vector
-length: a factory such as `axpy(n)` returns the function
-`lambda x, s, y: [x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled
-on the first call with that length and cached (`_kernel`), so a second
-call with the same length returns the same function.  The sources come
-only from the fixed templates here and integer lengths.  On CPython 3.11
-a comprehension such as `[a + s * b for a, b in zip(x, y)]` builds a
-function, a frame and a zip on every call, which on 2- and 3-element
-states costs several times the arithmetic; comprehensions are inlined
-from 3.12 on (PEP 709), so the gain is smaller there.  Each kernel keeps
-the per-element operation order of the comprehension it replaces (its
-docstring gives the expression; sums of products start from 0.0 and go
-left to right, as `dot` does), so results are bit-identical to it.  The
-estimator's dot products are kernels of the same kind: `dot_k(n)` (the
-float `dot` returns), `vec_mat(p)` (v'M), `mat_vec(m, n)` (M v) and, for
-the gradient flow's matrix update, `residual_gram(m, n)` (y - M'v and
-s M'M, read from the rows of M), `scaled_mtv(n)` (c * M'v), `scaled_mv`
-and `v_plus_mg` (v + M g).  Their fixed order makes a run's numbers
-independent of the BLAS build, whose small dot products round differently
-from one CPU kernel to the next.  `sub_at` and `block_columns` split the
-state-equation channel outputs into Y and Omega, and `columns` transposes
-a matrix regressor for the excitation record.  A kernel reads exactly n
-components: it raises IndexError on a shorter argument and ignores the
-rest of a longer one, so callers bind kernels to lengths they have
-checked.
+The step's arithmetic runs in kernels unrolled to the run's lengths: a
+factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
+[x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled from a template on
+the first call with those lengths and cached (`_kernel`); the sources come
+only from the templates here and integer lengths.  Each stage of
+`sim.step` is one kernel (`plant_rk4`, `correction_rk4`, `lag_rk4`,
+`pbep_sample`, `mix_pair`, `half_update`), as on CPython 3.11 a call and a
+list between stages cost several times the arithmetic on 2- and 3-element
+states.  A stage kernel keeps the operation order of the expressions it
+fuses, which its docstring gives (`lag_rk4` inlines the expressions of
+`lag_rate`, `lag_rate_at` and `rk4_sum` themselves, through `body`): sums
+of products start from 0.0 and go left to right, as `dot` does, and the
+cofactor forms are those of `_COFACTORS`.  So results are bit-identical
+to the unfused expressions and independent of the BLAS build, whose small
+dot products round differently from one CPU kernel to the next.  A kernel
+reads exactly the components of its lengths: it raises IndexError on a
+shorter argument and ignores the rest of a longer one, so callers bind
+kernels to lengths they have checked.
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -117,8 +110,11 @@ def all_finite(x) -> bool:
 
 def _kernel(source):
     """Turn `source`, lengths -> (params, body), into a kernel factory:
-    lengths -> the function `lambda params: body`, compiled on the first
-    call with those lengths and cached.
+    lengths -> the function of `params` that returns `body`, an
+    expression, or runs `body`, a list of statement lines; compiled on the
+    first call with those lengths and cached.  `factory.body(*lengths)` is
+    the expression, for a stage kernel to inline under the same names (a
+    local per parameter, bound before the expression).
 
     Sources come only from the templates below and integer lengths.
     """
@@ -126,7 +122,12 @@ def _kernel(source):
     @functools.wraps(source)
     def factory(*lengths):
         params, body = source(*lengths)
-        return eval(f"lambda {params}: {body}", {"__builtins__": {}})
+        lines = [f"return {body}"] if isinstance(body, str) else body
+        scope = {"__builtins__": {}}
+        exec("\n    ".join([f"def {source.__name__}({params}):", *lines]),
+             scope)
+        return scope[source.__name__]
+    factory.body = lambda *lengths: source(*lengths)[1]
     return factory
 
 
@@ -142,14 +143,6 @@ def _tuple(items) -> str:
 def axpy(n: int):
     """f(x, s, y) = x + s*y on length-n sequences, as a list."""
     return "x, s, y", _list(f"x[{i}] + s * y[{i}]" for i in range(n))
-
-
-@_kernel
-def axpy_rows(n: int, m: int):
-    """f(x, s, y) = [x + s[k]*y for each of the m scalars s[k]], length-n
-    rows."""
-    return "x, s, y", _list(_list(f"x[{i}] + s[{k}] * y[{i}]" for i in range(n))
-                            for k in range(m))
 
 
 @_kernel
@@ -206,20 +199,6 @@ def dot_k(n: int):
 
 
 @_kernel
-def vec_mat(p: int):
-    """f(v, M) = v'M for a p-vector v and p x p nested rows M, as a list;
-    entry j sums v_i M_ij over i."""
-    return "v, M", _list(_sum_of(f"v[{i}] * M[{i}][{j}]" for i in range(p))
-                         for j in range(p))
-
-
-@_kernel
-def mat_vec(m: int, n: int):
-    """f(M, v) = M v for m rows M of length n and an n-vector v."""
-    return "M, v", _list(_row_product(i, n, "v") for i in range(m))
-
-
-@_kernel
 def v_plus_mg(m: int, n: int):
     """f(v, M, g) = v + M g for an m-vector v, m rows M of length n and an
     n-vector g."""
@@ -266,13 +245,6 @@ def scaled_mtv(n: int):
 
 
 @_kernel
-def scale_rows(m: int, n: int):
-    """f(s, M) = s*M for m rows M of length n, as nested rows."""
-    return "s, M", _list(_list(f"s * M[{i}][{j}]" for j in range(n))
-                         for i in range(m))
-
-
-@_kernel
 def lag_rate(n: int):
     """f(lam, u, z) = lam*(u - z), the rate of n first-order lags."""
     return "lam, u, z", _list(f"lam * (u[{i}] - z[{i}])" for i in range(n))
@@ -300,24 +272,6 @@ def hermite_mid(n: int):
 
 
 @_kernel
-def rank1_update(p: int):
-    """f(Phi, c, om, v) = Phi - outer(c*om, v) for p x p nested rows Phi,
-    each entry Phi_ij - (c*om_i)*v_j."""
-    return "Phi, c, om, v", _list(
-        _list(f"Phi[{i}][{j}] - (c * om[{i}]) * v[{j}]" for j in range(p))
-        for i in range(p))
-
-
-@_kernel
-def eye_minus(p: int):
-    """f(Phi) = I - Phi for p x p nested rows, each entry 1.0 or 0.0
-    minus Phi_ij (0.0 - 0.0 is +0.0, where -Phi_ij would be -0.0)."""
-    return "Phi", _list(
-        _list(f"{1.0 if i == j else 0.0!r} - Phi[{i}][{j}]" for j in range(p))
-        for i in range(p))
-
-
-@_kernel
 def outer_add(p: int):
     """f(s, c) = s + c c' for a row-major p*p list s and a p-vector c."""
     return "s, c", _list(f"s[{i * p + j}] + c[{i}] * c[{j}]"
@@ -331,6 +285,128 @@ def scaled_diff_rows(p: int):
     return "a, s, b, e", _list(
         _list(f"a * s[{i * p + j}] - b * e[{i * p + j}]" for j in range(p))
         for i in range(p))
+
+
+# -- one kernel per stage of the simulator's step --------------------------
+
+@_kernel
+def plant_rk4(n: int, nsub: int):
+    """f(rate, x, th, t, dt, h) = the states after each of nsub classical
+    RK4 substeps of size hs = h/nsub of x' = rate(x, th[k], t + dt[k]) from
+    the length-n state x, as a list of lists; th and dt hold the estimate
+    and the time offset at the 2*nsub + 1 half-substep grid points.  Stage
+    states x + s*k, combine x + (hs/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4); the
+    substeps loop, as unrolled code would grow with nsub, a user's count."""
+    idx = range(n)
+    lines = [f"hs = h / {nsub}", "hh = 0.5 * hs", "h6 = hs / 6.0",
+             *(f"x{i} = x[{i}]" for i in idx), "s = x", "out = []", "a = 0",
+             f"while a < {2 * nsub}:", "    tm = t + dt[a + 1]"]
+    stages = (("s", "a", "t + dt[a]"),
+              (_list(f"x{i} + hh * p{i}" for i in idx), "a + 1", "tm"),
+              (_list(f"x{i} + hh * q{i}" for i in idx), "a + 1", "tm"),
+              (_list(f"x{i} + hs * r{i}" for i in idx), "a + 2", "t + dt[a + 2]"))
+    # the rates k1, k2 and k3 are kept as p, q and r; k4 is used once
+    for name, (arg, at, time) in zip("pqr ", stages):
+        lines.append(f"    k = rate({arg}, th[{at}], {time})")
+        if name != " ":
+            lines += [f"    {name}{i} = k[{i}]" for i in idx]
+    lines += [f"    x{i} = x{i} + h6 * (p{i} + 2.0 * q{i} + 2.0 * r{i} + k[{i}])"
+              for i in idx]
+    lines += ["    s = " + _list(f"x{i}" for i in idx), "    out.append(s)",
+              "    a += 2"]
+    return "rate, x, th, t, dt, h", lines + ["return out"]
+
+
+@_kernel
+def correction_rk4(q: int, p: int):
+    """f(G, PT, gamma, delta, ycal, th, h, fracs) = one classical RK4 step
+    of size h of the correction flow th' = v - M G(th) from the length-q
+    estimate th, as the estimates th + f*(th_new - th) at each fraction f
+    of the step in fracs, then th_new itself: a list of lists.
+
+    v = (gamma*delta)*(PT ycal) and M = ((gamma*delta)*delta)*PT for q rows
+    PT of length p; stage states th + s*a, combine th + (h/6.0)*(a1 +
+    2.0*a2 + 2.0*a3 + a4).
+    """
+    iq, ip = range(q), range(p)
+    lines = ["gd = gamma * delta", "gdd = gd * delta", "half = 0.5 * h"]
+    lines += [f"v{i} = gd * ({_sum_of(f'PT[{i}][{j}] * ycal[{j}]' for j in ip)})"
+              for i in iq]
+    lines += [f"m{i}_{j} = gdd * PT[{i}][{j}]" for i in iq for j in ip]
+    lines += [f"t{i} = th[{i}]" for i in iq]
+    for a, arg in (("a", "th"), ("b", "t{i} + half * a{i}"),
+                   ("c", "t{i} + half * b{i}"), ("e", "t{i} + h * c{i}")):
+        if a != "a":
+            arg = _list(arg.format(i=i) for i in iq)
+        lines += [f"g = G({arg})", *(
+            f"{a}{i} = v{i} - ({_sum_of(f'm{i}_{j} * g[{j}]' for j in ip)})"
+            for i in iq)]
+    lines += ["sixth = h / 6.0"]
+    lines += [f"n{i} = t{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})"
+              for i in iq]
+    lines += [f"d{i} = n{i} - t{i}" for i in iq]
+    lines += [f"rows = [{_list(f't{i} + f * d{i}' for i in iq)} "
+              f"for f in fracs]", f"rows.append({_list(f'n{i}' for i in iq)})"]
+    return "G, PT, gamma, delta, ycal, th, h, fracs", lines + ["return rows"]
+
+
+@_kernel
+def lag_rk4(n: int):
+    """f(lam, u0, um, u1, z, h) = one classical RK4 step of size h of n
+    first-order lags z' = lam*(u - z) driven by the inputs u0, um and u1
+    at the step's start, midpoint and end, as a list: stages `lag_rate`
+    and `lag_rate_at`, combine `rk4_sum` with s = h/6.0."""
+    rate, at, combine = (k.body(n) for k in (lag_rate, lag_rate_at, rk4_sum))
+    return "lam, u0, um, u1, z, h", [
+        "u = u0", f"k1 = c = {rate}", "u, s = um, 0.5 * h", f"k2 = c = {at}",
+        f"k3 = c = {at}", "u, s = u1, h", f"k4 = {at}", "x, s = z, h / 6.0",
+        f"return {combine}"]
+
+
+@_kernel
+def pbep_sample(y_plain: bool, y_deriv: bool, p_s: int, p_S: int, p_d: int):
+    """f(lam, u, z) = (Y, Omega) of power-balance channels with inputs u
+    and states z, tapping z (PLAIN) or lam*(u - z) (DERIVATIVE): Y = 0.0 +
+    the PLAIN Y tap - the DERIVATIVE Y tap, each when set, and Omega =
+    (-phi_s taps, phi_S taps, phi_d taps)."""
+    y, k = "0.0", 0
+    if y_plain:
+        y, k = f"{y} + z[{k}]", k + 1
+    if y_deriv:
+        y, k = f"{y} - lam * (u[{k}] - z[{k}])", k + 1
+    omega = [f"-z[{k + i}]" for i in range(p_s)]
+    omega += [f"lam * (u[{i}] - z[{i}])" for i in range(k + p_s, k + p_s + p_S)]
+    omega += [f"z[{i}]" for i in range(k + p_s + p_S, k + p_s + p_S + p_d)]
+    return "lam, u, z", f"({y}, {_tuple(omega)})"
+
+
+@_kernel
+def half_update(p: int):
+    """f(c, y, om, g, Phi) = (g + ce*om, Phi - outer(c*om, om'Phi)), ce =
+    c*(y - om'g), for p-vectors om and g and p x p nested rows Phi: each
+    entry Phi_ij - (c*om_i)*v_j, v = om'Phi, sums from 0.0 left to right."""
+    ip = range(p)
+    lines = [f"ce = c * (y - ({_sum_of(f'om[{i}] * g[{i}]' for i in ip)}))"]
+    lines += [f"v{j} = {_sum_of(f'om[{i}] * Phi[{i}][{j}]' for i in ip)}"
+              for j in ip]
+    lines += [f"co{i} = c * om[{i}]" for i in ip]
+    theta_g = _list(f"g[{i}] + ce * om[{i}]" for i in ip)
+    phi = _list(_list(f"Phi[{i}][{j}] - co{i} * v{j}" for j in ip) for i in ip)
+    return "c, y, om, g, Phi", lines + [f"return {theta_g}, {phi}"]
+
+
+@_kernel
+def mix_pair(p: int):
+    """f(Phi, r) = (det(I - Phi), adj(I - Phi) r as a tuple) for 1x1 to 3x3
+    nested rows Phi and a p-vector r: I - Phi entry by entry as 1.0 or 0.0
+    minus Phi_ij (+0.0 where -Phi_ij would be -0.0), the cofactor forms of
+    `_COFACTORS` and adj's row products summed as `dot` sums them."""
+    det, adj = _COFACTORS[p]
+    lines = [f"a{i + 1}{j + 1} = {1.0 if i == j else 0.0!r} - Phi[{i}][{j}]"
+             for i in range(p) for j in range(p)]
+    ycal = _tuple(_sum_of(f"({e}) * r[{j}]" for j, e in enumerate(row))
+                  for row in adj)
+    return "Phi, r", lines + [f"return {det}, {ycal}"]
 
 
 def ieee_div(a: float, b: float) -> float:
@@ -364,29 +440,40 @@ def _as_square(m):
     return a
 
 
-def _det_closed(r) -> float:
-    """Cofactor determinant of a 1x1 to 3x3 nested list."""
-    n = len(r)
-    if n == 1:
-        ((a11,),) = r
-        return a11
-    if n == 2:
-        (a11, a12), (a21, a22) = r
-        return a11 * a22 - a12 * a21
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
-    return (a11 * (a22 * a33 - a23 * a32)
-            - a12 * (a21 * a33 - a23 * a31)
-            + a13 * (a21 * a32 - a22 * a31))
+# the cofactor determinant and adjugate of a 1x1 to 3x3 matrix of entries
+# a11 .. ann, as expressions for `_closed` and `mix_pair`
+_COFACTORS = {
+    1: ("a11", [["1.0"]]),
+    2: ("a11 * a22 - a12 * a21", [["a22", "-a12"], ["-a21", "a11"]]),
+    3: ("a11 * (a22 * a33 - a23 * a32) - a12 * (a21 * a33 - a23 * a31)"
+        " + a13 * (a21 * a32 - a22 * a31)",
+        [["a22 * a33 - a23 * a32", "a13 * a32 - a12 * a33",
+          "a12 * a23 - a13 * a22"],
+         ["a23 * a31 - a21 * a33", "a11 * a33 - a13 * a31",
+          "a13 * a21 - a11 * a23"],
+         ["a21 * a32 - a22 * a31", "a12 * a31 - a11 * a32",
+          "a11 * a22 - a12 * a21"]]),
+}
+
+
+@_kernel
+def _closed(n: int, adj: bool):
+    """f(r) = the cofactor adjugate (adj) or determinant of 1x1 to 3x3
+    nested rows r, unpacked into a11 .. ann (or ValueError)."""
+    det, rows = _COFACTORS[n]
+    idx = range(1, n + 1)
+    unpack = _tuple(_tuple(f"a{i}{j}" for j in idx) for i in idx) + " = r"
+    return "r", [unpack, f"return {_list(map(_list, rows)) if adj else det}"]
 
 
 def determinant(m) -> float:
     """Determinant; exact cofactor formulas up to 3x3, pivoted elimination above."""
     if type(m) is list and 0 < len(m) <= 3:
-        return _det_closed(m)
+        return _closed(len(m), False)(m)
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
-        return _det_closed(a.tolist())
+        return _closed(n, False)(a.tolist())
     import numpy as np
     a = a.copy()
     det = 1.0
@@ -402,23 +489,6 @@ def determinant(m) -> float:
     return float(det * a[n - 1, n - 1])
 
 
-def _adj_closed(r) -> list:
-    """Cofactor adjugate of a 1x1 to 3x3 nested list, as a nested list."""
-    n = len(r)
-    if n == 1:
-        ((_,),) = r
-        return [[1.0]]
-    if n == 2:
-        (a11, a12), (a21, a22) = r
-        return [[a22, -a12], [-a21, a11]]
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
-    return [
-        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
-        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
-        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
-    ]
-
-
 def adjugate(m):
     """Transpose of the cofactor matrix; adj(M) @ M = det(M) * I for any M.
 
@@ -426,12 +496,12 @@ def adjugate(m):
     ndarray.
     """
     if type(m) is list and 0 < len(m) <= 3:
-        return _adj_closed(m)
+        return _closed(len(m), True)(m)
     import numpy as np
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
-        return np.array(_adj_closed(a.tolist()))
+        return np.array(_closed(n, True)(a.tolist()))
     out = np.empty((n, n))
     rows = np.arange(n)
     for i in range(n):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from pbident import (ChannelMode, ControllerKind, EstimatorKind,
                      PbepGenerator, RegressorSample, SimConfig,
@@ -50,6 +51,99 @@ class ListTrace:
 
     def row(self, values):
         self.rows.append(list(values))
+
+
+# -- drawn values for the smallmat kernels' bit-for-bit tests ----------------
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.5]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+# finite, nonzero and of moderate size: no product vanishes and results
+# stay finite, so a reordered sum rounds differently, where edge values
+# turn most results into inf or nan
+ordinary = st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-3)
+# an example draws all its values from one of the two
+value_kinds = st.sampled_from([floats, ordinary])
+kernel_examples = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=60)
+
+
+def vectors(n, values=None):
+    """Lists of n floats drawn from `values`; by default from edge values
+    and any float, or ordinary values."""
+    if values is not None:
+        return st.lists(values, min_size=n, max_size=n)
+    return st.one_of(vectors(n, floats), vectors(n, ordinary))
+
+
+def square(p, values=None):
+    return st.lists(vectors(p, values), min_size=p, max_size=p)
+
+
+def same_bytes(got, want):
+    """Equal float64 bytes, signed zeros included, with every nan read as
+    one nan: of two nan operands CPython's float + and * return one or the
+    other depending on whether the instruction has been specialized yet,
+    so a nan's sign and payload vary even between calls of one expression.
+    """
+    def canonical(v):
+        a = np.array(v, dtype=float)
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+    return canonical(got) == canonical(want)
+
+
+class Recorder:
+    """A stage kernel's callee (the plant rate, G): keeps the arguments of
+    each call and returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values, self.calls = values, []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.values[len(self.calls) - 1]
+
+    def floats(self) -> list:
+        """Every argument of every call, flattened."""
+        return [v for call in self.calls for a in call
+                for v in (a if isinstance(a, (list, tuple)) else [a])]
+
+
+def ref_axpy(x, s, y):
+    return [a + s * b for a, b in zip(x, y)]
+
+
+def ref_rk4(x, s, k1, k2, k3, k4):
+    return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def cofactor_det(r):
+    """The cofactor determinant of a 1x1 to 3x3 nested list, written out."""
+    if len(r) == 1:
+        return r[0][0]
+    if len(r) == 2:
+        (a11, a12), (a21, a22) = r
+        return a11 * a22 - a12 * a21
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
+    return (a11 * (a22 * a33 - a23 * a32)
+            - a12 * (a21 * a33 - a23 * a31)
+            + a13 * (a21 * a32 - a22 * a31))
+
+
+def cofactor_adj(r):
+    """The cofactor adjugate of a 1x1 to 3x3 nested list, written out."""
+    if len(r) == 1:
+        return [[1.0]]
+    if len(r) == 2:
+        (a11, a12), (a21, a22) = r
+        return [[a22, -a12], [-a21, a11]]
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = r
+    return [
+        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
+        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
+        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
+    ]
 
 
 # -- test-side views of the library's stepping pieces ----------------------

@@ -14,8 +14,13 @@ from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
 from pbident import smallmat
-from pbident.smallmat import determinant, dot, symmetric_eigen
-from conftest import numpy_gradient_propagate, rates, theta_rate
+from hypothesis import given, strategies as st
+
+from pbident.smallmat import (adjugate, determinant, dot, half_update,
+                              mix_pair, symmetric_eigen)
+from conftest import (cofactor_adj, cofactor_det, kernel_examples,
+                      numpy_gradient_propagate, rates, same_bytes, square,
+                      theta_rate, value_kinds, vectors)
 
 
 def scalar_map():
@@ -403,6 +408,44 @@ def test_gradient_matrix_update_non_finite_gives_nan():
             est.propagate(good, good, 1e-3)
             est.propagate(good, const_sample(1e-3, np.ones(n), om), 1e-3)
             assert np.all(np.isnan(est.Theta))
+
+
+# -- the interlaced estimator's kernels against the expressions they fuse ----
+
+@kernel_examples
+@given(data=st.data(), p=st.integers(1, 4), values=value_kinds)
+def test_half_update_matches_the_composed_update_bit_for_bit(data, p,
+                                                             values):
+    # the former update: ce = c*(Y - om'g) from the left-to-right dot, g +
+    # ce*om, and Phi - outer(c*om, v) with v = om'Phi column by column
+    draw = data.draw
+    c, y = draw(values), draw(values)
+    om, g = tuple(draw(vectors(p, values))), draw(vectors(p, values))
+    phi = draw(square(p, values))
+    ce = c * (y - dot(om, g))
+    v = [dot(om, col) for col in zip(*phi)]
+    want = ([a + ce * b for a, b in zip(g, om)],
+            [[b - (c * o) * w for b, w in zip(row, v)]
+             for o, row in zip(om, phi)])
+    got = half_update(p)(c, y, om, g, phi)
+    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+@kernel_examples
+@given(data=st.data(), p=st.integers(1, 3), values=value_kinds)
+def test_mix_pair_matches_the_composed_pair_bit_for_bit(data, p, values):
+    # the former pair: I - Phi entry by entry, then the cofactor
+    # determinant, the adjugate and its row products with r
+    phi, r = data.draw(square(p, values)), data.draw(vectors(p, values))
+    eye = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
+    a = [[e - v for e, v in zip(e_row, row)] for e_row, row in zip(eye, phi)]
+    det, ycal = mix_pair(p)(phi, r)
+    assert isinstance(ycal, tuple)
+    assert same_bytes([det], [cofactor_det(a)])
+    assert same_bytes(ycal, [dot(row, r) for row in cofactor_adj(a)])
+    # and the library's own closed forms agree, as det_phi uses them
+    assert same_bytes([det], [determinant(a)])
+    assert same_bytes(ycal, [dot(row, r) for row in adjugate(a)])
 
 
 def loop_half_update(gamma, theta, sample, tau):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
 from pbident import ControllerKind, EstimatorKind, SimConfig, World, step
-from pbident.filters import ChannelMode
+from pbident.filters import ChannelMode, FirstOrderFilterBank
 from pbident.regressor import (NlpreData, ParamMap, PbepGenerator,
                                RegressorSample, StdLreGenerator)
-from conftest import predicted, residual, sample, state_rate
+from pbident.smallmat import pbep_sample
+from conftest import (kernel_examples, predicted, residual, sample,
+                      same_bytes, state_rate, value_kinds, vectors)
 
 LAM = 10.0
 
@@ -330,3 +333,32 @@ def test_sample_predicted_and_residual():
     pred = predicted(sm, [1.0, 2.0, 0.0])
     assert np.array_equal(pred, [1.0, 2.0])
     assert residual(sm, [1.0, 2.0, 0.0]) == 0.0
+
+
+@kernel_examples
+@given(data=st.data(), y_plain=st.booleans(), y_deriv=st.booleans(),
+       p_s=st.integers(0, 3), p_S=st.integers(0, 3), p_d=st.integers(0, 3),
+       values=value_kinds)
+def test_pbep_sample_matches_the_bank_taps_bit_for_bit(data, y_plain,
+                                                       y_deriv, p_s, p_S,
+                                                       p_d, values):
+    # the former sample: the bank's channel taps, Y = 0.0 (+ the PLAIN Y
+    # tap) (- the DERIVATIVE Y tap), Omega = -phi_s taps, then the rest
+    plain, deriv = ChannelMode.PLAIN, ChannelMode.DERIVATIVE
+    modes = ([plain] * y_plain + [deriv] * y_deriv + [plain] * p_s
+             + [deriv] * p_S + [plain] * p_d)
+    n = len(modes)
+    lam = data.draw(values)
+    u, z = data.draw(vectors(n, values)), data.draw(vectors(n, values))
+    bank = FirstOrderFilterBank(1.0, modes, [0.0] * n)
+    bank.lam, bank.state = lam, z
+    out = bank.output(u)
+    k, y = 0, 0.0
+    if y_plain:
+        y, k = y + out[k], k + 1
+    if y_deriv:
+        y, k = y - out[k], k + 1
+    omega = tuple(-v for v in out[k:k + p_s]) + tuple(out[k + p_s:])
+    got_y, got_omega = pbep_sample(y_plain, y_deriv, p_s, p_S, p_d)(lam, u, z)
+    assert same_bytes([got_y], [y]) and isinstance(got_omega, tuple)
+    assert same_bytes(got_omega, omega) and len(got_omega) == p_s + p_S + p_d

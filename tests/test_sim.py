@@ -31,6 +31,20 @@ def test_config_validation():
         SimConfig(c_c=0.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("substeps", 2.0), ("substeps", 2.5), ("decimation", 2.5),
+    ("decimation", "3"), ("decimation", True), ("substeps", False),
+    ("decimation", None)])
+def test_config_rejects_a_count_that_is_not_an_int(ph, key, value):
+    # 2.0 and 2.5 substeps used to end in range()'s TypeError in World,
+    # and decimation 2.5 wrote rows at k % 2.5 == 0
+    with pytest.raises(ConfigValueError, match="must be an integer") as err:
+        SimConfig(**{key: value})
+    assert err.value.key == key
+    assert str(err.value).startswith(key + " ")
+    assert getattr(SimConfig(**{key: 3}).resolved(ph), key) == 3
+
+
 @pytest.mark.parametrize("over", [{"h": float("nan")}, {"h": float("inf")},
                                   {"t_end": float("nan")},
                                   {"t_end": float("inf")}])

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import NoNumpy
+from conftest import (NoNumpy, Recorder, cofactor_adj, cofactor_det,
+                      kernel_examples, ref_axpy, ref_rk4, same_bytes, square,
+                      value_kinds, vectors)
 from pbident.sim import ExcitationRecord
-from pbident.smallmat import (adjugate, axpy, axpy_rows, block_columns,
-                              columns, determinant, dot, dot_k, eye_minus,
-                              hermite_mid, ieee_div, ieee_pow, lag_rate,
-                              lag_rate_at, mat_vec, midpoint,
-                              min_eig_symmetric, outer_add, rank1_update,
-                              residual_gram, rk4_sum, scale_rows,
+from pbident.smallmat import (adjugate, axpy, block_columns, columns,
+                              correction_rk4, determinant, dot, dot_k,
+                              half_update, hermite_mid, ieee_div, ieee_pow,
+                              lag_rate, lag_rate_at, lag_rk4, midpoint,
+                              min_eig_symmetric, mix_pair, outer_add,
+                              pbep_sample, plant_rk4, residual_gram, rk4_sum,
                               scaled_diff_rows, scaled_mtv, scaled_mv, sub,
-                              sub_at, symmetric_eigen, v_minus_mg, v_plus_mg,
-                              vec_mat)
+                              sub_at, symmetric_eigen, v_minus_mg, v_plus_mg)
 
 
 def test_determinant_examples():
@@ -245,43 +246,18 @@ def test_symmetric_eigen_larger_lists_come_back_as_lists():
 
 # -- unrolled element-wise kernels against their comprehension forms ---------
 
-EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-               1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.5]
-floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-kernel_examples = settings(derandomize=True, database=None, deadline=None,
-                           max_examples=60)
-
-
-def vectors(n):
-    return st.lists(floats, min_size=n, max_size=n)
-
-
-def square(p):
-    return st.lists(vectors(p), min_size=p, max_size=p)
-
-
-def same_bytes(got, want):
-    """Equal float64 bytes, signed zeros included, with every nan read as
-    one nan: of two nan operands CPython's float + and * return one or the
-    other depending on whether the instruction has been specialized yet,
-    so a nan's sign and payload vary even between calls of one expression.
-    """
-    def canonical(v):
-        a = np.array(v, dtype=float)
-        return np.where(np.isnan(a), np.nan, a).tobytes()
-    return canonical(got) == canonical(want)
-
-
 def _draw_case(draw, kernel, n):
-    """(kernel's output, its comprehension form's output) on drawn values."""
-    s, lam = draw(floats), draw(floats)
-    x, y, k2, k3, k4 = (draw(vectors(n)) for _ in range(5))
+    """(kernel's output, its comprehension form's output) on drawn values,
+    all of one kind (value_kinds)."""
+    values = draw(value_kinds)
+
+    def vec(k):
+        return vectors(k, values)
+
+    s, lam = draw(values), draw(values)
+    x, y, k2, k3, k4 = (draw(vec(n)) for _ in range(5))
     if kernel == "axpy":
         return axpy(n)(x, s, y), [a + s * b for a, b in zip(x, y)]
-    if kernel == "axpy_rows":
-        f = draw(vectors(n))
-        return axpy_rows(n, n)(x, f, y), \
-            [[a + c * b for a, b in zip(x, y)] for c in f]
     if kernel == "sub":
         return sub(n)(x, y), [a - b for a, b in zip(x, y)]
     if kernel == "rk4_sum":
@@ -290,58 +266,46 @@ def _draw_case(draw, kernel, n):
              for a, b1, b2, b3, b4 in zip(x, y, k2, k3, k4)]
     if kernel == "v_minus_mg":
         m = draw(st.integers(1, 5))
-        v, mat = draw(vectors(m)), draw(st.lists(vectors(n), min_size=m,
-                                                 max_size=m))
+        v, mat = draw(vec(m)), draw(st.lists(vec(n), min_size=m, max_size=m))
         return v_minus_mg(m, n)(v, mat, x), \
             [a - dot(row, x) for a, row in zip(v, mat)]
     if kernel == "v_plus_mg":
         m = draw(st.integers(1, 5))
-        v, mat = draw(vectors(m)), draw(st.lists(vectors(n), min_size=m,
-                                                 max_size=m))
+        v, mat = draw(vec(m)), draw(st.lists(vec(n), min_size=m, max_size=m))
         return v_plus_mg(m, n)(v, mat, x), \
             [a + dot(row, x) for a, row in zip(v, mat)]
     if kernel == "residual_gram":
         m = draw(st.integers(1, 5))
-        mat, v = draw(st.lists(vectors(n), min_size=m, max_size=m)), \
-            draw(vectors(m))
+        mat, v = draw(st.lists(vec(n), min_size=m, max_size=m)), \
+            draw(vec(m))
         r, gram = residual_gram(m, n)(mat, y, v, s)
         cols = list(zip(*mat))
         return [*r, *sum(gram, [])], \
             [b - dot(c, v) for b, c in zip(y, cols)] \
             + [s * dot(ci, cj) for ci in cols for cj in cols]
     if kernel == "scaled_mtv":
-        mat = draw(square(n))
+        mat = draw(square(n, values))
         return scaled_mtv(n)(x, mat, y), \
             [c * dot(col, y) for c, col in zip(x, zip(*mat))]
     if kernel == "sub_at":
         k = draw(st.integers(0, 5))
-        v = draw(vectors(n + k))
+        v = draw(vec(n + k))
         return list(sub_at(n, k)(v)), \
             [a - b for a, b in zip(v[:n], v[k:k + n])]
     if kernel == "columns":
         m = draw(st.integers(1, 5))
-        mat = draw(st.lists(vectors(n), min_size=m, max_size=m))
+        mat = draw(st.lists(vec(n), min_size=m, max_size=m))
         return sum(columns(m, n)(mat), []), sum(map(list, zip(*mat)), [])
     if kernel == "block_columns":
         k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
-        v = draw(vectors(k + m * n))
+        v = draw(vec(k + m * n))
         return sum(block_columns(k, m, n)(v), []), \
             sum((v[k:][j::n] for j in range(n)), [])
     if kernel == "dot_k":
         return [dot_k(n)(x, y)], [dot(x, y)]
-    if kernel == "mat_vec":
-        m = draw(st.integers(1, 5))
-        mat = draw(st.lists(vectors(n), min_size=m, max_size=m))
-        return mat_vec(m, n)(mat, x), [dot(row, x) for row in mat]
-    if kernel == "vec_mat":
-        mat = draw(square(n))
-        return vec_mat(n)(x, mat), [dot(x, col) for col in zip(*mat)]
     if kernel == "scaled_mv":
-        mat = draw(square(n))
+        mat = draw(square(n, values))
         return scaled_mv(n, n)(s, mat, x), [s * dot(row, x) for row in mat]
-    if kernel == "scale_rows":
-        mat = draw(square(n))
-        return scale_rows(n, n)(s, mat), [[s * v for v in row] for row in mat]
     if kernel == "lag_rate":
         return lag_rate(n)(lam, x, y), [lam * (u - z) for u, z in zip(x, y)]
     if kernel == "lag_rate_at":
@@ -352,16 +316,8 @@ def _draw_case(draw, kernel, n):
     if kernel == "hermite_mid":
         return hermite_mid(n)(x, y, s, k2, k3), \
             [0.5 * (a + b) + s * (c - d) for a, b, c, d in zip(x, y, k2, k3)]
-    phi = draw(square(n))
-    if kernel == "rank1_update":
-        return rank1_update(n)(phi, s, x, y), \
-            [[b - co * w for b, w in zip(row, y)]
-             for co, row in zip([s * o for o in x], phi)]
-    if kernel == "eye_minus":
-        return eye_minus(n)(phi), \
-            [[e - v for e, v in zip(e_row, row)]
-             for e_row, row in zip(np.eye(n).tolist(), phi)]
-    flat, ends = sum(phi, []), sum(draw(square(n)), [])
+    flat = sum(draw(square(n, values)), [])
+    ends = sum(draw(square(n, values)), [])
     if kernel == "outer_add":
         pairs = [(i, j) for i in range(n) for j in range(n)]
         return outer_add(n)(flat, x), \
@@ -372,11 +328,10 @@ def _draw_case(draw, kernel, n):
         [want[i:i + n] for i in range(0, n * n, n)]
 
 
-KERNELS = ["axpy", "axpy_rows", "sub", "rk4_sum", "v_minus_mg", "v_plus_mg",
+KERNELS = ["axpy", "sub", "rk4_sum", "v_minus_mg", "v_plus_mg",
            "residual_gram", "scaled_mtv", "sub_at", "columns",
-           "block_columns", "dot_k", "mat_vec", "vec_mat", "scaled_mv",
-           "scale_rows", "lag_rate", "lag_rate_at", "midpoint", "hermite_mid",
-           "rank1_update", "eye_minus", "outer_add", "scaled_diff_rows"]
+           "block_columns", "dot_k", "scaled_mv", "lag_rate", "lag_rate_at",
+           "midpoint", "hermite_mid", "outer_add", "scaled_diff_rows"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -388,37 +343,180 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
 
 
 @pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
-                                     midpoint, hermite_mid, rank1_update,
-                                     eye_minus, outer_add, scaled_diff_rows,
-                                     dot_k, vec_mat, scaled_mtv])
+                                     midpoint, hermite_mid, outer_add,
+                                     scaled_diff_rows, dot_k, scaled_mtv,
+                                     lag_rk4, half_update])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
-    assert axpy_rows(2, 3) is axpy_rows(2, 3) is not axpy_rows(3, 2)
-    for two_lengths in (v_minus_mg, v_plus_mg, scaled_mv, scale_rows, mat_vec,
-                        residual_gram, sub_at, columns):
+    for two_lengths in (v_minus_mg, v_plus_mg, scaled_mv, residual_gram,
+                        sub_at, columns, plant_rk4):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
     assert block_columns(2, 2, 3) is block_columns(2, 2, 3) \
         is not block_columns(4, 2, 3)
+    assert correction_rk4(2, 3) is correction_rk4(2, 3) \
+        is not correction_rk4(2, 2)
+    assert mix_pair(3) is mix_pair(3) is not mix_pair(2)
+    assert pbep_sample(True, False, 0, 2, 1) \
+        is pbep_sample(True, False, 0, 2, 1) \
+        is not pbep_sample(False, True, 2, 0, 0)
+
+
+def test_kernel_body_is_the_expression_its_kernel_returns():
+    # the stage kernels inline these expressions under the same names
+    assert axpy.body(2) == "[x[0] + s * y[0], x[1] + s * y[1]]"
+    assert dot_k.body(2) == "0.0 + a[0] * b[0] + a[1] * b[1]"
+    x, s, y = [1.0, 2.0], 0.5, [4.0, -2.0]
+    assert eval(axpy.body(2)) == axpy(2)(x, s, y) == [3.0, 1.0]
 
 
 def test_kernels_keep_signed_zero_and_read_exactly_n_components():
-    # 0.0 - 0.0 is +0.0 where -0.0 would be negated zero, and a row
-    # product starts from 0.0 as dot does, so a sum of -0.0 products is +0.0
-    assert same_bytes(eye_minus(2)([[0.0, 0.0], [0.0, 0.0]]),
-                      [[1.0, 0.0], [0.0, 1.0]])
+    # a row product starts from 0.0 as dot does, so a sum of -0.0
+    # products is +0.0
     assert same_bytes(v_minus_mg(1, 2)([-0.0], [[-0.0, -0.0]], [1.0, 1.0]),
                       [-0.0])
     assert same_bytes(scaled_mv(1, 2)(1.0, [[-0.0, -0.0]], [1.0, 1.0]), [0.0])
     assert same_bytes([dot_k(2)([-0.0, -0.0], [1.0, 1.0])], [0.0])
     # left to right: 1e16 + 1.0 rounds back to 1e16 before -1e16 comes in
     assert dot_k(3)([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
-    assert vec_mat(2)([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]) == [7.0, 10.0]
-    assert mat_vec(2, 2)([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]) == [5.0, 11.0]
+    # om'Phi = (7, 10), so Phi - outer(om, (7, 10)) at c = 1
+    assert half_update(2)(1.0, 0.0, [1.0, 2.0], [0.0, 0.0],
+                          [[1.0, 2.0], [3.0, 4.0]]) \
+        == ([0.0, 0.0], [[-6.0, -8.0], [-11.0, -16.0]])
+    # I - Phi at Phi = I is +0.0 throughout (1.0 - 1.0, 0.0 - 0.0)
+    assert same_bytes([mix_pair(2)([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])[0]],
+                      [0.0])
     with pytest.raises(IndexError):
         axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
     assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
+    with pytest.raises(IndexError):
+        lag_rk4(3)(1.0, [1.0] * 3, [1.0] * 3, [1.0] * 3, [1.0, 2.0], 0.1)
+
+
+# -- the step's stage kernels against the expressions they fuse --------------
+#
+# Each reference composes the former one-expression kernels' comprehension
+# forms in the order the step called them, so a stage kernel that reorders
+# a sum or an operand, or passes its callee other arguments, differs in the
+# bytes.  tools/diffmatrix.py cannot see every reordering on the shipped
+# plants, so these tests guard the order.
+
+SUBSTEPS = [1, 2, 3, 4, 5, 8]
+
+
+def ref_plant(rate, x, ths, t, dts, h, nsub):
+    """The plant's nsub RK4 substeps, one expression at a time."""
+    hs = h / nsub
+    hh, h6 = 0.5 * hs, hs / 6.0
+    xc, xs = x, []
+    for j in range(nsub):
+        a = 2 * j
+        k1 = rate(xc, ths[a], t + dts[a])
+        k2 = rate(ref_axpy(xc, hh, k1), ths[a + 1], t + dts[a + 1])
+        k3 = rate(ref_axpy(xc, hh, k2), ths[a + 1], t + dts[a + 1])
+        k4 = rate(ref_axpy(xc, hs, k3), ths[a + 2], t + dts[a + 2])
+        xc = ref_rk4(xc, h6, k1, k2, k3, k4)
+        xs.append(xc)
+    return xs
+
+
+@pytest.mark.parametrize("nsub", SUBSTEPS)
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), values=value_kinds)
+def test_plant_rk4_matches_the_composed_stages_bit_for_bit(nsub, data, n,
+                                                           values):
+    draw = data.draw
+    x, t, h = draw(vectors(n, values)), draw(values), draw(values)
+    ths = draw(st.lists(vectors(2, values), min_size=2 * nsub + 1,
+                        max_size=2 * nsub + 1))
+    dts = draw(vectors(2 * nsub + 1, values))
+    rates = draw(st.lists(vectors(n, values), min_size=4 * nsub,
+                          max_size=4 * nsub))
+    rate, ref = Recorder(rates), Recorder(rates)
+    got = plant_rk4(n, nsub)(rate, x, ths, t, dts, h)
+    assert same_bytes(got, ref_plant(ref, x, ths, t, dts, h, nsub))
+    assert same_bytes(rate.floats(), ref.floats())
+    # the estimate rows go through as they are, and each substep starts
+    # from x itself or the list of the substep before
+    assert all(c[1] is r[1] for c, r in zip(rate.calls, ref.calls))
+    assert all(c[0] is s for c, s in zip(rate.calls[::4], [x, *got]))
+
+
+def test_stage_kernels_do_not_grow_with_the_substep_count():
+    # the substeps and the interpolated estimates run in loops: unrolled,
+    # a user-set count of 10**6 substeps would compile gigabytes of code
+    sizes = {len(plant_rk4(2, nsub).__code__.co_code)
+             for nsub in (1, 8, 10**6)}
+    assert len(sizes) == 1
+
+
+def ref_correction(G, PT, gamma, delta, ycal, th, h, nsub):
+    """The correction flow's RK4 step and the interpolated estimates, one
+    expression at a time."""
+    gd = gamma * delta
+    gdd = gd * delta
+    vec = [gd * dot(row, ycal) for row in PT]
+    mat = [[gdd * v for v in row] for row in PT]
+
+    def rate(theta):
+        g = G(theta)
+        return [a - dot(row, g) for a, row in zip(vec, mat)]
+
+    half = 0.5 * h
+    a1 = rate(th)
+    a2 = rate(ref_axpy(th, half, a1))
+    a3 = rate(ref_axpy(th, half, a2))
+    a4 = rate(ref_axpy(th, h, a3))
+    th_new = ref_rk4(th, h / 6.0, a1, a2, a3, a4)
+    d = [a - b for a, b in zip(th_new, th)]
+    return [ref_axpy(th, k / (2.0 * nsub), d) for k in range(2 * nsub)] \
+        + [th_new]
+
+
+@pytest.mark.parametrize("nsub", SUBSTEPS)
+@kernel_examples
+@given(data=st.data(), q=st.integers(1, 3), p=st.integers(1, 3),
+       values=value_kinds)
+def test_correction_rk4_matches_the_composed_flow_bit_for_bit(nsub, data,
+                                                              q, p, values):
+    draw = data.draw
+    pt = draw(st.lists(vectors(p, values), min_size=q, max_size=q))
+    gamma, delta, h = draw(values), draw(values), draw(values)
+    ycal, th = tuple(draw(vectors(p, values))), draw(vectors(q, values))
+    gs = draw(st.lists(vectors(p, values), min_size=4, max_size=4))
+    g_map, ref = Recorder(gs), Recorder(gs)
+    fracs = [k / (2.0 * nsub) for k in range(2 * nsub)]
+    got = correction_rk4(q, p)(g_map, pt, gamma, delta, ycal, th, h, fracs)
+    want = ref_correction(ref, pt, gamma, delta, ycal, th, h, nsub)
+    assert len(got) == 2 * nsub + 1
+    assert same_bytes(got, want)
+    assert same_bytes(g_map.floats(), ref.floats())
+    assert g_map.calls[0][0] is th
+
+
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 11), values=value_kinds)
+def test_lag_rk4_matches_the_composed_stages_bit_for_bit(data, n, values):
+    draw = data.draw
+    lam, h = draw(values), draw(values)
+    u0, um, u1, z = (draw(vectors(n, values)) for _ in range(4))
+    half = 0.5 * h
+    c1 = [lam * (u - w) for u, w in zip(u0, z)]
+    c2 = [lam * (u - (w + half * c)) for u, w, c in zip(um, z, c1)]
+    c3 = [lam * (u - (w + half * c)) for u, w, c in zip(um, z, c2)]
+    c4 = [lam * (u - (w + h * c)) for u, w, c in zip(u1, z, c3)]
+    assert same_bytes(lag_rk4(n)(lam, u0, um, u1, z, h),
+                      ref_rk4(z, h / 6.0, c1, c2, c3, c4))
+
+
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), values=value_kinds)
+def test_cofactor_forms_match_the_written_formulas_bit_for_bit(data, n,
+                                                               values):
+    m = data.draw(square(n, values))
+    assert same_bytes([determinant(m)], [cofactor_det(m)])
+    assert same_bytes(adjugate(m), cofactor_adj(m))
 
 
 # -- the 2x2 minimum eigenvalue in LAPACK's operations, against eigvalsh ------

@@ -17,12 +17,14 @@ each scenario's default start over 5 s, four runs off the defaults (ph
 gradient_std from a nonzero Theta, circuit gradient_std at gamma 30
 without sub-steps or decimation, the circuit's slow start x0 = (0.64,
 0.27), theta_hat0 = (0.12, 0.05), and a 0.5 s ph gplusd_pbep run at
-decimation 1 with gamma_g 150 and gamma 75), plus the pinned aborts of the
-test suite.  Three command-line cases run `pbident` through `cli.main`
-(`run` on each default scenario at t_end = 1.0, and a 2 x 2 ph `sweep` at
-t_end = 0.05) and compare the exit code and the bytes of every file it
-writes (trace.csv, plot.gp, report.txt without its result_wall_seconds
-line, index.csv).
+decimation 1 with gamma_g 150 and gamma 75), a substeps axis (circuit
+gplusd_pbep at 1, 2, 3, 5 and 8 plant substeps and gradient_std at 2 and
+5, each 1 s at decimation 1), plus the pinned aborts of the test suite.
+Three command-line cases run `pbident` through `cli.main` (`run` on each
+default scenario at t_end = 1.0, and a 2 x 2 ph `sweep` at t_end = 0.05)
+and compare the exit code and the bytes of every file it writes
+(trace.csv, plot.gp, report.txt without its result_wall_seconds line,
+index.csv).
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
 `abort:<part>`, `cli:<file>`, `error`): the number of cases where it
@@ -82,6 +84,19 @@ EXTRA_CASES = [
 ]
 
 
+# (id, scenario, SimConfig settings) of the substeps axis: the plant's RK4
+# substeps are unrolled per count, and the count picks the filter stage's
+# midpoint state (Hermite at 1, a sub-grid state when even, the average of
+# two when odd)
+SUBSTEP_CASES = [
+    (f"substeps/circuit-{est}-{nsub}", "circuit",
+     {"estimator": est, "substeps": nsub, "decimation": 1, "t_end": 1.0})
+    for est, counts in (("gplusd_pbep", (1, 2, 3, 5, 8)),
+                        ("gradient_std", (2, 5)))
+    for nsub in counts
+]
+
+
 # (id, config file text, command and flags) of the command-line cases,
 # whose files are compared byte for byte
 CLI_CASES = [
@@ -99,7 +114,7 @@ def matrix_cases() -> list:
               {"estimator": est, "controller": ctl, "t_end": 5.0})
              for name in ("circuit", "ph")
              for est in ESTIMATORS for ctl in CONTROLLERS]
-    return cases + EXTRA_CASES + PINNED_ABORTS + CLI_CASES
+    return cases + EXTRA_CASES + SUBSTEP_CASES + PINNED_ABORTS + CLI_CASES
 
 
 # -- the worker: runs in a subprocess, imports the checkout's pbident --------
