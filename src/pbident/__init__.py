@@ -4,7 +4,7 @@ from .estimator import (GplusDEstimator, GradientEstimator,
                         MonotonicityReport, check_monotonicity)
 from .filters import ChannelMode, FirstOrderFilterBank
 from .plants import (Controller, PlantModel, Scenario, circuit_scenario,
-                     make_scenario, ph_scenario, power_balance_residual)
+                     make_scenario, ph_scenario)
 from .regressor import (NlpreData, ParamMap, PbepGenerator, RegressorSample,
                         StdLreData, StdLreGenerator)
 from .sim import (ControllerKind, EstimatorKind, ExcitationRecord,
@@ -20,8 +20,7 @@ __all__ = [
     "RegressorSample", "RunReport", "Scenario", "SimConfig", "StdLreData",
     "StdLreGenerator", "World", "adjugate", "check_monotonicity",
     "circuit_scenario", "determinant", "excitation_report", "make_scenario",
-    "min_eig_symmetric", "ph_scenario",
-    "power_balance_residual", "run", "step", "symmetric_eigen",
+    "min_eig_symmetric", "ph_scenario", "run", "step", "symmetric_eigen",
 ]
 
 __version__ = "0.1.0"

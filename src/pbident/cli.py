@@ -366,11 +366,20 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
                 print(f"excitation: {trace_path} has no gram_min_eig column")
                 return 0
             t_c = None
-            for line in fh:
+            # an interrupted run leaves a short last row
+            for lineno, line in enumerate(fh, 2):
                 parts = line.split(",")
-                if float(parts[ig]) >= cfg.c_c:
-                    t_c = float(parts[it])
-                    break
+                try:
+                    if len(parts) != len(header):
+                        raise ValueError(f"{len(parts)} fields, expected "
+                                         f"{len(header)}")
+                    if float(parts[ig]) >= cfg.c_c:
+                        t_c = float(parts[it])
+                        break
+                except ValueError as err:
+                    print(f"error: {trace_path}: line {lineno}: {err}",
+                          file=sys.stderr)
+                    return 1
         if t_c is None:
             print(f"excitation: is_IE=false at C_c={cfg.c_c}")
         else:
@@ -502,7 +511,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ConfigError as err:
+    except (ConfigError, UnicodeDecodeError) as err:
         print(f"error: {args.config}: {err}", file=sys.stderr)
         return 1
 

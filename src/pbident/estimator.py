@@ -34,15 +34,15 @@ lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`), each
 interlaced half update another (`half_update`) next to math.expm1, and
 the gradient flow runs on kernels too; the first step's sample check and
 P T (a left-to-right float product) run on floats, so no update calls
-numpy.  numpy is imported only by `GplusDEstimator.Phi`,
-`GradientEstimator.rate` and `check_monotonicity`, whose samples come
-from numpy's generator.  Every dot product (|Omega|^2, Omega' theta_g,
-Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to right, as
-`smallmat.dot` does, so the numbers depend on IEEE arithmetic and the C
-library's expm1 only, not on the BLAS build, whose small dot products use
-fused multiply-adds or a blocked order that differs between CPU kernels;
-a divergent run at extreme gains is chaotic enough that a one-ulp change
-moves the step at which it aborts.
+numpy.  numpy is imported only by `GradientEstimator.rate` and
+`check_monotonicity`, whose samples come from numpy's generator.  Every
+dot product (|Omega|^2, Omega' theta_g, Omega' Phi, Phi theta_g0,
+adj(I - Phi) r) sums from 0.0 left to right, as `smallmat.dot` does, so
+the numbers depend on IEEE arithmetic and the C library's expm1 only, not
+on the BLAS build, whose small dot products use fused multiply-adds or a
+blocked order that differs between CPU kernels; a divergent run at
+extreme gains is chaotic enough that a one-ulp change moves the step at
+which it aborts.
 
 The gradient flow on a (p, n) matrix regressor reads the regressor as
 its n_w rows of n floats.  Its frozen-regressor map acts only on
@@ -70,9 +70,9 @@ from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
 from .smallmat import (all_finite, axpy, determinant, dot, dot_k,
-                       flat_floats, float_rows, half_update, min_eig_symmetric,
-                       mix_pair, residual_gram, scaled_mtv, scaled_mv,
-                       symmetric_eigen, v_minus_mg, v_plus_mg)
+                       flat_floats, half_update, min_eig_symmetric, mix_pair,
+                       residual_gram, scaled_mtv, scaled_mv, symmetric_eigen,
+                       v_minus_mg, v_plus_mg)
 
 
 def _check_sample(sample: RegressorSample, p: int,
@@ -116,15 +116,19 @@ def _exp_gain(rate: float, n2: float) -> float:
 class GplusDEstimator:
     """Interlaced gradient + determinant-mixing estimator.
 
-    theta_g, theta and theta_g0 are lists of floats; Phi is kept as nested
-    lists and read as an ndarray, built on access.  Replace theta_g and Phi
-    instead of changing them in place: `mix` is memoized on their identity.
+    theta_g, theta and theta_g0 are lists of floats, and `phi` holds Phi
+    as p rows of floats.  Replace theta_g and phi instead of changing them
+    in place: `mix` is memoized on their identity.
     """
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
                  theta_g0=None, theta0=None):
         if gamma_g <= 0 or gamma <= 0:
             raise ValueError("gains must be positive")
+        if not 1 <= param_map.p <= 3:
+            # the mixing pair's cofactor forms stop at 3x3 (smallmat)
+            raise ValueError(f"the interlaced estimator supports p = 1 to 3 "
+                             f"regression coefficients, got p = {param_map.p}")
         self.param_map = param_map
         self.gamma_g = float(gamma_g)
         self.gamma = float(gamma)
@@ -134,8 +138,8 @@ class GplusDEstimator:
         self.theta_g = list(self.theta_g0)
         # Phi @ theta_g0 vanishes for the default theta_g0 = 0
         self._g0 = self.theta_g0 if any(self.theta_g0) else None
-        self._phi = [[1.0 if i == j else 0.0 for j in range(p)]
-                     for i in range(p)]
+        self.phi = [[1.0 if i == j else 0.0 for j in range(p)]
+                    for i in range(p)]
         # kernels unrolled to length p (smallmat)
         self._mix_pair = mix_pair(p)
         self._update = half_update(p)
@@ -160,25 +164,16 @@ class GplusDEstimator:
         self._gain_memo = None
         self._validated = False
 
-    @property
-    def Phi(self):
-        import numpy as np
-        return np.array(self._phi)
-
-    @Phi.setter
-    def Phi(self, value):
-        self._phi = float_rows(value)
-
     def mix(self) -> tuple[float, tuple]:
         """(Delta, Ycal) from the current extension state, Ycal a tuple.
 
-        The pair is memoized on the identity of Phi's nested list and of
-        theta_g.  `propagate`, the Phi setter and assignment to theta_g
-        replace them instead of changing them in place, so a step's
-        correction flow and its trace row share one evaluation; the tuple
-        keeps callers from changing the memoized Ycal.
+        The pair is memoized on the identity of `phi` and of theta_g.
+        `propagate` replaces them instead of changing them in place, as a
+        caller that sets either must, so a step's correction flow and its
+        trace row share one evaluation; the tuple keeps callers from
+        changing the memoized Ycal.
         """
-        phi, g = self._phi, self.theta_g
+        phi, g = self.phi, self.theta_g
         memo = self._mix_memo
         if memo is not None and memo[0] is phi and memo[1] is g:
             return memo[2]
@@ -189,7 +184,7 @@ class GplusDEstimator:
 
     def det_phi(self) -> float:
         """det(Phi), from the nested list."""
-        return determinant(self._phi)
+        return determinant(self.phi)
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
@@ -202,8 +197,8 @@ class GplusDEstimator:
             n2 = self._dot(om, om)
             c = _exp_gain(gt, n2)
             self._gain_memo = (sample, gt, n2, c)
-        self.theta_g, self._phi = self._update(c, sample.Y, om, self.theta_g,
-                                              self._phi)
+        self.theta_g, self.phi = self._update(c, sample.Y, om, self.theta_g,
+                                             self.phi)
         self.log_det_phi -= gt * n2
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
@@ -240,7 +235,9 @@ class GradientEstimator:
         self._dot = dot_k(self.n_w)
 
     def rate(self, sample: RegressorSample):
-        """Literal flow gamma * Omega * (Y - Omega' Theta_hat), an ndarray."""
+        """Literal flow gamma * Omega * (Y - Omega' Theta_hat), an ndarray.
+        No code in the package calls it (`propagate` takes the exact map);
+        it stays because the benchmark's tracer wraps it by name."""
         import numpy as np
         matrix = _check_sample(sample, self.n_w)
         om = np.asarray(sample.Omega, dtype=float)

@@ -59,6 +59,8 @@ class FirstOrderFilterBank:
                 for d, u, z in zip(self._deriv, inputs, self.state)]
 
     def rate(self, inputs) -> list:
-        """d(state)/dt of the channel ODE."""
+        """d(state)/dt of the channel ODE.  No code in the package calls it
+        (the step inlines it in `smallmat.lag_rk4`); it stays because the
+        benchmark's tracer wraps it by name."""
         lam = self.lam
         return [lam * (u - z) for u, z in zip(inputs, self.state)]

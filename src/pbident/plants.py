@@ -28,9 +28,7 @@ written in components:
 * fast_rate, ports, the regression data and the stacked parameter map
   return tuples of floats, the Jacobian of that map tuples of rows; energy
   and beta return floats.  The true parameters and the default start are
-  tuples of floats too, so building and running a scenario uses no numpy
-  (`power_balance_residual`, an array check of a sampled trajectory,
-  imports it).
+  tuples of floats too, so building and running a scenario uses no numpy.
 * No `**` on state or estimate components: a float `**` raises
   OverflowError where numpy gives inf.  Squares are written x * x, which
   IEEE arithmetic rounds exactly on every platform and which overflows to
@@ -124,29 +122,6 @@ class Scenario:
     @property
     def theta_true(self) -> tuple:
         return self.plant.theta_true
-
-
-def power_balance_residual(scenario: Scenario, t, xs, us) -> float:
-    """Worst power-balance violation |dS/dt + d - s| along a sampled trajectory.
-
-    S and s - d come from scenario.energy at each (x, u) sample.  dS/dt is
-    estimated by centered differences on the samples, with second-order
-    one-sided differences at the endpoints, so the result carries an O(h^2)
-    truncation floor on top of any genuine model inconsistency.
-    """
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least three samples")
-    svals, flow = np.array([scenario.energy(x, u) for x, u in zip(xs, us)],
-                           dtype=float).T
-    dsdt = np.empty_like(svals)
-    dsdt[1:-1] = (svals[2:] - svals[:-2]) / (t[2:] - t[:-2])
-    h0 = t[1] - t[0]
-    h1 = t[-1] - t[-2]
-    dsdt[0] = (-3.0 * svals[0] + 4.0 * svals[1] - svals[2]) / (2.0 * h0)
-    dsdt[-1] = (3.0 * svals[-1] - 4.0 * svals[-2] + svals[-3]) / (2.0 * h1)
-    return float(np.max(np.abs(dsdt - flow)))
 
 
 def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:

@@ -28,18 +28,17 @@ skip the corresponding filter channels entirely and substitute exact zeros
 in the assembled outputs.
 
 Samples are produced at every integrator step and consumed synchronously
-by the estimators.  The generators expose their filter `state`, the channel
-`inputs` at a plant sample and `sample_from` those inputs; the simulator
-owns all time stepping.  Channel inputs, filter states and samples are
-Python floats: a power-balance sample carries a float Y and a p-tuple
-Omega, a state-equation sample an n-tuple Y and Omega as n_w rows of n
-floats, which the matrix estimator reads as they are.  A power-balance
-sample is one smallmat kernel (`pbep_sample`) over the channel layout.
-The state-equation generator adds the declared phi_g terms to the rows of
-its input matrix with `axpy` and splits the channel outputs into Y and
-Omega with `sub_at` and `block_columns`.  All are bound to the
-generator's lengths when it is built.  `state` reads the filter state as
-an ndarray, built on access with numpy imported there.
+by the estimators.  The generators expose their filter bank `bank`, the
+channel `inputs` at a plant sample and `sample_from` those inputs; the
+simulator owns all time stepping.  Channel inputs, filter states (the
+bank's `state`) and samples are Python floats: a power-balance sample
+carries a float Y and a p-tuple Omega, a state-equation sample an n-tuple
+Y and Omega as n_w rows of n floats, which the matrix estimator reads as
+they are.  A power-balance sample is one smallmat kernel (`pbep_sample`)
+over the channel layout.  The state-equation generator adds the declared
+phi_g terms to the rows of its input matrix with `axpy` and splits the
+channel outputs into Y and Omega with `sub_at` and `block_columns`.  All
+are bound to the generator's lengths when it is built.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .filters import ChannelMode, FirstOrderFilterBank
-from .smallmat import (axpy, block_columns, dot, flat_floats, float_rows,
-                       min_eig_symmetric, pbep_sample, sub_at)
+from .smallmat import (axpy, block_columns, dot, float_rows, min_eig_symmetric,
+                       pbep_sample, sub_at)
 
 
 @dataclass
@@ -201,16 +200,6 @@ class PbepGenerator:
     def n_channels(self) -> int:
         return self.bank.n_channels
 
-    @property
-    def state(self):
-        """The filter state as an ndarray (the bank keeps a list of floats)."""
-        import numpy as np
-        return np.array(self.bank.state)
-
-    @state.setter
-    def state(self, value):
-        self.bank.state = list(flat_floats(value))
-
     def inputs(self, x, u_p, y_p) -> list:
         d = self.nlpre
         out = []
@@ -271,16 +260,6 @@ class StdLreGenerator:
     @property
     def n_channels(self) -> int:
         return self.bank.n_channels
-
-    @property
-    def state(self):
-        """The filter state as an ndarray (the bank keeps a list of floats)."""
-        import numpy as np
-        return np.array(self.bank.state)
-
-    @state.setter
-    def state(self, value):
-        self.bank.state = list(flat_floats(value))
 
     def _w_rows(self, x, u_p) -> list:
         """Rows of the input matrix w_f + sum_j u_p[j] phi_g[i][j]."""

@@ -41,9 +41,9 @@ do not depend on the BLAS build.  The excitation
 record's eigenvalue is taken on floats for a 2x2 Gram (ph) and by numpy's
 eigvalsh for the circuit's 3x3 one, the one place a run that does not
 abort imports numpy.  The report's vectors are tuples of floats
-(`Vector`), and arrays are built only for the ndarray views that callers
-read (`World.x`, `ExcitationRecord.gram`, `SubGrid.tobytes`, the
-generators' `state`, `GplusDEstimator.Phi`), with numpy imported there.
+(`Vector`), and the state is read as the lists the engine keeps
+(`World.plant_state`, `ExcitationRecord.gram_rows`, the generators'
+`bank.state`, `GplusDEstimator.phi`); floats are its only representation.
 The run loop keeps its power-balance residuals, settling times and final
 errors as running reductions, and its trace rows go to the caller's sink,
 so a run needs a fixed amount of memory.
@@ -265,7 +265,7 @@ class ExcitationRecord:
             s = self._outer_add(s, c)
         return s
 
-    def _gram_rows(self) -> list:
+    def gram_rows(self) -> list:
         """The trapezoid Gram as p rows of floats."""
         p = self.p
         if self._first is None:
@@ -274,25 +274,19 @@ class ExcitationRecord:
         return self._trapezoid(self.h, self._sum, 0.5 * self.h, ends)
 
     @property
-    def gram(self):
-        """The trapezoid Gram as a (p, p) ndarray."""
-        import numpy as np
-        return np.array(self._gram_rows())
-
-    @property
     def q_trap(self) -> float:
         """Trapezoid integral of |Omega|^2 (Frobenius norm squared): the
         Gram's diagonal summed from 0.0 left to right, as ndarray.trace
         adds it (so a -0.0 diagonal sums to 0.0)."""
         acc = 0.0
-        for i, row in enumerate(self._gram_rows()):
+        for i, row in enumerate(self.gram_rows()):
             acc += row[i]
         return acc
 
     def min_eig(self) -> float:
         """Smallest eigenvalue of the Gram; nan once it has overflowed."""
         try:
-            return min_eig_symmetric(self._gram_rows())
+            return min_eig_symmetric(self.gram_rows())
         except ValueError:
             return math.nan
 
@@ -373,26 +367,13 @@ class RunReport:
     trace_rows: int = 0
 
 
-class SubGrid(list):
-    """A step's plant states on its sub-grid: one list of floats per substep.
-
-    `tobytes` packs the rows as the (substeps, n) float64 array would hold
-    them, so a grid can be compared exactly without the step building
-    arrays.
-    """
-
-    def tobytes(self) -> bytes:
-        import numpy as np
-        return np.array(self, dtype=float).tobytes()
-
-
 class World:
     """Mutable closed-loop state: plant, filters, estimator, diagnostics.
 
     The plant state `plant_state` and the estimate `theta_hat` are lists of
-    floats; `x` reads the plant state as an ndarray, built on access.  Replace these lists
-    (and the generator's state) instead of changing them in place: a step
-    reuses the previous step's end sample while they are the same objects.
+    floats.  Replace these lists (and the generator's bank state) instead
+    of changing them in place: a step reuses the previous step's end
+    sample while they are the same objects.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
@@ -475,11 +456,6 @@ class World:
         if self.generator is not None:
             self._lag_rk4 = lag_rk4(self.generator.n_channels)
 
-    @property
-    def x(self):
-        import numpy as np
-        return np.array(self.plant_state)
-
     def extract_theta(self) -> list:
         kind = self.cfg.estimator
         if kind is EstimatorKind.GPLUSD_PBEP:
@@ -511,7 +487,7 @@ def _finite_samples(*samples: RegressorSample) -> bool:
     return all(all_finite(s.Omega) and all_finite(s.Y) for s in samples)
 
 
-def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
+def step(world: World) -> tuple[list, Optional[RegressorSample],
                                 Optional[RegressorSample]]:
     """Advance the world by one outer step.
 
@@ -552,7 +528,7 @@ def step(world: World) -> tuple[SubGrid, Optional[RegressorSample],
     else:
         th_new = th
         ths = [th] * (2 * nsub + 1)
-    xs = SubGrid(world._plant_rk4(plant_rate, x, ths, t, world._dts, h))
+    xs = world._plant_rk4(plant_rate, x, ths, t, world._dts, h)
     xc = xs[-1]
 
     sample1 = None

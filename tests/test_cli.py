@@ -236,6 +236,41 @@ def test_check_command_reads_excitation_from_trace(tmp_path, capsys):
     assert "excitation: is_IE=true" in out
 
 
+def ph_trace(tmp_path):
+    """A short ph run's config and the path of its trace.csv."""
+    cfg = parse_config("scenario = ph\n")
+    cfg = replace(cfg, t_end=0.2, decimation=1, out_dir=str(tmp_path / "run"))
+    assert run_command(cfg) == 0
+    return cfg, tmp_path / "run" / "trace.csv"
+
+
+def test_check_command_reports_a_truncated_trace(tmp_path, capsys):
+    # an interrupted run leaves a trace whose last row is cut short
+    cfg, path = ph_trace(tmp_path)
+    path.write_bytes(path.read_bytes()[:200])
+    capsys.readouterr()
+    assert check_command(cfg, samples=200) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line ")
+    assert "fields, expected" in err and len(err.splitlines()) == 1
+
+
+def test_check_command_reports_a_non_numeric_gram_min_eig(tmp_path, capsys):
+    cfg, path = ph_trace(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    header = lines[0].strip().split(",")
+    ig = header.index("gram_min_eig")
+    parts = lines[3].split(",")
+    parts[ig] = "oops"
+    lines[3] = ",".join(parts)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert check_command(cfg, samples=200) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 4: ")
+    assert "oops" in err and len(err.splitlines()) == 1
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = short_cfg()
     out = tmp_path / "sweep"
@@ -266,6 +301,16 @@ def test_main_run_and_errors(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff")
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "utf-8" in err and len(err.splitlines()) == 1
 
 
 def test_main_check(tmp_path, capsys):

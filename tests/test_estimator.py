@@ -85,7 +85,7 @@ def test_scalar_closed_forms_via_propagate():
         est.propagate(s, s, hh)
     delta, ycal = est.mix()
     # constant regressor: the exponential update is exact
-    assert est.Phi[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert np.array(est.phi)[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert delta == pytest.approx(0.5, abs=1e-12)
     assert ycal[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -109,7 +109,7 @@ def test_scalar_flow_against_ivp_oracle():
     def joint_rate(state):
         e = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=gamma)
         e.theta_g = state[:1].copy()
-        e.Phi = state[1:2].reshape(1, 1).copy()
+        e.phi = state[1:2].reshape(1, 1).tolist()
         e.theta = state[2:].copy()
         dg, dp, dt_ = rates(e, s)
         return np.concatenate([dg, dp.ravel(), dt_])
@@ -151,16 +151,17 @@ def test_mix_initial_instant():
 
 
 def test_mix_follows_every_state_replacement():
-    # mix is memoized on the identity of Phi and theta_g: propagate, the Phi
-    # setter and assignment to theta_g must each give the fresh pair
+    # mix is memoized on the identity of phi and theta_g: propagate and
+    # assignment to phi or theta_g must each give the fresh pair
     theta_g0 = np.array([0.4, -0.3])
     est = GplusDEstimator(vector_map(2), gamma_g=3.0, gamma=1.0,
                           theta_g0=theta_g0)
 
     def fresh():
-        a = np.eye(2) - est.Phi
+        phi = np.array(est.phi)
+        a = np.eye(2) - phi
         adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-        r = np.asarray(est.theta_g) - est.Phi @ theta_g0
+        r = np.asarray(est.theta_g) - phi @ theta_g0
         return np.linalg.det(a), adj @ r
 
     def check():
@@ -176,7 +177,7 @@ def test_mix_follows_every_state_replacement():
     est.propagate(const_sample(0.0, 1.0, [1.0, 0.5]),
                   const_sample(0.1, 1.2, [0.2, 1.0]), 0.1)
     pairs.append(check())
-    est.Phi = np.array([[0.5, 0.1], [0.2, 0.25]])
+    est.phi = [[0.5, 0.1], [0.2, 0.25]]
     pairs.append(check())
     est.theta_g = [1.0, 2.0]
     pairs.append(check())
@@ -202,7 +203,7 @@ def test_half_updates_share_one_gain_per_sample(ph, monkeypatch):
         del n2s[-2:]
         assert np.array(est.theta_g).tobytes() == \
             np.array(twin.theta_g).tobytes()
-        assert est.Phi.tobytes() == twin.Phi.tobytes()
+        assert np.array(est.phi).tobytes() == np.array(twin.phi).tobytes()
         assert est.log_det_phi == twin.log_det_phi
 
 # -- mixing identity under exact feed ------------------------------------------
@@ -250,7 +251,7 @@ def test_abel_liouville_identity():
         est.propagate(s0, s1, h)
         q += 0.5 * h * (float(oms[k] @ oms[k]) + float(oms[k + 1] @ oms[k + 1]))
     assert abs(est.log_det_phi + q) <= 1e-9 * max(1.0, q)
-    det = determinant(est.Phi)
+    det = determinant(np.array(est.phi))
     assert det == pytest.approx(np.exp(-q), rel=1e-5)
 
 

@@ -1,11 +1,14 @@
 """Which runs load numpy, checked in a fresh interpreter.
 
-The package imports numpy only inside the functions that need LAPACK,
-numpy's random generator or an ndarray view.  A ph run or sweep needs none
-of them, so it completes without numpy ever being imported; the circuit's
-3x3 excitation Gram eigenvalue is LAPACK's, so a circuit run imports it.
+The package imports numpy only inside the functions that need LAPACK or
+numpy's random generator, and in the special-value fallbacks of
+`ieee_div` and `ieee_pow`; `test_numpy_is_imported_only_where_listed`
+pins that list.  A ph run or sweep needs none of them, so it completes
+without numpy ever being imported; the circuit's 3x3 excitation Gram
+eigenvalue is LAPACK's, so a circuit run imports it.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,6 +21,50 @@ import pytest
 from pbident import SimConfig, circuit_scenario, ph_scenario, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the functions of src/pbident that may import numpy, as module.qualname
+NUMPY_SITES = [
+    "smallmat.ieee_div", "smallmat.ieee_pow", "smallmat._as_square",
+    "smallmat.determinant", "smallmat.adjugate", "smallmat.symmetric_eigen",
+    "smallmat.min_eig_symmetric",
+    "estimator.GradientEstimator.rate", "estimator.check_monotonicity",
+    "cli.check_command",
+]
+
+
+def numpy_imports(tree: ast.Module, module: str) -> list:
+    """module.qualname of the scope of each numpy import statement in a
+    module's syntax tree, the module itself for a top-level one."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                sites.append(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return sites
+
+
+def test_numpy_is_imported_only_where_listed():
+    # floats are the package's one representation: an ndarray view or a
+    # module-level import would add a site here
+    sites = []
+    for path in sorted((SRC / "pbident").glob("*.py")):
+        sites += numpy_imports(ast.parse(path.read_text(encoding="utf-8")),
+                               path.stem)
+    assert sorted(sites) == sorted(NUMPY_SITES)
 
 PROGRAM = textwrap.dedent("""
     import sys

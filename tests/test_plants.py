@@ -3,8 +3,8 @@ import pytest
 
 from pbident import (Controller, EstimatorKind, NlpreData, ParamMap,
                      PlantModel, Scenario, SimConfig, circuit_scenario,
-                     ph_scenario, power_balance_residual, run)
-from conftest import rk4
+                     ph_scenario, run)
+from conftest import power_balance_residual, rk4
 
 
 # -- construction and rejections ----------------------------------------------
@@ -237,20 +237,21 @@ def test_ph_known_loop_contracts(ph_known_run):
 
 # -- a custom scenario through the library API ---------------------------------
 
-def rc_scenario(theta=2.0, r=1.0, k=3.0):
+def rc_scenario(theta=2.0, r=1.0, k=3.0, p=1):
     """Resistive one-state plant xdot = -theta x + u held at the setpoint r.
 
     Storage x^2/2, dissipation theta x^2, supply u y with port output y = x.
+    The dissipation regressor splits theta x^2 into p equal parts.
     """
     def fast_rate(x, u, t):
         return np.array([-theta * x[0] + u])
 
-    nlpre = NlpreData(p_s=0, p_S=0, p_d=1,
+    nlpre = NlpreData(p_s=0, p_S=0, p_d=p,
                       b_s=lambda x, u_p, y_p: float(u_p[0] * y_p[0]),
                       b_S=lambda x: 0.5 * x[0] ** 2,
-                      phi_d=lambda x: np.array([x[0] ** 2]))
-    param_map = ParamMap(G_direct=lambda th: (th[0],),
-                         T=np.array([[1.0]]), P=np.array([[1.0]]),
+                      phi_d=lambda x: np.array([x[0] ** 2 / p] * p))
+    param_map = ParamMap(G_direct=lambda th: (th[0],) * p,
+                         T=np.ones((1, p)), P=np.array([[1.0]]),
                          jacobian_G=lambda th: np.array([[1.0]]))
     return Scenario(
         name="rc",
@@ -286,6 +287,18 @@ def test_custom_scenario_runs_gplusd():
     assert rep.theta_err_rel_final <= 1e-6
     assert rep.abel_gap <= 1e-9
     assert rep.max_power_residual <= 5e-3   # O(h^2) floor at h = 1e-2
+
+
+def test_interlaced_estimator_refuses_p_above_3():
+    # the mixing pair's closed-form determinant and adjugate stop at 3x3;
+    # a larger map is refused by name instead of failing inside a kernel
+    scen = rc_scenario(p=4)
+    with pytest.raises(ValueError, match="p = 1 to 3 .* got p = 4"):
+        run(scen, SimConfig(t_end=0.1, h=1e-2))
+    # the gradient baseline has no mixing pair and still runs
+    rep = run(scen, SimConfig(t_end=0.1, h=1e-2,
+                              estimator=EstimatorKind.GRADIENT_PBEP_OVERPARAM))
+    assert not rep.aborted and rep.n_steps == 10
 
 
 @pytest.mark.parametrize("theta1, alpha", [(1e-200, 2.0), (1e200, 2.0),

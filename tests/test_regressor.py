@@ -156,8 +156,8 @@ def test_zero_maps_give_zero_regression():
     gen = PbepGenerator(nlpre, scalar_map(), LAM, np.zeros(1), np.zeros(1), np.zeros(1))
     x = np.array([3.0])
     for k in range(100):
-        z = gen.state
-        gen.state = z + 1e-3 * state_rate(gen, x, x, x)
+        z = np.array(gen.bank.state)
+        gen.bank.state = (z + 1e-3 * state_rate(gen, x, x, x)).tolist()
         s = sample(gen, k * 1e-3, x, x, x)
         assert s.Y == 0.0
         assert np.array_equal(s.Omega, np.zeros(1))
@@ -174,12 +174,12 @@ def test_frozen_plant_closed_forms(circuit):
     n = int(round(t1 / h))
     inp = gen.inputs(x, up, yp)
     for _ in range(n):
-        z = gen.state
+        z = np.array(gen.bank.state)
         k1 = LAM * (inp - z)
         k2 = LAM * (inp - (z + h / 2 * k1))
         k3 = LAM * (inp - (z + h / 2 * k2))
         k4 = LAM * (inp - (z + h * k3))
-        gen.state = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        gen.bank.state = (z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)).tolist()
     s = sample(gen, t1, x, up, yp)
     decay = np.exp(-LAM * t1)
     # supply channel approaches E*x1, derivative taps decay to zero, the
@@ -253,7 +253,7 @@ def test_pbep_consistency_independent_oracle(circuit):
                     controller=ControllerKind.KNOWN_PARAMETER, x0=x0)
     world = World(scen, cfg)
     gen = world.generator
-    z0 = gen.state.copy()
+    z0 = np.array(gen.bank.state)
 
     def joint(t, y):
         x, z = y[:2], y[2:]
@@ -266,7 +266,7 @@ def test_pbep_consistency_independent_oracle(circuit):
                     rtol=1e-11, atol=1e-12, dense_output=True, max_step=0.01)
     for t in np.linspace(0.01, 2.0, 100):
         y = sol.sol(t)
-        gen.state = y[2:]
+        gen.bank.state = y[2:].tolist()
         u = world.control(y[:2], theta_true, t)
         up, yp = scen.ports(y[:2], u, t)
         s = sample(gen, t, y[:2], up, yp)
@@ -298,7 +298,7 @@ def test_y_single_state_realization_cross_check(circuit, ph):
         x_y = -b_S(x0)
         h = cfg.h
         for _ in range(int(round(cfg.t_end / h))):
-            xprev = world.x.copy()
+            xprev = np.array(world.plant_state)
             tprev = world.t
             xs, _, s1 = step(world)
             # integrate the single-state form with RK4 on the same grid
@@ -315,7 +315,7 @@ def test_y_single_state_realization_cross_check(circuit, ph):
             k3 = rhs(x_y + h / 2 * k2, x_mid, tprev + h / 2)
             k4 = rhs(x_y + h * k3, xs[-1], tprev + h)
             x_y = x_y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            y_alt = -LAM * (x_y + b_S(world.x))
+            y_alt = -LAM * (x_y + b_S(np.array(world.plant_state)))
             # averaged midpoint above is O(h^2), so allow a few h^2 units
             assert abs(y_alt - s1.Y) <= 5e-6 * max(1.0, abs(s1.Y))
 

@@ -136,17 +136,17 @@ def test_equilibrium_is_fixed_point(circuit):
     world = World(circuit, cfg)
     for _ in range(1000):
         step(world)
-    assert np.max(np.abs(world.x - x_star)) <= 1e-9
+    assert np.max(np.abs(np.array(world.plant_state) - x_star)) <= 1e-9
 
 
 def test_open_loop_rotation_preserves_norm(ph):
     cfg = SimConfig(t_end=1.0, controller=ControllerKind.OPEN_LOOP,
                     estimator=EstimatorKind.NONE, x0=np.array([1.0, 0.5]))
     world = World(ph, cfg)
-    n0 = np.linalg.norm(world.x)
+    n0 = np.linalg.norm(world.plant_state)
     for _ in range(1000):
         step(world)
-        assert abs(np.linalg.norm(world.x) - n0) <= 1e-9
+        assert abs(np.linalg.norm(world.plant_state) - n0) <= 1e-9
 
 
 def test_run_report_fields(circuit):
@@ -317,7 +317,8 @@ def test_excitation_record_closed_forms():
     for k in range(1, 101):
         rec.push(np.array([c]))
         rec.record(k * h)
-    assert rec.gram[0, 0] == pytest.approx(c * c * 0.1, rel=1e-12)
+    gram = np.array(rec.gram_rows())
+    assert gram[0, 0] == pytest.approx(c * c * 0.1, rel=1e-12)
     ok, t_c = excitation_report(rec)
     assert ok
     assert t_c == pytest.approx(c_c / c ** 2, abs=h)
@@ -341,7 +342,7 @@ def test_excitation_gram_rows_match_the_array_form(shape):
         if k == 0:
             first = sum(outers, np.zeros((p, p)))
         ends = sum(outers, first)
-        gram = rec.gram
+        gram = np.array(rec.gram_rows())
         assert gram.tobytes() == (h * total - (0.5 * h) * ends).tobytes()
         assert np.array_equal(gram, gram.T)
         assert rec.min_eig() == float(np.linalg.eigvalsh(gram)[0])
@@ -362,7 +363,7 @@ def test_q_trap_is_the_ndarray_trace_bit_for_bit(diag):
     rows = [[d if i == j else 1.0 for j in range(p)]
             for i, d in enumerate(diag)]
     rec = ExcitationRecord(p, h=1e-3, threshold=1e-3)
-    rec._gram_rows = lambda: rows
+    rec.gram_rows = lambda: rows
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.array(rows).trace()
     assert np.array(rec.q_trap).tobytes() == np.array(want).tobytes()
@@ -376,7 +377,7 @@ def test_q_trap_of_a_record_is_its_gram_trace(shape):
         if k:
             rec.push(rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3))
         assert np.array(rec.q_trap).tobytes() == \
-            np.array(rec.gram.trace()).tobytes()
+            np.array(np.array(rec.gram_rows()).trace()).tobytes()
 
 
 def test_run_t_c_is_the_first_crossing_of_the_trace_column(ph):
@@ -413,7 +414,7 @@ def test_excitation_matrix_regressor():
     om = np.array([[1.0, 0.0], [0.0, 2.0]])
     for k in range(11):
         rec.push(om)
-    g = rec.gram
+    g = np.array(rec.gram_rows())
     assert g[0, 0] == pytest.approx(1.0 * 10e-3)
     assert g[1, 1] == pytest.approx(4.0 * 10e-3)
     assert rec.q_trap == pytest.approx(g.trace())
@@ -483,17 +484,20 @@ def test_float_stages_match_numpy_reference(circuit, ph, name, estimator,
                                   gamma=30.0, x0=np.array([0.3, 0.3])))
     interpolates = estimator is EstimatorKind.GPLUSD_PBEP
     for _ in range(300):
-        x, th, t = world.x, world.theta_hat, world.t
-        z = None if world.generator is None else world.generator.state
+        x, th, t = np.array(world.plant_state), world.theta_hat, world.t
+        z = None if world.generator is None else \
+            np.array(world.generator.bank.state)
         xs, _, _ = step(world)
         ref_xs, ref_z = numpy_stages(world, x, th,
                                      world.theta_hat if interpolates else th,
                                      t, z)
-        assert xs.tobytes() == np.array(ref_xs).tobytes()
-        assert world.x.tobytes() == ref_xs[-1].tobytes()
+        assert np.array(xs).tobytes() == np.array(ref_xs).tobytes()
+        assert np.array(world.plant_state).tobytes() == ref_xs[-1].tobytes()
         if z is not None:
-            assert world.generator.state.tobytes() == ref_z.tobytes()
-    assert np.all(np.isfinite(world.x)) and world.x[0] != 0.3
+            assert np.array(world.generator.bank.state).tobytes() == \
+                ref_z.tobytes()
+    x = np.array(world.plant_state)
+    assert np.all(np.isfinite(x)) and x[0] != 0.3
 
 
 def assert_rel_close(got, ref, rel=1e-12):
@@ -516,10 +520,11 @@ def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
     h = world.cfg.h
     gplusd = estimator is EstimatorKind.GPLUSD_PBEP
     for _ in range(300):
-        x, th, t = world.x, np.array(world.theta_hat), world.t
-        z = None if gen is None else gen.state
+        x, th, t = np.array(world.plant_state), np.array(world.theta_hat), \
+            world.t
+        z = None if gen is None else np.array(gen.bank.state)
         if gplusd:
-            theta_g, Phi = np.array(est.theta_g), est.Phi
+            theta_g, Phi = np.array(est.theta_g), np.array(est.phi)
         elif est is not None:
             Theta = np.array(est.Theta)
         _, s0, s1 = step(world)
@@ -528,8 +533,9 @@ def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
         th_end = np.array(world.theta_hat) if gplusd else th
         ref0 = numpy_sample(gen, t, world.assemble_inputs(x, t, th), z)
         ref1 = numpy_sample(gen, world.t,
-                            world.assemble_inputs(world.x, world.t, th_end),
-                            gen.state)
+                            world.assemble_inputs(np.array(world.plant_state),
+                                                  world.t, th_end),
+                            np.array(gen.bank.state))
         for got, ref in ((s0, ref0), (s1, ref1)):
             assert got.t == ref.t
             assert_rel_close(got.Y, ref.Y)
@@ -540,7 +546,7 @@ def test_float_kernel_matches_numpy_oracle(circuit, ph, name, estimator,
             ref_g, ref_phi = numpy_gplusd_propagate(est.gamma_g, theta_g, Phi,
                                                     ref0, ref1, h)
             assert_rel_close(est.theta_g, ref_g)
-            assert_rel_close(est.Phi, ref_phi)
+            assert_rel_close(est.phi, ref_phi)
         else:
             assert_rel_close(est.Theta, numpy_gradient_propagate(
                 est.gamma, Theta, ref0, ref1, h))
