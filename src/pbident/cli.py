@@ -224,14 +224,14 @@ class CsvTraceWriter:
 
     def __init__(self, path: Path):
         self._fh = open(path, "w", encoding="utf-8", newline="")
-        self.n_cols = 0
+        self.columns: list[str] = []
         self._template = "\n"
 
     def header(self, columns):
-        self.n_cols = len(columns)
+        self.columns = list(columns)
         # one %-format per row: the same bytes as formatting each value
         # with "{:.17e}" and joining, at a fraction of the cost
-        self._template = ",".join(["%.17e"] * self.n_cols) + "\n"
+        self._template = ",".join(["%.17e"] * len(self.columns)) + "\n"
         self._fh.write(",".join(columns) + "\n")
 
     def row(self, values):
@@ -310,9 +310,7 @@ def run_command(cfg: ScenarioConfig, out_dir: Optional[str] = None) -> int:
     try:
         (out / "report.txt").write_text("\n".join(_report_lines(cfg, report))
                                         + "\n", encoding="utf-8")
-        with open(out / "trace.csv", encoding="utf-8") as fh:
-            columns = fh.readline().strip().split(",")
-        (out / "plot.gp").write_text(_plot_script(cfg, scen, columns),
+        (out / "plot.gp").write_text(_plot_script(cfg, scen, writer.columns),
                                      encoding="utf-8")
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -358,28 +356,29 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
 
     trace_path = Path(cfg.out_dir) / "trace.csv"
     if trace_path.exists():
-        with open(trace_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
+        # decoded line by line, so that a line that is not UTF-8 is named
+        with open(trace_path, "rb") as fh:
+            lineno, t_c = 1, None
             try:
+                header = fh.readline().decode("utf-8").strip().split(",")
+                if "t" not in header or "gram_min_eig" not in header:
+                    print(f"excitation: {trace_path} has no gram_min_eig "
+                          f"column")
+                    return 0
                 it, ig = header.index("t"), header.index("gram_min_eig")
-            except ValueError:
-                print(f"excitation: {trace_path} has no gram_min_eig column")
-                return 0
-            t_c = None
-            # an interrupted run leaves a short last row
-            for lineno, line in enumerate(fh, 2):
-                parts = line.split(",")
-                try:
+                # an interrupted run leaves a short last row
+                for lineno, line in enumerate(fh, 2):
+                    parts = line.decode("utf-8").split(",")
                     if len(parts) != len(header):
                         raise ValueError(f"{len(parts)} fields, expected "
                                          f"{len(header)}")
                     if float(parts[ig]) >= cfg.c_c:
                         t_c = float(parts[it])
                         break
-                except ValueError as err:
-                    print(f"error: {trace_path}: line {lineno}: {err}",
-                          file=sys.stderr)
-                    return 1
+            except ValueError as err:   # UnicodeDecodeError included
+                print(f"error: {trace_path}: line {lineno}: {err}",
+                      file=sys.stderr)
+                return 1
         if t_c is None:
             print(f"excitation: is_IE=false at C_c={cfg.c_c}")
         else:

@@ -35,18 +35,21 @@ floats, and the scenario closures take and return components (see
 plants).  Each stage of the step is one smallmat kernel, which `World` and
 the estimators bind once to the run's lengths (plant state, estimate,
 regressor, filter channels, substeps) after checking that the scenario's
-closures return those lengths.  Each keeps one fixed operation order,
-with sums taken left to right, so a step calls no numpy and its numbers
-do not depend on the BLAS build.  The excitation
-record's eigenvalue is taken on floats for a 2x2 Gram (ph) and by numpy's
-eigvalsh for the circuit's 3x3 one, the one place a run that does not
-abort imports numpy.  The report's vectors are tuples of floats
+closures return those lengths; `run` binds its bookkeeping's kernels the
+same way (`power_residuals`, `finite_k`, `dist_k`, `trace_row`), and the
+excitation record its `outer_add` and `gram_trapezoid` at the first push.
+Each keeps one fixed operation order, with sums taken left to right, so a
+step calls no numpy and its numbers do not depend on the BLAS build.  The
+excitation record's eigenvalue is taken on floats for a 2x2 Gram (ph) and
+by numpy's eigvalsh for the circuit's 3x3 one, the one place a run that
+does not abort imports numpy.  The report's vectors are tuples of floats
 (`Vector`), and the state is read as the lists the engine keeps
 (`World.plant_state`, `ExcitationRecord.gram_rows`, the generators'
 `bank.state`, `GplusDEstimator.phi`); floats are its only representation.
 The run loop keeps its power-balance residuals, settling times and final
-errors as running reductions, and its trace rows go to the caller's sink,
-so a run needs a fixed amount of memory.
+errors as running reductions in locals, and its trace rows go to the
+caller's sink, so a run needs a fixed amount of memory; only once
+`finite_k` fails does `World.check_finite` run, to name the component.
 
 Everything is deterministic: identical configurations produce bit-identical
 traces.
@@ -64,10 +67,10 @@ from typing import Optional
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (all_finite, axpy, columns, correction_rk4, dot,
-                       flat_floats, hermite_mid, ieee_div, lag_rk4, midpoint,
-                       min_eig_symmetric, outer_add, plant_rk4,
-                       scaled_diff_rows, sub)
+from .smallmat import (all_finite, cofactors, correction_rk4, dist_k, dot,
+                       finite_k, flat_floats, gram_trapezoid, hermite_mid,
+                       lag_rk4, midpoint, min_eig_symmetric, outer_add,
+                       plant_rk4, power_residuals, trace_row)
 
 
 class EstimatorKind(Enum):
@@ -220,14 +223,14 @@ class ExcitationRecord:
 
         gram = h * sum_i Omega_i Omega_i' - h/2 * (first + latest outer)
 
-    `push` adds each regressor's outer product to the unit-weight sum on
+    `push` adds each regressor's outer products to the unit-weight sum on
     Python floats, one regressor column after another and in push order,
     so the Gram at a grid point does not depend on how often it is read
-    (the trace decimation).  The Gram is built as rows of floats: the
-    (i, j) and (j, i) products are the same float, so it is exactly
-    symmetric, and `min_eig` hands the rows to `min_eig_symmetric` as
-    they are.  `record` also keeps `t_c`, the first recorded time at which
-    the minimum eigenvalue reached `threshold` (None until then), so the
+    (the trace decimation).  `gram_trapezoid` adds the end terms as it
+    builds the Gram's rows, exactly symmetric as the (i, j) and (j, i)
+    products are one float, which `min_eig` hands to `min_eig_symmetric`.
+    `record` also keeps `t_c`, the first recorded time at which the
+    minimum eigenvalue reached `threshold` (None until then), so the
     record needs a fixed amount of memory however long the run.
     """
 
@@ -236,42 +239,30 @@ class ExcitationRecord:
         self.h = float(h)
         self.threshold = float(threshold)
         self.t_c: Optional[float] = None
-        self._outer_add = outer_add(self.p)
-        self._trapezoid = scaled_diff_rows(self.p)
         self._sum = [0.0] * (self.p * self.p)   # row-major
-        self._first = None   # outer product of the first regressor
-        self._last = None    # columns of the latest regressor
-        self._columns = None  # columns kernel, bound at a first matrix push
+        self._first = None   # the first regressor's outer products
+        self._last = None    # the latest regressor
+        self._add = self._trapezoid = None   # kernels, bound at the first push
 
     def push(self, omega):
-        """Record the regressor (a p-sequence or a (p, n) array) at the
-        next grid point."""
-        om = omega if isinstance(omega, (tuple, list)) else omega.tolist()
-        if isinstance(om[0], (list, tuple)):
-            if self._columns is None:
-                self._columns = columns(len(om), len(om[0]))
-            cols = self._columns(om)
-        else:
-            cols = [om]
-        if self._first is None:
-            self._first = self._add_outers([0.0] * len(self._sum), cols)
-        self._last = cols
-        self._sum = self._add_outers(self._sum, cols)
-
-    def _add_outers(self, s: list, cols) -> list:
-        """s + sum of c c' over the columns c, row-major, added one column
-        at a time."""
-        for c in cols:
-            s = self._outer_add(s, c)
-        return s
+        """Record the regressor (a p-sequence, or p rows of n whose columns
+        each add an outer product) at the next grid point; it is kept as
+        the latest, so the caller replaces it instead of changing it."""
+        if self._add is None:
+            m = len(omega[0]) if hasattr(omega[0], "__len__") else 0
+            self._add = outer_add(self.p, m)
+            self._trapezoid = gram_trapezoid(self.p, m)
+            self._first = self._add(self._sum, omega)
+        self._last = omega
+        self._sum = self._add(self._sum, omega)
 
     def gram_rows(self) -> list:
         """The trapezoid Gram as p rows of floats."""
         p = self.p
         if self._first is None:
             return [[0.0] * p for _ in range(p)]
-        ends = self._add_outers(self._first, self._last)
-        return self._trapezoid(self.h, self._sum, 0.5 * self.h, ends)
+        return self._trapezoid(self.h, self._sum, 0.5 * self.h, self._first,
+                               self._last)
 
     @property
     def q_trap(self) -> float:
@@ -450,7 +441,6 @@ class World:
         n, q, nsub = plant.n, plant.param_map.q, self.substeps
         self._plant_rk4 = plant_rk4(n, nsub)
         self._midpoint_x, self._hermite_x = midpoint(n), hermite_mid(n)
-        self._axpy_th, self._sub_th = axpy(q), sub(q)
         if kind is EstimatorKind.GPLUSD_PBEP:
             self._correction_rk4 = correction_rk4(q, plant.param_map.p)
         if self.generator is not None:
@@ -571,31 +561,6 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
     return xs, sample0, sample1
 
 
-class _Settling:
-    """Streaming settling time of an error sampled on the outer grid: the
-    first time after which it stays within `band`."""
-
-    def __init__(self, band: float):
-        self.band = band
-        self.last_bad = -1      # last sample index with error > band
-        self.k = -1
-        self.value = math.nan   # latest error
-
-    def push(self, err: float):
-        self.k += 1
-        self.value = err
-        if err > self.band:
-            self.last_bad = self.k
-
-    def time(self, h: float) -> Optional[float]:
-        """0.0 if never outside the band, None if still outside at the end."""
-        if self.last_bad < 0:
-            return 0.0
-        if self.last_bad == self.k:
-            return None
-        return float((self.last_bad + 1) * h)
-
-
 def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     """Execute a closed-loop run to t_end and summarize it.
 
@@ -605,164 +570,117 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     still sampled and `trace_rows` still counted at the row times.  If the
     state leaves the finite range the run stops there and the report has
     `aborted` set, with the abort time and component, the steps taken, the
-    state and estimate reached and the rows written.  The run keeps a
-    fixed amount of state: its residuals, settling times and final errors
-    are running reductions.
+    state and estimate reached and the rows written.
     """
     world = World(scenario, cfg)
     plant = scenario.plant
-    theta_true = list(plant.theta_true)
-    h = cfg.h
+    theta_true, h = plant.theta_true, cfg.h
     n_steps = int(round(cfg.t_end / h))
-    q = plant.param_map.q
+    n, q, decimation = plant.n, plant.param_map.q, cfg.decimation
     kind = cfg.estimator
     gd = kind is EstimatorKind.GPLUSD_PBEP
     gradient = kind in (EstimatorKind.GRADIENT_STD,
                         EstimatorKind.GRADIENT_PBEP_OVERPARAM)
-    energy = scenario.energy
-    control = world.control
-    reg_metric = scenario.regulation_error
+    est, gen, excitation = world.estimator, world.generator, world.excitation
+    control, reg_metric = world.control, scenario.regulation_error
     nsub = world.substeps
-    # centered differences of the storage: sub-grid and outer-grid spans
-    span_sub = 2.0 * (h / nsub)
-    span_outer = 2.0 * h
     x0 = list(world.plant_state)
 
-    report = RunReport(
-        scenario=scenario.name, estimator=kind.value,
-        controller=cfg.controller.value, t_end=cfg.t_end, h=h,
-        substeps=nsub, decimation=cfg.decimation,
-        x0=Vector(world.plant_state), theta_hat0=Vector(world.theta_hat),
-        c_c=cfg.c_c,
-    )
+    report = RunReport(scenario=scenario.name, estimator=kind.value,
+                       controller=cfg.controller.value, t_end=cfg.t_end, h=h,
+                       substeps=nsub, decimation=decimation, c_c=cfg.c_c,
+                       x0=Vector(x0), theta_hat0=Vector(world.theta_hat))
 
     if trace is not None:
-        cols = (["t"] + [f"x{i + 1}" for i in range(plant.n)] + ["u"]
-                + [f"yp{i + 1}" for i in range(plant.n_p)]
-                + [f"theta_hat{i + 1}" for i in range(q)])
-        if gradient:
-            cols += [f"overparam_hat{i + 1}" for i in range(world.estimator.n_w)]
-        cols += ["delta", "det_phi", "gram_min_eig", "power_residual"]
-        trace.header(cols)
+        n_w = est.n_w if gradient else 0
+        trace.header(["t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
+                     + [f"yp{i + 1}" for i in range(plant.n_p)]
+                     + [f"theta_hat{i + 1}" for i in range(q)]
+                     + [f"overparam_hat{i + 1}" for i in range(n_w)]
+                     + ["delta", "det_phi", "gram_min_eig", "power_residual"])
+        write = trace.row
+        row = trace_row(n, plant.n_p, q, n_w, gd)(
+            control, scenario.ports, est,
+            cofactors(plant.param_map.p, False) if gd else None)
 
+    # the loop's kernels, bound to this run; h / substeps underflows to 0
+    # for a subnormal h, where only ieee_div divides by the sub-grid span
+    span_sub, uses_u = 2.0 * (h / nsub), scenario.energy_uses_u
+    x, th = world.plant_state, world.theta_hat
+    residuals = power_residuals(
+        nsub, uses_u, q if uses_u and gd else 0, span_sub != 0.0)(
+        scenario.energy, control, h, span_sub, 2.0 * h,
+        *scenario.energy(x0, control(x0, th, 0.0)))
+    finite, dist = finite_k(n, gen.n_channels if gen else 0, q), dist_k(q)
     n_theta = math.sqrt(dot(theta_true, theta_true))
-    energy_uses_u = scenario.energy_uses_u
+    p_band, r_band = report.param_band, report.regulation_band
 
-    sub_th, axpy_th = world._sub_th, world._axpy_th
-
-    def param_dist(th_hat) -> float:
-        if not n_theta > 0:
-            return math.nan
-        d = sub_th(th_hat, theta_true)
-        return math.sqrt(dot(d, d)) / n_theta
-
-    def emit_row(k: int, residual: float):
-        t = k * h
-        # the excitation record feeds is_ie and t_c
-        mineig = world.excitation.record(t) if world.excitation is not None else 0.0
-        report.trace_rows += 1
-        if trace is None:
-            return
-        x = world.plant_state
-        th = world.theta_hat
-        u = control(x, th, t)
-        _, yp = scenario.ports(x, u, t)
-        vals = [t, *x, u, *yp, *th]
-        if gradient:
-            vals += world.estimator.Theta
-        if gd:
-            delta, _ = world.estimator.mix()
-            vals += [delta, world.estimator.det_phi()]
-        else:
-            vals += [0.0, 1.0]
-        vals += [mineig, residual]
-        trace.row(vals)
-
-    # storage S and net flow at the latest points of each grid, with the S
-    # two points back once it exists; residual maxima start at 0 (every
-    # residual is an absolute value) and turn nan if any residual is nan
-    s_now, flow_now = energy(x0, control(x0, world.theta_hat, 0.0))
-    s_back = outer_back = None
-    outer_now, outer_flow = s_now, flow_now
+    # settling: the last step whose error was outside its band, or -1
     res_sub = max_sub = max_outer = 0.0
-    param = _Settling(report.param_band)
-    regulation = _Settling(report.regulation_band)
-    param.push(param_dist(world.theta_hat))
-    regulation.push(reg_metric(x0, x0))
+    p_bad, r_bad, p_err, rows = -1, -1, math.nan, 0
 
     t_start = time.perf_counter()
-    emit_row(0, res_sub)
     try:
-        for k in range(1, n_steps + 1):
-            th_prev = world.theta_hat
-            xs, sample0, sample1 = step(world)
-            world.check_finite()
-            if world.excitation is not None:
-                world.excitation.push(sample0.Omega)
-                if k == n_steps:
-                    world.excitation.push(sample1.Omega)
-            tk = world.t
-            # the control the plant applied: only the correction flow's
-            # estimate moves across the step (see step)
-            if energy_uses_u and gd:
-                dth = sub_th(world.theta_hat, th_prev)
-            for j, xsub in enumerate(xs):
-                if energy_uses_u:
-                    frac = (j + 1) / nsub
-                    th_sub = axpy_th(th_prev, frac, dth) if gd else th_prev
-                    usub = control(xsub, th_sub, tk - h + frac * h)
-                else:
-                    usub = 0.0
-                s_new, flow_new = energy(xsub, usub)
-                if s_back is not None:
-                    # h / substeps underflows to 0 for a subnormal h
-                    res_sub = abs(ieee_div(s_new - s_back, span_sub) - flow_now)
-                    if res_sub > max_sub or res_sub != res_sub:
-                        max_sub = res_sub
-                s_back, s_now, flow_now = s_now, s_new, flow_new
-            if outer_back is not None:
-                res = abs((s_now - outer_back) / span_outer - outer_flow)
-                if res > max_outer or res != res:
-                    max_outer = res
-            outer_back, outer_now, outer_flow = outer_now, s_now, flow_now
-            param.push(param_dist(world.theta_hat))
-            regulation.push(reg_metric(world.plant_state, x0))
-            if k % cfg.decimation == 0 or k == n_steps:
-                emit_row(k, res_sub)
+        for k in range(n_steps + 1):
+            if k:
+                th_prev = th
+                xs, sample0, sample1 = step(world)
+                x, th = world.plant_state, world.theta_hat
+                if not finite(x, gen and gen.bank.state, th):
+                    world.check_finite()   # raises, naming the component
+                if excitation is not None:
+                    excitation.push(sample0.Omega)
+                    if k == n_steps:
+                        excitation.push(sample1.Omega)
+                res_sub, max_sub, max_outer = residuals(xs, th_prev, th,
+                                                        world.t)
+            if n_theta > 0:
+                p_err = dist(th, theta_true) / n_theta
+                if p_err > p_band:
+                    p_bad = k
+            r_err = reg_metric(x, x0)
+            if r_err > r_band:
+                r_bad = k
+            if k % decimation == 0 or k == n_steps:
+                t = k * h
+                # the excitation record feeds is_ie and t_c
+                mineig = 0.0 if excitation is None else excitation.record(t)
+                rows += 1
+                if trace is not None:
+                    write(row(t, x, th, mineig, res_sub))
     except NonFiniteStateError as err:
         report.aborted = True
-        report.abort_time = err.t
-        report.abort_component = err.component
-        report.wall_seconds = time.perf_counter() - t_start
-        report.n_steps = int(round(world.t / h))
-        report.x_final = Vector(world.plant_state)
-        report.theta_hat_final = Vector(world.theta_hat)
-        return report
-
+        report.abort_time, report.abort_component = err.t, err.component
     report.wall_seconds = time.perf_counter() - t_start
-    report.n_steps = n_steps
+    report.n_steps = int(round(world.t / h)) if report.aborted else n_steps
+    report.trace_rows = rows
     report.x_final = Vector(world.plant_state)
     report.theta_hat_final = Vector(world.theta_hat)
+    if report.aborted:
+        return report
+
+    def settling(last_bad: int) -> Optional[float]:
+        # 0.0 if never outside the band, None if outside at the end
+        return 0.0 if last_bad < 0 else None if last_bad == n_steps \
+            else float((last_bad + 1) * h)
+
     if gradient:
-        report.overparam_hat_final = Vector(world.estimator.Theta)
+        report.overparam_hat_final = Vector(est.Theta)
     if n_theta > 0:
-        report.theta_err_rel_final = param.value
-        report.settling_time_param = param.time(h)
-    report.regulation_error_final = float(regulation.value)
-    report.settling_time_regulation = regulation.time(h)
+        report.theta_err_rel_final = p_err
+        report.settling_time_param = settling(p_bad)
+    report.regulation_error_final = float(r_err)
+    report.settling_time_regulation = settling(r_bad)
     if n_steps * nsub > 1:
         report.max_power_residual = float(max_sub)
     if n_steps > 1:
         report.max_power_residual_outer = float(max_outer)
 
-    if world.excitation is not None:
-        report.gram_min_eig_final = world.excitation.min_eig()
-        report.is_ie, report.t_c = excitation_report(world.excitation)
+    if excitation is not None:
+        report.gram_min_eig_final = excitation.min_eig()
+        report.is_ie, report.t_c = excitation_report(excitation)
     if gd:
-        est = world.estimator
-        report.abel_gap = abs(est.log_det_phi
-                              + cfg.gamma_g * world.excitation.q_trap)
-        delta, _ = est.mix()
-        report.delta_final = delta
+        report.abel_gap = abs(est.log_det_phi + cfg.gamma_g * excitation.q_trap)
+        report.delta_final = est.mix()[0]
         report.det_phi_final = est.det_phi()
     return report

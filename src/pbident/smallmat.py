@@ -18,18 +18,17 @@ factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
 the first call with those lengths and cached (`_kernel`); the sources come
 only from the templates here and integer lengths.  Each stage of
 `sim.step` is one kernel (`plant_rk4`, `correction_rk4`, `lag_rk4`,
-`pbep_sample`, `mix_pair`, `half_update`), as on CPython 3.11 a call and a
-list between stages cost several times the arithmetic on 2- and 3-element
-states.  A stage kernel keeps the operation order of the expressions it
-fuses, which its docstring gives (`lag_rk4` inlines the expressions of
-`lag_rate`, `lag_rate_at` and `rk4_sum` themselves, through `body`): sums
-of products start from 0.0 and go left to right, as `dot` does, and the
-cofactor forms are those of `_COFACTORS`.  So results are bit-identical
-to the unfused expressions and independent of the BLAS build, whose small
-dot products round differently from one CPU kernel to the next.  A kernel
-reads exactly the components of its lengths: it raises IndexError on a
-shorter argument and ignores the rest of a longer one, so callers bind
-kernels to lengths they have checked.
+`pbep_sample`, `mix_pair`, `half_update`), and so is each piece of
+`sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
+stages cost several times the arithmetic on 2- and 3-element states.  A
+kernel keeps the operation order of the expressions it fuses, which its
+docstring gives (`lag_rk4` inlines `lag_rate`, `lag_rate_at` and
+`rk4_sum` through `body`): sums of products start from 0.0 and go left
+to right, as `dot` does, and the cofactor forms are those of
+`_COFACTORS`, so results are bit-identical to the unfused expressions
+and independent of the BLAS build.  A kernel reads exactly the
+components of its lengths (IndexError on a shorter argument, the rest of
+a longer one ignored), so callers bind kernels to lengths they checked.
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -116,14 +115,17 @@ def _kernel(source):
     the expression, for a stage kernel to inline under the same names (a
     local per parameter, bound before the expression).
 
-    Sources come only from the templates below and integer lengths.
+    Sources come only from the templates below and integer lengths; a
+    kernel sees abs, enumerate, isfinite, sqrt and `ieee_div` as builtins.
     """
     @functools.cache
     @functools.wraps(source)
     def factory(*lengths):
         params, body = source(*lengths)
         lines = [f"return {body}"] if isinstance(body, str) else body
-        scope = {"__builtins__": {}}
+        scope = {"__builtins__": {}, "abs": abs, "enumerate": enumerate,
+                 "isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "ieee_div": ieee_div}
         exec("\n    ".join([f"def {source.__name__}({params}):", *lines]),
              scope)
         return scope[source.__name__]
@@ -155,13 +157,6 @@ def sub(n: int):
 def sub_at(n: int, k: int):
     """f(v) = v[:n] - v[k:k + n], as a tuple."""
     return "v", _tuple(f"v[{i}] - v[{k + i}]" for i in range(n))
-
-
-@_kernel
-def columns(m: int, n: int):
-    """f(M) = the n columns of m rows M of length n, as a tuple of lists."""
-    return "M", _tuple(_list(f"M[{i}][{j}]" for i in range(m))
-                       for j in range(n))
 
 
 @_kernel
@@ -271,19 +266,30 @@ def hermite_mid(n: int):
         f"0.5 * (x[{i}] + y[{i}]) + s * (r[{i}] - w[{i}])" for i in range(n))
 
 
-@_kernel
-def outer_add(p: int):
-    """f(s, c) = s + c c' for a row-major p*p list s and a p-vector c."""
-    return "s, c", _list(f"s[{i * p + j}] + c[{i}] * c[{j}]"
-                         for i in range(p) for j in range(p))
+def _outers(p: int, m: int, base: str) -> list:
+    """Entry (i, j) of base + c c', row-major, for a p*p list `base` and
+    c a p-vector (m = 0) or p rows of m, whose m column products are added
+    one column after another."""
+    cols = [f"[{k}]" for k in range(m)] or [""]
+    return [" + ".join([f"{base}[{i * p + j}]"]
+                       + [f"c[{i}]{k} * c[{j}]{k}" for k in cols])
+            for i in range(p) for j in range(p)]
 
 
 @_kernel
-def scaled_diff_rows(p: int):
-    """f(a, s, b, e) = a*s - b*e for row-major p*p lists s and e, as p
-    rows."""
-    return "a, s, b, e", _list(
-        _list(f"a * s[{i * p + j}] - b * e[{i * p + j}]" for j in range(p))
+def outer_add(p: int, m: int = 0):
+    """f(s, c) = s + c c' for a row-major p*p list s and a p-vector c, or
+    s plus the outer products of the m columns of p rows c (`_outers`)."""
+    return "s, c", _list(_outers(p, m, "s"))
+
+
+@_kernel
+def gram_trapezoid(p: int, m: int = 0):
+    """f(a, s, b, e, c) = a*s - b*(e + c c') as p rows, for row-major p*p
+    lists s and e and c as in `outer_add`."""
+    ends = _outers(p, m, "e")
+    return "a, s, b, e, c", _list(
+        _list(f"a * s[{k}] - b * ({ends[k]})" for k in range(i * p, i * p + p))
         for i in range(p))
 
 
@@ -409,6 +415,83 @@ def mix_pair(p: int):
     return "Phi, r", lines + [f"return {det}, {ycal}"]
 
 
+# -- the run loop's kernels (sim.run) ---------------------------------------
+
+_RESIDUALS = """\
+sb = so = None
+res = top = top_outer = 0.0
+def residuals(xs, th0, th1, t1):
+    nonlocal sb, sn, fl, so, res, top, top_outer
+    s0, f0 = sn, fl{diffs}
+    for j, x in enumerate(xs, 1):
+        c = j / {nsub}
+        S, f = energy(x, {u})
+        if sb is not None:
+            res = abs({div} - fl)
+            if res > top or res != res:
+                top = res
+        sb, sn, fl = sn, S, f
+    if so is not None:
+        r = abs((sn - so) / span_outer - f0)
+        if r > top_outer or r != r:
+            top_outer = r
+    so = s0
+    return res, top, top_outer
+return residuals"""
+
+
+@_kernel
+def power_residuals(nsub: int, uses_u: bool, q: int, plain: bool):
+    """f(energy, control, h, span, span_outer, sn, fl) = `residuals`, the
+    running power-balance residuals from the start's storage sn and net
+    flow fl.  residuals(xs, th0, th1, t1) adds a step's nsub states x, S,
+    f = energy(x, u), u = control(x, th0 + c*(th1 - th0), t1 - h + c*h) at
+    c = j/nsub (th0 at q = 0, 0.0 without uses_u), and returns the latest
+    |(S - sb)/span - fl| (sb: S two points back; `ieee_div` unless plain)
+    and the maxima of those and of the outer |(sn - so)/span_outer - fl|
+    (so: S two steps back, fl: at the step's start), nan once one is nan."""
+    th = _list(f"th0[{i}] + c * d{i}" for i in range(q)) if q else "th0"
+    return "energy, control, h, span, span_outer, sn, fl", _RESIDUALS.format(
+        diffs="".join(f"; d{i} = th1[{i}] - th0[{i}]" for i in range(q)),
+        nsub=nsub, u=f"control(x, {th}, t1 - h + c * h)" if uses_u else "0.0",
+        div="(S - sb) / span" if plain else "ieee_div(S - sb, span)",
+    ).splitlines()
+
+
+@_kernel
+def dist_k(n: int):
+    """f(a, b) = |a - b| for length-n sequences: the square root of the
+    differences' squares summed from 0.0 left to right, as `dot` sums."""
+    return "a, b", [*(f"d{i} = a[{i}] - b[{i}]" for i in range(n)),
+                    f"return sqrt({_sum_of(f'd{i} * d{i}' for i in range(n))})"]
+
+
+@_kernel
+def finite_k(*sizes: int):
+    """f(*vs) = whether the first sizes[k] entries of each vs[k] are finite."""
+    return ", ".join(f"v{k}" for k in range(len(sizes))), " and ".join(
+        [f"isfinite(v{k}[{i}])" for k, n in enumerate(sizes)
+         for i in range(n)] or ["True"])
+
+
+@_kernel
+def trace_row(n: int, n_p: int, q: int, w: int, gd: bool):
+    """f(control, ports, est, det) = the function of (t, x, th, mineig,
+    res) that returns the trace row (t, x, u, y_p, th, est.Theta, Delta,
+    det(est.phi), mineig, res) as a tuple, with u = control(x, th, t), y_p
+    = ports(x, u, t)[1] and Delta = est.mix()[0] (Delta and det 0.0 and
+    1.0 unless gd), for n states, n_p outputs, q estimates and w Theta."""
+    vals = ["t", *(f"x[{i}]" for i in range(n)), "u",
+            *(f"yp[{i}]" for i in range(n_p)), *(f"th[{i}]" for i in range(q)),
+            *(f"v[{i}]" for i in range(w)), *(("est.mix()[0]", "det(est.phi)")
+                                              if gd else ("0.0", "1.0")),
+            "mineig", "res"]
+    return "control, ports, est, det", [
+        "def row(t, x, th, mineig, res):", "    u = control(x, th, t)",
+        "    yp = ports(x, u, t)[1]", *(["    v = est.Theta"] if w else []),
+        f"    return {_tuple(vals)}", "return row"]
+
+
 def ieee_div(a: float, b: float) -> float:
     """a / b, with numpy's signed inf or nan for a zero divisor."""
     try:
@@ -441,7 +524,7 @@ def _as_square(m):
 
 
 # the cofactor determinant and adjugate of a 1x1 to 3x3 matrix of entries
-# a11 .. ann, as expressions for `_closed` and `mix_pair`
+# a11 .. ann, as expressions for `cofactors` and `mix_pair`
 _COFACTORS = {
     1: ("a11", [["1.0"]]),
     2: ("a11 * a22 - a12 * a21", [["a22", "-a12"], ["-a21", "a11"]]),
@@ -457,7 +540,7 @@ _COFACTORS = {
 
 
 @_kernel
-def _closed(n: int, adj: bool):
+def cofactors(n: int, adj: bool):
     """f(r) = the cofactor adjugate (adj) or determinant of 1x1 to 3x3
     nested rows r, unpacked into a11 .. ann (or ValueError)."""
     det, rows = _COFACTORS[n]
@@ -469,11 +552,11 @@ def _closed(n: int, adj: bool):
 def determinant(m) -> float:
     """Determinant; exact cofactor formulas up to 3x3, pivoted elimination above."""
     if type(m) is list and 0 < len(m) <= 3:
-        return _closed(len(m), False)(m)
+        return cofactors(len(m), False)(m)
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
-        return _closed(n, False)(a.tolist())
+        return cofactors(n, False)(a.tolist())
     import numpy as np
     a = a.copy()
     det = 1.0
@@ -496,12 +579,12 @@ def adjugate(m):
     ndarray.
     """
     if type(m) is list and 0 < len(m) <= 3:
-        return _closed(len(m), True)(m)
+        return cofactors(len(m), True)(m)
     import numpy as np
     a = _as_square(m)
     n = a.shape[0]
     if n <= 3:
-        return np.array(_closed(n, True)(a.tolist()))
+        return np.array(cofactors(n, True)(a.tolist()))
     out = np.empty((n, n))
     rows = np.arange(n)
     for i in range(n):

@@ -271,6 +271,31 @@ def test_check_command_reports_a_non_numeric_gram_min_eig(tmp_path, capsys):
     assert "oops" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"t,gram_min_eig\n\xff,1\n", 2),
+    (b"t,gram_\xffmin_eig\n0.0,1\n", 1),
+], ids=["row", "header"])
+def test_check_command_reports_a_trace_that_is_not_utf8(tmp_path, capsys,
+                                                        data, line):
+    # the line that does not decode is named, with no traceback
+    cfg, path = ph_trace(tmp_path)
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert check_command(cfg, samples=200) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: 'utf-8' codec can't "
+                          f"decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+def test_check_command_reads_an_empty_trace_as_no_column(tmp_path, capsys):
+    cfg, path = ph_trace(tmp_path)
+    path.write_bytes(b"")
+    capsys.readouterr()
+    assert check_command(cfg, samples=200) == 0
+    assert "has no gram_min_eig column" in capsys.readouterr().out
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = short_cfg()
     out = tmp_path / "sweep"

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -257,6 +258,51 @@ def test_streaming_reductions_match_array_forms(ph):
     assert rep.theta_err_rel_final == param_err[-1]
     assert rep.regulation_error_final == pytest.approx(reg_err[-1],
                                                        rel=1e-15)
+
+
+def _scripted(ph, errors):
+    """ph whose regulation error reads `errors` in turn, and whose storage
+    is nan at the third grid point (the first is the start)."""
+    calls = []
+
+    def energy(x, u):
+        calls.append(x)
+        return (math.nan, 0.0) if len(calls) == 3 else ph.energy(x, u)
+
+    return replace(ph, energy=energy, regulation_error=lambda x, x0: errors[
+        len(calls) - 1])
+
+
+@pytest.mark.parametrize("errors, settling", [
+    ([0.01] * 11, 0.0),                   # an error at the band is inside
+    ([0.5, 0.5, 0.5] + [0.01] * 8, 0.003),   # (last outside + 1) * h
+    ([0.0] * 10 + [0.0100001], None),     # outside at the last step
+], ids=["at-band", "settled", "outside-at-end"])
+def test_run_reductions_at_their_edges(ph, errors, settling):
+    # 10 steps of one substep: the storage and then the regulation error
+    # are read once at each of the 11 grid points
+    trace = ListTrace()
+    rep = run(_scripted(ph, errors),
+              SimConfig(t_end=0.01, decimation=1, theta_hat0=(1.0,),
+                        estimator=EstimatorKind.NONE), trace=trace)
+    assert not rep.aborted and rep.trace_rows == 11
+    assert rep.settling_time_regulation == settling
+    assert rep.regulation_error_final == errors[-1]
+    # the nan storage makes the residuals at points 2 and 4 nan; the
+    # maxima stay nan through the finite residuals after them
+    res = [row[-1] for row in trace.rows]
+    assert [math.isnan(r) for r in res] == [False] * 2 + [True, False, True] \
+        + [False] * 6
+    assert min(res[5:]) > 0.0
+    assert math.isnan(rep.max_power_residual)
+    assert math.isnan(rep.max_power_residual_outer)
+    # the estimate is theta_true throughout, and 0.5 never settles
+    assert rep.settling_time_param == 0.0 and rep.theta_err_rel_final == 0.0
+    held = run(_scripted(ph, errors),
+               SimConfig(t_end=0.01, theta_hat0=(0.5,),
+                         estimator=EstimatorKind.NONE))
+    assert held.settling_time_param is None
+    assert held.theta_err_rel_final == 0.5
 
 
 @pytest.mark.parametrize("over", [

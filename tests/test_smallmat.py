@@ -9,14 +9,16 @@ from conftest import (NoNumpy, Recorder, cofactor_adj, cofactor_det,
                       kernel_examples, ref_axpy, ref_rk4, same_bytes, square,
                       value_kinds, vectors)
 from pbident.sim import ExcitationRecord
-from pbident.smallmat import (adjugate, axpy, block_columns, columns,
-                              correction_rk4, determinant, dot, dot_k,
-                              half_update, hermite_mid, ieee_div, ieee_pow,
-                              lag_rate, lag_rate_at, lag_rk4, midpoint,
+from pbident.smallmat import (adjugate, axpy, block_columns, cofactors,
+                              correction_rk4, determinant, dist_k, dot, dot_k,
+                              finite_k, gram_trapezoid, half_update,
+                              hermite_mid, ieee_div, ieee_pow, lag_rate,
+                              lag_rate_at, lag_rk4, midpoint,
                               min_eig_symmetric, mix_pair, outer_add,
-                              pbep_sample, plant_rk4, residual_gram, rk4_sum,
-                              scaled_diff_rows, scaled_mtv, scaled_mv, sub,
-                              sub_at, symmetric_eigen, v_minus_mg, v_plus_mg)
+                              pbep_sample, plant_rk4, power_residuals,
+                              residual_gram, rk4_sum, scaled_mtv, scaled_mv,
+                              sub, sub_at, symmetric_eigen, trace_row,
+                              v_minus_mg, v_plus_mg)
 
 
 def test_determinant_examples():
@@ -292,10 +294,6 @@ def _draw_case(draw, kernel, n):
         v = draw(vec(n + k))
         return list(sub_at(n, k)(v)), \
             [a - b for a, b in zip(v[:n], v[k:k + n])]
-    if kernel == "columns":
-        m = draw(st.integers(1, 5))
-        mat = draw(st.lists(vec(n), min_size=m, max_size=m))
-        return sum(columns(m, n)(mat), []), sum(map(list, zip(*mat)), [])
     if kernel == "block_columns":
         k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
         v = draw(vec(k + m * n))
@@ -319,19 +317,35 @@ def _draw_case(draw, kernel, n):
     flat = sum(draw(square(n, values)), [])
     ends = sum(draw(square(n, values)), [])
     if kernel == "outer_add":
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        return outer_add(n)(flat, x), \
-            [v + x[i] * x[j] for v, (i, j) in zip(flat, pairs)]
-    assert kernel == "scaled_diff_rows"
-    want = [s * a - lam * e for a, e in zip(flat, ends)]
-    return scaled_diff_rows(n)(s, flat, lam, ends), \
+        return outer_add(n)(flat, x), ref_outer_add(flat, [x])
+    # p rows of m columns, one outer product per column, as the excitation
+    # record added them from the columns of the rows (or a vector at m = 0)
+    m = draw(st.integers(0 if kernel == "gram_trapezoid" else 1, 4))
+    rows = draw(vec(n)) if m == 0 else \
+        draw(st.lists(vec(m), min_size=n, max_size=n))
+    cols = [rows] if m == 0 else [list(c) for c in zip(*rows)]
+    if kernel == "outer_add_columns":
+        return outer_add(n, m)(flat, rows), ref_outer_add(flat, cols)
+    assert kernel == "gram_trapezoid"
+    # the former ends (first + the latest outers) and trapezoid a*s - b*e
+    want = [s * a - lam * e
+            for a, e in zip(flat, ref_outer_add(ends, cols))]
+    return gram_trapezoid(n, m)(s, flat, lam, ends, rows), \
         [want[i:i + n] for i in range(0, n * n, n)]
 
 
+def ref_outer_add(s, cols):
+    """s + c c' for each column c in turn, row-major."""
+    p = len(cols[0])
+    for c in cols:
+        s = [v + c[k // p] * c[k % p] for k, v in enumerate(s)]
+    return s
+
+
 KERNELS = ["axpy", "sub", "rk4_sum", "v_minus_mg", "v_plus_mg",
-           "residual_gram", "scaled_mtv", "sub_at", "columns",
+           "residual_gram", "scaled_mtv", "sub_at", "outer_add_columns",
            "block_columns", "dot_k", "scaled_mv", "lag_rate", "lag_rate_at",
-           "midpoint", "hermite_mid", "outer_add", "scaled_diff_rows"]
+           "midpoint", "hermite_mid", "outer_add", "gram_trapezoid"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -344,14 +358,14 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
 
 @pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
                                      midpoint, hermite_mid, outer_add,
-                                     scaled_diff_rows, dot_k, scaled_mtv,
+                                     gram_trapezoid, dot_k, scaled_mtv,
                                      lag_rk4, half_update])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
     for two_lengths in (v_minus_mg, v_plus_mg, scaled_mv, residual_gram,
-                        sub_at, columns, plant_rk4):
+                        sub_at, outer_add, plant_rk4):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
     assert block_columns(2, 2, 3) is block_columns(2, 2, 3) \
         is not block_columns(4, 2, 3)
@@ -517,6 +531,135 @@ def test_cofactor_forms_match_the_written_formulas_bit_for_bit(data, n,
     m = data.draw(square(n, values))
     assert same_bytes([determinant(m)], [cofactor_det(m)])
     assert same_bytes(adjugate(m), cofactor_adj(m))
+
+
+# -- the run loop's kernels against the loop code they replace ---------------
+#
+# Each reference is the code sim.run ran inline before the kernel, one
+# statement at a time, so a kernel that reorders an operation, or passes
+# energy or control other arguments, differs in the bytes.
+
+def ref_residuals(energy, control, steps, h, nsub, uses_u, gd, span_sub,
+                  span_outer, s_now, flow_now):
+    """The run loop's storage residuals over steps of (xs, th_prev, th_new,
+    tk), as run wrote them: (res_sub, max_sub, max_outer) after each."""
+    s_back = outer_back = None
+    outer_now, outer_flow = s_now, flow_now
+    res_sub = max_sub = max_outer = 0.0
+    out = []
+    for xs, th_prev, th_new, tk in steps:
+        if uses_u and gd:
+            dth = [a - b for a, b in zip(th_new, th_prev)]
+        for j, xsub in enumerate(xs):
+            if uses_u:
+                frac = (j + 1) / nsub
+                th_sub = ref_axpy(th_prev, frac, dth) if gd else th_prev
+                usub = control(xsub, th_sub, tk - h + frac * h)
+            else:
+                usub = 0.0
+            s_new, flow_new = energy(xsub, usub)
+            if s_back is not None:
+                res_sub = abs(ieee_div(s_new - s_back, span_sub) - flow_now)
+                if res_sub > max_sub or res_sub != res_sub:
+                    max_sub = res_sub
+            s_back, s_now, flow_now = s_now, s_new, flow_new
+        if outer_back is not None:
+            res = abs((s_now - outer_back) / span_outer - outer_flow)
+            if res > max_outer or res != res:
+                max_outer = res
+        outer_back, outer_now, outer_flow = outer_now, s_now, flow_now
+        out.append((res_sub, max_sub, max_outer))
+    return out
+
+
+@pytest.mark.parametrize("nsub", [1, 2, 3])
+@pytest.mark.parametrize("uses_u, gd", [(False, False), (True, False),
+                                        (True, True)])
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), q=st.integers(1, 3),
+       n_steps=st.integers(1, 4), values=value_kinds)
+def test_power_residuals_match_the_loop_they_replace(nsub, uses_u, gd, data,
+                                                     n, q, n_steps, values):
+    draw = data.draw
+    steps = [(draw(st.lists(vectors(n, values), min_size=nsub,
+                            max_size=nsub)),
+              draw(vectors(q, values)), draw(vectors(q, values)), draw(values))
+             for _ in range(n_steps)]
+    h, s0, f0 = draw(values), draw(values), draw(values)
+    span_outer = draw(values.filter(lambda v: v != 0.0))   # 2h, never 0
+    # a zero span is the subnormal step's, which keeps ieee_div
+    span = draw(st.one_of(values, st.just(0.0)))
+    flows = draw(st.lists(vectors(2, values), min_size=nsub * n_steps,
+                          max_size=nsub * n_steps))
+    us = draw(vectors(nsub * n_steps, values))
+    for plain in {False, span != 0.0}:
+        energy, ref_energy = Recorder(flows), Recorder(flows)
+        control, ref_control = Recorder(us), Recorder(us)
+        residuals = power_residuals(nsub, uses_u, q if uses_u and gd else 0,
+                                    plain)(energy, control, h, span,
+                                           span_outer, s0, f0)
+        got = [residuals(*step) for step in steps]
+        want = ref_residuals(ref_energy, ref_control, steps, h, nsub, uses_u,
+                             gd, span, span_outer, s0, f0)
+        assert same_bytes(got, want)
+        for rec, ref in ((energy, ref_energy), (control, ref_control)):
+            assert len(rec.calls) == len(ref.calls)
+            assert same_bytes(rec.floats(), ref.floats())
+        assert len(control.calls) == (nsub * n_steps if uses_u else 0)
+
+
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), values=value_kinds)
+def test_dist_k_is_the_norm_of_the_difference(data, n, values):
+    # run's former param_dist: sqrt(dot(sub(a, b), sub(a, b)))
+    a, b = data.draw(vectors(n, values)), data.draw(vectors(n, values))
+    d = sub(n)(a, b)
+    assert same_bytes([dist_k(n)(a, b)], [math.sqrt(dot(d, d))])
+
+
+@kernel_examples
+@given(data=st.data(), sizes=st.lists(st.integers(0, 4), min_size=1,
+                                      max_size=3), values=value_kinds)
+def test_finite_k_is_all_finite_over_each_argument(data, sizes, values):
+    # World.check_finite's all(map(math.isfinite, part)) over each part
+    parts = [data.draw(vectors(n, values)) for n in sizes]
+    assert finite_k(*sizes)(*parts) is \
+        all(all(map(math.isfinite, part)) for part in parts)
+    assert finite_k(0, 2)(None, [1.0, math.inf]) is False
+
+
+class _Est:
+    """An estimator's trace-row reads: Theta, phi and mix()."""
+
+    def __init__(self, theta, phi, delta):
+        self.Theta, self.phi, self.delta, self.mixes = theta, phi, delta, 0
+
+    def mix(self):
+        self.mixes += 1
+        return self.delta, ()
+
+
+@pytest.mark.parametrize("gd, w", [(True, 0), (False, 0), (False, 2),
+                                   (False, 3)])
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), n_p=st.integers(1, 2),
+       q=st.integers(1, 3), p=st.integers(1, 3), values=value_kinds)
+def test_trace_row_matches_the_row_it_replaces(gd, w, data, n, n_p, q, p,
+                                               values):
+    draw = data.draw
+    t, mineig, res, u, delta = (draw(values) for _ in range(5))
+    x, th, yp = (draw(vectors(k, values)) for k in (n, q, n_p))
+    est = _Est(draw(vectors(w, values)), draw(square(p, values)), delta)
+    control, ports = Recorder([u]), Recorder([((u,), tuple(yp))])
+    got = trace_row(n, n_p, q, w, gd)(control, ports, est, cofactors(p, False))(
+        t, x, th, mineig, res)
+    # run's former emit_row
+    want = [t, *x, u, *yp, *th] + est.Theta
+    want += [delta, determinant(est.phi)] if gd else [0.0, 1.0]
+    want += [mineig, res]
+    assert type(got) is tuple and same_bytes(got, want)
+    assert control.calls == [(x, th, t)] and ports.calls == [(x, u, t)]
+    assert est.mixes == gd
 
 
 # -- the 2x2 minimum eigenvalue in LAPACK's operations, against eigvalsh ------

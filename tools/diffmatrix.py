@@ -19,7 +19,10 @@ without sub-steps or decimation, the circuit's slow start x0 = (0.64,
 0.27), theta_hat0 = (0.12, 0.05), and a 0.5 s ph gplusd_pbep run at
 decimation 1 with gamma_g 150 and gamma 75), a substeps axis (circuit
 gplusd_pbep at 1, 2, 3, 5 and 8 plant substeps and gradient_std at 2 and
-5, each 1 s at decimation 1), plus the pinned aborts of the test suite.
+5, each 1 s at decimation 1; ph gplusd_pbep and gradient_pbep_overparam
+at 2 and 3, each 1 s at decimation 7), a gains axis (each scenario and
+estimator at gamma_g = gamma = 1e4 over 5 s), the subnormal step h =
+5e-324 on each scenario, plus the pinned aborts of the test suite.
 Three command-line cases run `pbident` through `cli.main` (`run` on each
 default scenario at t_end = 1.0, and a 2 x 2 ph `sweep` at t_end = 0.05)
 and compare the exit code and the bytes of every file it writes
@@ -87,13 +90,35 @@ EXTRA_CASES = [
 # (id, scenario, SimConfig settings) of the substeps axis: the plant's RK4
 # substeps are unrolled per count, and the count picks the filter stage's
 # midpoint state (Hermite at 1, a sub-grid state when even, the average of
-# two when odd)
+# two when odd).  On ph, whose storage residual reads the control, the
+# sub-grid control interpolates the correction flow's estimate
+# (gplusd_pbep) or holds the step-start one (gradient_pbep_overparam),
+# and decimation 7 leaves a trailing row, as 7 does not divide 1000 steps
 SUBSTEP_CASES = [
     (f"substeps/circuit-{est}-{nsub}", "circuit",
      {"estimator": est, "substeps": nsub, "decimation": 1, "t_end": 1.0})
     for est, counts in (("gplusd_pbep", (1, 2, 3, 5, 8)),
                         ("gradient_std", (2, 5)))
     for nsub in counts
+] + [
+    (f"substeps/ph-{est}-{nsub}-decimation7", "ph",
+     {"estimator": est, "substeps": nsub, "decimation": 7, "t_end": 1.0})
+    for est in ("gplusd_pbep", "gradient_pbep_overparam") for nsub in (2, 3)
+]
+
+
+# (id, scenario, SimConfig settings) of the gains axis, gamma_g = gamma =
+# 1e4 for each scenario and estimator, and of the subnormal step, whose
+# sub-grid span h / substeps underflows to 0, so that its storage residual
+# divides through ieee_div
+GAIN_CASES = [
+    (f"gains/{name}-{est}-1e4", name,
+     {"estimator": est, "gamma_g": 1e4, "gamma": 1e4, "t_end": 5.0})
+    for name in ("circuit", "ph") for est in ESTIMATORS
+] + [
+    (f"extra/{name}-subnormal-h", name,
+     {"h": 5e-324, "t_end": 1e-323, "substeps": 4})
+    for name in ("circuit", "ph")
 ]
 
 
@@ -114,7 +139,8 @@ def matrix_cases() -> list:
               {"estimator": est, "controller": ctl, "t_end": 5.0})
              for name in ("circuit", "ph")
              for est in ESTIMATORS for ctl in CONTROLLERS]
-    return cases + EXTRA_CASES + SUBSTEP_CASES + PINNED_ABORTS + CLI_CASES
+    return (cases + EXTRA_CASES + SUBSTEP_CASES + GAIN_CASES + PINNED_ABORTS
+            + CLI_CASES)
 
 
 # -- the worker: runs in a subprocess, imports the checkout's pbident --------
