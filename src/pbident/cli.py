@@ -95,39 +95,24 @@ def _scenario_params(scenario: str) -> dict:
             inspect.signature(SCENARIO_BUILDERS[scenario]).parameters.values()}
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
+# a field type -> (parser, what its errors say a value should be)
+_PARSERS = {float: (float, "a number"), int: (int, "an integer"),
+            Optional[int]: (int, "an integer"),
+            Optional[tuple]: (lambda raw: tuple(map(float, raw.split(","))),
+                              "comma-separated numbers")}
+
+
+def _parse_value(raw: str, key: str, line: int, hint=float):
+    """A value from its text, by the type of its field (a scenario
+    parameter is a float); enums stay text, which SimConfig matches, as it
+    checks every value itself."""
+    if hint not in _PARSERS:
+        return raw
+    parse, expects = _PARSERS[hint]
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {raw!r}", line) from None
-
-
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {raw!r}", line) from None
-
-
-def _parse_vector(raw: str, key: str, line: int) -> tuple:
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{key} expects comma-separated numbers, got {raw!r}", line) from None
-
-
-def _parse_setting(raw: str, key: str, line: int):
-    """A field value from its text, by the field's type; SimConfig checks
-    the value itself."""
-    hint = _HINTS[_SETTINGS[key]]
-    if hint is float:
-        return _parse_float(raw, key, line)
-    if hint in (int, Optional[int]):
-        return _parse_int(raw, key, line)
-    if hint == Optional[tuple]:
-        return _parse_vector(raw, key, line)
-    return raw                    # enums are matched by SimConfig
+        raise ConfigError(f"{key} expects {expects}, got {raw!r}", line) from None
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -172,9 +157,10 @@ def parse_config(text: str) -> ScenarioConfig:
     settings = {}
     for key, (raw, line) in entries.items():
         if key in params:
-            params[key] = _parse_float(raw, key, line)
+            params[key] = _parse_value(raw, key, line)
         else:
-            settings[_SETTINGS[key]] = _parse_setting(raw, key, line)
+            name = _SETTINGS[key]
+            settings[name] = _parse_value(raw, key, line, _HINTS[name])
 
     try:
         cfg = ScenarioConfig(scenario=scenario, params=params, **settings)
@@ -332,22 +318,16 @@ def check_command(cfg: ScenarioConfig, box=None, samples: int = 10000,
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    import numpy as np
-    q = scen.plant.param_map.q
-    if box is None:
-        box = np.tile([0.1, 10.0], (q, 1))
-    else:
-        box = np.asarray(box, dtype=float)
-        if box.shape == (1, 2):
-            box = np.tile(box, (q, 1))
     try:
-        rep = check_monotonicity(scen.plant.param_map, box, n_samples=samples,
+        rep = check_monotonicity(scen.plant.param_map,
+                                 [0.1, 10.0] if box is None else box,
+                                 n_samples=samples,
                                  seed=cfg.seed if seed is None else seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    for i in range(q):
-        print(f"box_theta{i + 1} = [{rep.box[i, 0]}, {rep.box[i, 1]}]")
+    for i, (lo, hi) in enumerate(rep.box, 1):
+        print(f"box_theta{i} = [{lo}, {hi}]")
     print(f"samples = {rep.sample_count}")
     print(f"seed = {rep.seed}")
     print(f"rho_jacobian = {rep.rho_jacobian:.12g}")

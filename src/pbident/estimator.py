@@ -34,15 +34,14 @@ lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`), each
 interlaced half update another (`half_update`) next to math.expm1, and
 the gradient flow runs on kernels too; the first step's sample check and
 P T (a left-to-right float product) run on floats, so no update calls
-numpy.  numpy is imported only by `GradientEstimator.rate` and
-`check_monotonicity`, whose samples come from numpy's generator.  Every
-dot product (|Omega|^2, Omega' theta_g, Omega' Phi, Phi theta_g0,
-adj(I - Phi) r) sums from 0.0 left to right, as `smallmat.dot` does, so
-the numbers depend on IEEE arithmetic and the C library's expm1 only, not
-on the BLAS build, whose small dot products use fused multiply-adds or a
-blocked order that differs between CPU kernels; a divergent run at
-extreme gains is chaotic enough that a one-ulp change moves the step at
-which it aborts.
+numpy.  numpy is imported only by `check_monotonicity`, whose samples
+come from numpy's generator.  Every dot product (|Omega|^2, Omega'
+theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to
+right, as `smallmat.dot` does, so the numbers depend on IEEE arithmetic
+and the C library's expm1 only, not on the BLAS build, whose small dot
+products use fused multiply-adds or a blocked order that differs between
+CPU kernels; a divergent run at extreme gains is chaotic enough that a
+one-ulp change moves the step at which it aborts.
 
 The gradient flow on a (p, n) matrix regressor reads the regressor as
 its n_w rows of n floats.  Its frozen-regressor map acts only on
@@ -70,9 +69,9 @@ from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
 from .smallmat import (all_finite, axpy, determinant, dot, dot_k,
-                       flat_floats, half_update, min_eig_symmetric, mix_pair,
-                       residual_gram, scaled_mtv, scaled_mv, symmetric_eigen,
-                       v_minus_mg, v_plus_mg)
+                       flat_floats, float_rows, half_update, min_eig_symmetric,
+                       mix_pair, residual_gram, scaled_mtv, scaled_mv,
+                       symmetric_eigen, v_minus_mg, v_plus_mg)
 
 
 def _check_sample(sample: RegressorSample, p: int,
@@ -234,17 +233,20 @@ class GradientEstimator:
         self._axpy = axpy(self.n_w)
         self._dot = dot_k(self.n_w)
 
-    def rate(self, sample: RegressorSample):
-        """Literal flow gamma * Omega * (Y - Omega' Theta_hat), an ndarray.
-        No code in the package calls it (`propagate` takes the exact map);
-        it stays because the benchmark's tracer wraps it by name."""
-        import numpy as np
-        matrix = _check_sample(sample, self.n_w)
-        om = np.asarray(sample.Omega, dtype=float)
-        theta = np.asarray(self.Theta)
-        if not matrix:
-            return self.gamma * om * (float(sample.Y) - float(om @ theta))
-        return self.gamma * (om @ (np.asarray(sample.Y) - om.T @ theta))
+    def rate(self, sample: RegressorSample) -> list:
+        """Literal flow gamma * Omega * (Y - Omega' Theta_hat), as a list,
+        its sums left to right as `dot` adds.  No code in the package calls
+        it (`propagate` takes the exact map); it stays because the
+        benchmark's tracer wraps it by name."""
+        g, theta = self.gamma, self.Theta
+        if not _check_sample(sample, self.n_w):
+            om = flat_floats(sample.Omega)
+            e = float(sample.Y) - dot(om, theta)
+            return [g * o * e for o in om]
+        om = float_rows(sample.Omega)
+        r = [y - dot(col, theta)
+             for y, col in zip(flat_floats(sample.Y), zip(*om))]
+        return [g * dot(row, r) for row in om]
 
     def _half_update(self, sample: RegressorSample, tau: float):
         om = sample.Omega
@@ -307,14 +309,17 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
     sym(P T J_G(theta)); rho_secant the sampled infimum of the secant
     ratio (a-b)' P [W(a) - W(b)] / |a-b|^2 over random pairs.  A positive
     Jacobian bound implies the secant bound on a convex box, so
-    rho_secant >= rho_jacobian up to sampling slack.
+    rho_secant >= rho_jacobian up to sampling slack.  `box` is a finite
+    [lo, hi] per component of theta, or one, (2,) or (1, 2), for all.
     """
     import numpy as np
     box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
+    if box.ndim == 1 or box.shape == (1, 2):   # one [lo, hi] for every theta
         box = np.tile(box, (param_map.q, 1))
     if box.shape != (param_map.q, 2):
         raise ValueError(f"box has shape {box.shape}, expected ({param_map.q}, 2)")
+    if not np.isfinite(box).all():
+        raise ValueError(f"box bounds must be finite, got {box.tolist()}")
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must have positive volume in every coordinate")
     if n_samples < 2:
@@ -324,20 +329,23 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
     pm = param_map
     pmat, tmat = np.array(pm.P), np.array(pm.T)
 
-    rho_j = np.inf
-    for theta in lo + span * rng.random((n_samples, pm.q)):
-        jw = pmat @ (tmat @ np.asarray(pm.jacobian_G(theta), dtype=float))
-        rho_j = min(rho_j, min_eig_symmetric(0.5 * (jw + jw.T)))
+    # a finite box can still overflow G or its Jacobian; min_eig_symmetric
+    # then refuses the sample, with no numpy warning before it
+    with np.errstate(all="ignore"):
+        rho_j = np.inf
+        for theta in lo + span * rng.random((n_samples, pm.q)):
+            jw = pmat @ (tmat @ np.asarray(pm.jacobian_G(theta), dtype=float))
+            rho_j = min(rho_j, min_eig_symmetric(0.5 * (jw + jw.T)))
 
-    rho_s = np.inf
-    pairs = lo + span * rng.random((n_samples, 2, pm.q))
-    for a, b in pairs:
-        d = a - b
-        n2 = float(d @ d)
-        if n2 < 1e-20:
-            continue
-        w_diff = np.subtract(pm.W(a), pm.W(b))
-        rho_s = min(rho_s, float(d @ pmat @ w_diff) / n2)
+        rho_s = np.inf
+        pairs = lo + span * rng.random((n_samples, 2, pm.q))
+        for a, b in pairs:
+            d = a - b
+            n2 = float(d @ d)
+            if n2 < 1e-20:
+                continue
+            w_diff = np.subtract(pm.W(a), pm.W(b))
+            rho_s = min(rho_s, float(d @ pmat @ w_diff) / n2)
 
     return MonotonicityReport(rho_jacobian=float(rho_j), rho_secant=float(rho_s),
                               sample_count=int(n_samples), box=box, seed=int(seed))

@@ -29,16 +29,16 @@ in the assembled outputs.
 
 Samples are produced at every integrator step and consumed synchronously
 by the estimators.  The generators expose their filter bank `bank`, the
-channel `inputs` at a plant sample and `sample_from` those inputs; the
-simulator owns all time stepping.  Channel inputs, filter states (the
-bank's `state`) and samples are Python floats: a power-balance sample
-carries a float Y and a p-tuple Omega, a state-equation sample an n-tuple
-Y and Omega as n_w rows of n floats, which the matrix estimator reads as
-they are.  A power-balance sample is one smallmat kernel (`pbep_sample`)
-over the channel layout.  The state-equation generator adds the declared
-phi_g terms to the rows of its input matrix with `axpy` and splits the
-channel outputs into Y and Omega with `sub_at` and `block_columns`.  All
-are bound to the generator's lengths when it is built.
+channel `inputs(x, u_p, y_p)` at a plant sample and `sample_from` those
+inputs; the simulator owns all time stepping.  Channel inputs, filter
+states (the bank's `state`) and samples are Python floats: a power-balance
+sample carries a float Y and a p-tuple Omega, a state-equation sample an
+n-tuple Y and Omega as n_w rows of n floats, which the matrix estimator
+reads as they are.  A power-balance sample is one smallmat kernel
+(`pbep_sample`) over the channel layout.  The state-equation generator
+adds the declared phi_g terms to the rows of its input matrix with `axpy`
+and splits the channel outputs into Y and Omega with `sub_at` and
+`block_columns`.  All are bound to the generator's lengths when it is built.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class StdLreGenerator:
         if self._has_b:
             modes += [ChannelMode.PLAIN] * n
         modes += [ChannelMode.PLAIN] * (n * std.n_w)
-        self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0))
+        self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0, None))
 
     @property
     def n_channels(self) -> int:
@@ -281,7 +281,9 @@ class StdLreGenerator:
                         b[i] += u * entry(x)
         return b
 
-    def inputs(self, x, u_p) -> list:
+    def inputs(self, x, u_p, y_p) -> list:
+        """Channel inputs at a plant sample; y_p, which the state equations
+        do not read, keeps the power-balance generator's signature."""
         out = list(x)
         if self._has_b:
             out.extend(self._b_vector(x, u_p))

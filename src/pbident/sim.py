@@ -460,9 +460,7 @@ class World:
         """Generator channel inputs at (x, t) under the current estimate."""
         u = self.control(x, theta_hat, t)
         up, yp = self.scenario.ports(x, u, t)
-        if isinstance(self.generator, PbepGenerator):
-            return self.generator.inputs(x, up, yp)
-        return self.generator.inputs(x, up)
+        return self.generator.inputs(x, up, yp)
 
     def check_finite(self):
         state = self.generator.bank.state if self.generator is not None else ()

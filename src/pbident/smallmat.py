@@ -4,56 +4,52 @@ Everything here targets tiny matrices (dimension <= ~8).  The adjugate is
 computed by cofactor expansion because the identity adj(M) @ M = det(M) * I
 must hold even when M is singular -- the mixing step of the interlaced
 estimator evaluates it at det = 0 every run (the extension matrix starts at
-the identity).  Inverse-based shortcuts break exactly there.
+the identity).  Inverse-based shortcuts break exactly there.  The matrix
+functions read nested sequences or 2-D arrays and return floats and nested
+lists of floats at every size; above 3x3 `determinant` is a partial-pivot
+elimination on floats, and `adjugate` takes its signed minors.
 
-For the simulator's step on Python floats, `dot` is a left-to-right
-reduction, `determinant`/`adjugate` take up to 3x3 nested lists of floats
-directly, and `ieee_div`/`ieee_pow` give numpy's inf/nan where Python
-float arithmetic would raise (`ieee_pow` serves only the circuit's
-non-integer power theta1 ** alpha; squares are written x * x).
+For the simulator's step, `dot` is a left-to-right reduction, and
+`ieee_div`/`ieee_pow` give numpy's inf/nan where Python float arithmetic
+would raise (`ieee_pow` serves only the circuit's non-integer power
+theta1 ** alpha; squares are written x * x).
 
 The step's arithmetic runs in kernels unrolled to the run's lengths: a
 factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
 [x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled from a template on
-the first call with those lengths and cached (`_kernel`); the sources come
-only from the templates here and integer lengths.  Each stage of
-`sim.step` is one kernel (`plant_rk4`, `correction_rk4`, `lag_rk4`,
-`pbep_sample`, `mix_pair`, `half_update`), and so is each piece of
-`sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
+the first call with those lengths and cached (`_kernel`) under a file name
+such as `<smallmat axpy(2)>`, whose source linecache holds for tracebacks.
+Each stage of `sim.step` is one kernel (`plant_rk4`, `correction_rk4`,
+`lag_rk4`, `pbep_sample`, `mix_pair`, `half_update`), and so is each piece
+of `sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
 stages cost several times the arithmetic on 2- and 3-element states.  A
 kernel keeps the operation order of the expressions it fuses, which its
-docstring gives (`lag_rk4` inlines `lag_rate`, `lag_rate_at` and
-`rk4_sum` through `body`): sums of products start from 0.0 and go left
-to right, as `dot` does, and the cofactor forms are those of
-`_COFACTORS`, so results are bit-identical to the unfused expressions
-and independent of the BLAS build.  A kernel reads exactly the
-components of its lengths (IndexError on a shorter argument, the rest of
-a longer one ignored), so callers bind kernels to lengths they checked.
+docstring gives: sums of products start from 0.0 and go left to right, as
+`dot` does, and the cofactor forms are those of `_COFACTORS`, so results
+are bit-identical to the unfused expressions and independent of the BLAS
+build.  A kernel reads exactly the components of its lengths (IndexError
+on a shorter argument, the rest of a longer one ignored), so callers bind
+kernels to lengths they checked.
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
-Jacobi rotation on Python floats, nested lists in and out) and with
-numpy's eigh above.  `min_eig_symmetric` checks and symmetrizes on floats.
-A 1x1 matrix is its own eigenvalue, as dsyevd returns it.  On a 2x2
-matrix it takes, on Python floats, the operations that numpy's eigvalsh
-runs in LAPACK (dsyevd, dsytd2, dsterf, dlae2, dlasrt), so its result is
-bit-identical to eigvalsh's without the cost of the call; a 2x2 matrix
-that dsyevd or dsterf would rescale, and any larger one, goes to eigvalsh
-itself.  The excitation monitor hands over its Gram as nested float rows,
-so ph's 2x2 Gram eigenvalue is a trace column that depends on no BLAS
-build; the circuit's 3x3 one still comes from LAPACK.
-
-numpy is imported only inside the functions that hand a matrix to it:
-eigvalsh and eigh above 2x2, the determinant and adjugate above 3x3 or of
-an array, and the inf/nan fallbacks of `ieee_div` and `ieee_pow`.
-`flat_floats`, `float_rows` and `all_finite` read scalars, nested
-sequences and arrays on floats, as np.ravel, np.asarray and np.isfinite
-would.
+Jacobi rotation on Python floats) and with numpy's eigh above.
+`min_eig_symmetric` checks and symmetrizes on floats.  A 1x1 matrix is
+its own eigenvalue, as dsyevd returns it.  On a 2x2 matrix it takes, on
+Python floats, the operations that numpy's eigvalsh runs in LAPACK
+(dsyevd, dsytd2, dsterf, dlae2, dlasrt), so its result is bit-identical
+to eigvalsh's without the cost of the call; a 2x2 matrix that dsyevd or
+dsterf would rescale, and any larger one, goes to eigvalsh itself.  The
+excitation monitor hands over its Gram as nested float rows, so ph's 2x2
+Gram eigenvalue depends on no BLAS build; the circuit's 3x3 one still
+comes from LAPACK.  These two and the inf/nan fallbacks of `ieee_div` and
+`ieee_pow` are the only places that import numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 
 
@@ -111,25 +107,29 @@ def _kernel(source):
     """Turn `source`, lengths -> (params, body), into a kernel factory:
     lengths -> the function of `params` that returns `body`, an
     expression, or runs `body`, a list of statement lines; compiled on the
-    first call with those lengths and cached.  `factory.body(*lengths)` is
-    the expression, for a stage kernel to inline under the same names (a
-    local per parameter, bound before the expression).
+    first call with those lengths and cached.
 
     Sources come only from the templates below and integer lengths; a
     kernel sees abs, enumerate, isfinite, sqrt and `ieee_div` as builtins.
+    Its file name, `<smallmat name(lengths)>`, keys its source in
+    linecache for tracebacks.
     """
+    name = source.__name__
+
     @functools.cache
     @functools.wraps(source)
     def factory(*lengths):
         params, body = source(*lengths)
         lines = [f"return {body}"] if isinstance(body, str) else body
+        text = "\n    ".join([f"def {name}({params}):", *lines]) + "\n"
+        filename = f"<smallmat {name}({', '.join(map(repr, lengths))})>"
+        linecache.cache[filename] = (len(text), None,
+                                     text.splitlines(True), filename)
         scope = {"__builtins__": {}, "abs": abs, "enumerate": enumerate,
                  "isfinite": math.isfinite, "sqrt": math.sqrt,
                  "ieee_div": ieee_div}
-        exec("\n    ".join([f"def {source.__name__}({params}):", *lines]),
-             scope)
-        return scope[source.__name__]
-    factory.body = lambda *lengths: source(*lengths)[1]
+        exec(compile(text, filename, "exec"), scope)
+        return scope[name]
     return factory
 
 
@@ -148,12 +148,6 @@ def axpy(n: int):
 
 
 @_kernel
-def sub(n: int):
-    """f(x, y) = x - y on length-n sequences, as a list."""
-    return "x, y", _list(f"x[{i}] - y[{i}]" for i in range(n))
-
-
-@_kernel
 def sub_at(n: int, k: int):
     """f(v) = v[:n] - v[k:k + n], as a tuple."""
     return "v", _tuple(f"v[{i}] - v[{k + i}]" for i in range(n))
@@ -165,15 +159,6 @@ def block_columns(k: int, m: int, n: int):
     v[k], as a tuple of lists."""
     return "v", _tuple(_list(f"v[{k + i * n + j}]" for i in range(m))
                        for j in range(n))
-
-
-@_kernel
-def rk4_sum(n: int):
-    """f(x, s, k1, k2, k3, k4) = x + s*(k1 + 2.0*k2 + 2.0*k3 + k4), the
-    combine of a classical RK4 step, on length-n sequences."""
-    return "x, s, k1, k2, k3, k4", _list(
-        f"x[{i}] + s * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}])"
-        for i in range(n))
 
 
 def _sum_of(products) -> str:
@@ -237,20 +222,6 @@ def scaled_mtv(n: int):
     return "c, M, v", _list(
         f"c[{k}] * ({_sum_of(f'M[{i}][{k}] * v[{i}]' for i in range(n))})"
         for k in range(n))
-
-
-@_kernel
-def lag_rate(n: int):
-    """f(lam, u, z) = lam*(u - z), the rate of n first-order lags."""
-    return "lam, u, z", _list(f"lam * (u[{i}] - z[{i}])" for i in range(n))
-
-
-@_kernel
-def lag_rate_at(n: int):
-    """f(lam, u, z, s, c) = lam*(u - (z + s*c)), the lag rate at the
-    state z + s*c."""
-    return "lam, u, z, s, c", _list(f"lam * (u[{i}] - (z[{i}] + s * c[{i}]))"
-                                    for i in range(n))
 
 
 @_kernel
@@ -360,13 +331,21 @@ def correction_rk4(q: int, p: int):
 def lag_rk4(n: int):
     """f(lam, u0, um, u1, z, h) = one classical RK4 step of size h of n
     first-order lags z' = lam*(u - z) driven by the inputs u0, um and u1
-    at the step's start, midpoint and end, as a list: stages `lag_rate`
-    and `lag_rate_at`, combine `rk4_sum` with s = h/6.0."""
-    rate, at, combine = (k.body(n) for k in (lag_rate, lag_rate_at, rk4_sum))
+    at the step's start, midpoint and end, as a list: stage rates k1 =
+    lam*(u0 - z), then lam*(u - (z + s*c)) at the previous rate c with (u,
+    s) = (um, 0.5*h), (um, 0.5*h) and (u1, h); combine z + (h/6.0)*(k1 +
+    2.0*k2 + 2.0*k3 + k4)."""
+    idx = range(n)
+
+    def rate_at(u, s):
+        return _list(f"lam * ({u}[{i}] - (z[{i}] + {s} * c[{i}]))" for i in idx)
     return "lam, u0, um, u1, z, h", [
-        "u = u0", f"k1 = c = {rate}", "u, s = um, 0.5 * h", f"k2 = c = {at}",
-        f"k3 = c = {at}", "u, s = u1, h", f"k4 = {at}", "x, s = z, h / 6.0",
-        f"return {combine}"]
+        "half = 0.5 * h",
+        "k1 = c = " + _list(f"lam * (u0[{i}] - z[{i}])" for i in idx),
+        f"k2 = c = {rate_at('um', 'half')}", f"k3 = c = {rate_at('um', 'half')}",
+        f"k4 = {rate_at('u1', 'h')}", "s = h / 6.0",
+        "return " + _list(f"z[{i}] + s * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * "
+                          f"k3[{i}] + k4[{i}])" for i in idx)]
 
 
 @_kernel
@@ -514,13 +493,14 @@ def ieee_pow(a: float, b: float) -> float:
             return float(np.power(np.float64(a), b))
 
 
-def _as_square(m):
-    """m as a square float ndarray."""
-    import numpy as np
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def _square_rows(m) -> list:
+    """m as n fresh rows of n floats (`float_rows`); ValueError if it is
+    not square."""
+    rows = float_rows(m)
+    if len(rows) != len(rows[0]):
+        raise ValueError(f"expected a square matrix, got {len(rows)} rows "
+                         f"of {len(rows[0])}")
+    return rows
 
 
 # the cofactor determinant and adjugate of a 1x1 to 3x3 matrix of entries
@@ -550,48 +530,46 @@ def cofactors(n: int, adj: bool):
 
 
 def determinant(m) -> float:
-    """Determinant; exact cofactor formulas up to 3x3, pivoted elimination above."""
-    if type(m) is list and 0 < len(m) <= 3:
-        return cofactors(len(m), False)(m)
-    a = _as_square(m)
-    n = a.shape[0]
+    """Determinant: the cofactor forms up to 3x3; above, an elimination
+    whose pivot is its column's first largest |entry| (or first nan, as
+    np.argmax picks), 0.0 at a zero pivot, rows a_ij - (a_ik/a_kk) a_kj."""
+    a = m if type(m) is list and 0 < len(m) <= 3 else _square_rows(m)
+    n = len(a)
     if n <= 3:
-        return cofactors(n, False)(a.tolist())
-    import numpy as np
-    a = a.copy()
+        return cofactors(n, False)(a)
     det = 1.0
     for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
+        col = [abs(r[k]) for r in a[k:]]
+        nans = [i for i, v in enumerate(col) if v != v]
+        piv = k + (nans[0] if nans else col.index(max(col)))
+        if a[piv][k] == 0.0:
             return 0.0
         if piv != k:
-            a[[k, piv]] = a[[piv, k]]
+            a[k], a[piv] = a[piv], a[k]
             det = -det
-        det *= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
-    return float(det * a[n - 1, n - 1])
+        top = a[k]
+        det *= top[k]
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n):
+                row[j] -= f * top[j]
+    return det * a[n - 1][n - 1]
 
 
-def adjugate(m):
-    """Transpose of the cofactor matrix; adj(M) @ M = det(M) * I for any M.
-
-    A nested list of up to 3x3 gives a nested list, any other input an
-    ndarray.
-    """
-    if type(m) is list and 0 < len(m) <= 3:
-        return cofactors(len(m), True)(m)
-    import numpy as np
-    a = _as_square(m)
-    n = a.shape[0]
+def adjugate(m) -> list:
+    """Transpose of the cofactor matrix, as nested lists; adj(M) @ M =
+    det(M) * I for any M.  Above 3x3, entry (j, i) is (-1)^(i+j) times the
+    determinant of M without row i and column j."""
+    a = m if type(m) is list and 0 < len(m) <= 3 else _square_rows(m)
+    n = len(a)
     if n <= 3:
-        return np.array(cofactors(n, True)(a.tolist()))
-    out = np.empty((n, n))
-    rows = np.arange(n)
+        return cofactors(n, True)(a)
+    out = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        ri = rows[rows != i]
+        rows = a[:i] + a[i + 1:]
         for j in range(n):
-            minor = a[np.ix_(ri, rows[rows != j])]
-            out[j, i] = (-1.0) ** (i + j) * determinant(minor)
+            minor = [r[:j] + r[j + 1:] for r in rows]
+            out[j][i] = (-1.0) ** (i + j) * determinant(minor)
     return out
 
 
@@ -632,32 +610,34 @@ def _eigen_closed(r) -> tuple[list, list]:
     return [hi, lo], [[s, c], [c, -s]]
 
 
-def symmetric_eigen(m):
-    """Eigenvalues and eigenvectors of the symmetrized matrix (M + M')/2.
+def _symmetrized(rows) -> list:
+    """(M + M')/2 of square rows of floats, entry by entry."""
+    return [[0.5 * (a + b) for a, b in zip(row, col)]
+            for row, col in zip(rows, zip(*rows))]
 
-    Returns (w, V) with m ~ V @ diag(w) @ V.T, eigenvalues ascending: lists
-    (V as a nested list of rows) for a nested-list input, ndarrays for any
-    other.  Up to 2x2 the decomposition is closed-form (one Jacobi
-    rotation), above it numpy's eigh.  A non-finite matrix, or one on
-    which eigh does not converge, gives all-nan w and V instead of raising.
+
+def symmetric_eigen(m) -> tuple[list, list]:
+    """Eigenvalues and eigenvectors of the symmetrized matrix (M + M')/2,
+    as lists (w, V), V nested rows, m ~ V @ diag(w) @ V.T, w ascending.
+
+    Up to 2x2 the decomposition is closed-form (one Jacobi rotation),
+    above it numpy's eigh.  A non-finite matrix, or one on which eigh does
+    not converge, gives all-nan w and V instead of raising.
     """
     if type(m) is list and 0 < len(m) <= 2:
         return _eigen_closed(m)
-    import numpy as np
-    a = _as_square(m)
-    n = a.shape[0]
+    r = _square_rows(m)
+    n = len(r)
     if n <= 2:
-        w, v = _eigen_closed(a.tolist())
-        return np.array(w), np.array(v)
-    w = v = None
-    if np.isfinite(a).all():
+        return _eigen_closed(r)
+    if all_finite(r):
+        import numpy as np
         try:
-            w, v = np.linalg.eigh(0.5 * (a + a.T))
+            w, v = np.linalg.eigh(_symmetrized(r))
+            return w.tolist(), v.tolist()
         except np.linalg.LinAlgError:
             pass
-    if w is None:
-        w, v = np.full(n, np.nan), np.full((n, n), np.nan)
-    return (w.tolist(), v.tolist()) if type(m) is list else (w, v)
+    return [math.nan] * n, [[math.nan] * n for _ in range(n)]
 
 
 # LAPACK's machine constants (DLAMCH) in the routines eigvalsh runs: dsterf's
@@ -733,8 +713,8 @@ def min_eig_symmetric(m) -> float:
     """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2),
     bit-identical to numpy's eigvalsh of the symmetrized matrix.
 
-    A square nested list is taken as it is, anything else is read as a
-    square array first; the matrix is checked and symmetrized on floats,
+    A square nested list is taken as it is, anything else is read as
+    square float rows first; the matrix is checked and symmetrized on floats,
     and non-finite entries raise ValueError.  A 1x1 matrix gives its
     symmetrized entry, which dsyevd returns before any scaling.  A 2x2
     matrix whose largest symmetrized |entry| is 0 or lies in [2**-405,
@@ -743,7 +723,7 @@ def min_eig_symmetric(m) -> float:
     such a 2x2 matrix first.
     """
     if not _is_square_list(m):
-        m = _as_square(m).tolist()
+        m = _square_rows(m)
     n = len(m)
     if n == 1:
         ((a,),) = m
@@ -763,7 +743,6 @@ def min_eig_symmetric(m) -> float:
     else:
         if not all(math.isfinite(v) for r in m for v in r):
             raise ValueError("matrix entries must be finite")
-        sym = [[0.5 * (a + b) for a, b in zip(r, c)]
-               for r, c in zip(m, zip(*m))]
+        sym = _symmetrized(m)
     import numpy as np
     return float(np.linalg.eigvalsh(sym)[0])

@@ -168,6 +168,43 @@ def cofactor_adj(r):
     ]
 
 
+def numpy_determinant(m) -> float:
+    """The determinant as smallmat computed it on arrays: the cofactor form
+    up to 3x3, above it a partial-pivot elimination in numpy, the oracle
+    of the float elimination."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    if n <= 3:
+        return cofactor_det(a.tolist())
+    det = 1.0
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            piv = k + int(np.argmax(np.abs(a[k:, k])))
+            if a[piv, k] == 0.0:
+                return 0.0
+            if piv != k:
+                a[[k, piv]] = a[[piv, k]]
+                det = -det
+            det *= a[k, k]
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
+        return float(det * a[n - 1, n - 1])
+
+
+def numpy_adjugate(m) -> np.ndarray:
+    """The adjugate above 3x3 as smallmat computed it on arrays, from the
+    signed minors' `numpy_determinant`."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    out = np.empty((n, n))
+    rows = np.arange(n)
+    for i in range(n):
+        ri = rows[rows != i]
+        for j in range(n):
+            minor = a[np.ix_(ri, rows[rows != j])]
+            out[j, i] = (-1.0) ** (i + j) * numpy_determinant(minor)
+    return out
+
+
 # -- test-side views of the library's stepping pieces ----------------------
 #
 # The simulator drives generators through `inputs`/`sample_from` and the

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -449,6 +450,25 @@ def test_main_check_rejects_bad_arguments(tmp_path, capsys, flags):
     assert main(["check", str(path)] + flags) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("box", ["nan,1", "0,inf", "-inf,1",
+                                 "1e308,1.7e308"])
+def test_main_check_ends_a_non_finite_box_in_one_line(tmp_path, capsys, box):
+    # a nan or inf bound is refused as the box's; the finite box overflows
+    # the circuit's Jacobian, which the sampler refuses, with no numpy
+    # warning printed before either error
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", str(path), f"--box={box}", "--samples",
+                     "50"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    if box != "1e308,1.7e308":
+        assert err[0].startswith("error: box bounds must be finite, got [[")
 
 
 @pytest.mark.parametrize("grid", ["gamma=1:2:0", "gamma=1:2:-3",

@@ -37,12 +37,16 @@ def test_diffmatrix_slice_against_this_checkout(diffmatrix):
     text = diffmatrix.format_table(table, len(cases))
     for col in ("trace:x1", "trace:delta", "report:theta_hat_final",
                 "report:abel_gap", "abort:time", "trace:overparam_hat2",
-                "cli:exit", "cli:trace.csv", "cli:report.txt", "cli:plot.gp"):
+                "cli:exit", "cli:trace.csv", "cli:report.txt", "cli:plot.gp",
+                "cli:stdout", "cli:stderr"):
         assert f"\n{col} " in text and table[col][0] == 0
     # report.txt is compared without its wall time, which no two runs share
     report = new["cli/run-ph"]["cli"]["report.txt"]
     assert "result_theta_hat_final = " in report
     assert "result_wall_seconds" not in report
+    # printed lines name the output directory as <tmp>, the same each run
+    assert new["cli/run-ph"]["cli"]["stdout"].startswith(
+        "run complete: <tmp>/out/trace.csv (")
 
 
 def test_diffmatrix_reports_each_changed_column(diffmatrix):

@@ -291,6 +291,19 @@ def test_gradient_zero_regressor():
                           np.zeros(2))
 
 
+def test_gradient_rate_is_a_list_of_floats_for_array_input():
+    est = GradientEstimator(2, gamma=3.0, Theta0=np.array([0.5, -1.0]))
+    # e = 2 - (0.5 - 4) = 5.5, so the rate is 3 * Omega * 5.5
+    got = est.rate(const_sample(0.0, np.float64(2.0), [1.0, 4.0]))
+    assert type(got) is list and got == [16.5, 66.0]
+    assert all(type(v) is float for v in got)
+    # matrix regressor: gamma * Omega (Y - Omega' Theta)
+    om, y = np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([1.0, 3.0])
+    got = est.rate(RegressorSample(t=0.0, Y=y, Omega=om))
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert got == (3.0 * (om @ (y - om.T @ np.array(est.Theta)))).tolist()
+
+
 def test_gradient_scalar_closed_form():
     # constant scalar regressor c: the error decays exactly like
     # exp(-gamma c^2 t), and the trapezoid exponential update reproduces it
@@ -614,6 +627,24 @@ def test_monotonicity_rejects_degenerate_box():
         check_monotonicity(scalar_map(), [[1.0, 1.0]], n_samples=10)
     with pytest.raises(ValueError):
         check_monotonicity(scalar_map(), [0.1, 10.0], n_samples=1)
+
+
+@pytest.mark.parametrize("box", [[np.nan, 1.0], [0.0, np.inf],
+                                 [[-np.inf, 1.0]], [[0.1, 10.0], [0.1, np.nan]]])
+def test_monotonicity_refuses_non_finite_box_bounds(box):
+    with pytest.raises(ValueError, match="^box bounds must be finite, got "):
+        check_monotonicity(vector_map(2), box, n_samples=10)
+
+
+def test_monotonicity_broadcasts_one_box_to_every_parameter():
+    reps = [check_monotonicity(vector_map(2), box, n_samples=50, seed=3)
+            for box in ([0.5, 2.0], [[0.5, 2.0]], [[0.5, 2.0], [0.5, 2.0]])]
+    for rep in reps:
+        assert rep.box.tolist() == [[0.5, 2.0], [0.5, 2.0]]
+        assert (rep.rho_jacobian, rep.rho_secant) == \
+            (reps[0].rho_jacobian, reps[0].rho_secant)
+    with pytest.raises(ValueError, match=r"box has shape \(3, 2\)"):
+        check_monotonicity(vector_map(2), [[0.5, 2.0]] * 3, n_samples=10)
 
 
 def test_monotonicity_deterministic():

@@ -145,7 +145,7 @@ def test_std_inputs_match_a_numpy_oracle(name, circuit, ph):
     for _ in range(2):
         x = tuple(rng.normal(size=plant.n).tolist())
         u_p = tuple((10.0 * rng.normal(size=plant.n_p)).tolist())
-        calls.append((gen.inputs(x, u_p), numpy_std_inputs(plant.std, x, u_p)))
+        calls.append((gen.inputs(x, u_p, None), numpy_std_inputs(plant.std, x, u_p)))
     for got, want in calls:
         assert np.array(got).tobytes() == want.tobytes()
 

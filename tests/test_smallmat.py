@@ -1,24 +1,26 @@
+import inspect
 import math
 import sys
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (NoNumpy, Recorder, cofactor_adj, cofactor_det,
-                      kernel_examples, ref_axpy, ref_rk4, same_bytes, square,
-                      value_kinds, vectors)
+from conftest import (EDGE_FLOATS, NoNumpy, Recorder, cofactor_adj,
+                      cofactor_det, floats, kernel_examples, numpy_adjugate,
+                      numpy_determinant, ordinary, ref_axpy, ref_rk4,
+                      same_bytes, square, value_kinds, vectors)
 from pbident.sim import ExcitationRecord
 from pbident.smallmat import (adjugate, axpy, block_columns, cofactors,
                               correction_rk4, determinant, dist_k, dot, dot_k,
                               finite_k, gram_trapezoid, half_update,
-                              hermite_mid, ieee_div, ieee_pow, lag_rate,
-                              lag_rate_at, lag_rk4, midpoint,
-                              min_eig_symmetric, mix_pair, outer_add,
+                              hermite_mid, ieee_div, ieee_pow, lag_rk4,
+                              midpoint, min_eig_symmetric, mix_pair, outer_add,
                               pbep_sample, plant_rk4, power_residuals,
-                              residual_gram, rk4_sum, scaled_mtv, scaled_mv,
-                              sub, sub_at, symmetric_eigen, trace_row,
-                              v_minus_mg, v_plus_mg)
+                              residual_gram, scaled_mtv, scaled_mv, sub_at,
+                              symmetric_eigen, trace_row, v_minus_mg,
+                              v_plus_mg)
 
 
 def test_determinant_examples():
@@ -115,7 +117,7 @@ def test_symmetric_eigen_reconstructs():
     for n in range(1, 9):
         m = rng.normal(size=(n, n))
         m = 0.5 * (m + m.T)
-        w, v = symmetric_eigen(m)
+        w, v = map(np.asarray, symmetric_eigen(m))
         assert np.max(np.abs(v @ np.diag(w) @ v.T - m)) <= 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
         assert np.all(np.diff(w) >= 0)
@@ -169,6 +171,44 @@ def test_closed_forms_take_nested_lists():
     assert np.array_equal(adj, adjugate(np.array(m)))
     with pytest.raises(ValueError):
         determinant([[1.0, 2.0], [3.0]])
+
+
+def test_matrix_functions_give_floats_and_lists_for_any_input(monkeypatch):
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        m = rng.normal(size=(n, n))
+        w, v = symmetric_eigen(m)
+        assert type(w) is list and all(type(x) is float for x in w)
+        assert type(v) is list and all(type(r) is list for r in v)
+        # the determinant and adjugate above 3x3 run on floats alone
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "numpy", NoNumpy())
+            adj = adjugate(m)
+            assert type(determinant(m)) is float
+        assert type(adj) is list and all(type(r) is list for r in adj)
+        assert all(type(x) is float for r in adj for x in r)
+
+
+# mostly moderate entries and some edge values, so that an elimination
+# runs through several pivots before an inf or a nan spreads
+mixed = st.one_of(ordinary, ordinary, ordinary, st.sampled_from(EDGE_FLOATS))
+
+
+@kernel_examples
+@given(data=st.data(), n=st.integers(4, 8),
+       values=st.sampled_from([floats, ordinary, mixed]))
+def test_elimination_matches_the_numpy_oracle_bit_for_bit(data, n, values):
+    # the former array code (conftest): pivots, zero pivots, row updates
+    # and signed minors in the same operations
+    m = data.draw(square(n, values))
+    zero = data.draw(st.none() | st.integers(0, n - 1))
+    if zero is not None:
+        for row in m:
+            row[zero] = 0.0
+    want = numpy_determinant(m)
+    assert same_bytes([determinant(m)], [want])
+    assert same_bytes([determinant(np.array(m))], [want])
+    assert same_bytes(adjugate(m), numpy_adjugate(m))
 
 
 # -- closed-form symmetric_eigen on 1x1 and 2x2 nested lists ------------------
@@ -248,6 +288,21 @@ def test_symmetric_eigen_larger_lists_come_back_as_lists():
 
 # -- unrolled element-wise kernels against their comprehension forms ---------
 
+def _lag_rk4_lines(n):
+    """The expression of each line lag_rk4(n) writes, by the name it
+    assigns ("return" for the combine), from the kernel's template."""
+    _, lines = inspect.unwrap(lag_rk4)(n)
+    exprs = {}
+    for line in lines:
+        name, *_, expr = line.replace("return ", "return = ", 1).split(" = ")
+        exprs[name] = expr
+    return exprs
+
+
+def _eval_line(expr, **names):
+    return eval(expr, {"__builtins__": {}, **names})
+
+
 def _draw_case(draw, kernel, n):
     """(kernel's output, its comprehension form's output) on drawn values,
     all of one kind (value_kinds)."""
@@ -260,10 +315,20 @@ def _draw_case(draw, kernel, n):
     x, y, k2, k3, k4 = (draw(vec(n)) for _ in range(5))
     if kernel == "axpy":
         return axpy(n)(x, s, y), [a + s * b for a, b in zip(x, y)]
-    if kernel == "sub":
-        return sub(n)(x, y), [a - b for a, b in zip(x, y)]
+    # lag_rk4 writes the lines of the former kernels lag_rate (its first
+    # stage), lag_rate_at (the other three) and rk4_sum (its combine)
+    if kernel == "lag_rate":
+        return _eval_line(_lag_rk4_lines(n)["k1"], lam=lam, u0=x, z=y), \
+            [lam * (u - z) for u, z in zip(x, y)]
+    if kernel == "lag_rate_at":
+        line = _lag_rk4_lines(n)
+        got = [*_eval_line(line["k2"], lam=lam, um=x, z=y, half=s, c=k2),
+               *_eval_line(line["k3"], lam=lam, um=x, z=y, half=s, c=k2),
+               *_eval_line(line["k4"], lam=lam, u1=x, z=y, h=s, c=k2)]
+        return got, 3 * [lam * (u - (z + s * c)) for u, z, c in zip(x, y, k2)]
     if kernel == "rk4_sum":
-        return rk4_sum(n)(x, s, y, k2, k3, k4), \
+        return _eval_line(_lag_rk4_lines(n)["return"], z=x, s=s, k1=y, k2=k2,
+                          k3=k3, k4=k4), \
             [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, y, k2, k3, k4)]
     if kernel == "v_minus_mg":
@@ -304,11 +369,6 @@ def _draw_case(draw, kernel, n):
     if kernel == "scaled_mv":
         mat = draw(square(n, values))
         return scaled_mv(n, n)(s, mat, x), [s * dot(row, x) for row in mat]
-    if kernel == "lag_rate":
-        return lag_rate(n)(lam, x, y), [lam * (u - z) for u, z in zip(x, y)]
-    if kernel == "lag_rate_at":
-        return lag_rate_at(n)(lam, x, y, s, k2), \
-            [lam * (u - (z + s * c)) for u, z, c in zip(x, y, k2)]
     if kernel == "midpoint":
         return midpoint(n)(x, y), [0.5 * (a + b) for a, b in zip(x, y)]
     if kernel == "hermite_mid":
@@ -342,10 +402,10 @@ def ref_outer_add(s, cols):
     return s
 
 
-KERNELS = ["axpy", "sub", "rk4_sum", "v_minus_mg", "v_plus_mg",
-           "residual_gram", "scaled_mtv", "sub_at", "outer_add_columns",
-           "block_columns", "dot_k", "scaled_mv", "lag_rate", "lag_rate_at",
-           "midpoint", "hermite_mid", "outer_add", "gram_trapezoid"]
+KERNELS = ["axpy", "rk4_sum", "v_minus_mg", "v_plus_mg", "residual_gram",
+           "scaled_mtv", "sub_at", "outer_add_columns", "block_columns",
+           "dot_k", "scaled_mv", "lag_rate", "lag_rate_at", "midpoint",
+           "hermite_mid", "outer_add", "gram_trapezoid"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -356,8 +416,7 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
     assert same_bytes(got, want)
 
 
-@pytest.mark.parametrize("factory", [axpy, sub, rk4_sum, lag_rate, lag_rate_at,
-                                     midpoint, hermite_mid, outer_add,
+@pytest.mark.parametrize("factory", [axpy, midpoint, hermite_mid, outer_add,
                                      gram_trapezoid, dot_k, scaled_mtv,
                                      lag_rk4, half_update])
 def test_kernel_factory_compiles_once_per_length(factory):
@@ -375,14 +434,6 @@ def test_kernel_factory_compiles_once_per_length(factory):
     assert pbep_sample(True, False, 0, 2, 1) \
         is pbep_sample(True, False, 0, 2, 1) \
         is not pbep_sample(False, True, 2, 0, 0)
-
-
-def test_kernel_body_is_the_expression_its_kernel_returns():
-    # the stage kernels inline these expressions under the same names
-    assert axpy.body(2) == "[x[0] + s * y[0], x[1] + s * y[1]]"
-    assert dot_k.body(2) == "0.0 + a[0] * b[0] + a[1] * b[1]"
-    x, s, y = [1.0, 2.0], 0.5, [4.0, -2.0]
-    assert eval(axpy.body(2)) == axpy(2)(x, s, y) == [3.0, 1.0]
 
 
 def test_kernels_keep_signed_zero_and_read_exactly_n_components():
@@ -406,6 +457,16 @@ def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
     with pytest.raises(IndexError):
         lag_rk4(3)(1.0, [1.0] * 3, [1.0] * 3, [1.0] * 3, [1.0, 2.0], 0.1)
+
+
+def test_kernel_tracebacks_show_the_generated_line():
+    # each kernel's source is in linecache under its own file name
+    try:
+        lag_rk4(3)(1.0, [1.0] * 3, [1.0] * 3, [1.0] * 3, [1.0, 2.0], 0.1)
+    except IndexError:
+        tb = traceback.format_exc()
+    assert 'File "<smallmat lag_rk4(3)>", line 3, in lag_rk4' in tb
+    assert "k1 = c = [lam * (u0[0] - z[0]), lam * (u0[1] - z[1])" in tb
 
 
 # -- the step's stage kernels against the expressions they fuse --------------
@@ -611,9 +672,9 @@ def test_power_residuals_match_the_loop_they_replace(nsub, uses_u, gd, data,
 @kernel_examples
 @given(data=st.data(), n=st.integers(1, 3), values=value_kinds)
 def test_dist_k_is_the_norm_of_the_difference(data, n, values):
-    # run's former param_dist: sqrt(dot(sub(a, b), sub(a, b)))
+    # run's former param_dist: sqrt(dot(a - b, a - b))
     a, b = data.draw(vectors(n, values)), data.draw(vectors(n, values))
-    d = sub(n)(a, b)
+    d = [u - v for u, v in zip(a, b)]
     assert same_bytes([dist_k(n)(a, b)], [math.sqrt(dot(d, d))])
 
 

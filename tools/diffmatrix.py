@@ -23,11 +23,14 @@ gplusd_pbep at 1, 2, 3, 5 and 8 plant substeps and gradient_std at 2 and
 at 2 and 3, each 1 s at decimation 7), a gains axis (each scenario and
 estimator at gamma_g = gamma = 1e4 over 5 s), the subnormal step h =
 5e-324 on each scenario, plus the pinned aborts of the test suite.
-Three command-line cases run `pbident` through `cli.main` (`run` on each
-default scenario at t_end = 1.0, and a 2 x 2 ph `sweep` at t_end = 0.05)
-and compare the exit code and the bytes of every file it writes
-(trace.csv, plot.gp, report.txt without its result_wall_seconds line,
-index.csv).
+The command-line cases run `pbident` through `cli.main`: `run` on each
+default scenario at t_end = 1.0, a 2 x 2 ph `sweep` at t_end = 0.05, and
+`check` on the circuit with the default box, one `--box`, two and three
+(an error), and on ph after a run, so that it reads the excitation line
+from trace.csv.  They compare the exit codes, the printed lines and the
+bytes of every file written (trace.csv, plot.gp, report.txt without its
+result_wall_seconds line, index.csv), the temporary directory's path
+replaced by `<tmp>`.
 
 The table has one row per column (`trace:<name>`, `report:<field>`,
 `abort:<part>`, `cli:<file>`, `error`): the number of cases where it
@@ -122,13 +125,28 @@ GAIN_CASES = [
 ]
 
 
-# (id, config file text, command and flags) of the command-line cases,
-# whose files are compared byte for byte
+# (id, config file text, commands) of the command-line cases, run one
+# after another in one directory, whose outputs are compared byte for byte;
+# `{out}` stands for the output directory, which `check` reads from the
+# config's out_dir
+CHECK = ["check", "--samples", "2000"]
 CLI_CASES = [
-    ("cli/run-ph", "scenario = ph\n", ["run", "--t-end", "1.0"]),
-    ("cli/run-circuit", "scenario = circuit\n", ["run", "--t-end", "1.0"]),
+    ("cli/run-ph", "scenario = ph\n",
+     [["run", "--t-end", "1.0", "--out", "{out}"]]),
+    ("cli/run-circuit", "scenario = circuit\n",
+     [["run", "--t-end", "1.0", "--out", "{out}"]]),
     ("cli/sweep-ph-2x2", "scenario = ph\nt_end = 0.05\n",
-     ["sweep", "--grid", "gamma_g=75:125:2", "--grid", "gamma=37.5:62.5:2"]),
+     [["sweep", "--grid", "gamma_g=75:125:2", "--grid", "gamma=37.5:62.5:2",
+       "--out", "{out}"]]),
+    ("cli/check-circuit-default-box", "scenario = circuit\n", [CHECK]),
+    ("cli/check-circuit-one-box", "scenario = circuit\n",
+     [CHECK + ["--box", "0.5,2"]]),
+    ("cli/check-circuit-two-boxes", "scenario = circuit\n",
+     [CHECK + ["--box", "0.5,2", "--box", "1,3"]]),
+    ("cli/check-circuit-three-boxes", "scenario = circuit\n",
+     [CHECK + ["--box", "0.5,2", "--box", "1,3", "--box", "1,2"]]),
+    ("cli/check-ph-trace", "scenario = ph\nt_end = 1.0\nout_dir = {out}\n",
+     [["run"], CHECK]),
 ]
 
 
@@ -188,9 +206,10 @@ def run_case(scenario: str, settings: dict) -> dict:
                       "steps": rep.n_steps if rep.aborted else None}}
 
 
-def run_cli_case(config: str, command: list) -> dict:
-    """Exit code and files of one `pbident` command, as text; report.txt
-    without its result_wall_seconds line."""
+def run_cli_case(config: str, commands: list) -> dict:
+    """Exit codes, printed lines and files of `pbident` commands, as text,
+    with the temporary directory's path as `<tmp>`; report.txt without
+    its result_wall_seconds line."""
     import contextlib
     import io
     import tempfile
@@ -198,16 +217,19 @@ def run_cli_case(config: str, command: list) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "case.cfg", Path(tmp) / "out"
-        path.write_text(config, encoding="utf-8")
+        path.write_text(config.format(out=out), encoding="utf-8")
+        codes, stdout, stderr = [], io.StringIO(), io.StringIO()
         # the worker's stdout carries its result
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command[0], str(path), *command[1:],
-                                 "--out", str(out)])
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                for command in commands:
+                    args = [arg.format(out=out) for arg in command[1:]]
+                    codes.append(cli.main([command[0], str(path), *args]))
         except Exception as err:   # a raised error is an outcome to compare
             return {"error": f"{type(err).__name__}: {err}"}
-        files = {"exit": code}
+        files = {"exit": codes, "stdout": stdout.getvalue(),
+                 "stderr": stderr.getvalue()}
         for item in sorted(out.rglob("*")):
             if item.is_file():
                 text = item.read_text(encoding="utf-8")
@@ -216,7 +238,8 @@ def run_cli_case(config: str, command: list) -> dict:
                         line for line in text.splitlines(keepends=True)
                         if not line.startswith("result_wall_seconds "))
                 files[item.relative_to(out).as_posix()] = text
-    return {"cli": files}
+    return {"cli": {name: text.replace(tmp, "<tmp>") if isinstance(text, str)
+                    else text for name, text in files.items()}}
 
 
 def _worker(cases) -> None:
