@@ -474,7 +474,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="monotonicity / excitation checks")
     p_check.add_argument("config")
     p_check.add_argument("--box", action="append", default=None,
-                         help="lo,hi per parameter component (repeatable)")
+                         help="lo,hi per parameter component (repeatable; "
+                              "a negative lo as in --box -1,1)")
     p_check.add_argument("--samples", type=int, default=10000)
     p_check.add_argument("--seed", type=int, default=None)
 
@@ -484,6 +485,11 @@ def main(argv=None) -> int:
                          help="key=lo:hi:steps (repeatable)")
     p_sweep.add_argument("--out", default=None)
 
+    # `--box lo,hi` as `--box=lo,hi`: argparse reads -1,1 as an option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--box" and "," in argv[i + 1]:
+            argv[i:i + 2] = ["--box=" + argv[i + 1]]
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)

@@ -26,8 +26,8 @@ explicit fixed-step rule survives that.  The update applies one shared
 rank-deficient contraction map to the pre-estimator error and the
 extension matrix, so the mixing identity and the determinant product rule
 hold exactly in discrete time; det(Phi) matches exp(-gamma_g * trapezoid
-integral of |Omega|^2) by construction.  The simulator integrates the
-correction flow itself, from the mixing pair returned by `mix`.
+integral of |Omega|^2) by construction.  `correct` integrates the caller's
+estimate along the correction flow, from the mixing pair `mix` returns.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`), each
@@ -68,10 +68,10 @@ import math
 from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (all_finite, axpy, determinant, dot, dot_k,
-                       flat_floats, float_rows, half_update, min_eig_symmetric,
-                       mix_pair, residual_gram, scaled_mtv, scaled_mv,
-                       symmetric_eigen, v_minus_mg, v_plus_mg)
+from .smallmat import (all_finite, axpy, correction_rk4, determinant, dot,
+                       dot_k, flat_floats, float_rows, half_update,
+                       min_eig_symmetric, mix_pair, residual_gram, scaled_mtv,
+                       scaled_mv, symmetric_eigen, v_minus_mg, v_plus_mg)
 
 
 def _check_sample(sample: RegressorSample, p: int,
@@ -115,13 +115,13 @@ def _exp_gain(rate: float, n2: float) -> float:
 class GplusDEstimator:
     """Interlaced gradient + determinant-mixing estimator.
 
-    theta_g, theta and theta_g0 are lists of floats, and `phi` holds Phi
-    as p rows of floats.  Replace theta_g and phi instead of changing them
+    theta_g and theta_g0 are lists of floats, and `phi` holds Phi as p
+    rows of floats.  Replace theta_g and phi instead of changing them
     in place: `mix` is memoized on their identity.
     """
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
-                 theta_g0=None, theta0=None):
+                 theta_g0=None):
         if gamma_g <= 0 or gamma <= 0:
             raise ValueError("gains must be positive")
         if not 1 <= param_map.p <= 3:
@@ -131,7 +131,7 @@ class GplusDEstimator:
         self.param_map = param_map
         self.gamma_g = float(gamma_g)
         self.gamma = float(gamma)
-        p, q = param_map.p, param_map.q
+        p = param_map.p
         self.theta_g0 = [0.0] * p if theta_g0 is None else \
             _vector(theta_g0, p, "theta_g0")
         self.theta_g = list(self.theta_g0)
@@ -144,14 +144,7 @@ class GplusDEstimator:
         self._update = half_update(p)
         self._dot = dot_k(p)
         self._v_minus_mg = v_minus_mg(p, p)
-        self.theta = [0.0] * q if theta0 is None else \
-            _vector(theta0, q, "theta0")
-        # the correction flow zips G(theta) with rows of length p, which
-        # would silently truncate a wrong-length G
-        n_g = len(param_map.G(self.theta))
-        if n_g != p:
-            raise ValueError(f"G returns {n_g} values, but the parameter "
-                             f"map has p = {p}")
+        self._correction_rk4 = correction_rk4(param_map.q, p)
         # P T, each entry's products summed left to right
         t_cols = list(zip(*param_map.T))
         self._PT = [[dot(row, col) for col in t_cols] for row in param_map.P]
@@ -180,6 +173,13 @@ class GplusDEstimator:
         pair = self._mix_pair(phi, r)
         self._mix_memo = (phi, g, pair)
         return pair
+
+    def correct(self, theta, h: float, fracs) -> list:
+        """The correction flow's RK4 step of size h from the estimate theta
+        (`smallmat.correction_rk4`), the pair from `mix` frozen across it."""
+        delta, ycal = self.mix()
+        return self._correction_rk4(self.param_map.G, self._PT, self.gamma,
+                                    delta, ycal, theta, h, fracs)
 
     def det_phi(self) -> float:
         """det(Phi), from the nested list."""
@@ -324,18 +324,24 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
         raise ValueError("box must have positive volume in every coordinate")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
     pm = param_map
     pmat, tmat = np.array(pm.P), np.array(pm.T)
 
-    # a finite box can still overflow G or its Jacobian; min_eig_symmetric
-    # then refuses the sample, with no numpy warning before it
+    # a finite box can still overflow G or its Jacobian: the sample that
+    # does is named, with no numpy warning before it
     with np.errstate(all="ignore"):
         rho_j = np.inf
         for theta in lo + span * rng.random((n_samples, pm.q)):
             jw = pmat @ (tmat @ np.asarray(pm.jacobian_G(theta), dtype=float))
-            rho_j = min(rho_j, min_eig_symmetric(0.5 * (jw + jw.T)))
+            sym = 0.5 * (jw + jw.T)
+            if not np.isfinite(sym).all():
+                raise ValueError(f"sym(P T J_G) is not finite at theta = "
+                                 f"{theta.tolist()} in the box {box.tolist()}")
+            rho_j = min(rho_j, min_eig_symmetric(sym))
 
         rho_s = np.inf
         pairs = lo + span * rng.random((n_samples, 2, pm.q))

@@ -54,6 +54,7 @@ Two scenarios ship:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -135,8 +136,10 @@ def ph_scenario(a: float = 1.0, theta: float = 1.0) -> Scenario:
     def norm(x):
         return math.sqrt(dot(x, x))
 
+    norm0 = functools.lru_cache(maxsize=1)(norm)   # a run has one x0
+
     def reg_err(x, x0):
-        n0 = norm(x0)
+        n0 = norm0(tuple(x0))
         return norm(x) / n0 if n0 > 0 else norm(x)
 
     def fast_rate(x, u, t):

@@ -6,9 +6,9 @@ quadratures and diagnostics all live on that grid.  Inside one outer step
 the work is layered so every piece stays in its stability region at
 realistic gains:
 
-1. The mixing pair (Delta, Ycal) is frozen at the step start and the
-   correction flow theta_hat is advanced by one classical RK4 step (its
-   contraction rate is only gamma * Delta^2).
+1. The interlaced estimator's `correct` advances theta_hat along the
+   correction flow by one classical RK4 step, the mixing pair (Delta,
+   Ycal) frozen at the step start (the flow contracts at gamma * Delta^2).
 2. The plant is advanced by `substeps` classical RK4 steps of size
    h/substeps, with the control recomputed at every internal stage from
    the stage state and the correction flow's theta_hat linearly
@@ -67,10 +67,10 @@ from typing import Optional
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (all_finite, cofactors, correction_rk4, dist_k, dot,
-                       finite_k, flat_floats, gram_trapezoid, hermite_mid,
-                       lag_rk4, midpoint, min_eig_symmetric, outer_add,
-                       plant_rk4, power_residuals, trace_row)
+from .smallmat import (all_finite, cofactors, dist_k, dot, finite_k,
+                       flat_floats, gram_trapezoid, hermite_mid, lag_rk4,
+                       midpoint, min_eig_symmetric, outer_add, plant_rk4,
+                       power_residuals, trace_row)
 
 
 class EstimatorKind(Enum):
@@ -361,10 +361,10 @@ class RunReport:
 class World:
     """Mutable closed-loop state: plant, filters, estimator, diagnostics.
 
-    The plant state `plant_state` and the estimate `theta_hat` are lists of
-    floats.  Replace these lists (and the generator's bank state) instead
-    of changing them in place: a step reuses the previous step's end
-    sample while they are the same objects.
+    The plant state `plant_state` and the estimate `theta_hat`, the run's
+    only copy of it, are lists of floats.  Replace these lists (and the
+    generator's bank state) instead of changing them in place: a step
+    reuses the previous step's end sample while they are the same objects.
     """
 
     def __init__(self, scenario: Scenario, cfg: SimConfig):
@@ -400,61 +400,55 @@ class World:
             self.control = beta
             self.plant_rate = closed_rate
 
-        kind = cfg.estimator
-        self.generator = None
-        self.estimator = None
-        self.excitation = None
+        # the estimator kind, resolved once: the correction flow moves an
+        # interlaced estimate, `theta_of` maps a gradient one to theta
+        kind, pm = cfg.estimator, plant.param_map
+        self.interlaced = kind is EstimatorKind.GPLUSD_PBEP
+        self.generator = self.estimator = self.excitation = self.theta_of = None
         x = self.plant_state
         u0 = self.control(x, self.theta_hat, 0.0)
         up0, yp0 = scenario.ports(x, u0, 0.0)
-        # the step's kernels are unrolled to these lengths, and would read
-        # past a short closure value or ignore the rest of a long one
-        # (fast_rate(x, u0, 0) is the start rate under every controller)
-        for closure, value, dim in (("fast_rate", fast_rate(x, u0, 0.0), "n"),
-                                    ("ports u_p", up0, "n_p"),
-                                    ("ports y_p", yp0, "n_p")):
-            if len(value) != getattr(plant, dim):
-                raise ValueError(f"{closure} returns {len(value)} components "
-                                 f"at the start state, but the plant has "
-                                 f"{dim} = {getattr(plant, dim)}")
-        if kind in (EstimatorKind.GPLUSD_PBEP, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
-            self.generator = PbepGenerator(plant.nlpre, plant.param_map,
-                                           cfg.lam, x, up0, yp0)
-            self.excitation = ExcitationRecord(plant.param_map.p, cfg.h, cfg.c_c)
-        elif kind is EstimatorKind.GRADIENT_STD:
-            self.generator = StdLreGenerator(plant.std, cfg.lam, x, up0)
-            self.excitation = ExcitationRecord(plant.std.n_w, cfg.h, cfg.c_c)
-        if kind is EstimatorKind.GPLUSD_PBEP:
-            self.estimator = GplusDEstimator(
-                plant.param_map, cfg.gamma_g, cfg.gamma,
-                theta_g0=cfg.theta_g0, theta0=self.theta_hat)
-        elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
-            self.estimator = GradientEstimator(plant.param_map.p, cfg.gamma,
-                                               Theta0=cfg.overparam_hat0)
-        elif kind is EstimatorKind.GRADIENT_STD:
-            self.estimator = GradientEstimator(plant.std.n_w, cfg.gamma,
-                                               Theta0=cfg.overparam_hat0)
-        if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
-            self.theta_hat = self.extract_theta()
+        # the step's kernels, unrolled to these lengths, would read past a
+        # short value or ignore the rest of a long one (fast_rate(x, u0, 0)
+        # is the start rate under every controller; `correct` reads p of G)
+        at = "components at the start state"
+        checks = [
+            ("fast_rate", fast_rate(x, u0, 0.0), at, "plant has n", plant.n),
+            ("ports u_p", up0, at, "plant has n_p", plant.n_p),
+            ("ports y_p", yp0, at, "plant has n_p", plant.n_p)]
+        if self.interlaced:
+            checks.append(("G", pm.G(self.theta_hat), "values",
+                           "parameter map has p", pm.p))
+        for closure, value, unit, dim, want in checks:
+            if len(value) != want:
+                raise ValueError(f"{closure} returns {len(value)} {unit}, but "
+                                 f"the {dim} = {want}")
+        if kind is not EstimatorKind.NONE:
+            std = kind is EstimatorKind.GRADIENT_STD
+            rows = plant.std.n_w if std else pm.p
+            self.generator = (StdLreGenerator(plant.std, cfg.lam, x, up0) if std
+                              else PbepGenerator(plant.nlpre, pm, cfg.lam, x,
+                                                 up0, yp0))
+            self.excitation = ExcitationRecord(rows, cfg.h, cfg.c_c)
+            self._lag_rk4 = lag_rk4(self.generator.n_channels)
+            if self.interlaced:
+                self.estimator = GplusDEstimator(pm, cfg.gamma_g, cfg.gamma,
+                                                 theta_g0=cfg.theta_g0)
+            else:
+                self.estimator = GradientEstimator(rows, cfg.gamma,
+                                                   Theta0=cfg.overparam_hat0)
+                self.theta_of = plant.std.theta_from_C if std else \
+                    scenario.theta_from_overparam
+                self.theta_hat = self.extract_theta()
 
         # the step's stage kernels, unrolled to this run's lengths (smallmat)
-        n, q, nsub = plant.n, plant.param_map.q, self.substeps
-        self._plant_rk4 = plant_rk4(n, nsub)
+        n = plant.n
+        self._plant_rk4 = plant_rk4(n, self.substeps)
         self._midpoint_x, self._hermite_x = midpoint(n), hermite_mid(n)
-        if kind is EstimatorKind.GPLUSD_PBEP:
-            self._correction_rk4 = correction_rk4(q, plant.param_map.p)
-        if self.generator is not None:
-            self._lag_rk4 = lag_rk4(self.generator.n_channels)
 
     def extract_theta(self) -> list:
-        kind = self.cfg.estimator
-        if kind is EstimatorKind.GPLUSD_PBEP:
-            return self.estimator.theta
-        if kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
-            return list(self.scenario.theta_from_overparam(self.estimator.Theta))
-        if kind is EstimatorKind.GRADIENT_STD:
-            return list(self.scenario.plant.std.theta_from_C(self.estimator.Theta))
-        return self.theta_hat
+        """The physical parameters of a gradient estimator's estimate."""
+        return list(self.theta_of(self.estimator.Theta))
 
     def assemble_inputs(self, x, t, theta_hat) -> list:
         """Generator channel inputs at (x, t) under the current estimate."""
@@ -471,10 +465,6 @@ class World:
                 raise NonFiniteStateError(self.t, component)
 
 
-def _finite_samples(*samples: RegressorSample) -> bool:
-    return all(all_finite(s.Omega) and all_finite(s.Y) for s in samples)
-
-
 def step(world: World) -> tuple[list, Optional[RegressorSample],
                                 Optional[RegressorSample]]:
     """Advance the world by one outer step.
@@ -489,7 +479,6 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
     t = world.t
     x = world.plant_state
     th = world.theta_hat
-    kind = cfg.estimator
     est = world.estimator
     gen = world.generator
 
@@ -504,18 +493,12 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
             i0 = world.assemble_inputs(x, t, th)
             sample0 = gen.sample_from(t, i0)
 
-    # the correction flow theta_dot = gamma * P T * Delta * (Ycal - Delta *
-    # G(theta)) with the mixing pair frozen at the step start, interpolated
-    # for the plant; gradient estimates update after the plant move instead
+    # the correction flow's estimates, interpolated for the plant; gradient
+    # estimates update after the plant move instead
     nsub = world.substeps
-    if kind is EstimatorKind.GPLUSD_PBEP:
-        delta, ycal = est.mix()
-        ths = world._correction_rk4(est.param_map.G, est._PT, est.gamma,
-                                    delta, ycal, th, h, world._fracs)
-        th_new = ths[-1]
-    else:
-        th_new = th
-        ths = [th] * (2 * nsub + 1)
+    ths = est.correct(th, h, world._fracs) if world.interlaced else \
+        [th] * (2 * nsub + 1)
+    th_new = ths[-1]
     xs = world._plant_rk4(plant_rate, x, ths, t, world._dts, h)
     xc = xs[-1]
 
@@ -537,23 +520,19 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
         i1 = world.assemble_inputs(xc, t1, th_new)
         gen.bank.state = world._lag_rk4(cfg.lam, i0, im, i1, gen.bank.state, h)
         sample1 = gen.sample_from(t1, i1)
-        if est is not None:
-            if t == 0.0 and not _finite_samples(sample0, sample1):
-                # the estimator refuses a non-finite first pair; end the run
-                # the way a later step's non-finite samples end it
-                world.plant_state, world.t = xc, t + h
-                world.check_finite()
-                raise NonFiniteStateError(world.t, "regression sample")
-            est.propagate(sample0, sample1, h)
+        if t == 0.0 and not all(all_finite(s.Omega) and all_finite(s.Y)
+                                for s in (sample0, sample1)):
+            # the estimator refuses a non-finite first pair; end the run
+            # the way a later step's non-finite samples end it
+            world.plant_state, world.t = xc, t + h
+            world.check_finite()
+            raise NonFiniteStateError(world.t, "regression sample")
+        est.propagate(sample0, sample1, h)
 
     world.plant_state = xc
     world.t = t + h
-    if kind in (EstimatorKind.GRADIENT_STD, EstimatorKind.GRADIENT_PBEP_OVERPARAM):
-        world.theta_hat = world.extract_theta()
-    else:
-        if kind is EstimatorKind.GPLUSD_PBEP:
-            est.theta = th_new
-        world.theta_hat = th_new
+    world.theta_hat = th_new if world.theta_of is None else \
+        world.extract_theta()
     if gen is not None:
         world._end_sample = (xc, th_new, gen.bank.state, world.t, i1, sample1)
     return xs, sample0, sample1
@@ -575,31 +554,23 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     theta_true, h = plant.theta_true, cfg.h
     n_steps = int(round(cfg.t_end / h))
     n, q, decimation = plant.n, plant.param_map.q, cfg.decimation
-    kind = cfg.estimator
-    gd = kind is EstimatorKind.GPLUSD_PBEP
-    gradient = kind in (EstimatorKind.GRADIENT_STD,
-                        EstimatorKind.GRADIENT_PBEP_OVERPARAM)
+    gd, gradient = world.interlaced, world.theta_of is not None
     est, gen, excitation = world.estimator, world.generator, world.excitation
     control, reg_metric = world.control, scenario.regulation_error
     nsub = world.substeps
     x0 = list(world.plant_state)
 
-    report = RunReport(scenario=scenario.name, estimator=kind.value,
+    report = RunReport(scenario=scenario.name, estimator=cfg.estimator.value,
                        controller=cfg.controller.value, t_end=cfg.t_end, h=h,
                        substeps=nsub, decimation=decimation, c_c=cfg.c_c,
                        x0=Vector(x0), theta_hat0=Vector(world.theta_hat))
 
     if trace is not None:
-        n_w = est.n_w if gradient else 0
-        trace.header(["t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
-                     + [f"yp{i + 1}" for i in range(plant.n_p)]
-                     + [f"theta_hat{i + 1}" for i in range(q)]
-                     + [f"overparam_hat{i + 1}" for i in range(n_w)]
-                     + ["delta", "det_phi", "gram_min_eig", "power_residual"])
-        write = trace.row
-        row = trace_row(n, plant.n_p, q, n_w, gd)(
+        row = trace_row(n, plant.n_p, q, est.n_w if gradient else 0, gd)(
             control, scenario.ports, est,
             cofactors(plant.param_map.p, False) if gd else None)
+        trace.header(row.columns)
+        write = trace.row
 
     # the loop's kernels, bound to this run; h / substeps underflows to 0
     # for a subnormal h, where only ieee_div divides by the sub-grid span

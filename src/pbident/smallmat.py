@@ -455,20 +455,24 @@ def finite_k(*sizes: int):
 
 @_kernel
 def trace_row(n: int, n_p: int, q: int, w: int, gd: bool):
-    """f(control, ports, est, det) = the function of (t, x, th, mineig,
-    res) that returns the trace row (t, x, u, y_p, th, est.Theta, Delta,
-    det(est.phi), mineig, res) as a tuple, with u = control(x, th, t), y_p
-    = ports(x, u, t)[1] and Delta = est.mix()[0] (Delta and det 0.0 and
-    1.0 unless gd), for n states, n_p outputs, q estimates and w Theta."""
-    vals = ["t", *(f"x[{i}]" for i in range(n)), "u",
-            *(f"yp[{i}]" for i in range(n_p)), *(f"th[{i}]" for i in range(q)),
-            *(f"v[{i}]" for i in range(w)), *(("est.mix()[0]", "det(est.phi)")
-                                              if gd else ("0.0", "1.0")),
-            "mineig", "res"]
+    """f(control, ports, est, det) = row(t, x, th, mineig, res), which
+    returns the trace row `cols` as a tuple, with u = control(x, th, t), yp
+    = ports(x, u, t)[1] and v = est.Theta (Delta and det(Phi) 0.0 and 1.0
+    unless gd), for n states, n_p outputs, q estimates and w Theta; the
+    list `row.columns` holds the columns' names."""
+    def named(name, value, count):
+        return [(f"{name}{i + 1}", f"{value}[{i}]") for i in range(count)]
+    cols = [("t", "t"), *named("x", "x", n), ("u", "u"),
+            *named("yp", "yp", n_p), *named("theta_hat", "th", q),
+            *named("overparam_hat", "v", w),
+            ("delta", "est.mix()[0]" if gd else "0.0"),
+            ("det_phi", "det(est.phi)" if gd else "1.0"),
+            ("gram_min_eig", "mineig"), ("power_residual", "res")]
     return "control, ports, est, det", [
         "def row(t, x, th, mineig, res):", "    u = control(x, th, t)",
         "    yp = ports(x, u, t)[1]", *(["    v = est.Theta"] if w else []),
-        f"    return {_tuple(vals)}", "return row"]
+        f"    return {_tuple(value for _, value in cols)}",
+        f"row.columns = {_list(repr(name) for name, _ in cols)}", "return row"]
 
 
 def ieee_div(a: float, b: float) -> float:

@@ -241,14 +241,15 @@ def theta_rate(est, delta, ycal, theta):
                                        - delta * np.asarray(pm.G(theta)))))
 
 
-def rates(est, s):
-    """Literal right-hand sides (dtheta_g, dPhi, dtheta) of a GplusDEstimator."""
+def rates(est, s, theta):
+    """Literal right-hand sides (dtheta_g, dPhi, dtheta) of a GplusDEstimator
+    at the estimate theta."""
     om = np.asarray(s.Omega)
     e = float(s.Y) - float(om @ np.asarray(est.theta_g))
     delta, ycal = est.mix()
     return (est.gamma_g * om * e,
             -est.gamma_g * np.outer(om, om @ np.array(est.phi)),
-            theta_rate(est, delta, ycal, est.theta))
+            theta_rate(est, delta, ycal, theta))
 
 
 def numpy_stages(world, x, th, th_new, t, z):

@@ -471,6 +471,64 @@ def test_main_check_ends_a_non_finite_box_in_one_line(tmp_path, capsys, box):
         assert err[0].startswith("error: box bounds must be finite, got [[")
 
 
+@pytest.mark.parametrize("boxes", [["-1,1"], ["-0.5,2", "-2,-1"]])
+def test_main_check_takes_a_negative_lower_bound_after_box(tmp_path, capsys,
+                                                           boxes):
+    # argparse alone reads -1,1 as an option and exits 2
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
+    flags = [arg for box in boxes for arg in ("--box", box)]
+    assert main(["check", str(path), *flags, "--samples", "50"]) == 0
+    out = capsys.readouterr().out
+    for i, box in enumerate(boxes * (3 - len(boxes)), 1):
+        lo, hi = map(float, box.split(","))
+        assert f"box_theta{i} = [{lo}, {hi}]\n" in out
+
+
+def test_main_check_ends_a_negative_infinite_bound_after_box_in_one_line(
+        tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
+    assert main(["check", str(path), "--box", "-inf,1", "--samples",
+                 "50"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: box bounds must be finite, got [[-inf, 1.0], "
+                   "[-inf, 1.0]]"]
+
+
+def test_main_check_help_shows_a_negative_lower_bound(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--help"])
+    assert info.value.code == 0
+    assert "--box -1,1" in " ".join(capsys.readouterr().out.split())
+
+
+def test_main_check_names_the_box_and_sample_where_the_jacobian_overflows(
+        tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
+    assert main(["check", str(path), "--box", "1e308,1.7e308", "--samples",
+                 "50"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: sym(P T J_G) is not finite at theta = [")
+    assert err[0].endswith(" in the box [[1e+308, 1.7e+308], "
+                           "[1e+308, 1.7e+308]]")
+
+
+@pytest.mark.parametrize("route", ["option", "config"])
+def test_main_check_refuses_a_negative_seed_by_name(tmp_path, capsys, route):
+    # numpy's own message, `expected non-negative integer`, names no key
+    path = tmp_path / "c.cfg"
+    path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n"
+                    + ("seed = -3\n" if route == "config" else ""))
+    flags = ["--seed", "-1"] if route == "option" else []
+    assert main(["check", str(path), "--samples", "50", *flags]) == 1
+    seed = -1 if route == "option" else -3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: seed must be a non-negative integer, got {seed}"]
+
+
 @pytest.mark.parametrize("grid", ["gamma=1:2:0", "gamma=1:2:-3",
                                   "gamma=nan:2:2", "kp=1:inf:2",
                                   "gamma=-1:1:3", "lambda=0:1:2"])

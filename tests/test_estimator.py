@@ -44,7 +44,7 @@ def const_sample(t, y, om):
 
 def test_rates_zero_regressor():
     est = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=1.0)
-    dgr, dphi, dth = rates(est, const_sample(0.0, 0.0, [0.0]))
+    dgr, dphi, dth = rates(est, const_sample(0.0, 0.0, [0.0]), [0.0])
     assert np.array_equal(dgr, [0.0])
     assert np.array_equal(dphi, [[0.0]])
     assert np.array_equal(dth, [0.0])
@@ -110,8 +110,7 @@ def test_scalar_flow_against_ivp_oracle():
         e = GplusDEstimator(scalar_map(), gamma_g=1.0, gamma=gamma)
         e.theta_g = state[:1].copy()
         e.phi = state[1:2].reshape(1, 1).tolist()
-        e.theta = state[2:].copy()
-        dg, dp, dt_ = rates(e, s)
+        dg, dp, dt_ = rates(e, s, state[2:])
         return np.concatenate([dg, dp.ravel(), dt_])
 
     y = np.array([0.0, 1.0, 0.0])
@@ -123,22 +122,14 @@ def test_scalar_flow_against_ivp_oracle():
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert y[2] == pytest.approx(ref.y[2, -1], abs=1e-9)
 
-    # production stepping (frozen mixing pair across each step plus the
-    # exponential half-updates): first-order coefficient lag on the path,
-    # same converged endpoint
+    # production stepping (`correct`'s RK4 step on the mixing pair frozen
+    # across each step, plus the exponential half-updates): first-order
+    # coefficient lag on the path, same converged endpoint
+    th = [0.0]
     for _ in range(2000):
-        delta, ycal = est.mix()
-        th = est.theta
-
-        def rate(thv):
-            return theta_rate(est, delta, ycal, thv)
-        a1 = rate(th)
-        a2 = rate(th + h / 2 * a1)
-        a3 = rate(th + h / 2 * a2)
-        a4 = rate(th + h * a3)
-        est.theta = th + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        th = est.correct(th, h, [])[-1]
         est.propagate(s, s, h)
-    assert est.theta[0] == pytest.approx(ref.y[2, -1], abs=2e-3)
+    assert th[0] == pytest.approx(ref.y[2, -1], abs=2e-3)
     assert est.theta_g[0] == pytest.approx(ref.y[0, -1], abs=1e-9)
 
 
@@ -262,9 +253,9 @@ def test_monotone_contraction_of_correction_flow():
     h = 1e-3
     s = const_sample(0.0, 2.0, [1.0])
     v_at = {}
+    th = np.zeros(1)
     for k in range(1500):
         delta, ycal = est.mix()
-        th = est.theta
 
         def rate(thv):
             return theta_rate(est, delta, ycal, thv)
@@ -272,10 +263,10 @@ def test_monotone_contraction_of_correction_flow():
         a2 = rate(th + h / 2 * a1)
         a3 = rate(th + h / 2 * a2)
         a4 = rate(th + h * a3)
-        est.theta = th + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        th = th + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
         est.propagate(s, s, h)
         t = (k + 1) * h
-        v = 0.5 * (est.theta[0] - 2.0) ** 2
+        v = 0.5 * (th[0] - 2.0) ** 2
         v_at[round(t, 6)] = v
         if k > 0:
             assert v <= prev_v + 1e-15
@@ -558,6 +549,29 @@ def test_gplusd_rejects_a_wrong_length_G(ph):
 
 
 # -- monotonicity checker ---------------------------------------------------------
+
+def test_monotonicity_names_the_sample_where_the_jacobian_overflows(circuit):
+    # the box is finite, but theta1 ** 2 in J_G overflows to inf
+    pm = circuit.plant.param_map
+    with pytest.raises(ValueError) as info:
+        check_monotonicity(pm, [1e308, 1.7e308], n_samples=50, seed=0)
+    head, _, box = str(info.value).partition(" in the box ")
+    assert head.startswith("sym(P T J_G) is not finite at theta = [")
+    assert box == "[[1e+308, 1.7e+308], [1e+308, 1.7e+308]]"
+    theta = [float(v) for v in head.split("[", 1)[1].rstrip("]").split(",")]
+    assert len(theta) == 2 and all(1e308 <= v <= 1.7e308 for v in theta)
+    with np.errstate(all="ignore"):
+        jw = np.asarray(pm.P) @ np.asarray(pm.T) @ np.asarray(
+            pm.jacobian_G(theta), dtype=float)
+    assert not np.isfinite(jw + jw.T).all()
+
+
+def test_monotonicity_refuses_a_negative_seed(ph):
+    with pytest.raises(ValueError,
+                       match="^seed must be a non-negative integer, got -1$"):
+        check_monotonicity(ph.plant.param_map, [0.1, 10.0], n_samples=10,
+                           seed=-1)
+
 
 def test_monotonicity_shipped_selections(circuit, ph):
     for scen in (ph, circuit):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pbident import (Controller, EstimatorKind, NlpreData, ParamMap,
                      PlantModel, Scenario, SimConfig, circuit_scenario,
                      ph_scenario, run)
-from conftest import power_balance_residual, rk4
+from conftest import power_balance_residual, rk4, same_bytes
 
 
 # -- construction and rejections ----------------------------------------------
@@ -165,6 +167,22 @@ def test_circuit_overparam_inverse(circuit):
     assert np.allclose(rec, th, atol=1e-12)
     # guarded away from the reciprocal singularity
     assert np.all(np.isfinite(std.theta_from_C(np.zeros(3))))
+
+
+def test_ph_regulation_error_follows_each_x0(ph):
+    # the norm of x0 is kept between calls; a new x0, one changed in place
+    # and a return to an earlier one each give the value from scratch
+    def norm(v):
+        return math.sqrt(sum((float(c) * float(c) for c in v), 0.0))
+
+    x, x0 = [0.3, -0.2], [1.0, 1.0]
+    for start in (x0, x0, (2.0, 0.5), x0, [0.0, 0.0], np.array([3.0, 4.0]),
+                  x0):
+        n0 = norm(start)
+        want = norm(x) / n0 if n0 > 0 else norm(x)
+        assert same_bytes(ph.regulation_error(x, start), want)
+    x0[0] = 4.0
+    assert same_bytes(ph.regulation_error(x, x0), norm(x) / norm(x0))
 
 
 # -- power balance -------------------------------------------------------------

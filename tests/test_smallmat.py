@@ -723,6 +723,22 @@ def test_trace_row_matches_the_row_it_replaces(gd, w, data, n, n_p, q, p,
     assert est.mixes == gd
 
 
+@pytest.mark.parametrize("gd, w", [(True, 0), (False, 0), (False, 3)])
+def test_trace_row_names_its_columns(gd, w):
+    # run's former header list, column for column
+    n, n_p, q = 2, 1, 3
+    want = (["t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
+            + [f"yp{i + 1}" for i in range(n_p)]
+            + [f"theta_hat{i + 1}" for i in range(q)]
+            + [f"overparam_hat{i + 1}" for i in range(w)]
+            + ["delta", "det_phi", "gram_min_eig", "power_residual"])
+    row = trace_row(n, n_p, q, w, gd)(None, None, None, None)
+    assert row.columns == want
+    # every row function has its own list
+    assert trace_row(n, n_p, q, w, gd)(None, None, None, None).columns \
+        is not row.columns
+
+
 # -- the 2x2 minimum eigenvalue in LAPACK's operations, against eigvalsh ------
 
 # the bounds on the largest |entry| between which neither dsyevd nor dsterf

@@ -13,11 +13,12 @@ compares what every case produced:
   message of an exception the run raised.
 
 The cases are {circuit, ph} x the 4 estimators x the 3 controllers from
-each scenario's default start over 5 s, four runs off the defaults (ph
+each scenario's default start over 5 s, six runs off the defaults (ph
 gradient_std from a nonzero Theta, circuit gradient_std at gamma 30
 without sub-steps or decimation, the circuit's slow start x0 = (0.64,
-0.27), theta_hat0 = (0.12, 0.05), and a 0.5 s ph gplusd_pbep run at
-decimation 1 with gamma_g 150 and gamma 75), a substeps axis (circuit
+0.27), theta_hat0 = (0.12, 0.05), a 0.5 s ph gplusd_pbep run at
+decimation 1 with gamma_g 150 and gamma 75, and a 5 s gplusd_pbep run
+of each scenario from a nonzero theta_g0), a substeps axis (circuit
 gplusd_pbep at 1, 2, 3, 5 and 8 plant substeps and gradient_std at 2 and
 5, each 1 s at decimation 1; ph gplusd_pbep and gradient_pbep_overparam
 at 2 and 3, each 1 s at decimation 7), a gains axis (each scenario and
@@ -74,7 +75,8 @@ PINNED_ABORTS = [
 # the state-equation estimator elsewhere; the circuit one is the
 # benchmark's gradient_std run without sub-steps or decimation.  The ph
 # decimation-1 case is a sweep cell at the top corner of the benchmark's
-# gain grid: its trace holds every step's 2x2 Gram eigenvalue
+# gain grid: its trace holds every step's 2x2 Gram eigenvalue.  A nonzero
+# theta_g0 takes the mixing pair through Phi theta_g0 (`v_minus_mg`)
 EXTRA_CASES = [
     ("extra/ph-gradient_std-overparam", "ph",
      {"estimator": "gradient_std", "overparam_hat0": (0.5, 0.25),
@@ -87,6 +89,11 @@ EXTRA_CASES = [
     ("extra/ph-gplusd-decimation1", "ph",
      {"estimator": "gplusd_pbep", "decimation": 1, "t_end": 0.5,
       "gamma_g": 150.0, "gamma": 75.0}),
+    ("extra/circuit-gplusd-theta_g0", "circuit",
+     {"estimator": "gplusd_pbep", "theta_g0": (0.5, -0.25, 0.1),
+      "t_end": 5.0}),
+    ("extra/ph-gplusd-theta_g0", "ph",
+     {"estimator": "gplusd_pbep", "theta_g0": (0.5, -0.25), "t_end": 5.0}),
 ]
 
 
