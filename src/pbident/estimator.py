@@ -30,15 +30,16 @@ integral of |Omega|^2) by construction.  `correct` integrates the caller's
 estimate along the correction flow, from the mixing pair `mix` returns.
 
 Number representation: estimates, the pre-estimator state and Phi are
-lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`), each
-interlaced half update another (`half_update`) next to math.expm1, and
-the gradient flow runs on kernels too; the first step's sample check and
-P T (a left-to-right float product) run on floats, so no update calls
-numpy.  numpy is imported only by `check_monotonicity`, whose samples
-come from numpy's generator.  Every dot product (|Omega|^2, Omega'
-theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to
-right, as `smallmat.dot` does, so the numbers depend on IEEE arithmetic
-and the C library's expm1 only, not on the BLAS build, whose small dot
+lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`, which
+also forms theta_g - Phi theta_g0), each interlaced half update another
+(`half_update`) next to math.expm1, and the gradient flow runs on kernels
+too; the first step's sample check and P T (a left-to-right float
+product) run on floats, so no update calls numpy.  numpy is imported
+only by `check_monotonicity`, whose samples come from numpy's
+generator.  Every dot product (|Omega|^2, Omega' theta_g, Omega' Phi,
+Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to right, as
+`smallmat.dot` does, so the numbers depend on IEEE arithmetic and the C
+library's expm1 only, not on the BLAS build, whose small dot
 products use fused multiply-adds or a blocked order that differs between
 CPU kernels; a divergent run at extreme gains is chaotic enough that a
 one-ulp change moves the step at which it aborts.
@@ -54,12 +55,13 @@ n x n Gram gamma Omega' Omega, n being the number of state equations:
     phi(lam) = (1 - exp(-lam tau)) / lam   (tau for lam <= 1e-300),
 
 with (w, V) from `smallmat.symmetric_eigen`, which is closed-form for
-n <= 2 (both shipped plants).  The rest of the update runs on smallmat
-kernels bound to (n_w, n) on the first call: `residual_gram` reads the
-residual Y - Omega' Theta and the Gram straight from the rows of Omega,
-`scaled_mtv` forms diag(phi(w)) V' r, and `scaled_mv` and `v_plus_mg` add
-Omega (gamma V diag(phi(w)) V' r) to Theta.  Each sums its products from
-0.0 left to right, as `smallmat.dot` over the columns of Omega does.
+n <= 2 (both shipped plants).  The rest of the update runs on two smallmat
+kernels bound to (n_w, n) on the first call, one on either side of the
+eigen-decomposition: `residual_gram` reads the residual Y - Omega' Theta
+and the Gram straight from the rows of Omega, and `eigen_update` forms
+diag(phi(w)) V' r and adds Omega (gamma V diag(phi(w)) V' r) to Theta.
+Each sums its products from 0.0 left to right, as `smallmat.dot` over the
+columns of Omega does.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
 from .smallmat import (all_finite, axpy, correction_rk4, determinant, dot,
-                       dot_k, flat_floats, float_rows, half_update,
-                       min_eig_symmetric, mix_pair, residual_gram, scaled_mtv,
-                       scaled_mv, symmetric_eigen, v_minus_mg, v_plus_mg)
+                       dot_k, eigen_update, flat_floats, float_rows,
+                       half_update, min_eig_symmetric, mix_pair, residual_gram,
+                       symmetric_eigen)
 
 
 def _check_sample(sample: RegressorSample, p: int,
@@ -140,10 +142,9 @@ class GplusDEstimator:
         self.phi = [[1.0 if i == j else 0.0 for j in range(p)]
                     for i in range(p)]
         # kernels unrolled to length p (smallmat)
-        self._mix_pair = mix_pair(p)
+        self._mix_pair = mix_pair(p, self._g0 is not None)
         self._update = half_update(p)
         self._dot = dot_k(p)
-        self._v_minus_mg = v_minus_mg(p, p)
         self._correction_rk4 = correction_rk4(param_map.q, p)
         # P T, each entry's products summed left to right
         t_cols = list(zip(*param_map.T))
@@ -169,8 +170,7 @@ class GplusDEstimator:
         memo = self._mix_memo
         if memo is not None and memo[0] is phi and memo[1] is g:
             return memo[2]
-        r = g if self._g0 is None else self._v_minus_mg(g, phi, self._g0)
-        pair = self._mix_pair(phi, r)
+        pair = self._mix_pair(phi, g, self._g0)
         self._mix_memo = (phi, g, pair)
         return pair
 
@@ -256,17 +256,13 @@ class GradientEstimator:
             self.Theta = self._axpy(self.Theta, ce, om)
             return
         # matrix regressor (p rows of n, one column per state equation):
-        # the exponential update through the n x n Gram (module docstring)
+        # the exponential update through the n x n Gram (module docstring);
+        # a non-finite Gram gives nan w and V, and so a nan estimate
         g = self.gamma
         theta = self.Theta
         r, gram = self._residual_gram(om, sample.Y, theta, g)
         w, v = symmetric_eigen(gram)
-        # diag(phi(w)) V' r, then gamma V of it; a non-finite Gram gives
-        # nan w and V, and so a nan estimate
-        vr = self._scaled_mtv(
-            [-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau
-             for lam in w], v, r)
-        self.Theta = self._v_plus_mg(theta, om, self._scaled_mv(g, v, vr))
+        self.Theta = self._eigen_update(theta, om, g, tau, w, v, r)
 
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
@@ -278,9 +274,7 @@ class GradientEstimator:
             if self._matrix:   # kernels for n_w rows of n columns
                 n = len(sample0.Omega[0])
                 self._residual_gram = residual_gram(self.n_w, n)
-                self._scaled_mtv = scaled_mtv(n)
-                self._scaled_mv = scaled_mv(n, n)
-                self._v_plus_mg = v_plus_mg(self.n_w, n)
+                self._eigen_update = eigen_update(self.n_w, n)
             self._validated = True
         self._half_update(sample0, 0.5 * dt)
         self._half_update(sample1, 0.5 * dt)
@@ -331,8 +325,8 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
     pm = param_map
     pmat, tmat = np.array(pm.P), np.array(pm.T)
 
-    # a finite box can still overflow G or its Jacobian: the sample that
-    # does is named, with no numpy warning before it
+    # a finite box can still overflow G, W or G's Jacobian: the sample or
+    # pair that does is named, with no numpy warning before it
     with np.errstate(all="ignore"):
         rho_j = np.inf
         for theta in lo + span * rng.random((n_samples, pm.q)):
@@ -351,7 +345,13 @@ def check_monotonicity(param_map: ParamMap, box, n_samples: int = 10000,
             if n2 < 1e-20:
                 continue
             w_diff = np.subtract(pm.W(a), pm.W(b))
-            rho_s = min(rho_s, float(d @ pmat @ w_diff) / n2)
+            ratio = float(d @ pmat @ w_diff) / n2
+            # min() would pass over the nan or inf ratio of a non-finite W
+            if not math.isfinite(ratio):
+                raise ValueError(f"the secant ratio of W is not finite for "
+                                 f"the pair theta = {a.tolist()}, "
+                                 f"{b.tolist()} in the box {box.tolist()}")
+            rho_s = min(rho_s, ratio)
 
     return MonotonicityReport(rho_jacobian=float(rho_j), rho_secant=float(rho_s),
                               sample_count=int(n_samples), box=box, seed=int(seed))

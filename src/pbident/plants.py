@@ -34,7 +34,7 @@ written in components:
   IEEE arithmetic rounds exactly on every platform and which overflows to
   inf without raising.  The one non-integer power, theta1 ** alpha of the
   circuit, goes through smallmat.ieee_pow, and any division by an
-  estimate through smallmat.ieee_div; both return numpy's inf or nan
+  estimate through smallmat.ieee_div; both return IEEE 754's inf or nan
   instead of raising.
 
 Two scenarios ship:

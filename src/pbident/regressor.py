@@ -37,8 +37,8 @@ n-tuple Y and Omega as n_w rows of n floats, which the matrix estimator
 reads as they are.  A power-balance sample is one smallmat kernel
 (`pbep_sample`) over the channel layout.  The state-equation generator
 adds the declared phi_g terms to the rows of its input matrix with `axpy`
-and splits the channel outputs into Y and Omega with `sub_at` and
-`block_columns`.  All are bound to the generator's lengths when it is built.
+and splits the bank's channel outputs into Y and Omega with one kernel
+(`std_sample`).  All are bound to the generator's lengths when it is built.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .filters import ChannelMode, FirstOrderFilterBank
-from .smallmat import (axpy, block_columns, dot, float_rows, min_eig_symmetric,
-                       pbep_sample, sub_at)
+from .smallmat import (axpy, dot, float_rows, min_eig_symmetric, pbep_sample,
+                       std_sample)
 
 
 @dataclass
@@ -249,8 +249,7 @@ class StdLreGenerator:
         # the channel outputs are pF[x], then F[b_f + B_g u_p] when declared,
         # then the n rows of F[w_f + w_g]: Y = pF[x] - F[b_f + B_g u_p], and
         # Omega row j is column j of that n x n_w block
-        self._y = sub_at(n, n)
-        self._omega = block_columns(2 * n if self._has_b else n, n, std.n_w)
+        self._sample = std_sample(n, self._has_b, std.n_w)
         modes = [ChannelMode.DERIVATIVE] * n
         if self._has_b:
             modes += [ChannelMode.PLAIN] * n
@@ -293,6 +292,5 @@ class StdLreGenerator:
 
     def sample_from(self, t: float, inputs) -> RegressorSample:
         """Build the sample from already-assembled channel inputs."""
-        out = self.bank.output(inputs)
-        y = self._y(out) if self._has_b else tuple(out[:self.n])
-        return RegressorSample(t=t, Y=y, Omega=self._omega(out))
+        y, omega = self._sample(self.bank.output(inputs))
+        return RegressorSample(t=t, Y=y, Omega=omega)

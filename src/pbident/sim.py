@@ -41,9 +41,9 @@ excitation record its `outer_add` and `gram_trapezoid` at the first push.
 Each keeps one fixed operation order, with sums taken left to right, so a
 step calls no numpy and its numbers do not depend on the BLAS build.  The
 excitation record's eigenvalue is taken on floats for a 2x2 Gram (ph) and
-by numpy's eigvalsh for the circuit's 3x3 one, the one place a run that
-does not abort imports numpy.  The report's vectors are tuples of floats
-(`Vector`), and the state is read as the lists the engine keeps
+by numpy's eigvalsh for the circuit's 3x3 one, the one place a run on the
+shipped plants imports numpy.  The report's vectors are tuples of floats,
+and the state is read as the lists the engine keeps
 (`World.plant_state`, `ExcitationRecord.gram_rows`, the generators'
 `bank.state`, `GplusDEstimator.phi`); floats are its only representation.
 The run loop keeps its power-balance residuals, settling times and final
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -68,9 +68,9 @@ from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
 from .smallmat import (all_finite, cofactors, dist_k, dot, finite_k,
-                       flat_floats, gram_trapezoid, hermite_mid, lag_rk4,
-                       midpoint, min_eig_symmetric, outer_add, plant_rk4,
-                       power_residuals, trace_row)
+                       flat_floats, gram_trapezoid, lag_rk4, min_eig_symmetric,
+                       outer_add, plant_mid, plant_rk4, power_residuals,
+                       trace_row)
 
 
 class EstimatorKind(Enum):
@@ -296,31 +296,6 @@ def excitation_report(record: ExcitationRecord) -> tuple[bool, Optional[float]]:
     return record.t_c is not None, record.t_c
 
 
-class Vector(tuple):
-    """A report's vector: a tuple of floats whose `-` is element-wise, as
-    it was for the arrays the report held before.
-
-    `a - b` with a tuple b of the same length is the Vector of the
-    differences; with an ndarray b it is numpy's difference.  Every other
-    operator is a tuple's.
-    """
-
-    @staticmethod
-    def _diff(a, b):
-        if not (isinstance(a, tuple) and isinstance(b, tuple)):
-            return NotImplemented
-        if len(a) != len(b):
-            raise ValueError(f"cannot subtract vectors of lengths {len(a)} "
-                             f"and {len(b)}")
-        return Vector(u - v for u, v in zip(a, b))
-
-    def __sub__(self, other):
-        return self._diff(self, other)
-
-    def __rsub__(self, other):
-        return self._diff(other, self)
-
-
 @dataclass
 class RunReport:
     scenario: str
@@ -330,12 +305,12 @@ class RunReport:
     h: float
     substeps: int
     decimation: int
-    x0: Vector
-    theta_hat0: Vector
+    x0: tuple
+    theta_hat0: tuple
     c_c: float = 1e-3
-    x_final: Vector = field(default_factory=Vector)
-    theta_hat_final: Vector = field(default_factory=Vector)
-    overparam_hat_final: Optional[Vector] = None
+    x_final: tuple = ()
+    theta_hat_final: tuple = ()
+    overparam_hat_final: Optional[tuple] = None
     theta_err_rel_final: Optional[float] = None
     regulation_error_final: Optional[float] = None
     settling_time_param: Optional[float] = None
@@ -444,7 +419,7 @@ class World:
         # the step's stage kernels, unrolled to this run's lengths (smallmat)
         n = plant.n
         self._plant_rk4 = plant_rk4(n, self.substeps)
-        self._midpoint_x, self._hermite_x = midpoint(n), hermite_mid(n)
+        self._plant_mid = plant_mid(n, self.substeps)
 
     def extract_theta(self) -> list:
         """The physical parameters of a gradient estimator's estimate."""
@@ -505,18 +480,9 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
     sample1 = None
     if gen is not None:
         # midpoint plant state for the filter stages
-        th_mid = ths[nsub]
-        if nsub == 1:
-            # cubic-Hermite midpoint from endpoint values and rates
-            r0 = plant_rate(x, th, t)
-            r1 = plant_rate(xc, th_new, t + h)
-            x_mid = world._hermite_x(x, xc, h / 8.0, r0, r1)
-        elif nsub % 2 == 0:
-            x_mid = xs[nsub // 2 - 1]
-        else:
-            x_mid = world._midpoint_x(xs[nsub // 2 - 1], xs[nsub // 2])
+        x_mid = world._plant_mid(plant_rate, x, xs, th, th_new, t, h)
         tm, t1 = t + 0.5 * h, t + h
-        im = world.assemble_inputs(x_mid, tm, th_mid)
+        im = world.assemble_inputs(x_mid, tm, ths[nsub])
         i1 = world.assemble_inputs(xc, t1, th_new)
         gen.bank.state = world._lag_rk4(cfg.lam, i0, im, i1, gen.bank.state, h)
         sample1 = gen.sample_from(t1, i1)
@@ -563,7 +529,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     report = RunReport(scenario=scenario.name, estimator=cfg.estimator.value,
                        controller=cfg.controller.value, t_end=cfg.t_end, h=h,
                        substeps=nsub, decimation=decimation, c_c=cfg.c_c,
-                       x0=Vector(x0), theta_hat0=Vector(world.theta_hat))
+                       x0=tuple(x0), theta_hat0=tuple(world.theta_hat))
 
     if trace is not None:
         row = trace_row(n, plant.n_p, q, est.n_w if gradient else 0, gd)(
@@ -623,8 +589,8 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
     report.wall_seconds = time.perf_counter() - t_start
     report.n_steps = int(round(world.t / h)) if report.aborted else n_steps
     report.trace_rows = rows
-    report.x_final = Vector(world.plant_state)
-    report.theta_hat_final = Vector(world.theta_hat)
+    report.x_final = tuple(world.plant_state)
+    report.theta_hat_final = tuple(world.theta_hat)
     if report.aborted:
         return report
 
@@ -634,7 +600,7 @@ def run(scenario: Scenario, cfg: SimConfig, trace=None) -> RunReport:
             else float((last_bad + 1) * h)
 
     if gradient:
-        report.overparam_hat_final = Vector(est.Theta)
+        report.overparam_hat_final = tuple(est.Theta)
     if n_theta > 0:
         report.theta_err_rel_final = p_err
         report.settling_time_param = settling(p_bad)

@@ -10,18 +10,20 @@ lists of floats at every size; above 3x3 `determinant` is a partial-pivot
 elimination on floats, and `adjugate` takes its signed minors.
 
 For the simulator's step, `dot` is a left-to-right reduction, and
-`ieee_div`/`ieee_pow` give numpy's inf/nan where Python float arithmetic
-would raise (`ieee_pow` serves only the circuit's non-integer power
-theta1 ** alpha; squares are written x * x).
+`ieee_div`/`ieee_pow` give IEEE 754's inf or nan, on floats, where Python
+float arithmetic would raise (`ieee_pow` serves only the circuit's
+non-integer power theta1 ** alpha; squares are written x * x).
 
 The step's arithmetic runs in kernels unrolled to the run's lengths: a
 factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
 [x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled from a template on
 the first call with those lengths and cached (`_kernel`) under a file name
 such as `<smallmat axpy(2)>`, whose source linecache holds for tracebacks.
-Each stage of `sim.step` is one kernel (`plant_rk4`, `correction_rk4`,
-`lag_rk4`, `pbep_sample`, `mix_pair`, `half_update`), and so is each piece
-of `sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
+Each stage of `sim.step` is one kernel (`plant_rk4`, `plant_mid`,
+`correction_rk4`, `lag_rk4`, `pbep_sample` or `std_sample`, `mix_pair`,
+`half_update`, and `residual_gram` and `eigen_update` on either side of
+the matrix gradient flow's `symmetric_eigen`), and so is each piece of
+`sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
 stages cost several times the arithmetic on 2- and 3-element states.  A
 kernel keeps the operation order of the expressions it fuses, which its
 docstring gives: sums of products start from 0.0 and go left to right, as
@@ -42,8 +44,7 @@ to eigvalsh's without the cost of the call; a 2x2 matrix that dsyevd or
 dsterf would rescale, and any larger one, goes to eigvalsh itself.  The
 excitation monitor hands over its Gram as nested float rows, so ph's 2x2
 Gram eigenvalue depends on no BLAS build; the circuit's 3x3 one still
-comes from LAPACK.  These two and the inf/nan fallbacks of `ieee_div` and
-`ieee_pow` are the only places that import numpy.
+comes from LAPACK.  These two are the only places here that import numpy.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _kernel(source):
     first call with those lengths and cached.
 
     Sources come only from the templates below and integer lengths; a
-    kernel sees abs, enumerate, isfinite, sqrt and `ieee_div` as builtins.
-    Its file name, `<smallmat name(lengths)>`, keys its source in
-    linecache for tracebacks.
+    kernel sees abs, enumerate, expm1, isfinite, sqrt and `ieee_div` as
+    builtins.  Its file name, `<smallmat name(lengths)>`, keys its source
+    in linecache for tracebacks.
     """
     name = source.__name__
 
@@ -126,8 +127,8 @@ def _kernel(source):
         linecache.cache[filename] = (len(text), None,
                                      text.splitlines(True), filename)
         scope = {"__builtins__": {}, "abs": abs, "enumerate": enumerate,
-                 "isfinite": math.isfinite, "sqrt": math.sqrt,
-                 "ieee_div": ieee_div}
+                 "expm1": math.expm1, "isfinite": math.isfinite,
+                 "sqrt": math.sqrt, "ieee_div": ieee_div}
         exec(compile(text, filename, "exec"), scope)
         return scope[name]
     return factory
@@ -147,58 +148,15 @@ def axpy(n: int):
     return "x, s, y", _list(f"x[{i}] + s * y[{i}]" for i in range(n))
 
 
-@_kernel
-def sub_at(n: int, k: int):
-    """f(v) = v[:n] - v[k:k + n], as a tuple."""
-    return "v", _tuple(f"v[{i}] - v[{k + i}]" for i in range(n))
-
-
-@_kernel
-def block_columns(k: int, m: int, n: int):
-    """f(v) = the n columns of the m x n row-major block that starts at
-    v[k], as a tuple of lists."""
-    return "v", _tuple(_list(f"v[{k + i * n + j}]" for i in range(m))
-                       for j in range(n))
-
-
 def _sum_of(products) -> str:
     """The products summed left to right from 0.0, as `dot` sums them."""
     return " + ".join(["0.0", *products])
-
-
-def _row_product(i: int, n: int, vec: str) -> str:
-    """Row i of M times `vec`, summed left to right from 0.0 as `dot` sums
-    it."""
-    return _sum_of(f"M[{i}][{j}] * {vec}[{j}]" for j in range(n))
 
 
 @_kernel
 def dot_k(n: int):
     """f(a, b) = a'b for length-n sequences, the float `dot` returns."""
     return "a, b", _sum_of(f"a[{i}] * b[{i}]" for i in range(n))
-
-
-@_kernel
-def v_plus_mg(m: int, n: int):
-    """f(v, M, g) = v + M g for an m-vector v, m rows M of length n and an
-    n-vector g."""
-    return "v, M, g", _list(f"v[{i}] + ({_row_product(i, n, 'g')})"
-                            for i in range(m))
-
-
-@_kernel
-def v_minus_mg(m: int, n: int):
-    """f(v, M, g) = v - M g for an m-vector v, m rows M of length n and an
-    n-vector g."""
-    return "v, M, g", _list(f"v[{i}] - ({_row_product(i, n, 'g')})"
-                            for i in range(m))
-
-
-@_kernel
-def scaled_mv(m: int, n: int):
-    """f(s, M, y) = s*(M y) for m rows M of length n and an n-vector y."""
-    return "s, M, y", _list(f"s * ({_row_product(i, n, 'y')})"
-                            for i in range(m))
 
 
 @_kernel
@@ -213,28 +171,6 @@ def residual_gram(m: int, n: int):
         f"s * ({_sum_of(f'M[{k}][{i}] * M[{k}][{j}]' for k in range(m))})"
         for j in range(n)) for i in range(n))
     return "M, y, v, s", f"({residual}, {gram})"
-
-
-@_kernel
-def scaled_mtv(n: int):
-    """f(c, M, v) = c * (M'v) element-wise for n x n rows M and n-vectors
-    c and v; entry k is c_k times the sum of M_ik v_i over i."""
-    return "c, M, v", _list(
-        f"c[{k}] * ({_sum_of(f'M[{i}][{k}] * v[{i}]' for i in range(n))})"
-        for k in range(n))
-
-
-@_kernel
-def midpoint(n: int):
-    """f(x, y) = 0.5*(x + y) on length-n sequences."""
-    return "x, y", _list(f"0.5 * (x[{i}] + y[{i}])" for i in range(n))
-
-
-@_kernel
-def hermite_mid(n: int):
-    """f(x, y, s, r, w) = 0.5*(x + y) + s*(r - w) on length-n sequences."""
-    return "x, y, s, r, w", _list(
-        f"0.5 * (x[{i}] + y[{i}]) + s * (r[{i}] - w[{i}])" for i in range(n))
 
 
 def _outers(p: int, m: int, base: str) -> list:
@@ -292,6 +228,28 @@ def plant_rk4(n: int, nsub: int):
     lines += ["    s = " + _list(f"x{i}" for i in idx), "    out.append(s)",
               "    a += 2"]
     return "rate, x, th, t, dt, h", lines + ["return out"]
+
+
+@_kernel
+def plant_mid(n: int, nsub: int):
+    """f(rate, x, xs, th, th1, t, h) = the length-n plant state at the
+    step's midpoint from its start state x and its nsub sub-grid states xs:
+    at nsub = 1 the cubic Hermite 0.5*(x + y) + (h/8.0)*(r - w) of the end
+    state y = xs[0] and the rates r = rate(x, th, t), then w = rate(y, th1,
+    t + h); at an even nsub the sub-grid state xs[nsub/2 - 1] itself; else
+    0.5*(a + b) of the two sub-grid states a and b about the midpoint."""
+    k, idx = nsub // 2 - 1, range(n)
+    if nsub == 1:
+        body = ["y = xs[0]", "r = rate(x, th, t)", "w = rate(y, th1, t + h)",
+                "s = h / 8.0", "return " + _list(
+                    f"0.5 * (x[{i}] + y[{i}]) + s * (r[{i}] - w[{i}])"
+                    for i in idx)]
+    elif nsub % 2 == 0:
+        body = f"xs[{k}]"
+    else:
+        body = [f"a = xs[{k}]", f"b = xs[{k + 1}]",
+                "return " + _list(f"0.5 * (a[{i}] + b[{i}])" for i in idx)]
+    return "rate, x, xs, th, th1, t, h", body
 
 
 @_kernel
@@ -366,6 +324,20 @@ def pbep_sample(y_plain: bool, y_deriv: bool, p_s: int, p_S: int, p_d: int):
 
 
 @_kernel
+def std_sample(n: int, has_b: bool, n_w: int):
+    """f(v) = (Y, Omega) of state-equation channel outputs v: Y = v[:n] -
+    v[n:2n] with the b channels (has_b), else v[:n], as a tuple, and Omega
+    the n_w columns of the n x n_w row-major block after them, as a tuple
+    of lists."""
+    k = 2 * n if has_b else n
+    y = _tuple(f"v[{i}] - v[{n + i}]" if has_b else f"v[{i}]"
+               for i in range(n))
+    omega = _tuple(_list(f"v[{k + i * n_w + j}]" for i in range(n))
+                   for j in range(n_w))
+    return "v", f"({y}, {omega})"
+
+
+@_kernel
 def half_update(p: int):
     """f(c, y, om, g, Phi) = (g + ce*om, Phi - outer(c*om, om'Phi)), ce =
     c*(y - om'g), for p-vectors om and g and p x p nested rows Phi: each
@@ -381,17 +353,42 @@ def half_update(p: int):
 
 
 @_kernel
-def mix_pair(p: int):
-    """f(Phi, r) = (det(I - Phi), adj(I - Phi) r as a tuple) for 1x1 to 3x3
-    nested rows Phi and a p-vector r: I - Phi entry by entry as 1.0 or 0.0
-    minus Phi_ij (+0.0 where -Phi_ij would be -0.0), the cofactor forms of
-    `_COFACTORS` and adj's row products summed as `dot` sums them."""
+def eigen_update(m: int, n: int):
+    """f(theta, om, g, tau, w, V, r) = theta + om (g*(V c)), c_k =
+    phi(w_k)*(V'r)_k, the matrix gradient flow's update from the
+    eigen-decomposition (w, V) of its n x n Gram, for an m-vector theta, m
+    rows om of length n and an n-vector r: phi(lam) = -expm1(-(lam*tau)) /
+    lam, or tau unless lam > 1e-300; every product sums from 0.0 left to
+    right."""
+    ik = range(n)
+    lines = [f"f{k} = -expm1(-(w[{k}] * tau)) / w[{k}] if w[{k}] > 1e-300 "
+             f"else tau" for k in ik]
+    lines += [f"c{k} = f{k} * ({_sum_of(f'V[{i}][{k}] * r[{i}]' for i in ik)})"
+              for k in ik]
+    lines += [f"s{i} = g * ({_sum_of(f'V[{i}][{k}] * c{k}' for k in ik)})"
+              for i in ik]
+    return "theta, om, g, tau, w, V, r", lines + ["return " + _list(
+        f"theta[{i}] + ({_sum_of(f'om[{i}][{j}] * s{j}' for j in ik)})"
+        for i in range(m))]
+
+
+@_kernel
+def mix_pair(p: int, shifted: bool):
+    """f(Phi, g, g0) = (det(I - Phi), adj(I - Phi) r as a tuple) for 1x1 to
+    3x3 nested rows Phi and p-vectors g and g0, r = g - Phi g0 if shifted,
+    else g (g0 unread): I - Phi entry by entry as 1.0 or 0.0 minus Phi_ij
+    (+0.0 where -Phi_ij would be -0.0), the cofactor forms of `_COFACTORS`
+    and the row products of Phi and of adj summed as `dot` sums them."""
     det, adj = _COFACTORS[p]
-    lines = [f"a{i + 1}{j + 1} = {1.0 if i == j else 0.0!r} - Phi[{i}][{j}]"
-             for i in range(p) for j in range(p)]
+    ip = range(p)
+    lines = ["r = " + (_list(
+        f"g[{i}] - ({_sum_of(f'Phi[{i}][{j}] * g0[{j}]' for j in ip)})"
+        for i in ip) if shifted else "g")]
+    lines += [f"a{i + 1}{j + 1} = {1.0 if i == j else 0.0!r} - Phi[{i}][{j}]"
+              for i in ip for j in ip]
     ycal = _tuple(_sum_of(f"({e}) * r[{j}]" for j, e in enumerate(row))
                   for row in adj)
-    return "Phi, r", lines + [f"return {det}, {ycal}"]
+    return "Phi, g, g0", lines + [f"return {det}, {ycal}"]
 
 
 # -- the run loop's kernels (sim.run) ---------------------------------------
@@ -476,25 +473,32 @@ def trace_row(n: int, n_p: int, q: int, w: int, gd: bool):
 
 
 def ieee_div(a: float, b: float) -> float:
-    """a / b, with numpy's signed inf or nan for a zero divisor."""
+    """a / b, with IEEE 754's value where Python raises for a zero divisor:
+    a nan dividend, quieted as a division quiets it; the default NaN for
+    0/0; else an inf signed by the signs of a and b."""
     try:
         return a / b
     except ZeroDivisionError:
-        import numpy as np
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.float64(a) / b)
+        pass
+    if a != a:
+        return a / 1.0
+    if a == 0.0:
+        return math.inf - math.inf   # the hardware's default NaN
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def ieee_pow(a: float, b: float) -> float:
-    """a ** b as C pow computes it, with numpy's inf or nan where Python
-    raises (overflow, a zero base to a negative power) or goes complex (a
-    negative base to a fractional power)."""
+    """a ** b as C pow computes it, with C99 Annex F's value where Python
+    raises: the default NaN for a negative base to a non-integer power,
+    else inf (a zero base to a negative power, or an overflow), negative
+    for a negative base (-0.0 included) to an odd integer power."""
     try:
         return math.pow(a, b)
     except (OverflowError, ValueError):
-        import numpy as np
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return float(np.power(np.float64(a), b))
+        pass
+    if a < 0.0 and b != math.floor(b):
+        return math.inf - math.inf   # the hardware's default NaN
+    return math.copysign(math.inf, a) if b % 2.0 == 1.0 else math.inf
 
 
 def _square_rows(m) -> list:

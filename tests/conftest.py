@@ -205,6 +205,27 @@ def numpy_adjugate(m) -> np.ndarray:
     return out
 
 
+def numpy_ieee_div(a: float, b: float) -> float:
+    """a / b, with numpy's signed inf or nan for a zero divisor: smallmat's
+    former `ieee_div`, the oracle of its float special values."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / b)
+
+
+def numpy_ieee_pow(a: float, b: float) -> float:
+    """a ** b as C pow computes it, with numpy's inf or nan where Python
+    raises: smallmat's former `ieee_pow`, the oracle of its float special
+    values."""
+    try:
+        return math.pow(a, b)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float(np.power(np.float64(a), b))
+
+
 # -- test-side views of the library's stepping pieces ----------------------
 #
 # The simulator drives generators through `inputs`/`sample_from` and the

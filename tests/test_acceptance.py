@@ -211,8 +211,8 @@ def test_criterion_7_excitation_monitor(circuit_gd_run):
 
 def test_criterion_8_numerical_hygiene(circuit, circuit_gd_run, tmp_path):
     rep_half = run(circuit, SimConfig(h=5e-4))
-    rel = np.linalg.norm(rep_half.theta_hat_final
-                         - circuit_gd_run.theta_hat_final) \
+    rel = np.linalg.norm(np.subtract(rep_half.theta_hat_final,
+                                     circuit_gd_run.theta_hat_final)) \
         / np.linalg.norm(circuit_gd_run.theta_hat_final)
     cfg = parse_config("scenario = circuit\nt_end = 1.0\n")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -453,11 +453,11 @@ def test_main_check_rejects_bad_arguments(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("box", ["nan,1", "0,inf", "-inf,1",
-                                 "1e308,1.7e308"])
+                                 "1e308,1.7e308", "1e200,1e201"])
 def test_main_check_ends_a_non_finite_box_in_one_line(tmp_path, capsys, box):
-    # a nan or inf bound is refused as the box's; the finite box overflows
-    # the circuit's Jacobian, which the sampler refuses, with no numpy
-    # warning printed before either error
+    # a nan or inf bound is refused as the box's; the finite boxes overflow
+    # the circuit's Jacobian (1e308) or only W (1e200), which the sampler
+    # refuses, with no numpy warning printed before either error
     path = tmp_path / "c.cfg"
     path.write_text(f"scenario = circuit\nout_dir = {tmp_path / 'none'}\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -467,7 +467,12 @@ def test_main_check_ends_a_non_finite_box_in_one_line(tmp_path, capsys, box):
     assert caught == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    if box != "1e308,1.7e308":
+    if box == "1e200,1e201":
+        assert err[0].startswith("error: the secant ratio of W is not finite "
+                                 "for the pair theta = [")
+        assert err[0].endswith(" in the box [[1e+200, 1e+201], "
+                               "[1e+200, 1e+201]]")
+    elif box != "1e308,1.7e308":
         assert err[0].startswith("error: box bounds must be finite, got [[")
 
 

@@ -437,14 +437,18 @@ def test_half_update_matches_the_composed_update_bit_for_bit(data, p,
 
 
 @kernel_examples
-@given(data=st.data(), p=st.integers(1, 3), values=value_kinds)
-def test_mix_pair_matches_the_composed_pair_bit_for_bit(data, p, values):
-    # the former pair: I - Phi entry by entry, then the cofactor
-    # determinant, the adjugate and its row products with r
-    phi, r = data.draw(square(p, values)), data.draw(vectors(p, values))
+@given(data=st.data(), p=st.integers(1, 3), values=value_kinds,
+       shifted=st.booleans())
+def test_mix_pair_matches_the_composed_pair_bit_for_bit(data, p, values,
+                                                        shifted):
+    # the former pair: r = g - Phi g0 (or g), I - Phi entry by entry, then
+    # the cofactor determinant, the adjugate and its row products with r
+    phi, g = data.draw(square(p, values)), data.draw(vectors(p, values))
+    g0 = data.draw(vectors(p, values)) if shifted else None
+    r = [a - dot(row, g0) for a, row in zip(g, phi)] if shifted else g
     eye = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
     a = [[e - v for e, v in zip(e_row, row)] for e_row, row in zip(eye, phi)]
-    det, ycal = mix_pair(p)(phi, r)
+    det, ycal = mix_pair(p, shifted)(phi, g, g0)
     assert isinstance(ycal, tuple)
     assert same_bytes([det], [cofactor_det(a)])
     assert same_bytes(ycal, [dot(row, r) for row in cofactor_adj(a)])
@@ -502,8 +506,7 @@ def test_gradient_matrix_kernels_are_bound_once_per_shape():
         est = GradientEstimator(n_w, gamma=1.0)
         s = RegressorSample(0.0, (1.0,) * n, tuple([[0.5] * n] * n_w))
         est.propagate(s, s, 1e-3)
-        return (est._residual_gram, est._scaled_mtv, est._scaled_mv,
-                est._v_plus_mg)
+        return est._residual_gram, est._eigen_update
     first = bound(3, 2)
     assert all(a is b for a, b in zip(first, bound(3, 2)))
     assert all(a is not b for a, b in zip(first, bound(2, 3)))

@@ -157,14 +157,12 @@ def test_run_report_fields(circuit):
     assert rep.substeps == 4
     assert len(rep.x_final) == 2 and type(rep.x_final[0]) is float
     assert len(rep.theta_hat_final) == 2
-    # the report's vectors subtract element-wise, as its arrays did
-    x, th = rep.x_final, rep.theta_hat_final
-    assert x - rep.x0 == (x[0] - rep.x0[0], x[1] - rep.x0[1])
-    assert (1.0, 1.5) - th == (1.0 - th[0], 1.5 - th[1])
+    # the report's vectors are plain tuples of floats, which an ndarray
+    # still subtracts element-wise
+    th = rep.theta_hat_final
+    assert type(rep.x0) is type(rep.x_final) is type(th) is tuple
     assert np.array_equal(th - np.array([1.0, 1.5]),
                           np.subtract(th, [1.0, 1.5]))
-    with pytest.raises(ValueError):
-        th - (1.0,)
     assert rep.max_power_residual is not None
     assert rep.abel_gap is not None
     assert not rep.aborted
@@ -477,7 +475,7 @@ def test_abort_on_unstable_substepping(circuit):
                                    "parameter estimate")
     assert rep.n_steps == round(rep.abort_time / 1e-3)
     assert rep.trace_rows == len(trace.rows) > 1
-    assert len(rep.x_final - rep.x0) == 2 and rep.wall_seconds > 0.0
+    assert len(rep.x_final) == len(rep.x0) == 2 and rep.wall_seconds > 0.0
 
 
 def test_gradient_std_requires_std_data(circuit):

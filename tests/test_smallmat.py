@@ -1,7 +1,9 @@
 import inspect
 import math
+import struct
 import sys
 import traceback
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -9,18 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (EDGE_FLOATS, NoNumpy, Recorder, cofactor_adj,
                       cofactor_det, floats, kernel_examples, numpy_adjugate,
-                      numpy_determinant, ordinary, ref_axpy, ref_rk4,
-                      same_bytes, square, value_kinds, vectors)
+                      numpy_determinant, numpy_ieee_div, numpy_ieee_pow,
+                      ordinary, ref_axpy, ref_rk4, same_bytes, square,
+                      value_kinds, vectors)
 from pbident.sim import ExcitationRecord
-from pbident.smallmat import (adjugate, axpy, block_columns, cofactors,
-                              correction_rk4, determinant, dist_k, dot, dot_k,
-                              finite_k, gram_trapezoid, half_update,
-                              hermite_mid, ieee_div, ieee_pow, lag_rk4,
-                              midpoint, min_eig_symmetric, mix_pair, outer_add,
-                              pbep_sample, plant_rk4, power_residuals,
-                              residual_gram, scaled_mtv, scaled_mv, sub_at,
-                              symmetric_eigen, trace_row, v_minus_mg,
-                              v_plus_mg)
+from pbident.smallmat import (adjugate, axpy, cofactors, correction_rk4,
+                              determinant, dist_k, dot, dot_k, eigen_update,
+                              finite_k, gram_trapezoid, half_update, ieee_div,
+                              ieee_pow, lag_rk4, min_eig_symmetric, mix_pair,
+                              outer_add, pbep_sample, plant_mid, plant_rk4,
+                              power_residuals, residual_gram, std_sample,
+                              symmetric_eigen, trace_row)
 
 
 def test_determinant_examples():
@@ -163,6 +164,55 @@ def test_ieee_helpers_give_numpy_values_instead_of_raising():
         assert ieee_pow(float(x), 1.7) == np.float64(x) ** 1.7
 
 
+def raw_bytes(v: float) -> bytes:
+    """The float's IEEE double bytes, a nan's sign and payload included."""
+    return struct.pack("<d", v)
+
+
+def raises(op, a: float, b: float) -> bool:
+    try:
+        op(a, b)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return True
+    return False
+
+
+# signed zeros, infs, nans (a signaling one too), subnormals, the ends of
+# the range, and odd, even, non-integer and huge exponents
+SNAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+IEEE_GRID = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, SNAN,
+             5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+             1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 2.0, -2.0,
+             3.0, -3.0, 0.5, -0.5, 1.5, -1.5, 7.0, -7.0, 1023.0, 1025.0,
+             -1075.0, 2.0 ** 53, 2.0 ** 53 + 2.0, -(2.0 ** 53 + 2.0), 1e20,
+             -1e20]
+
+
+@pytest.mark.parametrize("a", IEEE_GRID)
+def test_ieee_helpers_match_numpy_where_python_raises_on_a_grid(a):
+    # wherever `/` or math.pow raises, the float rules give numpy's bytes,
+    # a nan's sign included; elsewhere they are `/` and math.pow
+    cases = 0
+    for b in IEEE_GRID:
+        for op, got, want in ((truediv, ieee_div, numpy_ieee_div),
+                              (math.pow, ieee_pow, numpy_ieee_pow)):
+            cases += raises(op, a, b)
+            assert raw_bytes(got(a, b)) == raw_bytes(want(a, b)), (op, a, b)
+    assert cases >= 2   # every a divides by +-0.0
+
+
+finite_exponents = st.one_of(st.integers(-1100, 1100).map(float),
+                             st.floats(-1100.0, 1100.0), floats)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(a=floats, b=finite_exponents, zero=st.sampled_from([0.0, -0.0]))
+def test_ieee_helpers_match_numpy_where_python_raises(a, b, zero):
+    assert raw_bytes(ieee_div(a, zero)) == raw_bytes(numpy_ieee_div(a, zero))
+    if raises(math.pow, a, b):
+        assert raw_bytes(ieee_pow(a, b)) == raw_bytes(numpy_ieee_pow(a, b))
+
+
 def test_closed_forms_take_nested_lists():
     m = [[2.0, -1.0, 0.5], [0.25, 3.0, 1.0], [1.5, 0.0, -2.0]]
     assert determinant(m) == determinant(np.array(m))
@@ -288,15 +338,21 @@ def test_symmetric_eigen_larger_lists_come_back_as_lists():
 
 # -- unrolled element-wise kernels against their comprehension forms ---------
 
-def _lag_rk4_lines(n):
-    """The expression of each line lag_rk4(n) writes, by the name it
-    assigns ("return" for the combine), from the kernel's template."""
-    _, lines = inspect.unwrap(lag_rk4)(n)
+def _kernel_lines(factory, *lengths):
+    """The expression of each line a kernel factory writes for these
+    lengths, by the name it assigns ("return" for the returned one), from
+    the kernel's template."""
+    _, body = inspect.unwrap(factory)(*lengths)
     exprs = {}
-    for line in lines:
+    for line in [f"return {body}"] if isinstance(body, str) else body:
         name, *_, expr = line.replace("return ", "return = ", 1).split(" = ")
         exprs[name] = expr
     return exprs
+
+
+def _named(prefix, values):
+    """{prefix0: values[0], prefix1: values[1], ...}, a kernel's locals."""
+    return {f"{prefix}{i}": v for i, v in enumerate(values)}
 
 
 def _eval_line(expr, **names):
@@ -318,28 +374,33 @@ def _draw_case(draw, kernel, n):
     # lag_rk4 writes the lines of the former kernels lag_rate (its first
     # stage), lag_rate_at (the other three) and rk4_sum (its combine)
     if kernel == "lag_rate":
-        return _eval_line(_lag_rk4_lines(n)["k1"], lam=lam, u0=x, z=y), \
-            [lam * (u - z) for u, z in zip(x, y)]
+        return _eval_line(_kernel_lines(lag_rk4, n)["k1"], lam=lam, u0=x,
+                          z=y), [lam * (u - z) for u, z in zip(x, y)]
     if kernel == "lag_rate_at":
-        line = _lag_rk4_lines(n)
+        line = _kernel_lines(lag_rk4, n)
         got = [*_eval_line(line["k2"], lam=lam, um=x, z=y, half=s, c=k2),
                *_eval_line(line["k3"], lam=lam, um=x, z=y, half=s, c=k2),
                *_eval_line(line["k4"], lam=lam, u1=x, z=y, h=s, c=k2)]
         return got, 3 * [lam * (u - (z + s * c)) for u, z, c in zip(x, y, k2)]
     if kernel == "rk4_sum":
-        return _eval_line(_lag_rk4_lines(n)["return"], z=x, s=s, k1=y, k2=k2,
-                          k3=k3, k4=k4), \
+        return _eval_line(_kernel_lines(lag_rk4, n)["return"], z=x, s=s,
+                          k1=y, k2=k2, k3=k3, k4=k4), \
             [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(x, y, k2, k3, k4)]
+    # the former one-expression kernels, now lines of the stage kernels
+    # that absorbed them: v_minus_mg of mix_pair, v_plus_mg, scaled_mv and
+    # scaled_mtv of eigen_update, sub_at and block_columns of std_sample,
+    # midpoint and hermite_mid of plant_mid
     if kernel == "v_minus_mg":
-        m = draw(st.integers(1, 5))
-        v, mat = draw(vec(m)), draw(st.lists(vec(n), min_size=m, max_size=m))
-        return v_minus_mg(m, n)(v, mat, x), \
-            [a - dot(row, x) for a, row in zip(v, mat)]
+        p = draw(st.integers(1, 3))
+        g, g0, phi = draw(vec(p)), draw(vec(p)), draw(square(p, values))
+        return _eval_line(_kernel_lines(mix_pair, p, True)["r"], g=g, Phi=phi,
+                          g0=g0), [a - dot(row, g0) for a, row in zip(g, phi)]
     if kernel == "v_plus_mg":
         m = draw(st.integers(1, 5))
         v, mat = draw(vec(m)), draw(st.lists(vec(n), min_size=m, max_size=m))
-        return v_plus_mg(m, n)(v, mat, x), \
+        return _eval_line(_kernel_lines(eigen_update, m, n)["return"],
+                          theta=v, om=mat, **_named("s", x)), \
             [a + dot(row, x) for a, row in zip(v, mat)]
     if kernel == "residual_gram":
         m = draw(st.integers(1, 5))
@@ -351,28 +412,45 @@ def _draw_case(draw, kernel, n):
             [b - dot(c, v) for b, c in zip(y, cols)] \
             + [s * dot(ci, cj) for ci in cols for cj in cols]
     if kernel == "scaled_mtv":
-        mat = draw(square(n, values))
-        return scaled_mtv(n)(x, mat, y), \
+        mat, line = draw(square(n, values)), _kernel_lines(eigen_update, 1, n)
+        return [_eval_line(line[f"c{k}"], V=mat, r=y, **_named("f", x))
+                for k in range(n)], \
             [c * dot(col, y) for c, col in zip(x, zip(*mat))]
+    if kernel == "eigen_gain":
+        # the gains phi(w) that the estimator took in a comprehension, at a
+        # step's tau >= 0
+        tau, line = abs(s), _kernel_lines(eigen_update, 1, n)
+        return [_eval_line(line[f"f{k}"], expm1=math.expm1, w=x, tau=tau)
+                for k in range(n)], \
+            [-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau
+             for lam in x]
     if kernel == "sub_at":
-        k = draw(st.integers(0, 5))
-        v = draw(vec(n + k))
-        return list(sub_at(n, k)(v)), \
-            [a - b for a, b in zip(v[:n], v[k:k + n])]
+        w = draw(st.integers(1, 5))
+        v = draw(vec(2 * n + n * w))
+        return list(std_sample(n, True, w)(v)[0]), \
+            [a - b for a, b in zip(v[:n], v[n:2 * n])]
     if kernel == "block_columns":
-        k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
-        v = draw(vec(k + m * n))
-        return sum(block_columns(k, m, n)(v), []), \
-            sum((v[k:][j::n] for j in range(n)), [])
+        # Omega is the columns of the n x w block after Y's channels, and
+        # Y without the b channels the first n outputs as they are
+        has_b, w = draw(st.booleans()), draw(st.integers(1, 5))
+        k = 2 * n if has_b else n
+        v = draw(vec(k + n * w))
+        y_got, omega = std_sample(n, has_b, w)(v)
+        return [*(() if has_b else y_got), *sum(omega, [])], \
+            [*(() if has_b else v[:n]),
+             *sum((v[k:][j::w] for j in range(w)), [])]
     if kernel == "dot_k":
         return [dot_k(n)(x, y)], [dot(x, y)]
     if kernel == "scaled_mv":
-        mat = draw(square(n, values))
-        return scaled_mv(n, n)(s, mat, x), [s * dot(row, x) for row in mat]
+        mat, line = draw(square(n, values)), _kernel_lines(eigen_update, 1, n)
+        return [_eval_line(line[f"s{i}"], g=s, V=mat, **_named("c", x))
+                for i in range(n)], [s * dot(row, x) for row in mat]
     if kernel == "midpoint":
-        return midpoint(n)(x, y), [0.5 * (a + b) for a, b in zip(x, y)]
+        return _eval_line(_kernel_lines(plant_mid, n, 3)["return"], a=x,
+                          b=y), [0.5 * (a + b) for a, b in zip(x, y)]
     if kernel == "hermite_mid":
-        return hermite_mid(n)(x, y, s, k2, k3), \
+        return _eval_line(_kernel_lines(plant_mid, n, 1)["return"], x=x, y=y,
+                          s=s, r=k2, w=k3), \
             [0.5 * (a + b) + s * (c - d) for a, b, c, d in zip(x, y, k2, k3)]
     flat = sum(draw(square(n, values)), [])
     ends = sum(draw(square(n, values)), [])
@@ -403,9 +481,9 @@ def ref_outer_add(s, cols):
 
 
 KERNELS = ["axpy", "rk4_sum", "v_minus_mg", "v_plus_mg", "residual_gram",
-           "scaled_mtv", "sub_at", "outer_add_columns", "block_columns",
-           "dot_k", "scaled_mv", "lag_rate", "lag_rate_at", "midpoint",
-           "hermite_mid", "outer_add", "gram_trapezoid"]
+           "scaled_mtv", "eigen_gain", "sub_at", "outer_add_columns",
+           "block_columns", "dot_k", "scaled_mv", "lag_rate", "lag_rate_at",
+           "midpoint", "hermite_mid", "outer_add", "gram_trapezoid"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -416,21 +494,21 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
     assert same_bytes(got, want)
 
 
-@pytest.mark.parametrize("factory", [axpy, midpoint, hermite_mid, outer_add,
-                                     gram_trapezoid, dot_k, scaled_mtv,
+@pytest.mark.parametrize("factory", [axpy, outer_add, gram_trapezoid, dot_k,
                                      lag_rk4, half_update])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
-    for two_lengths in (v_minus_mg, v_plus_mg, scaled_mv, residual_gram,
-                        sub_at, outer_add, plant_rk4):
+    for two_lengths in (residual_gram, eigen_update, outer_add, plant_rk4,
+                        plant_mid):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
-    assert block_columns(2, 2, 3) is block_columns(2, 2, 3) \
-        is not block_columns(4, 2, 3)
+    assert std_sample(2, True, 3) is std_sample(2, True, 3) \
+        is not std_sample(2, False, 3)
     assert correction_rk4(2, 3) is correction_rk4(2, 3) \
         is not correction_rk4(2, 2)
-    assert mix_pair(3) is mix_pair(3) is not mix_pair(2)
+    assert mix_pair(3, False) is mix_pair(3, False) is not mix_pair(2, False)
+    assert mix_pair(3, True) is not mix_pair(3, False)
     assert pbep_sample(True, False, 0, 2, 1) \
         is pbep_sample(True, False, 0, 2, 1) \
         is not pbep_sample(False, True, 2, 0, 0)
@@ -438,10 +516,13 @@ def test_kernel_factory_compiles_once_per_length(factory):
 
 def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     # a row product starts from 0.0 as dot does, so a sum of -0.0
-    # products is +0.0
-    assert same_bytes(v_minus_mg(1, 2)([-0.0], [[-0.0, -0.0]], [1.0, 1.0]),
-                      [-0.0])
-    assert same_bytes(scaled_mv(1, 2)(1.0, [[-0.0, -0.0]], [1.0, 1.0]), [0.0])
+    # products is +0.0: g - Phi g0 in mix_pair, gamma V c in eigen_update
+    r = _kernel_lines(mix_pair, 2, True)["r"]
+    assert same_bytes(_eval_line(r, g=[-0.0, -0.0], Phi=[[-0.0, -0.0]] * 2,
+                                 g0=[1.0, 1.0]), [-0.0, -0.0])
+    s0 = _kernel_lines(eigen_update, 1, 2)["s0"]
+    assert same_bytes([_eval_line(s0, g=1.0, V=[[-0.0, -0.0]] * 2, c0=1.0,
+                                  c1=1.0)], [0.0])
     assert same_bytes([dot_k(2)([-0.0, -0.0], [1.0, 1.0])], [0.0])
     # left to right: 1e16 + 1.0 rounds back to 1e16 before -1e16 comes in
     assert dot_k(3)([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
@@ -450,8 +531,8 @@ def test_kernels_keep_signed_zero_and_read_exactly_n_components():
                           [[1.0, 2.0], [3.0, 4.0]]) \
         == ([0.0, 0.0], [[-6.0, -8.0], [-11.0, -16.0]])
     # I - Phi at Phi = I is +0.0 throughout (1.0 - 1.0, 0.0 - 0.0)
-    assert same_bytes([mix_pair(2)([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])[0]],
-                      [0.0])
+    assert same_bytes([mix_pair(2, False)([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
+                                          None)[0]], [0.0])
     with pytest.raises(IndexError):
         axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
     assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
@@ -524,6 +605,37 @@ def test_stage_kernels_do_not_grow_with_the_substep_count():
     sizes = {len(plant_rk4(2, nsub).__code__.co_code)
              for nsub in (1, 8, 10**6)}
     assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("nsub", SUBSTEPS)
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 4), values=value_kinds)
+def test_plant_mid_matches_the_step_s_former_branches(nsub, data, n, values):
+    # at one substep the cubic Hermite midpoint from the rates at the
+    # step's ends, r0 taken first; at an even count the sub-grid state
+    # itself; else the average of the two sub-grid states about the midpoint
+    draw = data.draw
+    x, xs = draw(vectors(n, values)), [draw(vectors(n, values))
+                                       for _ in range(nsub)]
+    th, th1 = draw(vectors(2, values)), draw(vectors(2, values))
+    t, h = draw(values), draw(values)
+    rate = Recorder([draw(vectors(n, values)), draw(vectors(n, values))])
+    got = plant_mid(n, nsub)(rate, x, xs, th, th1, t, h)
+    k = nsub // 2 - 1
+    if nsub == 1:
+        (x0, th0, t0), (x1, th_1, t1) = rate.calls
+        assert x0 is x and th0 is th and t0 is t
+        assert x1 is xs[0] and th_1 is th1 and same_bytes([t1], [t + h])
+        r0, r1 = rate.values
+        assert same_bytes(got, [0.5 * (a + b) + (h / 8.0) * (c - d)
+                                for a, b, c, d in zip(x, xs[0], r0, r1)])
+        return
+    assert rate.calls == []
+    if nsub % 2 == 0:
+        assert got is xs[k]
+    else:
+        assert same_bytes(got, [0.5 * (a + b)
+                                for a, b in zip(xs[k], xs[k + 1])])
 
 
 def ref_correction(G, PT, gamma, delta, ycal, th, h, nsub):

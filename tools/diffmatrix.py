@@ -76,7 +76,8 @@ PINNED_ABORTS = [
 # benchmark's gradient_std run without sub-steps or decimation.  The ph
 # decimation-1 case is a sweep cell at the top corner of the benchmark's
 # gain grid: its trace holds every step's 2x2 Gram eigenvalue.  A nonzero
-# theta_g0 takes the mixing pair through Phi theta_g0 (`v_minus_mg`)
+# theta_g0 takes the mixing pair through Phi theta_g0 (`mix_pair`'s
+# shifted form)
 EXTRA_CASES = [
     ("extra/ph-gradient_std-overparam", "ph",
      {"estimator": "gradient_std", "overparam_hat0": (0.5, 0.25),
@@ -99,11 +100,12 @@ EXTRA_CASES = [
 
 # (id, scenario, SimConfig settings) of the substeps axis: the plant's RK4
 # substeps are unrolled per count, and the count picks the filter stage's
-# midpoint state (Hermite at 1, a sub-grid state when even, the average of
-# two when odd).  On ph, whose storage residual reads the control, the
-# sub-grid control interpolates the correction flow's estimate
-# (gplusd_pbep) or holds the step-start one (gradient_pbep_overparam),
-# and decimation 7 leaves a trailing row, as 7 does not divide 1000 steps
+# midpoint state in `plant_mid` (Hermite at 1, a sub-grid state when even,
+# the average of two when odd).  On ph, whose storage residual reads the
+# control, the sub-grid control interpolates the correction flow's
+# estimate (gplusd_pbep) or holds the step-start one
+# (gradient_pbep_overparam), and decimation 7 leaves a trailing row, as 7
+# does not divide 1000 steps
 SUBSTEP_CASES = [
     (f"substeps/circuit-{est}-{nsub}", "circuit",
      {"estimator": est, "substeps": nsub, "decimation": 1, "t_end": 1.0})
