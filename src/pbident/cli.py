@@ -29,7 +29,7 @@ Subcommands:
     sweep <config> --grid key=lo:hi:steps [...]
         repeat run over a grid of numeric settings or scenario parameters;
         one cell directory per combination plus an index.csv written at
-        the end.
+        the end; more than 10,000 cells (cell_9999) are refused.
 
 The trace is CSV: one header row, then one row per decimated step; all
 numbers in full-precision scientific notation.  The report is the same
@@ -410,10 +410,16 @@ def sweep_command(cfg: ScenarioConfig, grids: list[str],
             print(f"error: grid range {rng!r} needs finite ends and steps >= 1",
                   file=sys.stderr)
             return 1
-        axes.append((key, name, _grid(lo, hi, steps)))
+        axes.append((key, name, (lo, hi, steps)))
     if not axes:
         print("error: sweep needs at least one --grid", file=sys.stderr)
         return 1
+    # cell_NNNN directories list in cell order up to cell 9999
+    n_cells = math.prod(steps for _, _, (_, _, steps) in axes)
+    if n_cells > 10_000:
+        print(f"error: --grid gives {n_cells} cells, over 10000", file=sys.stderr)
+        return 1
+    axes = [(key, name, _grid(*rng)) for key, name, rng in axes]
 
     # every cell is checked by SimConfig before any of them runs
     cells = []

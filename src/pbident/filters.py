@@ -10,8 +10,8 @@ PLAIN outputs z = F[u]; DERIVATIVE outputs lam * (u - z), which equals the
 filtered derivative s F[u].
 
 The bank never integrates itself: the simulator owns time stepping and
-advances `state`, a list of Python floats, with its own RK4.  `output` is
-a pure read: a per-channel tap over the inputs and the state.
+advances `state`, a list of Python floats, with its own RK4, and the
+generators' sample kernels read the taps from the inputs and `state`.
 
 Initialization policy: PLAIN channels start at zero state; DERIVATIVE
 channels start with state equal to the initial input, so their output
@@ -53,7 +53,8 @@ class FirstOrderFilterBank:
         return len(self.modes)
 
     def output(self, inputs) -> list:
-        """Instantaneous channel outputs; does not advance state."""
+        """Instantaneous channel outputs.  No code in the package calls it;
+        it stays because the benchmark's tracer wraps it by name."""
         lam = self.lam
         return [lam * (u - z) if d else z
                 for d, u, z in zip(self._deriv, inputs, self.state)]

@@ -34,11 +34,11 @@ inputs; the simulator owns all time stepping.  Channel inputs, filter
 states (the bank's `state`) and samples are Python floats: a power-balance
 sample carries a float Y and a p-tuple Omega, a state-equation sample an
 n-tuple Y and Omega as n_w rows of n floats, which the matrix estimator
-reads as they are.  A power-balance sample is one smallmat kernel
-(`pbep_sample`) over the channel layout.  The state-equation generator
-adds the declared phi_g terms to the rows of its input matrix with `axpy`
-and splits the bank's channel outputs into Y and Omega with one kernel
-(`std_sample`).  All are bound to the generator's lengths when it is built.
+reads as they are.  A generator's channel inputs are one smallmat kernel
+bound to its signal maps (`input_kernel`: `pbep_inputs`, `std_inputs`),
+and its sample one that reads the filter taps (`pbep_sample`,
+`std_sample`), both bound to the lengths of the maps' returns, which the
+generator checks at the start state.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .filters import ChannelMode, FirstOrderFilterBank
-from .smallmat import (axpy, dot, float_rows, min_eig_symmetric, pbep_sample,
-                       std_sample)
+from .smallmat import (check_lengths, dot, float_rows, min_eig_symmetric,
+                       pbep_inputs, pbep_sample, std_inputs, std_sample)
 
 
 @dataclass
@@ -162,6 +162,23 @@ class RegressorSample:
     Omega: tuple
 
 
+# both generators' methods, bound in each class, where the benchmark's
+# tracer wraps them by name
+def _inputs(self, x, u_p, y_p) -> list:
+    """Channel inputs at a plant sample (`input_kernel`)."""
+    return self.input_kernel(x, u_p, y_p)
+
+
+def _sample_from(self, t: float, inputs) -> RegressorSample:
+    """Build the sample from already-assembled channel inputs."""
+    bank = self.bank
+    y, omega = self._sample(bank.lam, inputs, bank.state)
+    return RegressorSample(t, y, omega)
+
+
+_n_channels = property(lambda self: self.bank.n_channels)
+
+
 class PbepGenerator:
     """Causal generator of the power-balance regression (Y, Omega).
 
@@ -172,6 +189,8 @@ class PbepGenerator:
     maps are all None are skipped.
     """
 
+    inputs, sample_from, n_channels = _inputs, _sample_from, _n_channels
+
     def __init__(self, nlpre: NlpreData, param_map: ParamMap, lam: float,
                  x0, up0, yp0):
         p = nlpre.p_s + nlpre.p_S + nlpre.p_d
@@ -179,49 +198,22 @@ class PbepGenerator:
             raise ValueError(
                 f"p mismatch: regression data has p_s + p_S + p_d = {p}, "
                 f"parameter map has p = {param_map.p}")
-        self.nlpre = nlpre
-        self.param_map = param_map
+        self.nlpre = d = nlpre
         self.p = param_map.p
-        self._has_yplain = nlpre.b_s is not None or nlpre.b_d is not None
-        self._has_yderiv = nlpre.b_S is not None
-        modes = []
-        if self._has_yplain:
-            modes.append(ChannelMode.PLAIN)
-        if self._has_yderiv:
-            modes.append(ChannelMode.DERIVATIVE)
-        modes += [ChannelMode.PLAIN] * nlpre.p_s
-        modes += [ChannelMode.DERIVATIVE] * nlpre.p_S
-        modes += [ChannelMode.PLAIN] * nlpre.p_d
+        check_lengths([(f"phi_{k}", phi(*args), "values", f"p_{k}", count)
+                       for k, phi, args, count in (
+                           ("s", d.phi_s, (x0, up0, yp0), d.p_s),
+                           ("S", d.phi_S, (x0,), d.p_S),
+                           ("d", d.phi_d, (x0,), d.p_d)) if count])
+        flags = (d.b_s is not None, d.b_d is not None, d.b_S is not None)
+        self.input_kernel = pbep_inputs(*flags, d.p_s, d.p_S, d.p_d)(
+            d.b_s, d.b_d, d.b_S, d.phi_s, d.phi_S, d.phi_d)
+        y_plain = flags[0] or flags[1]
+        plain, deriv = ChannelMode.PLAIN, ChannelMode.DERIVATIVE
+        modes = ([plain] * y_plain + [deriv] * flags[2] + [plain] * d.p_s
+                 + [deriv] * d.p_S + [plain] * d.p_d)
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0, yp0))
-        self._sample = pbep_sample(self._has_yplain, self._has_yderiv,
-                                   nlpre.p_s, nlpre.p_S, nlpre.p_d)
-
-    @property
-    def n_channels(self) -> int:
-        return self.bank.n_channels
-
-    def inputs(self, x, u_p, y_p) -> list:
-        d = self.nlpre
-        out = []
-        if self._has_yplain:
-            bs = d.b_s(x, u_p, y_p) if d.b_s is not None else 0.0
-            bd = d.b_d(x) if d.b_d is not None else 0.0
-            out.append(bs - bd)
-        if self._has_yderiv:
-            out.append(d.b_S(x))
-        if d.p_s:
-            out.extend(d.phi_s(x, u_p, y_p))
-        if d.p_S:
-            out.extend(d.phi_S(x))
-        if d.p_d:
-            out.extend(d.phi_d(x))
-        return out
-
-    def sample_from(self, t: float, inputs) -> RegressorSample:
-        """Build the sample from already-assembled channel inputs."""
-        bank = self.bank
-        y, omega = self._sample(bank.lam, inputs, bank.state)
-        return RegressorSample(t=t, Y=y, Omega=omega)
+        self._sample = pbep_sample(y_plain, flags[2], d.p_s, d.p_S, d.p_d)
 
 
 class StdLreGenerator:
@@ -233,64 +225,39 @@ class StdLreGenerator:
     assembled input matrix w_f + w_g.
     """
 
+    inputs, sample_from, n_channels = _inputs, _sample_from, _n_channels
+
     def __init__(self, std: StdLreData, lam: float, x0, up0):
         self.std = std
         self.n = n = len(x0)
-        self.n_w = std.n_w
-        self._has_b = std.b_f is not None or std.b_g is not None
-        # the declared terms (i, j, phi_g[i][j]) of the input matrix, in
-        # the order they are added, up to the len(up0) input components
-        self._terms = [(i, j, entry)
-                       for i, entries in enumerate(std.phi_g or ())
-                       for j, entry in zip(range(len(up0)), entries)
-                       if entry is not None]
-        self._zero_row = (0.0,) * std.n_w
-        self._axpy_w = axpy(std.n_w)
-        # the channel outputs are pF[x], then F[b_f + B_g u_p] when declared,
-        # then the n rows of F[w_f + w_g]: Y = pF[x] - F[b_f + B_g u_p], and
+        self.n_w = n_w = std.n_w
+        # the declared entries (i, j, map) of phi_g and b_g, in the order
+        # they are added, up to the len(up0) input components
+        terms, bterms = ([(i, j, entry) for i, entries in enumerate(g or ())
+                          for j, entry in zip(range(len(up0)), entries)
+                          if entry is not None] for g in (std.phi_g, std.b_g))
+        for name, rows in (("phi_g", std.phi_g), ("b_g", std.b_g)):
+            if rows is not None and len(rows) > n:
+                raise ValueError(f"{name} has {len(rows)} rows, but n = {n}")
+        checks = [(f"phi_g[{i}][{j}]", entry(x0), "values", "n_w", n_w)
+                  for i, j, entry in terms]
+        if std.w_f is not None:
+            w = std.w_f(x0)
+            checks += [("w_f", w, "rows", "n", n), *((f"w_f row {i}", row,
+                        "values", "n_w", n_w) for i, row in enumerate(w))]
+        if std.b_f is not None:
+            checks.append(("b_f", std.b_f(x0), "values", "n", n))
+        check_lengths(checks)
+        has_b = std.b_f is not None or std.b_g is not None
+        self.input_kernel = std_inputs(
+            n, n_w, std.w_f is not None, tuple((i, j) for i, j, _ in terms),
+            std.b_f is not None,
+            None if std.b_g is None else tuple((i, j) for i, j, _ in bterms))(
+            std.w_f, std.b_f, [e for *_, e in terms], [e for *_, e in bterms])
+        # the channels are pF[x], then F[b_f + B_g u_p] when declared, then
+        # the n rows of F[w_f + w_g]: Y = pF[x] - F[b_f + B_g u_p], and
         # Omega row j is column j of that n x n_w block
-        self._sample = std_sample(n, self._has_b, std.n_w)
-        modes = [ChannelMode.DERIVATIVE] * n
-        if self._has_b:
-            modes += [ChannelMode.PLAIN] * n
-        modes += [ChannelMode.PLAIN] * (n * std.n_w)
+        self._sample = std_sample(n, has_b, n_w)
+        modes = [ChannelMode.DERIVATIVE] * n \
+            + [ChannelMode.PLAIN] * (n * (has_b + n_w))
         self.bank = FirstOrderFilterBank(lam, modes, self.inputs(x0, up0, None))
-
-    @property
-    def n_channels(self) -> int:
-        return self.bank.n_channels
-
-    def _w_rows(self, x, u_p) -> list:
-        """Rows of the input matrix w_f + sum_j u_p[j] phi_g[i][j]."""
-        w_f = self.std.w_f
-        # a fresh list of rows on every call: the terms replace its rows
-        w = list(w_f(x)) if w_f is not None else [self._zero_row] * self.n
-        axpy_w = self._axpy_w
-        for i, j, entry in self._terms:
-            w[i] = axpy_w(w[i], u_p[j], entry(x))
-        return w
-
-    def _b_vector(self, x, u_p) -> list:
-        std = self.std
-        b = list(std.b_f(x)) if std.b_f is not None else [0.0] * self.n
-        if std.b_g is not None:
-            for i, entries in enumerate(std.b_g):
-                for u, entry in zip(u_p, entries):
-                    if entry is not None:
-                        b[i] += u * entry(x)
-        return b
-
-    def inputs(self, x, u_p, y_p) -> list:
-        """Channel inputs at a plant sample; y_p, which the state equations
-        do not read, keeps the power-balance generator's signature."""
-        out = list(x)
-        if self._has_b:
-            out.extend(self._b_vector(x, u_p))
-        for row in self._w_rows(x, u_p):
-            out.extend(row)
-        return out
-
-    def sample_from(self, t: float, inputs) -> RegressorSample:
-        """Build the sample from already-assembled channel inputs."""
-        y, omega = self._sample(self.bank.output(inputs))
-        return RegressorSample(t=t, Y=y, Omega=omega)

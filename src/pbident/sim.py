@@ -67,10 +67,10 @@ from typing import Optional
 from .estimator import GplusDEstimator, GradientEstimator
 from .plants import Scenario
 from .regressor import PbepGenerator, RegressorSample, StdLreGenerator
-from .smallmat import (all_finite, cofactors, dist_k, dot, finite_k,
-                       flat_floats, gram_trapezoid, lag_rk4, min_eig_symmetric,
-                       outer_add, plant_mid, plant_rk4, power_residuals,
-                       trace_row)
+from .smallmat import (all_finite, check_lengths, cofactors, dist_k, dot,
+                       finite_k, flat_floats, gram_trapezoid, lag_rk4,
+                       min_eig_symmetric, outer_add, plant_mid, plant_rk4,
+                       power_residuals, trace_row)
 
 
 class EstimatorKind(Enum):
@@ -388,16 +388,13 @@ class World:
         # is the start rate under every controller; `correct` reads p of G)
         at = "components at the start state"
         checks = [
-            ("fast_rate", fast_rate(x, u0, 0.0), at, "plant has n", plant.n),
-            ("ports u_p", up0, at, "plant has n_p", plant.n_p),
-            ("ports y_p", yp0, at, "plant has n_p", plant.n_p)]
+            ("fast_rate", fast_rate(x, u0, 0.0), at, "the plant has n", plant.n),
+            ("ports u_p", up0, at, "the plant has n_p", plant.n_p),
+            ("ports y_p", yp0, at, "the plant has n_p", plant.n_p)]
         if self.interlaced:
             checks.append(("G", pm.G(self.theta_hat), "values",
-                           "parameter map has p", pm.p))
-        for closure, value, unit, dim, want in checks:
-            if len(value) != want:
-                raise ValueError(f"{closure} returns {len(value)} {unit}, but "
-                                 f"the {dim} = {want}")
+                           "the parameter map has p", pm.p))
+        check_lengths(checks)
         if kind is not EstimatorKind.NONE:
             std = kind is EstimatorKind.GRADIENT_STD
             rows = plant.std.n_w if std else pm.p
@@ -405,6 +402,13 @@ class World:
                               else PbepGenerator(plant.nlpre, pm, cfg.lam, x,
                                                  up0, yp0))
             self.excitation = ExcitationRecord(rows, cfg.h, cfg.c_c)
+            inputs, ports, control = \
+                self.generator.input_kernel, scenario.ports, self.control
+
+            def inputs_at(x, th, t):
+                up, yp = ports(x, control(x, th, t), t)
+                return inputs(x, up, yp)
+            self.inputs_at = inputs_at
             self._lag_rk4 = lag_rk4(self.generator.n_channels)
             if self.interlaced:
                 self.estimator = GplusDEstimator(pm, cfg.gamma_g, cfg.gamma,
@@ -426,10 +430,8 @@ class World:
         return list(self.theta_of(self.estimator.Theta))
 
     def assemble_inputs(self, x, t, theta_hat) -> list:
-        """Generator channel inputs at (x, t) under the current estimate."""
-        u = self.control(x, theta_hat, t)
-        up, yp = self.scenario.ports(x, u, t)
-        return self.generator.inputs(x, up, yp)
+        """Generator channel inputs at (x, t) under an estimate (`inputs_at`)."""
+        return self.inputs_at(x, theta_hat, t)
 
     def check_finite(self):
         state = self.generator.bank.state if self.generator is not None else ()
@@ -465,7 +467,7 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
                 and end[2] is gen.bank.state and end[3] == t:
             i0, sample0 = end[4], end[5]
         else:
-            i0 = world.assemble_inputs(x, t, th)
+            i0 = world.inputs_at(x, th, t)
             sample0 = gen.sample_from(t, i0)
 
     # the correction flow's estimates, interpolated for the plant; gradient
@@ -482,8 +484,8 @@ def step(world: World) -> tuple[list, Optional[RegressorSample],
         # midpoint plant state for the filter stages
         x_mid = world._plant_mid(plant_rate, x, xs, th, th_new, t, h)
         tm, t1 = t + 0.5 * h, t + h
-        im = world.assemble_inputs(x_mid, tm, ths[nsub])
-        i1 = world.assemble_inputs(xc, t1, th_new)
+        im = world.inputs_at(x_mid, ths[nsub], tm)
+        i1 = world.inputs_at(xc, th_new, t1)
         gen.bank.state = world._lag_rk4(cfg.lam, i0, im, i1, gen.bank.state, h)
         sample1 = gen.sample_from(t1, i1)
         if t == 0.0 and not all(all_finite(s.Omega) and all_finite(s.Y)

@@ -20,18 +20,18 @@ factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
 the first call with those lengths and cached (`_kernel`) under a file name
 such as `<smallmat axpy(2)>`, whose source linecache holds for tracebacks.
 Each stage of `sim.step` is one kernel (`plant_rk4`, `plant_mid`,
-`correction_rk4`, `lag_rk4`, `pbep_sample` or `std_sample`, `mix_pair`,
-`half_update`, and `residual_gram` and `eigen_update` on either side of
-the matrix gradient flow's `symmetric_eigen`), and so is each piece of
-`sim.run`'s bookkeeping, as on CPython 3.11 a call and a list between
-stages cost several times the arithmetic on 2- and 3-element states.  A
-kernel keeps the operation order of the expressions it fuses, which its
-docstring gives: sums of products start from 0.0 and go left to right, as
-`dot` does, and the cofactor forms are those of `_COFACTORS`, so results
-are bit-identical to the unfused expressions and independent of the BLAS
-build.  A kernel reads exactly the components of its lengths (IndexError
-on a shorter argument, the rest of a longer one ignored), so callers bind
-kernels to lengths they checked.
+`correction_rk4`, `pbep_inputs` or `std_inputs`, `lag_rk4`, `pbep_sample`
+or `std_sample`, `mix_pair`, `half_update`, and `residual_gram` and
+`eigen_update` around the matrix gradient flow's `symmetric_eigen`), and
+so is each piece of `sim.run`'s bookkeeping, as on CPython 3.11 a call
+and a list between stages cost several times the arithmetic on 2- and
+3-element states.  A kernel keeps the operation order of the expressions
+it fuses, which its docstring gives: sums of products start from 0.0 and
+go left to right, as `dot` does, and the cofactor forms are those of
+`_COFACTORS`, so results are bit-identical to the unfused expressions and
+independent of the BLAS build.  A kernel reads exactly the components of
+its lengths (IndexError on a shorter argument, the rest of a longer one
+ignored), so callers check the lengths first (`check_lengths`).
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -102,6 +102,16 @@ def all_finite(x) -> bool:
     if isinstance(x, (list, tuple)):
         return all(map(all_finite, x))
     return math.isfinite(x)
+
+
+def check_lengths(checks):
+    """ValueError "name returns k units, but dim = size" for the first
+    (name, value, units, dim, size) whose value has k != size values, as a
+    kernel bound to a length reads exactly that many."""
+    for name, value, unit, dim, want in checks:
+        if len(value) != want:
+            raise ValueError(f"{name} returns {len(value)} {unit}, but "
+                             f"{dim} = {want}")
 
 
 def _kernel(source):
@@ -324,17 +334,62 @@ def pbep_sample(y_plain: bool, y_deriv: bool, p_s: int, p_S: int, p_d: int):
 
 
 @_kernel
+def pbep_inputs(b_s: bool, b_d: bool, b_S: bool, p_s: int, p_S: int, p_d: int):
+    """f(b_s, b_d, b_S, phi_s, phi_S, phi_d) = inputs(x, u_p, y_p), the
+    power-balance channel inputs bs - bd (0.0 for the one not set), b_S(x),
+    phi_s(x, u_p, y_p), phi_S(x), phi_d(x) of the maps set (phi: count >
+    0), each called once, in that order."""
+    calls = (("bs", "b_s(x, u_p, y_p)", b_s), ("bd", "b_d(x)", b_d),
+             ("bS", "b_S(x)", b_S), ("s", "phi_s(x, u_p, y_p)", p_s),
+             ("S", "phi_S(x)", p_S), ("d", "phi_d(x)", p_d))
+    out = [f"{'bs' if b_s else '0.0'} - {'bd' if b_d else '0.0'}"] * (b_s or b_d)
+    out += ["bS"] * b_S + [f"{v}[{i}]" for v, _, k in calls[3:] for i in range(k)]
+    return "b_s, b_d, b_S, phi_s, phi_S, phi_d", [
+        "def inputs(x, u_p, y_p):", *(f"    {v} = {c}" for v, c, on in calls if on),
+        f"    return {_list(out)}", "return inputs"]
+
+
+@_kernel
+def std_inputs(n: int, n_w: int, has_wf: bool, terms: tuple, has_bf: bool,
+               bterms: tuple | None):
+    """f(w_f, b_f, phi, bg) = inputs(x, u_p, y_p), the state-equation
+    channel inputs x[:n], b (when has_bf or bterms is not None) and w's n
+    rows of n_w: b_i = b_f(x)[i] (or 0.0) + u_p[j]*bg[m](x) for each m-th
+    (i, j) of bterms in turn, w_ik = w_f(x)[i][k] (or 0.0) +
+    u_p[j]*phi[m](x)[k] for each m-th (i, j) of terms in turn, as `axpy`
+    adds; b_f, bg, w_f, phi called once each, in that order."""
+    has_b, bterms = has_bf or bterms is not None, bterms or ()
+
+    def entry(base, added, name, i, at):
+        return base + "".join(f" + u{j} * {name}{m}{at}"
+                              for m, (r, j) in enumerate(added) if r == i)
+    b = [entry(f"b[{i}]" if has_bf else "0.0", bterms, "c", i, "")
+         for i in range(n)] * has_b
+    w = [entry(f"w[{i}][{k}]" if has_wf else "0.0", terms, "e", i, f"[{k}]")
+         for i in range(n) for k in range(n_w)]
+    return "w_f, b_f, phi, bg", [
+        "def inputs(x, u_p, y_p):",
+        *(f"    u{j} = u_p[{j}]" for j in sorted({j for _, j in terms + bterms})),
+        *["    b = b_f(x)"] * has_bf,
+        *(f"    c{m} = bg[{m}](x)" for m in range(len(bterms))),
+        *["    w = w_f(x)"] * has_wf,
+        *(f"    e{m} = phi[{m}](x)" for m in range(len(terms))),
+        "    return " + _list([*(f"x[{i}]" for i in range(n)), *b, *w]),
+        "return inputs"]
+
+
+@_kernel
 def std_sample(n: int, has_b: bool, n_w: int):
-    """f(v) = (Y, Omega) of state-equation channel outputs v: Y = v[:n] -
-    v[n:2n] with the b channels (has_b), else v[:n], as a tuple, and Omega
-    the n_w columns of the n x n_w row-major block after them, as a tuple
-    of lists."""
+    """f(lam, u, z) = (Y, Omega) of state-equation channels with inputs u
+    and states z: Y = the DERIVATIVE taps lam*(u[:n] - z[:n]), minus the
+    PLAIN taps z[n:2n] if has_b, as a tuple, and Omega the n_w columns of
+    the n x n_w row-major block of PLAIN taps after them, as a tuple."""
     k = 2 * n if has_b else n
-    y = _tuple(f"v[{i}] - v[{n + i}]" if has_b else f"v[{i}]"
+    y = _tuple(f"lam * (u[{i}] - z[{i}])" + (f" - z[{n + i}]" if has_b else "")
                for i in range(n))
-    omega = _tuple(_list(f"v[{k + i * n_w + j}]" for i in range(n))
+    omega = _tuple(_list(f"z[{k + i * n_w + j}]" for i in range(n))
                    for j in range(n_w))
-    return "v", f"({y}, {omega})"
+    return "lam, u, z", f"({y}, {omega})"
 
 
 @_kernel
@@ -661,21 +716,6 @@ _UNSCALED_MIN = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)
 _UNSCALED_MAX = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)
 
 
-def _is_square_list(m) -> bool:
-    """Whether m is a nonempty list of len(m) lists of len(m) entries.
-
-    A loop, as on CPython 3.11 all() over a generator costs several times
-    as much on a 2x2 matrix.
-    """
-    if type(m) is not list or not m:
-        return False
-    n = len(m)
-    for r in m:
-        if type(r) is not list or len(r) != n:
-            return False
-    return True
-
-
 def _min_eig_2x2(a: float, b: float, c: float) -> float:
     """Smallest eigenvalue of [[a, b], [b, c]] in the operations of LAPACK's
     dsyevd, for a matrix that it does not rescale.
@@ -721,17 +761,26 @@ def min_eig_symmetric(m) -> float:
     """Smallest eigenvalue of a symmetric matrix (symmetrized as (M+M')/2),
     bit-identical to numpy's eigvalsh of the symmetrized matrix.
 
-    A square nested list is taken as it is, anything else is read as
-    square float rows first; the matrix is checked and symmetrized on floats,
-    and non-finite entries raise ValueError.  A 1x1 matrix gives its
-    symmetrized entry, which dsyevd returns before any scaling.  A 2x2
-    matrix whose largest symmetrized |entry| is 0 or lies in [2**-405,
-    2**485] is solved on floats in LAPACK's own operations
-    (`_min_eig_2x2`); any other matrix goes to eigvalsh, which rescales
-    such a 2x2 matrix first.
+    A list of lists [a, b], [b, c] of floats (the excitation record's
+    Gram) is its own symmetrization; anything else is read as square float
+    rows, checked and symmetrized, and non-finite entries raise ValueError.
+    A 1x1 matrix gives its symmetrized entry, which dsyevd returns before
+    any scaling.  A 2x2 matrix whose largest symmetrized |entry| is 0 or
+    lies in [2**-405, 2**485] is solved on floats in LAPACK's own
+    operations (`_min_eig_2x2`); any other goes to eigvalsh, which
+    rescales such a 2x2 matrix first.
     """
-    if not _is_square_list(m):
-        m = _square_rows(m)
+    if type(m) is list and len(m) == 2 and type(m[0]) is list \
+            and type(m[1]) is list and len(m[0]) == 2 == len(m[1]):
+        (a, b), (b10, c) = m
+        # the range test above on the entries themselves; inf and nan fail it
+        lo, hi = _UNSCALED_MIN, _UNSCALED_MAX
+        if b == b10 and type(a) is type(b) is type(c) is float \
+                and -hi <= a <= hi and -hi <= b <= hi and -hi <= c <= hi \
+                and (not (-lo < a < lo and -lo < b < lo and -lo < c < lo)
+                     or a == b == c == 0.0):
+            return _min_eig_2x2(a, b, c)
+    m = _square_rows(m)
     n = len(m)
     if n == 1:
         ((a,),) = m

@@ -7,7 +7,7 @@ from hypothesis import settings, strategies as st
 from pbident import (ChannelMode, ControllerKind, EstimatorKind,
                      PbepGenerator, RegressorSample, SimConfig,
                      circuit_scenario, ph_scenario, run)
-from pbident.smallmat import adjugate, determinant
+from pbident.smallmat import adjugate, axpy, determinant
 
 
 def rk4(rate, y0, t0, t1, n):
@@ -240,6 +240,60 @@ def state_rate(gen, *signals):
 def sample(gen, t, *signals):
     """Regression sample of a generator at one plant sample."""
     return gen.sample_from(t, gen.inputs(*signals))
+
+
+def ref_pbep_inputs(d, x, u_p, y_p) -> list:
+    """The power-balance channel inputs as `PbepGenerator.inputs` assembled
+    them before its kernel: an `if` per channel group, 0.0 standing in for
+    the b_s or b_d not declared."""
+    out = []
+    if d.b_s is not None or d.b_d is not None:
+        bs = d.b_s(x, u_p, y_p) if d.b_s is not None else 0.0
+        bd = d.b_d(x) if d.b_d is not None else 0.0
+        out.append(bs - bd)
+    if d.b_S is not None:
+        out.append(d.b_S(x))
+    if d.p_s:
+        out.extend(d.phi_s(x, u_p, y_p))
+    if d.p_S:
+        out.extend(d.phi_S(x))
+    if d.p_d:
+        out.extend(d.phi_d(x))
+    return out
+
+
+def ref_std_inputs(std, n, x, u_p) -> list:
+    """The state-equation channel inputs as `StdLreGenerator` assembled them
+    before its kernel: x, then b_f (or zeros) with each b_g term added in
+    place, then the rows of w_f (or zero rows), each phi_g term added to
+    its row by `axpy` (`_w_rows`), flattened."""
+    out = list(x)
+    if std.b_f is not None or std.b_g is not None:
+        b = list(std.b_f(x)) if std.b_f is not None else [0.0] * n
+        for i, entries in enumerate(std.b_g or ()):
+            for u, entry in zip(u_p, entries):
+                if entry is not None:
+                    b[i] += u * entry(x)
+        out.extend(b)
+    w = list(std.w_f(x)) if std.w_f is not None else [(0.0,) * std.n_w] * n
+    for i, entries in enumerate(std.phi_g or ()):
+        for j, entry in zip(range(len(u_p)), entries):
+            if entry is not None:
+                w[i] = axpy(std.n_w)(w[i], u_p[j], entry(x))
+    for row in w:
+        out.extend(row)
+    return out
+
+
+def ref_std_sample(bank, n, has_b, n_w, inputs) -> tuple:
+    """(Y, Omega) as `StdLreGenerator.sample_from` took them before its
+    kernel read the taps: the bank's channel outputs, split into Y = the
+    first n outputs minus the next n (has_b) and Omega the columns of the
+    n x n_w row-major block after them."""
+    v = bank.output(inputs)
+    k = 2 * n if has_b else n
+    y = tuple(v[i] - v[n + i] if has_b else v[i] for i in range(n))
+    return y, tuple([v[k + i * n_w + j] for i in range(n)] for j in range(n_w))
 
 
 def predicted(s, params):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbident import circuit_scenario, ph_scenario, run
+from pbident import circuit_scenario, cli, ph_scenario, run
 from pbident.cli import (ConfigError, CsvTraceWriter, _grid, _report_lines,
                          check_command, emit_config, main, parse_config,
                          run_command, sweep_command)
@@ -545,6 +545,36 @@ def test_main_sweep_rejects_bad_grid(tmp_path, capsys, grid):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grids", [["gamma=1:2:1000000000000"],
+                                   ["gamma=1:2:100", "gamma_g=1:2:101"]])
+def test_main_sweep_refuses_more_than_10000_cells(tmp_path, capsys,
+                                                  monkeypatch, grids):
+    # refused before any axis is built: 10**12 steps would exhaust memory
+    def no_grid(*args):
+        raise AssertionError("_grid called")
+    monkeypatch.setattr(cli, "_grid", no_grid)
+    path = tmp_path / "c.cfg"
+    path.write_text("scenario = ph\nt_end = 0.01\n")
+    out = tmp_path / "sweep"
+    args = [arg for grid in grids for arg in ("--grid", grid)]
+    assert main(["sweep", str(path), *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --grid gives ")
+    assert not out.exists()
+
+
+def test_sweep_runs_10000_cells(tmp_path, monkeypatch):
+    # the largest grid whose cell_NNNN directories list in cell order
+    names = []
+    monkeypatch.setattr(cli, "run_command",
+                        lambda cfg, out_dir: names.append(out_dir) or 0)
+    out = tmp_path / "sweep"
+    assert sweep_command(short_cfg(), ["gamma=1:2:100", "gamma_g=1:2:100"],
+                         out_dir=str(out)) == 0
+    assert len(names) == 10_000 and names == sorted(names)
+    assert len((out / "index.csv").read_text().splitlines()) == 10_001
 
 
 def test_report_parses_back_to_its_config(tmp_path, capsys):

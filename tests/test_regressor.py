@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
-from pbident import ControllerKind, EstimatorKind, SimConfig, World, step
+from pbident import ControllerKind, EstimatorKind, SimConfig, World, run, step
 from pbident.filters import ChannelMode, FirstOrderFilterBank
 from pbident.regressor import (NlpreData, ParamMap, PbepGenerator,
-                               RegressorSample, StdLreGenerator)
-from pbident.smallmat import pbep_sample
-from conftest import (kernel_examples, predicted, residual, sample,
+                               RegressorSample, StdLreData, StdLreGenerator)
+from pbident.smallmat import pbep_inputs, pbep_sample
+from conftest import (kernel_examples, predicted, ref_pbep_inputs,
+                      ref_std_inputs, ref_std_sample, residual, sample,
                       same_bytes, state_rate, value_kinds, vectors)
 
 LAM = 10.0
@@ -362,3 +365,121 @@ def test_pbep_sample_matches_the_bank_taps_bit_for_bit(data, y_plain,
     got_y, got_omega = pbep_sample(y_plain, y_deriv, p_s, p_S, p_d)(lam, u, z)
     assert same_bytes([got_y], [y]) and isinstance(got_omega, tuple)
     assert same_bytes(got_omega, omega) and len(got_omega) == p_s + p_S + p_d
+
+
+# -- the input and sample kernels against the assembly they replace ---------
+
+def _logged(log, name, value):
+    """A signal map that returns `value` and appends `name` to `log`."""
+    def signal(*args):
+        log.append(name)
+        return value
+    return signal
+
+
+@kernel_examples
+@given(data=st.data(), n=st.integers(1, 3), n_w=st.integers(1, 3),
+       n_p=st.integers(1, 3), has_wf=st.booleans(), has_bf=st.booleans(),
+       values=value_kinds)
+def test_std_inputs_and_sample_match_the_former_assembly_bit_for_bit(
+        data, n, n_w, n_p, has_wf, has_bf, values):
+    # synthetic data: w_f and b_f each declared or None, phi_g and b_g None
+    # or up to n rows of entries, each a map (two in three) or None, a row
+    # as long as u_p or one entry longer; every map called in the former
+    # order
+    draw, log = data.draw, []
+
+    def table(name, value):
+        row = st.lists(st.one_of(value, value, st.none()), min_size=n_p,
+                       max_size=n_p + 1)
+        k = draw(st.integers(-1, n))   # rows, or -1 for None
+        return None if k < 0 else [
+            [v if v is None else _logged(log, f"{name}[{i}][{j}]", v)
+             for j, v in enumerate(draw(row))] for i in range(k)]
+    vec = lambda k: vectors(k, values)  # noqa: E731
+    std = StdLreData(
+        n_w=n_w, C=None,
+        w_f=_logged(log, "w_f", draw(st.lists(vec(n_w), min_size=n, max_size=n)))
+        if has_wf else None,
+        b_f=_logged(log, "b_f", draw(vec(n))) if has_bf else None,
+        phi_g=table("phi_g", vec(n_w)), b_g=table("b_g", values))
+    x, u_p = draw(vec(n)), draw(vec(n_p))
+    gen = StdLreGenerator(std, LAM, x, u_p)
+    log.clear()
+    got = gen.inputs(x, u_p, None)
+    calls = log[:]
+    log.clear()
+    assert same_bytes(got, ref_std_inputs(std, n, x, u_p)) and calls == log
+    # the sample from drawn filter states and cutoff, against the bank's taps
+    has_b = has_bf or std.b_g is not None
+    gen.bank.lam, gen.bank.state = draw(values), draw(vec(gen.n_channels))
+    s = gen.sample_from(0.5, got)
+    y, omega = ref_std_sample(gen.bank, n, has_b, n_w, got)
+    assert type(s.Y) is tuple and type(s.Omega) is tuple
+    assert all(type(row) is list for row in s.Omega)
+    assert same_bytes(s.Y, y) and same_bytes(s.Omega, omega)
+
+
+def test_std_inputs_add_the_terms_to_the_row_in_order():
+    # (1 + 1e16) - 1e16 is 0.0, where 1 + (1e16 - 1e16) would be 1.0
+    big = [lambda x: (1e16,), lambda x: (-1e16,)]
+    std = StdLreData(n_w=1, C=None, w_f=lambda x: ((1.0,),), b_f=lambda x: (1.0,),
+                     phi_g=[big], b_g=[[lambda x: 1e16, lambda x: -1e16]])
+    x, u_p = (0.5,), (1.0, 1.0)
+    got = StdLreGenerator(std, LAM, x, u_p).inputs(x, u_p, None)
+    assert got == ref_std_inputs(std, 1, x, u_p) == [0.5, 0.0, 0.0]
+
+
+@kernel_examples
+@given(data=st.data(), b_s=st.booleans(), b_d=st.booleans(),
+       b_S=st.booleans(), p_s=st.integers(0, 3), p_S=st.integers(0, 3),
+       p_d=st.integers(0, 3), values=value_kinds)
+def test_pbep_inputs_match_the_former_assembly_bit_for_bit(
+        data, b_s, b_d, b_S, p_s, p_S, p_d, values):
+    # every None pattern of b_s, b_d and b_S; every map called in the
+    # former order
+    draw, log = data.draw, []
+
+    def signal(name, declared, value):
+        return _logged(log, name, draw(value)) if declared else None
+    d = NlpreData(p_s, p_S, p_d,
+                  phi_s=signal("phi_s", p_s, vectors(p_s, values)),
+                  phi_S=signal("phi_S", p_S, vectors(p_S, values)),
+                  phi_d=signal("phi_d", p_d, vectors(p_d, values)),
+                  b_s=signal("b_s", b_s, values), b_S=signal("b_S", b_S, values),
+                  b_d=signal("b_d", b_d, values))
+    x, u_p, y_p = (draw(vectors(2, values)) for _ in range(3))
+    got = pbep_inputs(b_s, b_d, b_S, p_s, p_S, p_d)(
+        d.b_s, d.b_d, d.b_S, d.phi_s, d.phi_S, d.phi_d)(x, u_p, y_p)
+    calls = log[:]
+    log.clear()
+    assert same_bytes(got, ref_pbep_inputs(d, x, u_p, y_p)) and calls == log
+
+
+@pytest.mark.parametrize("estimator, field, value, message", [
+    ("gradient_std", "phi_g", [[lambda x: (1.0, 0.0, 0.0), lambda x: (1.0, 0.0)]],
+     r"phi_g\[0\]\[1\] returns 2 values, but n_w = 3"),
+    ("gradient_std", "w_f", lambda x: ((0.0,) * 3, (0.0,) * 4),
+     "w_f row 1 returns 4 values, but n_w = 3"),
+    ("gradient_std", "w_f", lambda x: ((0.0,) * 3,) * 3,
+     "w_f returns 3 rows, but n = 2"),
+    ("gradient_std", "b_f", lambda x: (0.0, 0.0, 0.0),
+     "b_f returns 3 values, but n = 2"),
+    ("gradient_std", "b_g", [[None]] * 3, "b_g has 3 rows, but n = 2"),
+    ("gradient_std", "phi_g", [[None]] * 3, "phi_g has 3 rows, but n = 2"),
+    ("gplusd_pbep", "phi_d", lambda x: (1.0, 2.0),
+     "phi_d returns 2 values, but p_d = 1"),
+    ("gplusd_pbep", "phi_S", lambda x: (1.0,),
+     "phi_S returns 1 values, but p_S = 2"),
+])
+def test_a_regression_map_of_the_wrong_length_is_named(circuit, estimator,
+                                                      field, value, message):
+    # the kernels bound to the declared lengths would read past a short
+    # return or ignore the rest of a long one
+    plant = circuit.plant
+    data = "std" if estimator == "gradient_std" else "nlpre"
+    plant = replace(plant, **{data: replace(getattr(plant, data),
+                                            **{field: value})})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(replace(circuit, plant=plant),
+            SimConfig(estimator=estimator, t_end=0.01))

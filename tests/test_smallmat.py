@@ -19,9 +19,10 @@ from pbident.smallmat import (adjugate, axpy, cofactors, correction_rk4,
                               determinant, dist_k, dot, dot_k, eigen_update,
                               finite_k, gram_trapezoid, half_update, ieee_div,
                               ieee_pow, lag_rk4, min_eig_symmetric, mix_pair,
-                              outer_add, pbep_sample, plant_mid, plant_rk4,
-                              power_residuals, residual_gram, std_sample,
-                              symmetric_eigen, trace_row)
+                              outer_add, pbep_inputs, pbep_sample, plant_mid,
+                              plant_rk4, power_residuals, residual_gram,
+                              std_inputs, std_sample, symmetric_eigen,
+                              trace_row)
 
 
 def test_determinant_examples():
@@ -132,6 +133,14 @@ def test_min_eig_rejects_nonfinite():
         min_eig_symmetric([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         min_eig_symmetric([[np.inf, 0.0], [0.0, 1.0]])
+    # an exactly symmetric list of floats, the excitation record's Gram, at
+    # each entry
+    for at in ((0, 0), (0, 1), (1, 1)):
+        for bad in (np.nan, np.inf, -np.inf):
+            m = [[1.0, 0.5], [0.5, 2.0]]
+            m[at[0]][at[1]] = m[at[1]][at[0]] = bad
+            with pytest.raises(ValueError):
+                min_eig_symmetric(m)
 
 
 def test_rejects_non_square():
@@ -425,20 +434,23 @@ def _draw_case(draw, kernel, n):
             [-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau
              for lam in x]
     if kernel == "sub_at":
+        # Y with the b channels: the first n DERIVATIVE taps lam*(u - z)
+        # minus the next n PLAIN taps z
         w = draw(st.integers(1, 5))
-        v = draw(vec(2 * n + n * w))
-        return list(std_sample(n, True, w)(v)[0]), \
-            [a - b for a, b in zip(v[:n], v[n:2 * n])]
+        u, z = draw(vec(2 * n + n * w)), draw(vec(2 * n + n * w))
+        taps = [lam * (a - b) for a, b in zip(u[:n], z[:n])]
+        return list(std_sample(n, True, w)(lam, u, z)[0]), \
+            [a - b for a, b in zip(taps, z[n:2 * n])]
     if kernel == "block_columns":
-        # Omega is the columns of the n x w block after Y's channels, and
-        # Y without the b channels the first n outputs as they are
+        # Omega is the columns of the n x w block of PLAIN taps after Y's
+        # channels, and Y without the b channels the first n DERIVATIVE taps
         has_b, w = draw(st.booleans()), draw(st.integers(1, 5))
         k = 2 * n if has_b else n
-        v = draw(vec(k + n * w))
-        y_got, omega = std_sample(n, has_b, w)(v)
+        u, z = draw(vec(k + n * w)), draw(vec(k + n * w))
+        y_got, omega = std_sample(n, has_b, w)(lam, u, z)
         return [*(() if has_b else y_got), *sum(omega, [])], \
-            [*(() if has_b else v[:n]),
-             *sum((v[k:][j::w] for j in range(w)), [])]
+            [*(() if has_b else [lam * (a - b) for a, b in zip(u[:n], z)]),
+             *sum((z[k:][j::w] for j in range(w)), [])]
     if kernel == "dot_k":
         return [dot_k(n)(x, y)], [dot(x, y)]
     if kernel == "scaled_mv":
@@ -505,6 +517,13 @@ def test_kernel_factory_compiles_once_per_length(factory):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
     assert std_sample(2, True, 3) is std_sample(2, True, 3) \
         is not std_sample(2, False, 3)
+    terms = ((0, 0), (0, 1), (1, 0))
+    assert std_inputs(2, 3, True, terms, False, None) \
+        is std_inputs(2, 3, True, terms, False, None) \
+        is not std_inputs(2, 3, True, terms, False, ())
+    assert pbep_inputs(True, False, True, 0, 2, 1) \
+        is pbep_inputs(True, False, True, 0, 2, 1) \
+        is not pbep_inputs(False, True, True, 0, 2, 1)
     assert correction_rk4(2, 3) is correction_rk4(2, 3) \
         is not correction_rk4(2, 2)
     assert mix_pair(3, False) is mix_pair(3, False) is not mix_pair(2, False)
@@ -913,9 +932,14 @@ def two_by_two(draw):
             [2.860613470309883e-17, 0.2576611551787722]])
 # sqrt(b*b) is not |b| where b*b is subnormal
 @example(m=[[-0.0, 2.36137087598986e-155], [2.36137087598986e-155, 1.325]])
+# symmetric lists outside [2**-405, 2**485], which eigvalsh rescales; a + a
+# overflows in the first
+@example(m=[[1.7976931348623157e308, 1.0], [1.0, 2.0]])
+@example(m=[[1e-200, 1e-300], [1e-300, -1e-250]])
 def test_min_eig_2x2_is_eigvalsh_bit_for_bit(m):
     arr = np.array(m)
-    want = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
+    with np.errstate(over="ignore"):
+        want = float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[0])
     assert same_bytes(min_eig_symmetric(m), want)
     assert same_bytes(min_eig_symmetric(arr), want)
 
