@@ -31,17 +31,17 @@ estimate along the correction flow, from the mixing pair `mix` returns.
 
 Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`, which
-also forms theta_g - Phi theta_g0), each interlaced half update another
-(`half_update`) next to math.expm1, and the gradient flow runs on kernels
-too; the first step's sample check and P T (a left-to-right float
-product) run on floats, so no update calls numpy.  numpy is imported
-only by `check_monotonicity`, whose samples come from numpy's
-generator.  Every dot product (|Omega|^2, Omega' theta_g, Omega' Phi,
-Phi theta_g0, adj(I - Phi) r) sums from 0.0 left to right, as
-`smallmat.dot` does, so the numbers depend on IEEE arithmetic and the C
-library's expm1 only, not on the BLAS build, whose small dot
-products use fused multiply-adds or a blocked order that differs between
-CPU kernels; a divergent run at extreme gains is chaotic enough that a
+also forms theta_g - Phi theta_g0), a step's two half updates of
+theta_g and Phi another (`exp_step`, with each sample's |Omega|^2 and
+expm1 gain), and the gradient flow runs on kernels too; the first step's
+sample check and P T (a left-to-right float product) run on floats, so
+no update calls numpy.  numpy is imported only by `check_monotonicity`,
+whose samples come from numpy's generator.  Every dot product
+(|Omega|^2, Omega' theta_g, Omega' Phi, Phi theta_g0, adj(I - Phi) r)
+sums from 0.0 left to right, as `smallmat.dot` does, so the numbers
+depend on IEEE arithmetic and the C library's expm1 only, not on the
+BLAS build, whose small dot products use fused multiply-adds or a
+blocked order that differs between CPU kernels; a divergent run at extreme gains is chaotic enough that a
 one-ulp change moves the step at which it aborts.
 
 The gradient flow on a (p, n) matrix regressor reads the regressor as
@@ -70,9 +70,9 @@ import math
 from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
-from .smallmat import (all_finite, axpy, correction_rk4, determinant, dot,
-                       dot_k, eigen_update, flat_floats, float_rows,
-                       half_update, min_eig_symmetric, mix_pair, residual_gram,
+from .smallmat import (all_finite, correction_rk4, determinant, dot,
+                       eigen_update, exp_step, flat_floats, float_rows,
+                       min_eig_symmetric, mix_pair, residual_gram,
                        symmetric_eigen)
 
 
@@ -108,12 +108,6 @@ def _vector(value, n: int, name: str) -> list:
     return v
 
 
-def _exp_gain(rate: float, n2: float) -> float:
-    """(1 - exp(-rate * n2)) / n2, the exact gain of a frozen rank-1
-    contraction over one half step, with its Euler limit at n2 -> 0."""
-    return rate if n2 < 1e-300 else -math.expm1(-(rate * n2)) / n2
-
-
 class GplusDEstimator:
     """Interlaced gradient + determinant-mixing estimator.
 
@@ -143,8 +137,7 @@ class GplusDEstimator:
                     for i in range(p)]
         # kernels unrolled to length p (smallmat)
         self._mix_pair = mix_pair(p, self._g0 is not None)
-        self._update = half_update(p)
-        self._dot = dot_k(p)
+        self._exp_step = exp_step(p, True)
         self._correction_rk4 = correction_rk4(param_map.q, p)
         # P T, each entry's products summed left to right
         t_cols = list(zip(*param_map.T))
@@ -153,8 +146,6 @@ class GplusDEstimator:
         self.log_det_phi = 0.0
         # (Phi rows, theta_g, (Delta, Ycal)) of the latest `mix`
         self._mix_memo = None
-        # (sample, gain, |Omega|^2, exact gain) of the latest half update
-        self._gain_memo = None
         self._validated = False
 
     def mix(self) -> tuple[float, tuple]:
@@ -185,21 +176,6 @@ class GplusDEstimator:
         """det(Phi), from the nested list."""
         return determinant(self.phi)
 
-    def _half_update(self, sample: RegressorSample, tau: float):
-        om = sample.Omega
-        gt = self.gamma_g * tau
-        # a step's end sample is the next step's start sample
-        memo = self._gain_memo
-        if memo is not None and memo[0] is sample and memo[1] == gt:
-            n2, c = memo[2], memo[3]
-        else:
-            n2 = self._dot(om, om)
-            c = _exp_gain(gt, n2)
-            self._gain_memo = (sample, gt, n2, c)
-        self.theta_g, self.phi = self._update(c, sample.Y, om, self.theta_g,
-                                             self.phi)
-        self.log_det_phi -= gt * n2
-
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
         """Advance theta_g and Phi across one step using both endpoint samples.
@@ -213,8 +189,12 @@ class GplusDEstimator:
             for sample in (sample0, sample1):
                 _check_sample(sample, self.param_map.p, scalar=True)
             self._validated = True
-        self._half_update(sample0, 0.5 * dt)
-        self._half_update(sample1, 0.5 * dt)
+        gt = self.gamma_g * (0.5 * dt)
+        n0, n1, self.theta_g, self.phi = self._exp_step(
+            gt, sample0.Y, sample0.Omega, sample1.Y, sample1.Omega,
+            self.theta_g, self.phi)
+        self.log_det_phi -= gt * n0
+        self.log_det_phi -= gt * n1
 
 
 class GradientEstimator:
@@ -230,8 +210,6 @@ class GradientEstimator:
             _vector(Theta0, self.n_w, "Theta0")
         self._validated = False
         self._matrix = False
-        self._axpy = axpy(self.n_w)
-        self._dot = dot_k(self.n_w)
 
     def rate(self, sample: RegressorSample) -> list:
         """Literal flow gamma * Omega * (Y - Omega' Theta_hat), as a list,
@@ -248,16 +226,11 @@ class GradientEstimator:
              for y, col in zip(flat_floats(sample.Y), zip(*om))]
         return [g * dot(row, r) for row in om]
 
-    def _half_update(self, sample: RegressorSample, tau: float):
-        om = sample.Omega
-        if not self._matrix:
-            c = _exp_gain(self.gamma * tau, self._dot(om, om))
-            ce = c * (sample.Y - self._dot(om, self.Theta))
-            self.Theta = self._axpy(self.Theta, ce, om)
-            return
+    def _gram_step(self, sample: RegressorSample, tau: float):
         # matrix regressor (p rows of n, one column per state equation):
         # the exponential update through the n x n Gram (module docstring);
         # a non-finite Gram gives nan w and V, and so a nan estimate
+        om = sample.Omega
         g = self.gamma
         theta = self.Theta
         r, gram = self._residual_gram(om, sample.Y, theta, g)
@@ -275,9 +248,16 @@ class GradientEstimator:
                 n = len(sample0.Omega[0])
                 self._residual_gram = residual_gram(self.n_w, n)
                 self._eigen_update = eigen_update(self.n_w, n)
+            else:
+                self._exp_step = exp_step(self.n_w, False)
             self._validated = True
-        self._half_update(sample0, 0.5 * dt)
-        self._half_update(sample1, 0.5 * dt)
+        if not self._matrix:
+            self.Theta = self._exp_step(self.gamma * (0.5 * dt), sample0.Y,
+                                        sample0.Omega, sample1.Y,
+                                        sample1.Omega, self.Theta)
+            return
+        self._gram_step(sample0, 0.5 * dt)
+        self._gram_step(sample1, 0.5 * dt)
 
 
 @dataclass

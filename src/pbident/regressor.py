@@ -200,11 +200,14 @@ class PbepGenerator:
                 f"parameter map has p = {param_map.p}")
         self.nlpre = d = nlpre
         self.p = param_map.p
+        maps = [(k, phi, args, count) for k, phi, args, count in (
+            ("s", d.phi_s, (x0, up0, yp0), d.p_s),
+            ("S", d.phi_S, (x0,), d.p_S), ("d", d.phi_d, (x0,), d.p_d)) if count]
+        for k, phi, _, count in maps:
+            if phi is None:
+                raise ValueError(f"phi_{k} is None, but p_{k} = {count}")
         check_lengths([(f"phi_{k}", phi(*args), "values", f"p_{k}", count)
-                       for k, phi, args, count in (
-                           ("s", d.phi_s, (x0, up0, yp0), d.p_s),
-                           ("S", d.phi_S, (x0,), d.p_S),
-                           ("d", d.phi_d, (x0,), d.p_d)) if count])
+                       for k, phi, args, count in maps])
         flags = (d.b_s is not None, d.b_d is not None, d.b_S is not None)
         self.input_kernel = pbep_inputs(*flags, d.p_s, d.p_S, d.p_d)(
             d.b_s, d.b_d, d.b_S, d.phi_s, d.phi_S, d.phi_d)

@@ -189,12 +189,14 @@ class SimConfig:
         if kind is EstimatorKind.GPLUSD_PBEP:
             wanted["theta_g0"] = (pm.p, lambda: (0.0,) * pm.p, "zeros")
         elif kind is EstimatorKind.GRADIENT_STD:
-            if plant.std is None:
+            std = plant.std
+            if std is None or std.theta_from_C is None:
+                need = "" if std is None else " with theta_from_C"
                 raise ConfigValueError("estimator", f"gradient_std needs "
-                                       f"standard regression data, which "
+                                       f"standard regression data{need}, which "
                                        f"scenario {scenario.name!r} lacks")
-            wanted["overparam_hat0"] = (plant.std.n_w,
-                                        lambda: (0.0,) * plant.std.n_w, "zeros")
+            wanted["overparam_hat0"] = (std.n_w, lambda: (0.0,) * std.n_w,
+                                        "zeros")
         elif kind is EstimatorKind.GRADIENT_PBEP_OVERPARAM:
             # start at the stacked image of theta_hat0
             wanted["overparam_hat0"] = (pm.p, lambda: pm.G(

@@ -15,17 +15,18 @@ float arithmetic would raise (`ieee_pow` serves only the circuit's
 non-integer power theta1 ** alpha; squares are written x * x).
 
 The step's arithmetic runs in kernels unrolled to the run's lengths: a
-factory such as `axpy(n)` returns the function `def axpy(x, s, y): return
-[x[0] + s * y[0], ..., x[n-1] + s * y[n-1]]`, compiled from a template on
-the first call with those lengths and cached (`_kernel`) under a file name
-such as `<smallmat axpy(2)>`, whose source linecache holds for tracebacks.
-Each stage of `sim.step` is one kernel (`plant_rk4`, `plant_mid`,
-`correction_rk4`, `pbep_inputs` or `std_inputs`, `lag_rk4`, `pbep_sample`
-or `std_sample`, `mix_pair`, `half_update`, and `residual_gram` and
-`eigen_update` around the matrix gradient flow's `symmetric_eigen`), and
-so is each piece of `sim.run`'s bookkeeping, as on CPython 3.11 a call
-and a list between stages cost several times the arithmetic on 2- and
-3-element states.  A kernel keeps the operation order of the expressions
+factory such as `outer_add(p)` returns the function `def outer_add(s, c):
+return [s[0] + c[0] * c[0], ..., s[p*p-1] + c[p-1] * c[p-1]]`, compiled
+from a template on the first call with those lengths and cached
+(`_kernel`) under a file name such as `<smallmat outer_add(2)>`, whose
+source linecache holds for tracebacks.  Each stage of `sim.step` is one
+kernel (`plant_rk4`, `plant_mid`, `correction_rk4`, `pbep_inputs` or
+`std_inputs`, `lag_rk4`, `pbep_sample` or `std_sample`, `mix_pair`, and
+`exp_step`, both half steps of a vector regressor's exact update, or
+`residual_gram` and `eigen_update` around the matrix gradient flow's
+`symmetric_eigen` on each half step), and so is each piece of `sim.run`'s
+bookkeeping, as on CPython 3.11 a call and a list between stages cost
+several times the arithmetic on 2- and 3-element states.  A kernel keeps the operation order of the expressions
 it fuses, which its docstring gives: sums of products start from 0.0 and
 go left to right, as `dot` does, and the cofactor forms are those of
 `_COFACTORS`, so results are bit-identical to the unfused expressions and
@@ -52,6 +53,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+from itertools import chain
 
 
 def dot(a, b) -> float:
@@ -152,21 +154,9 @@ def _tuple(items) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-@_kernel
-def axpy(n: int):
-    """f(x, s, y) = x + s*y on length-n sequences, as a list."""
-    return "x, s, y", _list(f"x[{i}] + s * y[{i}]" for i in range(n))
-
-
 def _sum_of(products) -> str:
     """The products summed left to right from 0.0, as `dot` sums them."""
     return " + ".join(["0.0", *products])
-
-
-@_kernel
-def dot_k(n: int):
-    """f(a, b) = a'b for length-n sequences, the float `dot` returns."""
-    return "a, b", _sum_of(f"a[{i}] * b[{i}]" for i in range(n))
 
 
 @_kernel
@@ -356,8 +346,8 @@ def std_inputs(n: int, n_w: int, has_wf: bool, terms: tuple, has_bf: bool,
     channel inputs x[:n], b (when has_bf or bterms is not None) and w's n
     rows of n_w: b_i = b_f(x)[i] (or 0.0) + u_p[j]*bg[m](x) for each m-th
     (i, j) of bterms in turn, w_ik = w_f(x)[i][k] (or 0.0) +
-    u_p[j]*phi[m](x)[k] for each m-th (i, j) of terms in turn, as `axpy`
-    adds; b_f, bg, w_f, phi called once each, in that order."""
+    u_p[j]*phi[m](x)[k] for each m-th (i, j) of terms in turn, added
+    left to right; b_f, bg, w_f, phi called once each, in that order."""
     has_b, bterms = has_bf or bterms is not None, bterms or ()
 
     def entry(base, added, name, i, at):
@@ -393,18 +383,31 @@ def std_sample(n: int, has_b: bool, n_w: int):
 
 
 @_kernel
-def half_update(p: int):
-    """f(c, y, om, g, Phi) = (g + ce*om, Phi - outer(c*om, om'Phi)), ce =
-    c*(y - om'g), for p-vectors om and g and p x p nested rows Phi: each
-    entry Phi_ij - (c*om_i)*v_j, v = om'Phi, sums from 0.0 left to right."""
-    ip = range(p)
-    lines = [f"ce = c * (y - ({_sum_of(f'om[{i}] * g[{i}]' for i in ip)}))"]
-    lines += [f"v{j} = {_sum_of(f'om[{i}] * Phi[{i}][{j}]' for i in ip)}"
-              for j in ip]
-    lines += [f"co{i} = c * om[{i}]" for i in ip]
-    theta_g = _list(f"g[{i}] + ce * om[{i}]" for i in ip)
-    phi = _list(_list(f"Phi[{i}][{j}] - co{i} * v{j}" for j in ip) for i in ip)
-    return "c, y, om, g, Phi", lines + [f"return {theta_g}, {phi}"]
+def exp_step(p: int, phi: bool):
+    """f(gt, y0, om0, y1, om1, g[, Phi]) = both exact half steps of the
+    rank-1 flow g' = om*(y - om'g) (with phi, Phi' = -om om'Phi) at rate
+    gt, for sample 0 and then sample 1: n = om'om, c = gt if n < 1e-300
+    else -expm1(-(gt*n))/n, ce = c*(y - om'g), g_i + ce*om_i and Phi_ij -
+    (c*om_i)*v_j, v = om'Phi of the Phi before the half step, for p-vectors
+    om and g and p x p nested rows Phi; sums from 0.0 left to right.
+    Returns g, or with phi (n0, n1, g, Phi)."""
+    ip, lines = range(p), []
+    for k in "01":
+        om = f"om{k}"
+        lines += [f"n{k} = {_sum_of(f'{om}[{i}] * {om}[{i}]' for i in ip)}",
+                  f"c = gt if n{k} < 1e-300 else -expm1(-(gt * n{k})) / n{k}",
+                  f"ce = c * (y{k} - "
+                  f"({_sum_of(f'{om}[{i}] * g[{i}]' for i in ip)}))"]
+        if phi:
+            lines += [f"v{j} = "
+                      f"{_sum_of(f'{om}[{i}] * Phi[{i}][{j}]' for i in ip)}"
+                      for j in ip]
+            lines += [f"co{i} = c * {om}[{i}]" for i in ip]
+            lines += ["Phi = " + _list(_list(f"Phi[{i}][{j}] - co{i} * v{j}"
+                                             for j in ip) for i in ip)]
+        lines += ["g = " + _list(f"g[{i}] + ce * {om}[{i}]" for i in ip)]
+    params = "gt, y0, om0, y1, om1, g" + ", Phi" * phi
+    return params, lines + ["return " + ("n0, n1, g, Phi" if phi else "g")]
 
 
 @_kernel
@@ -780,26 +783,16 @@ def min_eig_symmetric(m) -> float:
                 and (not (-lo < a < lo and -lo < b < lo and -lo < c < lo)
                      or a == b == c == 0.0):
             return _min_eig_2x2(a, b, c)
-    m = _square_rows(m)
-    n = len(m)
-    if n == 1:
-        ((a,),) = m
-        if not math.isfinite(a):
-            raise ValueError("matrix entries must be finite")
-        return float(0.5 * (a + a))
-    if n == 2:
-        (a, b01), (b10, c) = m
-        if not (math.isfinite(a) and math.isfinite(b01)
-                and math.isfinite(b10) and math.isfinite(c)):
-            raise ValueError("matrix entries must be finite")
-        a, b, c = 0.5 * (a + a), 0.5 * (b01 + b10), 0.5 * (c + c)
+    rows = _square_rows(m)
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("matrix entries must be finite")
+    sym = _symmetrized(rows)
+    if len(sym) == 1:
+        return sym[0][0]
+    if len(sym) == 2:
+        (a, b), (_, c) = sym
         big = max(abs(a), abs(b), abs(c))
         if big <= _UNSCALED_MAX and (big >= _UNSCALED_MIN or big == 0.0):
-            return float(_min_eig_2x2(a, b, c))
-        sym = [[a, b], [b, c]]
-    else:
-        if not all(math.isfinite(v) for r in m for v in r):
-            raise ValueError("matrix entries must be finite")
-        sym = _symmetrized(m)
+            return _min_eig_2x2(a, b, c)
     import numpy as np
     return float(np.linalg.eigvalsh(sym)[0])

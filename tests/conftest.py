@@ -7,7 +7,7 @@ from hypothesis import settings, strategies as st
 from pbident import (ChannelMode, ControllerKind, EstimatorKind,
                      PbepGenerator, RegressorSample, SimConfig,
                      circuit_scenario, ph_scenario, run)
-from pbident.smallmat import adjugate, axpy, determinant
+from pbident.smallmat import adjugate, determinant, dot
 
 
 def rk4(rate, y0, t0, t1, n):
@@ -88,6 +88,11 @@ ordinary = st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-3)
 value_kinds = st.sampled_from([floats, ordinary])
 kernel_examples = settings(derandomize=True, database=None, deadline=None,
                            max_examples=60)
+# three products whose sum from 0.0 left to right, 2.0, differs from both
+# other groupings, (1e16 + c) + 1.0 = 3.0 and (1.0 + c) + 1e16 = 4.0: fed
+# as the products of one of a kernel's sums, they show any reordering of
+# it, where drawn values whose sums are exact show none
+CANCEL = (1e16, 1.0, -9999999999999998.0)
 
 
 def vectors(n, values=None):
@@ -132,7 +137,38 @@ class Recorder:
 
 
 def ref_axpy(x, s, y):
+    """x + s*y, the former kernel `axpy`."""
     return [a + s * b for a, b in zip(x, y)]
+
+
+def ref_exp_gain(rate: float, n2: float) -> float:
+    """(1 - exp(-rate * n2)) / n2 with its Euler limit rate at n2 -> 0, as
+    the estimators' former `_exp_gain` took it."""
+    return rate if n2 < 1e-300 else -math.expm1(-(rate * n2)) / n2
+
+
+def ref_half_update(c, y, om, g, phi):
+    """(g + ce*om, Phi - outer(c*om, om'Phi)), ce = c*(y - om'g): the former
+    kernel `half_update`, each dot product summed by `dot`."""
+    ce = c * (y - dot(om, g))
+    v = [dot(om, col) for col in zip(*phi)]
+    return ref_axpy(g, ce, om), [[b - (c * o) * w for b, w in zip(row, v)]
+                                 for o, row in zip(om, phi)]
+
+
+def ref_exp_step(gt, y0, om0, y1, om1, g, phi=None):
+    """Both half steps of `smallmat.exp_step` as the estimators composed
+    them: per sample, |Omega|^2 by `dot`, the gain `ref_exp_gain`, then
+    `ref_half_update`, or without phi g + ce*om by `ref_axpy`."""
+    ns = []
+    for y, om in ((y0, om0), (y1, om1)):
+        ns.append(dot(om, om))
+        c = ref_exp_gain(gt, ns[-1])
+        if phi is None:
+            g = ref_axpy(g, c * (y - dot(om, g)), om)
+        else:
+            g, phi = ref_half_update(c, y, om, g, phi)
+    return g if phi is None else (*ns, g, phi)
 
 
 def ref_rk4(x, s, k1, k2, k3, k4):
@@ -266,7 +302,7 @@ def ref_std_inputs(std, n, x, u_p) -> list:
     """The state-equation channel inputs as `StdLreGenerator` assembled them
     before its kernel: x, then b_f (or zeros) with each b_g term added in
     place, then the rows of w_f (or zero rows), each phi_g term added to
-    its row by `axpy` (`_w_rows`), flattened."""
+    its row by `ref_axpy` (`_w_rows`), flattened."""
     out = list(x)
     if std.b_f is not None or std.b_g is not None:
         b = list(std.b_f(x)) if std.b_f is not None else [0.0] * n
@@ -279,7 +315,7 @@ def ref_std_inputs(std, n, x, u_p) -> list:
     for i, entries in enumerate(std.phi_g or ()):
         for j, entry in zip(range(len(u_p)), entries):
             if entry is not None:
-                w[i] = axpy(std.n_w)(w[i], u_p[j], entry(x))
+                w[i] = ref_axpy(w[i], u_p[j], entry(x))
     for row in w:
         out.extend(row)
     return out

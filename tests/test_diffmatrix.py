@@ -1,13 +1,16 @@
-"""The differential matrix tool, and runs that must not depend on the BLAS.
+"""The differential matrix tool, the call counter, and runs that must not
+depend on the BLAS.
 
 tools/diffmatrix.py runs cases in subprocesses, one per checkout; here it
 runs a slice of its matrix against this checkout itself, and runs the
 pinned aborts and a short circuit run under OpenBLAS core types other than
-the one the host would pick.
+the one the host would pick.  tools/calls.py runs in a subprocess too.
 """
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,21 @@ def test_diffmatrix_refuses_a_missing_checkout(diffmatrix, tmp_path):
     cases = diffmatrix.matrix_cases()[:1]
     with pytest.raises(FileNotFoundError, match="no src/pbident"):
         diffmatrix.collect(tmp_path, cases)
+
+
+def test_calls_tool_counts_every_scenario_and_estimator():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "calls.py")],
+                         capture_output=True, text=True, check=True).stdout
+    header, *rows = out.splitlines()
+    assert header.split() == ["scenario", "estimator", "python", "C", "steps"]
+    runs = {tuple(row.split()[:2]): row.split()[2:] for row in rows}
+    assert len(rows) == len(runs) == 8
+    for scenario in ("circuit", "ph"):
+        python, c, steps = runs[scenario, "gplusd_pbep"]
+        assert float(python) > 0.0 and float(c) > 0.0 and steps == "500"
+    # ph's gradient_std run from its zero start aborts on its first step
+    assert runs["ph", "gradient_std"][2:] == ["1", "(aborted:", "plant",
+                                               "state)"]
 
 
 def _host_has_avx2() -> bool:

@@ -1,4 +1,3 @@
-import copy
 import math
 import struct
 import sys
@@ -8,19 +7,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pbident import SimConfig, World, run, step
-from pbident import estimator as estimator_module
+from pbident import SimConfig, run
 from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
 from pbident import smallmat
 from hypothesis import given, strategies as st
 
-from pbident.smallmat import (adjugate, determinant, dot, half_update,
+from pbident.smallmat import (adjugate, determinant, dot, exp_step,
                               mix_pair, symmetric_eigen)
-from conftest import (cofactor_adj, cofactor_det, kernel_examples,
-                      numpy_gradient_propagate, rates, same_bytes, square,
-                      theta_rate, value_kinds, vectors)
+from conftest import (CANCEL, cofactor_adj, cofactor_det, kernel_examples,
+                      numpy_gradient_propagate, rates, ref_exp_step,
+                      same_bytes, square, theta_rate, value_kinds, vectors)
 
 
 def scalar_map():
@@ -175,27 +173,33 @@ def test_mix_follows_every_state_replacement():
     assert len(set(pairs)) == len(pairs)
 
 
-def test_half_updates_share_one_gain_per_sample(ph, monkeypatch):
-    # a step's end sample is the next step's start sample: its |Omega|^2
-    # and exact gain are computed once, and the result is bit-identical to
-    # recomputing them
-    n2s = []
-    exp_gain = estimator_module._exp_gain
-    monkeypatch.setattr(estimator_module, "_exp_gain",
-                        lambda rate, n2: n2s.append(n2) or exp_gain(rate, n2))
-    world = World(ph, SimConfig(gamma_g=300.0))
-    est, h = world.estimator, world.cfg.h
-    twin = copy.deepcopy(est)
-    for k in range(1, 41):
-        _, s0, s1 = step(world)
-        assert len(n2s) == k + 1
-        twin._gain_memo = None
-        twin.propagate(s0, s1, h)
-        del n2s[-2:]
-        assert np.array(est.theta_g).tobytes() == \
-            np.array(twin.theta_g).tobytes()
-        assert np.array(est.phi).tobytes() == np.array(twin.phi).tobytes()
-        assert est.log_det_phi == twin.log_det_phi
+def _python_calls(fn, *args) -> list:
+    """The names of the Python functions that fn(*args) runs, fn first."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_propagate_runs_one_kernel_after_its_first_call():
+    # both half steps of the vector regressor's exact update are one
+    # `exp_step` call: no gain helper, no memo, no per-half method
+    s0 = const_sample(0.0, 1.0, [1.0, 0.5])
+    s1 = const_sample(1e-3, 1.2, [0.2, 1.0])
+    gd = GplusDEstimator(vector_map(2), gamma_g=5.0, gamma=1.0)
+    grad = GradientEstimator(2, gamma=5.0)
+    for est in (gd, grad):
+        est.propagate(s0, s1, 1e-3)
+        assert _python_calls(est.propagate, s1, s0, 1e-3) \
+            == ["propagate", "exp_step"]
+
 
 # -- mixing identity under exact feed ------------------------------------------
 
@@ -418,22 +422,42 @@ def test_gradient_matrix_update_non_finite_gives_nan():
 # -- the interlaced estimator's kernels against the expressions they fuse ----
 
 @kernel_examples
-@given(data=st.data(), p=st.integers(1, 4), values=value_kinds)
+@given(data=st.data(), p=st.integers(1, 4), values=value_kinds,
+       phi=st.booleans())
 def test_half_update_matches_the_composed_update_bit_for_bit(data, p,
-                                                             values):
-    # the former update: ce = c*(Y - om'g) from the left-to-right dot, g +
-    # ce*om, and Phi - outer(c*om, v) with v = om'Phi column by column
+                                                             values, phi):
+    # the former two half updates (conftest.ref_exp_step): per sample
+    # |om|^2 and its exact gain c, ce = c*(Y - om'g) from the left-to-right
+    # dot, g + ce*om and Phi - outer(c*om, v) with v = om'Phi by column,
+    # at a step's rate gt = gamma*dt/2 >= 0
     draw = data.draw
-    c, y = draw(values), draw(values)
-    om, g = tuple(draw(vectors(p, values))), draw(vectors(p, values))
-    phi = draw(square(p, values))
-    ce = c * (y - dot(om, g))
-    v = [dot(om, col) for col in zip(*phi)]
-    want = ([a + ce * b for a, b in zip(g, om)],
-            [[b - (c * o) * w for b, w in zip(row, v)]
-             for o, row in zip(om, phi)])
-    got = half_update(p)(c, y, om, g, phi)
-    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+    gt, y0, y1 = abs(draw(values)), draw(values), draw(values)
+    om0, om1 = (tuple(draw(vectors(p, values))) for _ in range(2))
+    args = [gt, y0, om0, y1, om1, draw(vectors(p, values))]
+    args += [draw(square(p, values))] * phi
+    _assert_exp_step(p, args)
+
+
+def _assert_exp_step(p, args):
+    got, want = exp_step(p, len(args) == 7)(*args), ref_exp_step(*args)
+    if len(args) == 6:
+        assert same_bytes(got, want)
+        return
+    assert same_bytes(got[:2], want[:2]) and same_bytes(got[2], want[2]) \
+        and same_bytes(got[3], want[3])
+
+
+@pytest.mark.parametrize("phi", [False, True])
+@pytest.mark.parametrize("p", [3, 4])
+def test_exp_step_keeps_left_to_right_sums_at_cancelling_entries(p, phi):
+    # om'g and om'Phi's columns (powers of two) sum CANCEL's products, and
+    # |om|^2 of (1.0, 1e-8, 1e-8) keeps 1.0 only when it is added first
+    cancel, small = [*CANCEL, 3.0][:p], [1.0, 1e-8, 1e-8, 0.5][:p]
+    phi_rows = [[2.0 ** j for j in range(p)] for _ in range(p)]
+    for gt in (1e-33, 1e-3, 1e3):
+        for om0, om1 in ((cancel, small), (small, cancel)):
+            _assert_exp_step(p, [gt, 2.0, om0, 0.5, om1, [1.0] * p]
+                             + [phi_rows] * phi)
 
 
 @kernel_examples
@@ -441,20 +465,34 @@ def test_half_update_matches_the_composed_update_bit_for_bit(data, p,
        shifted=st.booleans())
 def test_mix_pair_matches_the_composed_pair_bit_for_bit(data, p, values,
                                                         shifted):
-    # the former pair: r = g - Phi g0 (or g), I - Phi entry by entry, then
-    # the cofactor determinant, the adjugate and its row products with r
     phi, g = data.draw(square(p, values)), data.draw(vectors(p, values))
     g0 = data.draw(vectors(p, values)) if shifted else None
-    r = [a - dot(row, g0) for a, row in zip(g, phi)] if shifted else g
+    _assert_mix_pair(p, phi, g, g0)
+
+
+def _assert_mix_pair(p, phi, g, g0):
+    # the former pair: r = g - Phi g0 (or g), I - Phi entry by entry, then
+    # the cofactor determinant, the adjugate and its row products with r
+    r = g if g0 is None else [a - dot(row, g0) for a, row in zip(g, phi)]
     eye = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
     a = [[e - v for e, v in zip(e_row, row)] for e_row, row in zip(eye, phi)]
-    det, ycal = mix_pair(p, shifted)(phi, g, g0)
+    det, ycal = mix_pair(p, g0 is not None)(phi, g, g0)
     assert isinstance(ycal, tuple)
     assert same_bytes([det], [cofactor_det(a)])
     assert same_bytes(ycal, [dot(row, r) for row in cofactor_adj(a)])
     # and the library's own closed forms agree, as det_phi uses them
     assert same_bytes([det], [determinant(a)])
     assert same_bytes(ycal, [dot(row, r) for row in adjugate(a)])
+
+
+def test_mix_pair_keeps_left_to_right_sums_at_cancelling_entries():
+    # Phi's first row times g0 = 1 sums CANCEL's products in r; at I - Phi
+    # = [[1, -1, 1], [0, 1, 0], [0, 0, 1]] the adjugate's first row is (1,
+    # 1, -1), so its product with r = (1e16, 1.0, -c) sums them in Ycal
+    _assert_mix_pair(3, [list(CANCEL), [0.5, 0.0, 0.25], [0.0, 2.0, 0.0]],
+                     [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    _assert_mix_pair(3, [[0.0, 1.0, -1.0], [0.0] * 3, [0.0] * 3],
+                     [CANCEL[0], CANCEL[1], -CANCEL[2]], None)
 
 
 def loop_half_update(gamma, theta, sample, tau):

@@ -92,6 +92,10 @@ def test_pbep_dimension_mismatch(circuit, ph):
     with pytest.raises(ValueError, match="p_s \\+ p_S \\+ p_d = 1.*p = 2"):
         PbepGenerator(nlpre, scalar_map(T=np.array([[1.0, 0.0]])), LAM,
                       np.zeros(1), np.zeros(1), np.zeros(1))
+    # a positive count without its map
+    with pytest.raises(ValueError, match="^phi_s is None, but p_s = 1$"):
+        PbepGenerator(NlpreData(p_s=1, p_S=0, p_d=0), scalar_map(), LAM,
+                      np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def test_signal_count_comparison(circuit, ph):
@@ -471,11 +475,17 @@ def test_pbep_inputs_match_the_former_assembly_bit_for_bit(
      "phi_d returns 2 values, but p_d = 1"),
     ("gplusd_pbep", "phi_S", lambda x: (1.0,),
      "phi_S returns 1 values, but p_S = 2"),
+    ("gplusd_pbep", "phi_S", None, "phi_S is None, but p_S = 2"),
+    ("gplusd_pbep", "phi_d", None, "phi_d is None, but p_d = 1"),
+    ("gradient_std", "theta_from_C", None, "estimator gradient_std needs "
+     "standard regression data with theta_from_C, which scenario 'circuit' "
+     "lacks"),
 ])
 def test_a_regression_map_of_the_wrong_length_is_named(circuit, estimator,
                                                       field, value, message):
     # the kernels bound to the declared lengths would read past a short
-    # return or ignore the rest of a long one
+    # return or ignore the rest of a long one, and a missing map was called
+    # as None, a TypeError that named nothing
     plant = circuit.plant
     data = "std" if estimator == "gradient_std" else "nlpre"
     plant = replace(plant, **{data: replace(getattr(plant, data),

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pbident import (ControllerKind, EstimatorKind, ExcitationRecord,
-                     SimConfig, World, excitation_report, run, step)
+                     NonFiniteStateError, SimConfig, World, excitation_report,
+                     run, step)
+from pbident import sim as sim_module
 from pbident.sim import ConfigValueError
 from conftest import (ListTrace, NoNumpy, numpy_correction,
                       numpy_gplusd_propagate, numpy_gradient_propagate,
@@ -637,6 +639,33 @@ def test_zero_estimate_on_ph_fails_as_a_non_finite_sample(ph):
         assert rep.aborted and rep.abort_component == "plant state"
         assert rep.abort_time == 0.001 and rep.n_steps == 1
         assert rep.trace_rows == 1
+
+
+def test_first_step_regression_sample_overflow_aborts(ph, monkeypatch):
+    # a b_s channel and filter taps near the overflow limit: Y = z0 - lam*(u1
+    # - z1) overflows on the first step while every filter rate and the
+    # plant state stay finite, so the first-step check ends the run on the
+    # samples instead of letting the estimator raise
+    nlpre = replace(ph.plant.nlpre, b_s=lambda x, u, y: 0.0)
+    scen = replace(ph, plant=replace(ph.plant, nlpre=nlpre))
+    cfg, state = SimConfig(lam=0.19), [1.55e308, 1.5e308, 0.0, 0.0]
+    world = World(scen, cfg)
+    world.generator.bank.state = state
+    with pytest.raises(NonFiniteStateError) as err:
+        step(world)
+    assert err.value.component == "regression sample"
+    assert err.value.t == 0.001 and world.t == 0.001
+    assert all(map(math.isfinite,
+                   world.plant_state + world.generator.bank.state))
+
+    class Overflowing(World):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.generator.bank.state = list(state)
+    monkeypatch.setattr(sim_module, "World", Overflowing)
+    rep = run(scen, cfg)
+    assert rep.aborted and rep.abort_component == "regression sample"
+    assert rep.abort_time == 0.001 and rep.n_steps == 1
 
 
 @pytest.mark.parametrize("over, t_abort", [

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (EDGE_FLOATS, NoNumpy, Recorder, cofactor_adj,
+from conftest import (CANCEL, EDGE_FLOATS, NoNumpy, Recorder, cofactor_adj,
                       cofactor_det, floats, kernel_examples, numpy_adjugate,
                       numpy_determinant, numpy_ieee_div, numpy_ieee_pow,
                       ordinary, ref_axpy, ref_rk4, same_bytes, square,
                       value_kinds, vectors)
 from pbident.sim import ExcitationRecord
-from pbident.smallmat import (adjugate, axpy, cofactors, correction_rk4,
-                              determinant, dist_k, dot, dot_k, eigen_update,
-                              finite_k, gram_trapezoid, half_update, ieee_div,
+from pbident.smallmat import (adjugate, cofactors, correction_rk4,
+                              determinant, dist_k, dot, eigen_update, exp_step,
+                              finite_k, gram_trapezoid, ieee_div,
                               ieee_pow, lag_rk4, min_eig_symmetric, mix_pair,
                               outer_add, pbep_inputs, pbep_sample, plant_mid,
                               plant_rk4, power_residuals, residual_gram,
@@ -378,8 +378,11 @@ def _draw_case(draw, kernel, n):
 
     s, lam = draw(values), draw(values)
     x, y, k2, k3, k4 = (draw(vec(n)) for _ in range(5))
+    # exp_step writes the lines of the former kernels axpy (its g update)
+    # and dot_k (its sums, here v0 = om1'Phi's first column)
     if kernel == "axpy":
-        return axpy(n)(x, s, y), [a + s * b for a, b in zip(x, y)]
+        return _eval_line(_kernel_lines(exp_step, n, False)["g"], g=x, ce=s,
+                          om1=y), [a + s * b for a, b in zip(x, y)]
     # lag_rk4 writes the lines of the former kernels lag_rate (its first
     # stage), lag_rate_at (the other three) and rk4_sum (its combine)
     if kernel == "lag_rate":
@@ -452,7 +455,8 @@ def _draw_case(draw, kernel, n):
             [*(() if has_b else [lam * (a - b) for a, b in zip(u[:n], z)]),
              *sum((z[k:][j::w] for j in range(w)), [])]
     if kernel == "dot_k":
-        return [dot_k(n)(x, y)], [dot(x, y)]
+        return [_eval_line(_kernel_lines(exp_step, n, True)["v0"], om1=x,
+                           Phi=[[b] for b in y])], [dot(x, y)]
     if kernel == "scaled_mv":
         mat, line = draw(square(n, values)), _kernel_lines(eigen_update, 1, n)
         return [_eval_line(line[f"s{i}"], g=s, V=mat, **_named("c", x))
@@ -506,8 +510,10 @@ def test_kernel_matches_its_comprehension_bit_for_bit(kernel, data, n):
     assert same_bytes(got, want)
 
 
-@pytest.mark.parametrize("factory", [axpy, outer_add, gram_trapezoid, dot_k,
-                                     lag_rk4, half_update])
+@pytest.mark.parametrize("factory", [
+    outer_add, gram_trapezoid, lag_rk4,
+    pytest.param(lambda n: exp_step(n, True), id="exp_step"),
+    pytest.param(lambda n: exp_step(n, False), id="exp_step_vector")])
 def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
@@ -528,6 +534,7 @@ def test_kernel_factory_compiles_once_per_length(factory):
         is not correction_rk4(2, 2)
     assert mix_pair(3, False) is mix_pair(3, False) is not mix_pair(2, False)
     assert mix_pair(3, True) is not mix_pair(3, False)
+    assert exp_step(2, True) is exp_step(2, True) is not exp_step(2, False)
     assert pbep_sample(True, False, 0, 2, 1) \
         is pbep_sample(True, False, 0, 2, 1) \
         is not pbep_sample(False, True, 2, 0, 0)
@@ -542,19 +549,24 @@ def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     s0 = _kernel_lines(eigen_update, 1, 2)["s0"]
     assert same_bytes([_eval_line(s0, g=1.0, V=[[-0.0, -0.0]] * 2, c0=1.0,
                                   c1=1.0)], [0.0])
-    assert same_bytes([dot_k(2)([-0.0, -0.0], [1.0, 1.0])], [0.0])
+    v0 = _kernel_lines(exp_step, 3, True)["v0"]
+    assert same_bytes([_eval_line(v0, om1=[-0.0, -0.0, -0.0],
+                                  Phi=[[1.0]] * 3)], [0.0])
     # left to right: 1e16 + 1.0 rounds back to 1e16 before -1e16 comes in
-    assert dot_k(3)([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
-    # om'Phi = (7, 10), so Phi - outer(om, (7, 10)) at c = 1
-    assert half_update(2)(1.0, 0.0, [1.0, 2.0], [0.0, 0.0],
-                          [[1.0, 2.0], [3.0, 4.0]]) \
-        == ([0.0, 0.0], [[-6.0, -8.0], [-11.0, -16.0]])
+    assert _eval_line(v0, om1=[1e16, 1.0, -1e16], Phi=[[1.0]] * 3) == 0.0
+    # a zero om0 leaves g and Phi as they are; at a rate whose exp(-gt*n1)
+    # underflows, the gain is 1/n1 and Phi loses its om1 part: om1 = (2, 0)
+    # and om1'Phi = (2, 4), so Phi - outer((0.5, 0), (2, 4))
+    assert exp_step(2, True)(1e300, 0.0, [0.0, 0.0], 0.0, [2.0, 0.0],
+                             [0.0, 0.0], [[1.0, 2.0], [3.0, 4.0]]) \
+        == (0.0, 4.0, [0.0, 0.0], [[0.0, 0.0], [3.0, 4.0]])
     # I - Phi at Phi = I is +0.0 throughout (1.0 - 1.0, 0.0 - 0.0)
     assert same_bytes([mix_pair(2, False)([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
                                           None)[0]], [0.0])
     with pytest.raises(IndexError):
-        axpy(3)([1.0, 2.0], 1.0, [1.0, 2.0])
-    assert axpy(2)([1.0, 2.0, 3.0], 1.0, [1.0, 1.0, 1.0]) == [2.0, 3.0]
+        exp_step(3, False)(1.0, 0.0, [1.0] * 3, 0.0, [1.0] * 3, [1.0, 2.0])
+    assert exp_step(2, False)(1e300, 1.0, [0.0] * 3, 1.0, [0.0] * 3,
+                              [1.0, 2.0, 3.0]) == [1.0, 2.0]
     with pytest.raises(IndexError):
         lag_rk4(3)(1.0, [1.0] * 3, [1.0] * 3, [1.0] * 3, [1.0, 2.0], 0.1)
 
@@ -691,14 +703,47 @@ def test_correction_rk4_matches_the_composed_flow_bit_for_bit(nsub, data,
     gamma, delta, h = draw(values), draw(values), draw(values)
     ycal, th = tuple(draw(vectors(p, values))), draw(vectors(q, values))
     gs = draw(st.lists(vectors(p, values), min_size=4, max_size=4))
+    _assert_correction(nsub, pt, gamma, delta, ycal, th, h, gs)
+
+
+def _assert_correction(nsub, pt, gamma, delta, ycal, th, h, gs):
     g_map, ref = Recorder(gs), Recorder(gs)
     fracs = [k / (2.0 * nsub) for k in range(2 * nsub)]
-    got = correction_rk4(q, p)(g_map, pt, gamma, delta, ycal, th, h, fracs)
+    got = correction_rk4(len(th), len(ycal))(g_map, pt, gamma, delta, ycal,
+                                             th, h, fracs)
     want = ref_correction(ref, pt, gamma, delta, ycal, th, h, nsub)
     assert len(got) == 2 * nsub + 1
     assert same_bytes(got, want)
     assert same_bytes(g_map.floats(), ref.floats())
     assert g_map.calls[0][0] is th
+
+
+def test_correction_rk4_keeps_left_to_right_sums_at_cancelling_entries():
+    # P T ycal and M G(theta) each sum CANCEL's products at ycal = G = 1
+    _assert_correction(2, [list(CANCEL), [0.5, 1.0, 2.0]], 1.0, 1.0,
+                       (1.0, 1.0, 1.0), [0.5, 0.25], 1e-3, [(1.0,) * 3] * 4)
+
+
+def test_gradient_kernels_keep_left_to_right_sums_at_cancelling_entries():
+    # residual_gram: M's first column is CANCEL, its second ones, so the
+    # residual at v = 1 and Gram entry (0, 1) sum CANCEL; eigen_update: V's
+    # first column at r = 1, V's first row at c = 1 and om's first row at
+    # s = 1 sum it
+    m = [[CANCEL[k], 1.0] for k in range(3)]
+    y, ones = [0.5, 0.25], [1.0] * 3
+    r, gram = residual_gram(3, 2)(m, y, ones, 1.0)
+    cols = list(zip(*m))
+    assert same_bytes([*r, *sum(gram, [])],
+                      [b - dot(c, ones) for b, c in zip(y, cols)]
+                      + [dot(ci, cj) for ci in cols for cj in cols])
+    v = [list(CANCEL), [1.0, 0.0, 0.0], [CANCEL[2], 0.0, 0.0]]
+    line = _kernel_lines(eigen_update, 3, 3)
+    unit = {**_named("f", ones), **_named("c", ones), **_named("s", ones)}
+    got = [_eval_line(line[f"c{k}"], V=v, r=ones, **unit) for k in range(3)]
+    got += [_eval_line(line[f"s{i}"], V=v, g=1.0, **unit) for i in range(3)]
+    got += _eval_line(line["return"], theta=[0.0] * 3, om=v, **unit)
+    assert same_bytes(got, [dot(col, ones) for col in zip(*v)]
+                      + [dot(row, ones) for row in v] * 2)
 
 
 @kernel_examples
