@@ -33,7 +33,8 @@ Number representation: estimates, the pre-estimator state and Phi are
 lists of Python floats.  `mix` is one smallmat kernel (`mix_pair`, which
 also forms theta_g - Phi theta_g0), a step's two half updates of
 theta_g and Phi another (`exp_step`, with each sample's |Omega|^2 and
-expm1 gain), and the gradient flow runs on kernels too; the first step's
+expm1 gain), and the gradient flow's two half updates one more (the
+same `exp_step`, or `gram_step` on a matrix regressor); the first step's
 sample check and P T (a left-to-right float product) run on floats, so
 no update calls numpy.  numpy is imported only by `check_monotonicity`,
 whose samples come from numpy's generator.  Every dot product
@@ -54,14 +55,13 @@ n x n Gram gamma Omega' Omega, n being the number of state equations:
     Theta += gamma Omega V diag(phi(w)) V' (Y - Omega' Theta),
     phi(lam) = (1 - exp(-lam tau)) / lam   (tau for lam <= 1e-300),
 
-with (w, V) from `smallmat.symmetric_eigen`, which is closed-form for
-n <= 2 (both shipped plants).  The rest of the update runs on two smallmat
-kernels bound to (n_w, n) on the first call, one on either side of the
-eigen-decomposition: `residual_gram` reads the residual Y - Omega' Theta
-and the Gram straight from the rows of Omega, and `eigen_update` forms
-diag(phi(w)) V' r and adds Omega (gamma V diag(phi(w)) V' r) to Theta.
-Each sums its products from 0.0 left to right, as `smallmat.dot` over the
-columns of Omega does.
+with (w, V) from `smallmat.symmetric_eigen`, closed-form for n <= 2
+(both shipped plants).  Both half steps run in one smallmat kernel,
+`gram_step`, bound to (n_w, n) on the first call: per sample it reads the
+residual r = Y - Omega' Theta and the Gram straight from the rows of
+Omega, takes (w, V) from the eigensolver it is handed, forms
+diag(phi(w)) V' r and adds Omega (gamma V diag(phi(w)) V' r) to Theta,
+each product summed from 0.0 left to right, as `smallmat.dot` sums.
 """
 
 from __future__ import annotations
@@ -71,33 +71,41 @@ from dataclasses import dataclass
 
 from .regressor import ParamMap, RegressorSample
 from .smallmat import (all_finite, correction_rk4, determinant, dot,
-                       eigen_update, exp_step, flat_floats, float_rows,
-                       min_eig_symmetric, mix_pair, residual_gram,
-                       symmetric_eigen)
+                       exp_step, flat_floats, float_rows, gram_step,
+                       min_eig_symmetric, mix_pair, symmetric_eigen)
 
 
 def _check_sample(sample: RegressorSample, p: int,
-                  scalar: bool = False) -> bool:
-    """Check a sample's shape and finiteness on floats; returns whether its
-    Omega is a matrix (p rows of n).
+                  scalar: bool = False) -> int | None:
+    """Check a sample's shape and finiteness on floats; returns n for an
+    Omega of p rows of n, None for a vector Omega.
 
     Omega must have p rows, or be a p-vector when `scalar` is set; with a
-    vector Omega, Y must be a number.
+    vector Omega, Y must be a number, and with rows of n, n numbers.
     """
     om = sample.Omega
     om = om.tolist() if hasattr(om, "tolist") else om
     y = sample.Y.tolist() if hasattr(sample.Y, "tolist") else sample.Y
-    matrix = bool(om) and isinstance(om[0], (list, tuple))
-    if len(om) != p or (scalar and matrix):
-        shape = (len(om), len(om[0])) if matrix else (len(om),)
+    n = len(om[0]) if om and isinstance(om[0], (list, tuple)) else None
+    if len(om) != p or (scalar and n is not None):
+        shape = (len(om),) if n is None else (len(om), n)
         raise ValueError(
             f"expected a regressor of {p} rows{' (a vector)' if scalar else ''}"
             f", got Omega shape {shape}")
-    if not matrix and isinstance(y, (list, tuple)):
-        raise ValueError("expected scalar Y")
+    if n is None:
+        if isinstance(y, (list, tuple)):
+            raise ValueError("expected scalar Y")
+    elif not n or any(not isinstance(row, (list, tuple)) or len(row) != n
+                      for row in om):
+        raise ValueError(f"expected Omega rows of one length n >= 1, got "
+                         f"rows of {[len(row) for row in om]} values")
+    elif not isinstance(y, (list, tuple)) or len(y) != n or \
+            any(isinstance(v, (list, tuple)) for v in y):
+        raise ValueError(f"expected Y of {n} numbers for Omega shape "
+                         f"{(p, n)}, got Y = {y!r}")
     if not (all_finite(om) and all_finite(y)):
         raise ValueError(f"non-finite regression sample at t={sample.t}")
-    return matrix
+    return n
 
 
 def _vector(value, n: int, name: str) -> list:
@@ -118,15 +126,16 @@ class GplusDEstimator:
 
     def __init__(self, param_map: ParamMap, gamma_g: float, gamma: float,
                  theta_g0=None):
-        if gamma_g <= 0 or gamma <= 0:
-            raise ValueError("gains must be positive")
+        self.gamma_g, self.gamma = float(gamma_g), float(gamma)
+        for name, gain in (("gamma_g", self.gamma_g), ("gamma", self.gamma)):
+            if not 0.0 < gain < math.inf:   # nan compares False
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {gain}")
         if not 1 <= param_map.p <= 3:
             # the mixing pair's cofactor forms stop at 3x3 (smallmat)
             raise ValueError(f"the interlaced estimator supports p = 1 to 3 "
                              f"regression coefficients, got p = {param_map.p}")
         self.param_map = param_map
-        self.gamma_g = float(gamma_g)
-        self.gamma = float(gamma)
         p = param_map.p
         self.theta_g0 = [0.0] * p if theta_g0 is None else \
             _vector(theta_g0, p, "theta_g0")
@@ -202,10 +211,11 @@ class GradientEstimator:
     floats."""
 
     def __init__(self, n_w: int, gamma: float, Theta0=None):
-        if gamma <= 0:
-            raise ValueError("gain must be positive")
         self.n_w = int(n_w)
         self.gamma = float(gamma)
+        if not 0.0 < self.gamma < math.inf:   # nan compares False
+            raise ValueError(f"gamma must be positive and finite, "
+                             f"got {self.gamma}")
         self.Theta = [0.0] * self.n_w if Theta0 is None else \
             _vector(Theta0, self.n_w, "Theta0")
         self._validated = False
@@ -217,7 +227,7 @@ class GradientEstimator:
         it (`propagate` takes the exact map); it stays because the
         benchmark's tracer wraps it by name."""
         g, theta = self.gamma, self.Theta
-        if not _check_sample(sample, self.n_w):
+        if _check_sample(sample, self.n_w) is None:
             om = flat_floats(sample.Omega)
             e = float(sample.Y) - dot(om, theta)
             return [g * o * e for o in om]
@@ -226,38 +236,33 @@ class GradientEstimator:
              for y, col in zip(flat_floats(sample.Y), zip(*om))]
         return [g * dot(row, r) for row in om]
 
-    def _gram_step(self, sample: RegressorSample, tau: float):
-        # matrix regressor (p rows of n, one column per state equation):
-        # the exponential update through the n x n Gram (module docstring);
-        # a non-finite Gram gives nan w and V, and so a nan estimate
-        om = sample.Omega
-        g = self.gamma
-        theta = self.Theta
-        r, gram = self._residual_gram(om, sample.Y, theta, g)
-        w, v = symmetric_eigen(gram)
-        self.Theta = self._eigen_update(theta, om, g, tau, w, v, r)
-
     def propagate(self, sample0: RegressorSample, sample1: RegressorSample,
                   dt: float):
         """Advance Theta_hat across one step: exact frozen-regressor
-        exponential update on each half step."""
+        exponential update on each half step, both halves one kernel call
+        (`exp_step` on a vector regressor, `gram_step` on a matrix one)."""
         if not self._validated:
-            self._matrix = _check_sample(sample0, self.n_w)
-            _check_sample(sample1, self.n_w)
-            if self._matrix:   # kernels for n_w rows of n columns
-                n = len(sample0.Omega[0])
-                self._residual_gram = residual_gram(self.n_w, n)
-                self._eigen_update = eigen_update(self.n_w, n)
-            else:
-                self._exp_step = exp_step(self.n_w, False)
+            n = _check_sample(sample0, self.n_w)
+            n1 = _check_sample(sample1, self.n_w)
+            if n1 != n:
+                shapes = [(self.n_w,) if k is None else (self.n_w, k)
+                          for k in (n1, n)]
+                raise ValueError("sample1 has Omega shape {}, but sample0 "
+                                 "{}".format(*shapes))
+            self._matrix = n is not None
+            # kernels for n_w rows of n columns, or for an n_w-vector
+            self._step = gram_step(self.n_w, n) if self._matrix else \
+                exp_step(self.n_w, False)
             self._validated = True
-        if not self._matrix:
-            self.Theta = self._exp_step(self.gamma * (0.5 * dt), sample0.Y,
-                                        sample0.Omega, sample1.Y,
-                                        sample1.Omega, self.Theta)
-            return
-        self._gram_step(sample0, 0.5 * dt)
-        self._gram_step(sample1, 0.5 * dt)
+        if self._matrix:
+            # read per call, as bench/tracer.py rebinds this module's name
+            self.Theta = self._step(symmetric_eigen, self.gamma, 0.5 * dt,
+                                    sample0.Y, sample0.Omega, sample1.Y,
+                                    sample1.Omega, self.Theta)
+        else:
+            self.Theta = self._step(self.gamma * (0.5 * dt), sample0.Y,
+                                    sample0.Omega, sample1.Y, sample1.Omega,
+                                    self.Theta)
 
 
 @dataclass

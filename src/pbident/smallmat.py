@@ -22,17 +22,18 @@ from a template on the first call with those lengths and cached
 source linecache holds for tracebacks.  Each stage of `sim.step` is one
 kernel (`plant_rk4`, `plant_mid`, `correction_rk4`, `pbep_inputs` or
 `std_inputs`, `lag_rk4`, `pbep_sample` or `std_sample`, `mix_pair`, and
-`exp_step`, both half steps of a vector regressor's exact update, or
-`residual_gram` and `eigen_update` around the matrix gradient flow's
-`symmetric_eigen` on each half step), and so is each piece of `sim.run`'s
+both half steps of the estimator's exact update: `exp_step` on a vector
+regressor, `gram_step` on a matrix one, which calls the eigensolver it
+is handed on each half step's Gram), and so is each piece of `sim.run`'s
 bookkeeping, as on CPython 3.11 a call and a list between stages cost
-several times the arithmetic on 2- and 3-element states.  A kernel keeps the operation order of the expressions
-it fuses, which its docstring gives: sums of products start from 0.0 and
-go left to right, as `dot` does, and the cofactor forms are those of
-`_COFACTORS`, so results are bit-identical to the unfused expressions and
-independent of the BLAS build.  A kernel reads exactly the components of
-its lengths (IndexError on a shorter argument, the rest of a longer one
-ignored), so callers check the lengths first (`check_lengths`).
+several times the arithmetic on 2- and 3-element states.  A kernel keeps
+the operation order of the expressions it fuses, which its docstring
+gives: sums of products start from 0.0 and go left to right, as `dot`
+does, and the cofactor forms are those of `_COFACTORS`, so results are
+bit-identical to the unfused expressions and independent of the BLAS
+build.  A kernel reads exactly the components of its lengths (IndexError
+on a shorter argument, the rest of a longer one ignored), so callers
+check the lengths first (`check_lengths`).
 
 The symmetric eigenproblems are posed on the symmetrized matrix
 (M + M')/2.  `symmetric_eigen` solves it in closed form up to 2x2 (one
@@ -157,20 +158,6 @@ def _tuple(items) -> str:
 def _sum_of(products) -> str:
     """The products summed left to right from 0.0, as `dot` sums them."""
     return " + ".join(["0.0", *products])
-
-
-@_kernel
-def residual_gram(m: int, n: int):
-    """f(M, y, v, s) = (y - M'v, s*M'M) for m rows M of length n, an
-    n-vector y and an m-vector v: entry j of the residual is y_j - c_j'v
-    and Gram entry (i, j) is s*(c_i'c_j), c_j being column j of M."""
-    residual = _list(
-        f"y[{j}] - ({_sum_of(f'M[{k}][{j}] * v[{k}]' for k in range(m))})"
-        for j in range(n))
-    gram = _list(_list(
-        f"s * ({_sum_of(f'M[{k}][{i}] * M[{k}][{j}]' for k in range(m))})"
-        for j in range(n)) for i in range(n))
-    return "M, y, v, s", f"({residual}, {gram})"
 
 
 def _outers(p: int, m: int, base: str) -> list:
@@ -411,23 +398,31 @@ def exp_step(p: int, phi: bool):
 
 
 @_kernel
-def eigen_update(m: int, n: int):
-    """f(theta, om, g, tau, w, V, r) = theta + om (g*(V c)), c_k =
-    phi(w_k)*(V'r)_k, the matrix gradient flow's update from the
-    eigen-decomposition (w, V) of its n x n Gram, for an m-vector theta, m
-    rows om of length n and an n-vector r: phi(lam) = -expm1(-(lam*tau)) /
-    lam, or tau unless lam > 1e-300; every product sums from 0.0 left to
-    right."""
-    ik = range(n)
-    lines = [f"f{k} = -expm1(-(w[{k}] * tau)) / w[{k}] if w[{k}] > 1e-300 "
-             f"else tau" for k in ik]
-    lines += [f"c{k} = f{k} * ({_sum_of(f'V[{i}][{k}] * r[{i}]' for i in ik)})"
-              for k in ik]
-    lines += [f"s{i} = g * ({_sum_of(f'V[{i}][{k}] * c{k}' for k in ik)})"
-              for i in ik]
-    return "theta, om, g, tau, w, V, r", lines + ["return " + _list(
-        f"theta[{i}] + ({_sum_of(f'om[{i}][{j}] * s{j}' for j in ik)})"
-        for i in range(m))]
+def gram_step(m: int, n: int):
+    """f(eig, g, tau, y0, om0, y1, om1, theta) = both half steps of the
+    matrix gradient flow's exact update for an m-vector theta and m rows om
+    of length n, sample 0 then sample 1: r = y - om'theta, (w, V) =
+    eig(g*om'om) as nested rows, c_k = phi(w_k)*(V'r)_k, phi(lam) =
+    -expm1(-(lam*tau)) / lam, or tau unless lam > 1e-300, and theta + om
+    (g*(V c)); every product sums from 0.0 left to right.  Returns theta."""
+    im, ik, lines = range(m), range(n), []
+    for y, om in (("y0", "om0"), ("y1", "om1")):
+        lines += ["r = " + _list(
+            f"{y}[{j}] - ({_sum_of(f'{om}[{i}][{j}] * theta[{i}]' for i in im)})"
+            for j in ik)]
+        lines += ["w, V = eig(" + _list(_list(
+            f"g * ({_sum_of(f'{om}[{k}][{i}] * {om}[{k}][{j}]' for k in im)})"
+            for j in ik) for i in ik) + ")"]
+        lines += [f"f{k} = -expm1(-(w[{k}] * tau)) / w[{k}] "
+                  f"if w[{k}] > 1e-300 else tau" for k in ik]
+        lines += [f"c{k} = f{k} * ({_sum_of(f'V[{i}][{k}] * r[{i}]' for i in ik)})"
+                  for k in ik]
+        lines += [f"s{i} = g * ({_sum_of(f'V[{i}][{k}] * c{k}' for k in ik)})"
+                  for i in ik]
+        lines += ["theta = " + _list(
+            f"theta[{i}] + ({_sum_of(f'{om}[{i}][{j}] * s{j}' for j in ik)})"
+            for i in im)]
+    return "eig, g, tau, y0, om0, y1, om1, theta", lines + ["return theta"]
 
 
 @_kernel

@@ -171,6 +171,23 @@ def ref_exp_step(gt, y0, om0, y1, om1, g, phi=None):
     return g if phi is None else (*ns, g, phi)
 
 
+def ref_gram_step(eig, g, tau, y0, om0, y1, om1, theta):
+    """Both half steps of `smallmat.gram_step` as the gradient estimator
+    composed them, each dot product by `dot`: per sample the residual
+    y - om'theta and the Gram g*om'om of the former kernel `residual_gram`,
+    eig of the Gram, then theta + om (g*(V c)), c_k = phi(w_k)*(V'r)_k, of
+    the former kernel `eigen_update`."""
+    for y, om in ((y0, om0), (y1, om1)):
+        cols = list(zip(*om))
+        r = [b - dot(col, theta) for b, col in zip(y, cols)]
+        w, v = eig([[g * dot(ci, cj) for cj in cols] for ci in cols])
+        c = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau)
+             * dot(vk, r) for lam, vk in zip(w, zip(*v))]
+        s = [g * dot(vi, c) for vi in v]
+        theta = [a + dot(row, s) for a, row in zip(theta, om)]
+    return theta
+
+
 def ref_rk4(x, s, k1, k2, k3, k4):
     return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pbident import SimConfig, run
+from pbident import estimator as estimator_module
 from pbident.estimator import (GplusDEstimator, GradientEstimator,
                                check_monotonicity)
 from pbident.regressor import ParamMap, RegressorSample
@@ -15,10 +16,11 @@ from pbident import smallmat
 from hypothesis import given, strategies as st
 
 from pbident.smallmat import (adjugate, determinant, dot, exp_step,
-                              mix_pair, symmetric_eigen)
-from conftest import (CANCEL, cofactor_adj, cofactor_det, kernel_examples,
-                      numpy_gradient_propagate, rates, ref_exp_step,
-                      same_bytes, square, theta_rate, value_kinds, vectors)
+                              gram_step, mix_pair, symmetric_eigen)
+from conftest import (CANCEL, Recorder, cofactor_adj, cofactor_det,
+                      kernel_examples, numpy_gradient_propagate, rates,
+                      ref_exp_step, ref_gram_step, same_bytes, square,
+                      theta_rate, value_kinds, vectors)
 
 
 def scalar_map():
@@ -64,6 +66,16 @@ def test_gains_must_be_positive():
         GplusDEstimator(scalar_map(), gamma_g=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         GradientEstimator(2, gamma=-1.0)
+    # and finite: nan <= 0 is False, and a nan or inf gain gave all-nan
+    # estimates
+    for bad in (math.nan, math.inf):
+        for make, name in (
+                (lambda: GplusDEstimator(scalar_map(), bad, 1.0), "gamma_g"),
+                (lambda: GplusDEstimator(scalar_map(), 1.0, bad), "gamma"),
+                (lambda: GradientEstimator(2, bad), "gamma")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive "
+                                                 f"and finite, got {bad}$"):
+                make()
 
 
 # -- scalar synthetic closed forms --------------------------------------------
@@ -495,17 +507,42 @@ def test_mix_pair_keeps_left_to_right_sums_at_cancelling_entries():
                      [CANCEL[0], CANCEL[1], -CANCEL[2]], None)
 
 
-def loop_half_update(gamma, theta, sample, tau):
-    """The matrix half update as generic `dot` loops over the regressor's
-    columns, in the order the estimator's kernels keep."""
-    cols = list(zip(*sample.Omega))
-    r = [y - dot(c, theta) for y, c in zip(sample.Y, cols)]
-    w, v = symmetric_eigen([[gamma * dot(ci, cj) for cj in cols]
-                            for ci in cols])
-    vr = [(-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau)
-          * dot(vk, r) for lam, vk in zip(w, zip(*v))]
-    z = [gamma * dot(vi, vr) for vi in v]
-    return [a + dot(row, z) for a, row in zip(theta, sample.Omega)]
+@kernel_examples
+@given(data=st.data(), m=st.integers(1, 5), n=st.integers(1, 3),
+       values=value_kinds)
+def test_gram_step_matches_the_composed_update_bit_for_bit(data, m, n,
+                                                           values):
+    # the former half updates (conftest.ref_gram_step): per sample the
+    # residual and Gram of `residual_gram`, symmetric_eigen (eigh at n = 3),
+    # then `eigen_update`, at a step's tau >= 0
+    draw = data.draw
+    g, tau = draw(values), abs(draw(values))
+    y0, y1, theta = (draw(vectors(k, values)) for k in (n, n, m))
+    om0, om1 = (draw(st.lists(vectors(n, values), min_size=m, max_size=m))
+                for _ in range(2))
+    args = [g, tau, y0, om0, y1, om1, theta]
+    assert same_bytes(gram_step(m, n)(symmetric_eigen, *args),
+                      ref_gram_step(symmetric_eigen, *args))
+
+
+def test_gram_step_keeps_left_to_right_sums_at_cancelling_entries():
+    # an eigensolver that keeps each Gram and returns w = 0 (so phi = tau
+    # = 1) and a fixed V: at theta = 1, om0's first column sums CANCEL in
+    # the residual r_0, and with its second column of ones in Gram entry
+    # (0, 1); y0 makes r = 1, so V's first column sums CANCEL in c_0, c is
+    # (2, 2, 2), V's first row sums 2 CANCEL in s_0, and om0's first row
+    # times s = (4, 2e16 + 4, 2 c2) cancels in theta_0; the zero om1 leaves
+    # theta as it is
+    c2 = CANCEL[2]
+    om0 = [[CANCEL[0], 1.0, 2.0], [CANCEL[1], 1.0, 0.0], [c2, 1.0, 0.0]]
+    v = [[1e16, 1.0, c2], [1.0, 1.0, 1e16], [c2, 0.0, 0.0]]
+    args = [1.0, 1.0, [3.0, 4.0, 3.0], om0, [0.0] * 3, [[0.0] * 3] * 3,
+            [1.0] * 3]
+    eig, ref_eig = (Recorder([([0.0] * 3, v)] * 2) for _ in range(2))
+    assert same_bytes(gram_step(3, 3)(eig, *args),
+                      ref_gram_step(ref_eig, *args))
+    assert same_bytes([c[0] for c in eig.calls],
+                      [c[0] for c in ref_eig.calls])
 
 
 def float_bytes(values) -> bytes:
@@ -534,20 +571,43 @@ def test_gradient_matrix_kernels_match_the_loop_form_bit_for_bit(n_w, n):
         ref = theta0
         for a, b in ((first, first), (s, first), (first, s)):
             est.propagate(a, b, 2 * tau)
-            for sample in (a, b):
-                ref = loop_half_update(gamma, ref, sample, tau)
+            ref = ref_gram_step(symmetric_eigen, gamma, tau, a.Y, a.Omega,
+                                b.Y, b.Omega, ref)
             assert float_bytes(est.Theta) == float_bytes(ref), (om, gamma)
 
 
 def test_gradient_matrix_kernels_are_bound_once_per_shape():
+    # the matrix branch binds one kernel, gram_step(n_w, n), on its first
+    # call
     def bound(n_w, n):
         est = GradientEstimator(n_w, gamma=1.0)
         s = RegressorSample(0.0, (1.0,) * n, tuple([[0.5] * n] * n_w))
         est.propagate(s, s, 1e-3)
-        return est._residual_gram, est._eigen_update
-    first = bound(3, 2)
-    assert all(a is b for a, b in zip(first, bound(3, 2)))
-    assert all(a is not b for a, b in zip(first, bound(2, 3)))
+        return est._step
+    assert bound(3, 2) is bound(3, 2) is gram_step(3, 2)
+    assert bound(3, 2) is not bound(2, 3)
+
+
+def test_matrix_propagate_runs_one_kernel_after_its_first_call(monkeypatch):
+    # both half steps are one gram_step call; beneath it only the two
+    # symmetric_eigen calls, each on the closed form, and those are the
+    # estimator module's name at call time, which a tracer may rebind
+    s0 = RegressorSample(0.0, (1.0, 2.0),
+                         ([1.0, 0.5], [0.0, -1.0], [2.0, 0.25]))
+    s1 = RegressorSample(1e-3, (1.2, 1.8),
+                         ([0.9, 0.5], [0.1, -1.0], [2.0, 0.5]))
+    est = GradientEstimator(3, gamma=5.0)
+    est.propagate(s0, s1, 1e-3)
+    assert _python_calls(est.propagate, s1, s0, 1e-3) \
+        == ["propagate", "gram_step"] + ["symmetric_eigen", "_eigen_closed"] * 2
+    grams = []
+
+    def eig(gram):
+        grams.append(gram)
+        return symmetric_eigen(gram)
+    monkeypatch.setattr(estimator_module, "symmetric_eigen", eig)
+    est.propagate(s0, s1, 1e-3)
+    assert len(grams) == 2
 
 
 class _Raises:
@@ -578,6 +638,33 @@ def test_gradient_dimension_mismatch():
     est = GradientEstimator(2, gamma=1.0)
     with pytest.raises(ValueError):
         est.rate(const_sample(0.0, 0.0, [1.0, 2.0, 3.0]))
+
+
+SHAPE_CASES = {
+    "ragged": ((1.0, 2.0), ([1.0, 0.5], [0.0]), None,
+               r"rows of one length n >= 1, got rows of \[2, 1\] values"),
+    "long_Y": ((1.0, 2.0, 3.0), ([1.0, 0.5], [0.0, 1.0]), None,
+               r"Y of 2 numbers for Omega shape \(2, 2\), got Y = "),
+    "short_Y": ((1.0,), ([1.0, 0.5], [0.0, 1.0]), None,
+                r"Y of 2 numbers for Omega shape \(2, 2\), got Y = "),
+    "scalar_Y": (1.0, ([1.0, 0.5], [0.0, 1.0]), None,
+                 r"Y of 2 numbers for Omega shape \(2, 2\), got Y = 1.0"),
+    "wider_sample1": ((1.0, 2.0), ([1.0, 0.5], [0.0, 1.0]),
+                      RegressorSample(1e-3, (1.0, 2.0, 3.0),
+                                      ([1.0, 0.5, 0.5], [0.0, 1.0, 1.0])),
+                      r"sample1 has Omega shape \(2, 3\), but sample0 "
+                      r"\(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_gradient_matrix_sample_shapes_are_checked(case):
+    # each ended in IndexError or TypeError, or ran on a cut Y or Omega
+    y, om, sample1, message = SHAPE_CASES[case]
+    sample0 = RegressorSample(0.0, y, om)
+    with pytest.raises(ValueError, match=message):
+        GradientEstimator(2, 1.0).propagate(sample0, sample1 or sample0,
+                                            1e-3)
 
 
 def test_gplusd_rejects_a_wrong_length_G(ph):

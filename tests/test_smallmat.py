@@ -16,13 +16,12 @@ from conftest import (CANCEL, EDGE_FLOATS, NoNumpy, Recorder, cofactor_adj,
                       value_kinds, vectors)
 from pbident.sim import ExcitationRecord
 from pbident.smallmat import (adjugate, cofactors, correction_rk4,
-                              determinant, dist_k, dot, eigen_update, exp_step,
-                              finite_k, gram_trapezoid, ieee_div,
-                              ieee_pow, lag_rk4, min_eig_symmetric, mix_pair,
-                              outer_add, pbep_inputs, pbep_sample, plant_mid,
-                              plant_rk4, power_residuals, residual_gram,
-                              std_inputs, std_sample, symmetric_eigen,
-                              trace_row)
+                              determinant, dist_k, dot, exp_step, finite_k,
+                              gram_step, gram_trapezoid, ieee_div, ieee_pow,
+                              lag_rk4, min_eig_symmetric, mix_pair, outer_add,
+                              pbep_inputs, pbep_sample, plant_mid, plant_rk4,
+                              power_residuals, std_inputs, std_sample,
+                              symmetric_eigen, trace_row)
 
 
 def test_determinant_examples():
@@ -401,8 +400,9 @@ def _draw_case(draw, kernel, n):
              for a, b1, b2, b3, b4 in zip(x, y, k2, k3, k4)]
     # the former one-expression kernels, now lines of the stage kernels
     # that absorbed them: v_minus_mg of mix_pair, v_plus_mg, scaled_mv and
-    # scaled_mtv of eigen_update, sub_at and block_columns of std_sample,
-    # midpoint and hermite_mid of plant_mid
+    # scaled_mtv of gram_step (the lines of sample 1, the last of each
+    # name), sub_at and block_columns of std_sample, midpoint and
+    # hermite_mid of plant_mid
     if kernel == "v_minus_mg":
         p = draw(st.integers(1, 3))
         g, g0, phi = draw(vec(p)), draw(vec(p)), draw(square(p, values))
@@ -411,27 +411,31 @@ def _draw_case(draw, kernel, n):
     if kernel == "v_plus_mg":
         m = draw(st.integers(1, 5))
         v, mat = draw(vec(m)), draw(st.lists(vec(n), min_size=m, max_size=m))
-        return _eval_line(_kernel_lines(eigen_update, m, n)["return"],
-                          theta=v, om=mat, **_named("s", x)), \
+        return _eval_line(_kernel_lines(gram_step, m, n)["theta"],
+                          theta=v, om1=mat, **_named("s", x)), \
             [a + dot(row, x) for a, row in zip(v, mat)]
     if kernel == "residual_gram":
+        # gram_step's residual and the Gram it hands to eig, here the
+        # identity
         m = draw(st.integers(1, 5))
         mat, v = draw(st.lists(vec(n), min_size=m, max_size=m)), \
             draw(vec(m))
-        r, gram = residual_gram(m, n)(mat, y, v, s)
+        line = _kernel_lines(gram_step, m, n)
+        r = _eval_line(line["r"], y1=y, om1=mat, theta=v)
+        gram = _eval_line(line["w, V"], eig=lambda rows: rows, g=s, om1=mat)
         cols = list(zip(*mat))
         return [*r, *sum(gram, [])], \
             [b - dot(c, v) for b, c in zip(y, cols)] \
             + [s * dot(ci, cj) for ci in cols for cj in cols]
     if kernel == "scaled_mtv":
-        mat, line = draw(square(n, values)), _kernel_lines(eigen_update, 1, n)
+        mat, line = draw(square(n, values)), _kernel_lines(gram_step, 1, n)
         return [_eval_line(line[f"c{k}"], V=mat, r=y, **_named("f", x))
                 for k in range(n)], \
             [c * dot(col, y) for c, col in zip(x, zip(*mat))]
     if kernel == "eigen_gain":
         # the gains phi(w) that the estimator took in a comprehension, at a
         # step's tau >= 0
-        tau, line = abs(s), _kernel_lines(eigen_update, 1, n)
+        tau, line = abs(s), _kernel_lines(gram_step, 1, n)
         return [_eval_line(line[f"f{k}"], expm1=math.expm1, w=x, tau=tau)
                 for k in range(n)], \
             [-math.expm1(-(lam * tau)) / lam if lam > 1e-300 else tau
@@ -458,7 +462,7 @@ def _draw_case(draw, kernel, n):
         return [_eval_line(_kernel_lines(exp_step, n, True)["v0"], om1=x,
                            Phi=[[b] for b in y])], [dot(x, y)]
     if kernel == "scaled_mv":
-        mat, line = draw(square(n, values)), _kernel_lines(eigen_update, 1, n)
+        mat, line = draw(square(n, values)), _kernel_lines(gram_step, 1, n)
         return [_eval_line(line[f"s{i}"], g=s, V=mat, **_named("c", x))
                 for i in range(n)], [s * dot(row, x) for row in mat]
     if kernel == "midpoint":
@@ -518,8 +522,7 @@ def test_kernel_factory_compiles_once_per_length(factory):
     for n in range(1, 6):
         assert factory(n) is factory(n)
     assert factory(2) is not factory(3)
-    for two_lengths in (residual_gram, eigen_update, outer_add, plant_rk4,
-                        plant_mid):
+    for two_lengths in (gram_step, outer_add, plant_rk4, plant_mid):
         assert two_lengths(2, 3) is two_lengths(2, 3) is not two_lengths(3, 2)
     assert std_sample(2, True, 3) is std_sample(2, True, 3) \
         is not std_sample(2, False, 3)
@@ -542,11 +545,11 @@ def test_kernel_factory_compiles_once_per_length(factory):
 
 def test_kernels_keep_signed_zero_and_read_exactly_n_components():
     # a row product starts from 0.0 as dot does, so a sum of -0.0
-    # products is +0.0: g - Phi g0 in mix_pair, gamma V c in eigen_update
+    # products is +0.0: g - Phi g0 in mix_pair, gamma V c in gram_step
     r = _kernel_lines(mix_pair, 2, True)["r"]
     assert same_bytes(_eval_line(r, g=[-0.0, -0.0], Phi=[[-0.0, -0.0]] * 2,
                                  g0=[1.0, 1.0]), [-0.0, -0.0])
-    s0 = _kernel_lines(eigen_update, 1, 2)["s0"]
+    s0 = _kernel_lines(gram_step, 1, 2)["s0"]
     assert same_bytes([_eval_line(s0, g=1.0, V=[[-0.0, -0.0]] * 2, c0=1.0,
                                   c1=1.0)], [0.0])
     v0 = _kernel_lines(exp_step, 3, True)["v0"]
@@ -725,23 +728,25 @@ def test_correction_rk4_keeps_left_to_right_sums_at_cancelling_entries():
 
 
 def test_gradient_kernels_keep_left_to_right_sums_at_cancelling_entries():
-    # residual_gram: M's first column is CANCEL, its second ones, so the
-    # residual at v = 1 and Gram entry (0, 1) sum CANCEL; eigen_update: V's
-    # first column at r = 1, V's first row at c = 1 and om's first row at
-    # s = 1 sum it
+    # gram_step's lines of sample 1: om1's first column is CANCEL, its
+    # second ones, so the residual at theta = 1 and Gram entry (0, 1) sum
+    # CANCEL; V's first column at r = 1, V's first row at c = 1 and om1's
+    # first row at s = 1 sum it
     m = [[CANCEL[k], 1.0] for k in range(3)]
     y, ones = [0.5, 0.25], [1.0] * 3
-    r, gram = residual_gram(3, 2)(m, y, ones, 1.0)
+    line = _kernel_lines(gram_step, 3, 2)
+    r = _eval_line(line["r"], y1=y, om1=m, theta=ones)
+    gram = _eval_line(line["w, V"], eig=lambda rows: rows, g=1.0, om1=m)
     cols = list(zip(*m))
     assert same_bytes([*r, *sum(gram, [])],
                       [b - dot(c, ones) for b, c in zip(y, cols)]
                       + [dot(ci, cj) for ci in cols for cj in cols])
     v = [list(CANCEL), [1.0, 0.0, 0.0], [CANCEL[2], 0.0, 0.0]]
-    line = _kernel_lines(eigen_update, 3, 3)
+    line = _kernel_lines(gram_step, 3, 3)
     unit = {**_named("f", ones), **_named("c", ones), **_named("s", ones)}
     got = [_eval_line(line[f"c{k}"], V=v, r=ones, **unit) for k in range(3)]
     got += [_eval_line(line[f"s{i}"], V=v, g=1.0, **unit) for i in range(3)]
-    got += _eval_line(line["return"], theta=[0.0] * 3, om=v, **unit)
+    got += _eval_line(line["theta"], theta=[0.0] * 3, om1=v, **unit)
     assert same_bytes(got, [dot(col, ones) for col in zip(*v)]
                       + [dot(row, ones) for row in v] * 2)
 
